@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the network mixing residual over tilt values and steps.
 
-For each tilt the per-node residual (the part of the scaled cumulant not
-explained by the drift term) is compared against the geometric envelope
-derived from the schedule's contraction constants.  Optionally writes
-the raw rows to CSV.
+One sweep of the disagreement products gives, for every tilt, node and
+step, the residual (the part of the scaled cumulant not explained by the
+drift term) and the geometric envelope derived from the schedule's
+contraction constants.  Optionally writes the raw rows to CSV.
 """
 
 import argparse
@@ -38,18 +38,15 @@ def main() -> int:
     hypothesis = Hypothesis.H1 if args.hypothesis == "h1" else Hypothesis.H0
 
     print(f"scenario {config.name}, hypothesis {args.hypothesis}, k in [2, {args.k_max}]")
+    ks, values, bounds = mixing_residual_curves(model, schedule, args.k_max, mus, hypothesis)
     rows = []
-    for mu in mus:
-        ks, values, bounds = mixing_residual_curves(
-            model, schedule, args.k_max, mu, hypothesis
-        )
+    for mu, mu_values, mu_bounds in zip(mus, values, bounds):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.abs(values) / bounds[:, None]
+            ratios = np.abs(mu_values) / mu_bounds[:, None]
         worst_ratio = float(np.nanmax(ratios)) if np.isfinite(ratios).any() else 0.0
-        worst_scaled = float(np.max(ks[:, None] * np.abs(values)))
-        for row, k in enumerate(ks):
-            for node in range(values.shape[1]):
-                rows.append((mu, int(k), node + 1, values[row, node], bounds[row]))
+        worst_scaled = float(np.max(ks[:, None] * np.abs(mu_values)))
+        for k, row, bound in zip(ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
+            rows.extend((mu, k, node, value, bound) for node, value in enumerate(row, 1))
         print(f"  mu={mu:+.3g}: max |residual|/bound {worst_ratio:.3e}   "
               f"max k*|residual| {worst_scaled:.3e}")
 

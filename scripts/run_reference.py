@@ -6,9 +6,6 @@ then a seeded Monte Carlo run cross-checked against the exact curves.
 """
 
 import argparse
-import math
-
-import numpy as np
 
 from cdlab.analysis import (
     centralized_error_curve,
@@ -16,8 +13,7 @@ from cdlab.analysis import (
     exact_error_curves,
     propagate_moments,
 )
-from cdlab.experiment import compare_detectors, run_monte_carlo
-from cdlab.model import Hypothesis
+from cdlab.experiment import compare_detectors, run_monte_carlo, score_agreement
 from cdlab.network import contraction_bound
 from cdlab.scenarios import CORPUS, build_scenario
 
@@ -41,38 +37,37 @@ def main() -> int:
     print(f"chernoff information C = {c:.6f}   "
           f"envelope amplitude {envelope.amplitude:.4f}, ratio {envelope.ratio:.6f}")
 
-    report = compare_detectors(plan)
+    thresholds = config.thresholds
+    traj = propagate_moments(model, schedule, max(plan.k_checkpoints[-1], thresholds.k_late))
+    report = compare_detectors(
+        plan,
+        k_early=thresholds.k_early,
+        k_late=thresholds.k_late,
+        gap_tolerance=thresholds.gap_tolerance,
+        trajectory=traj,
+    )
     print(f"\nexact per-node exponent gap to centralized "
           f"(tolerance {report['gap_tolerance']:.2e}):")
     for entry in report["nodes"]:
-        print(f"  node {entry['node']}: gap(k=100) {entry['gap_early']:.3e}  "
-              f"gap(k=500) {entry['gap_late']:.3e}  "
+        print(f"  node {entry['node']}: gap(k={report['k_early']}) {entry['gap_early']:.3e}  "
+              f"gap(k={report['k_late']}) {entry['gap_late']:.3e}  "
               f"{'ok' if entry['within_tolerance'] and entry['gap_shrinks'] else 'FLAG'}")
     print(f"verdict: {report['verdict']}")
 
     print(f"\nmonte carlo: {plan.n_trials} trials per hypothesis, "
           f"seed {plan.master_seed}, checkpoints {list(plan.k_checkpoints)}")
     result = run_monte_carlo(plan)
-    k_max = int(result.ks.max())
-    traj0 = propagate_moments(model, schedule, Hypothesis.H0, k_max)
-    traj1 = propagate_moments(model, schedule, Hypothesis.H1, k_max)
-    exact = exact_error_curves(model, traj0, traj1, priors=plan.priors, ks=result.ks)
+    exact = exact_error_curves(model, traj, priors=plan.priors, ks=result.ks)
     exact_cen = centralized_error_curve(model, result.ks, priors=plan.priors)
     print(f"paired node-average vs centralized gap: {result.paired_gap:.2e}")
 
-    worst_pull = 0.0
-    cells = 0
     pairs = list(zip(exact, result.node_curves)) + [(exact_cen, result.centralized_curve)]
-    for ref, est in pairs:
-        for pos in range(ref.ks.size):
-            for p, p_hat in ((ref.alpha[pos], est.alpha[pos]), (ref.beta[pos], est.beta[pos])):
-                if p < 1e-3:
-                    continue
-                cells += 1
-                se = math.sqrt(p * (1.0 - p) / plan.n_trials)
-                worst_pull = max(worst_pull, abs(p_hat - p) / se)
-    print(f"agreement: worst pull over {cells} cells with exact p >= 1e-3: "
-          f"{worst_pull:.2f} binomial se")
+    cells, passing, worst_pull = score_agreement(
+        pairs, plan.n_trials, thresholds.agreement_min_prob, thresholds.agreement_sigma
+    )
+    print(f"agreement: {passing}/{cells} cells with exact p >= "
+          f"{thresholds.agreement_min_prob:g} within {thresholds.agreement_sigma:g} binomial se; "
+          f"worst pull {worst_pull:.2f} se")
 
     print("\nbayes error, node 1 vs centralized (exact | estimated):")
     node1_exact, node1_est = exact[0], result.node_curves[0]

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, log_ndtr
+from scipy.special import log_ndtr
 
 from .errors import (
     DegenerateVariance,
@@ -34,11 +34,9 @@ from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
 from .network import WeightSchedule, contraction_bound
 
 __all__ = [
-    "RateFunction",
     "MomentTrajectory",
     "ErrorCurve",
     "MixingResidual",
-    "q_function",
     "log_q_function",
     "rate_function",
     "chernoff_information",
@@ -59,11 +57,6 @@ FL_BOUNDARY_MARGIN = 1e-5
 VARIANCE_FLOOR = 1e-300
 
 
-def q_function(x):
-    """Standard normal upper tail Q(x) = P(Z > x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-
-
 def log_q_function(x):
     """log Q(x), stable far into the tail (Q underflows near x = 39)."""
     return log_ndtr(-np.asarray(x, dtype=float))
@@ -72,20 +65,10 @@ def log_q_function(x):
 # ── closed-form rate objects ──────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class RateFunction:
-    """Quadratic rate function (t - mean)^2 / (2 variance) of the llr mean."""
-
-    mean: float
-    variance: float
-
-    def value(self, t: float) -> float:
-        d = t - self.mean
-        return d * d / (2.0 * self.variance)
-
-
 def rate_function(model: GaussianHypothesisPair, l: Hypothesis, t: float) -> float:
-    return RateFunction(model.llr_mean(l), model.llr_variance).value(float(t))
+    """Quadratic rate function (t - mean)^2 / (2 variance) of the llr mean."""
+    d = float(t) - model.llr_mean(l)
+    return d * d / (2.0 * model.llr_variance)
 
 
 def chernoff_information(model: GaussianHypothesisPair) -> float:
@@ -157,54 +140,80 @@ def fixed_threshold_rates(model: GaussianHypothesisPair, gamma: float) -> tuple[
 
 @dataclass(frozen=True)
 class MomentTrajectory:
-    """Exact mean vectors and covariances of x(k) for k = 1..k_max."""
+    """Exact moments of x(k) for k = 1..k_max under both hypotheses.
 
-    hypothesis: Hypothesis
-    means: np.ndarray  # (k_max, n)
-    covariances: np.ndarray  # (k_max, n, n)
+    The H0 innovation mean is the negation of the H1 mean and the innovation
+    covariance does not depend on the hypothesis, so one pass serves both:
+    mu0(k) = -mu1(k) and P0(k) = P1(k), bit for bit.  Only the per-node
+    variances are kept at every k; full covariances only at ``keep``.
+    """
+
+    means: np.ndarray  # H1 means, (k_max, n)
+    variances: np.ndarray  # (k_max, n)
+    covariances: np.ndarray  # (len(keep), n, n)
+    keep: tuple = ()
 
     @property
     def k_max(self) -> int:
         return self.means.shape[0]
 
-    def mean_at(self, k: int) -> np.ndarray:
-        return self.means[k - 1]
+    def mean_at(self, k: int, l: Hypothesis = Hypothesis.H1) -> np.ndarray:
+        mean = self.means[k - 1]
+        return mean if l == Hypothesis.H1 else -mean
 
     def cov_at(self, k: int) -> np.ndarray:
-        return self.covariances[k - 1]
+        if k not in self.keep:
+            raise ParameterError(f"covariance at k={k} was not kept (kept: {self.keep})")
+        return self.covariances[self.keep.index(k)]
 
 
 def propagate_moments(
-    model: GaussianHypothesisPair, s: WeightSchedule, l: Hypothesis, k_max: int
+    model: GaussianHypothesisPair, s: WeightSchedule, k_max: int, keep=()
 ) -> MomentTrajectory:
     """Push the exact first and second moments through the recursion.
 
     mu(1) = N m_eta, P(1) = N^2 S_eta, then
     mu(k+1) = (k/(k+1)) W(k) mu(k) + (N/(k+1)) m_eta and
-    P(k+1) = (k/(k+1))^2 W(k) P(k) W(k)' + (N/(k+1))^2 S_eta.
+    P(k+1) = (k/(k+1))^2 W(k) P(k) W(k)' + (N/(k+1))^2 S_eta,
+    with m_eta the H1 innovation mean.  ``keep`` lists the k at which the
+    full covariance matrix is stored.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
+    keep = tuple(sorted({int(k) for k in keep}))
+    if keep and not 1 <= keep[0] <= keep[-1] <= k_max:
+        raise ParameterError(f"kept covariances {keep} outside 1..{k_max}")
     stats = innovation_stats(model)
-    m_eta = stats.mean(l)
+    m_eta = stats.mean1
     s_eta = stats.cov
     n = model.n_sensors
     means = np.empty((k_max, n))
-    covs = np.empty((k_max, n, n))
+    variances = np.empty((k_max, n))
+    covs = np.empty((len(keep), n, n))
     mu = n * m_eta
     p = n * n * s_eta
-    means[0], covs[0] = mu, p
-    for k in range(1, k_max):
+    wp, wpw = np.empty((n, n)), np.empty((n, n))
+    for k in range(1, k_max + 1):
+        means[k - 1], variances[k - 1] = mu, np.diag(p)
+        if k in keep:
+            covs[keep.index(k)] = p
+        if k == k_max:
+            break
         w = s.weight_at(k)
         shrink = k / (k + 1.0)
         gain = n / (k + 1.0)
         mu = shrink * (w @ mu) + gain * m_eta
-        p = shrink * shrink * (w @ p @ w.T) + gain * gain * s_eta
-        p = (p + p.T) / 2.0
-        means[k], covs[k] = mu, p
-    means.flags.writeable = False
-    covs.flags.writeable = False
-    return MomentTrajectory(hypothesis=l, means=means, covariances=covs)
+        # p = (q + q') / 2 with q = shrink^2 W p W' + gain^2 S_eta, computed
+        # in preallocated buffers with the same operations in the same order
+        np.matmul(w, p, out=wp)
+        np.matmul(wp, w.T, out=wpw)
+        wpw *= shrink * shrink
+        wpw += gain * gain * s_eta
+        np.add(wpw, wpw.T, out=p)
+        p /= 2.0
+    for array in (means, variances, covs):
+        array.flags.writeable = False
+    return MomentTrajectory(means=means, variances=variances, covariances=covs, keep=keep)
 
 
 # ── error curves ──────────────────────────────────────────────────────────
@@ -263,48 +272,42 @@ def _check_priors(priors) -> tuple[float, float]:
 
 def exact_error_curves(
     model: GaussianHypothesisPair,
-    traj0: MomentTrajectory,
-    traj1: MomentTrajectory,
+    traj: MomentTrajectory,
     priors=(0.5, 0.5),
     ks=None,
 ) -> list[ErrorCurve]:
     """Per-node error curves from the exact Gaussian law of x_i(k).
 
     alpha_i(k) is the H0 probability of x_i(k) > 0 and beta_i(k) the H1
-    probability of x_i(k) <= 0.  ``ks`` selects checkpoints (default: every
-    k in the trajectories).  Raises DegenerateVariance when a per-node
-    variance is not strictly positive.
+    probability of x_i(k) <= 0.  Since mu0 = -mu1 and the variance is
+    shared, both equal Phi(-mu1 / sd) exactly, so one tail serves both.
+    ``ks`` selects checkpoints (default: every k in the trajectory).
+    Raises DegenerateVariance when a per-node variance is not strictly
+    positive.
     """
     priors = _check_priors(priors)
-    if traj0.k_max != traj1.k_max:
-        raise ParameterError("trajectory horizons differ")
     if ks is None:
-        ks = np.arange(1, traj0.k_max + 1)
+        ks = np.arange(1, traj.k_max + 1)
     ks = np.asarray(ks, dtype=int)
-    if ks.size == 0 or ks.min() < 1 or ks.max() > traj0.k_max:
+    if ks.size == 0 or ks.min() < 1 or ks.max() > traj.k_max:
         raise ParameterError("checkpoints outside trajectory horizon")
     idx = ks - 1
-    n = model.n_sensors
     curves = []
-    for i in range(n):
-        var0 = traj0.covariances[idx, i, i]
-        var1 = traj1.covariances[idx, i, i]
-        floor = min(float(var0.min()), float(var1.min()))
+    for i in range(model.n_sensors):
+        var = traj.variances[idx, i]
+        floor = float(var.min())
         if floor <= VARIANCE_FLOOR:
             raise DegenerateVariance(
                 f"node {i + 1} variance {floor:.3e} is not positive"
             )
-        mu0 = traj0.means[idx, i]
-        mu1 = traj1.means[idx, i]
-        log_alpha = log_ndtr(mu0 / np.sqrt(var0))
-        log_beta = log_ndtr(-mu1 / np.sqrt(var1))
+        log_tail = log_ndtr(-traj.means[idx, i] / np.sqrt(var))
         curves.append(
             ErrorCurve(
                 node=str(i + 1),
                 ks=ks.copy(),
-                log_alpha=log_alpha,
-                log_beta=log_beta,
-                log_pe=_combine_log_pe(log_alpha, log_beta, priors),
+                log_alpha=log_tail,
+                log_beta=log_tail.copy(),
+                log_pe=_combine_log_pe(log_tail, log_tail, priors),
                 priors=priors,
                 source="exact",
             )
@@ -355,13 +358,13 @@ def scaled_cumulant(
     if not 1 <= node <= model.n_sensors:
         raise ParameterError(f"node must be in 1..{model.n_sensors}, got {node}")
     if trajectory is None:
-        trajectory = propagate_moments(model, s, l, k)
-    elif trajectory.hypothesis != l or trajectory.k_max < k:
-        raise ParameterError("trajectory does not cover the requested (l, k)")
+        trajectory = propagate_moments(model, s, k)
+    elif trajectory.k_max < k:
+        raise ParameterError(f"trajectory ends at k={trajectory.k_max}, before k={k}")
     mu = float(mu)
     i = node - 1
-    mean_i = float(trajectory.mean_at(k)[i])
-    var_i = float(trajectory.cov_at(k)[i, i])
+    mean_i = float(trajectory.mean_at(k, l)[i])
+    var_i = float(trajectory.variances[k - 1, i])
     return mu * mean_i + (k / 2.0) * mu * mu * var_i
 
 
@@ -406,23 +409,46 @@ def _residual_components(model, s, k_max):
     return lin, quad, cross
 
 
-def _residual_bound_constants(model, s):
+def mixing_residual_curves(
+    model: GaussianHypothesisPair,
+    s: WeightSchedule,
+    k_max: int,
+    mus,
+    hypothesis: Hypothesis = Hypothesis.H1,
+):
+    """Residual values and bounds for every tilt, node and k in 2..k_max.
+
+    Returns (ks, values, bounds) with values of shape (len(mus), len(ks), n)
+    and bounds of shape (len(mus), len(ks)).  One sweep of the product sums
+    serves every tilt, node and horizon.  The value's linear part flips sign
+    with the hypothesis; the bound, which decays like 1/k, does not.
+    """
+    if k_max < 2:
+        raise IndexError(f"k_max must be >= 2, got {k_max}")
+    lin, quad, cross = _residual_components(model, s, k_max)
     stats = innovation_stats(model)
     n = s.n_nodes
     m_bar = float(np.abs(stats.mean1).max())
     s_bar = float(np.abs(stats.cov).max())
     b_bar = float(np.abs(stats.cov @ np.ones(n)).max()) / n
     env = contraction_bound(n, s.min_weight, s.window)
-    return m_bar, s_bar, b_bar, env.amplitude, env.ratio
-
-
-def _residual_bound(model, s, k: int, mu: float) -> float:
-    m_bar, s_bar, b_bar, theta, beta = _residual_bound_constants(model, s)
-    n = s.n_nodes
-    mu = abs(float(mu))
-    first = (theta / k) * (n**2 * m_bar * mu + n**3 * mu * mu * b_bar) / (1.0 - beta)
-    second = (theta * theta / k) * (n**4 / 2.0) * mu * mu * s_bar / (1.0 - beta * beta)
-    return first + second
+    theta, beta = env.amplitude, env.ratio
+    sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0
+    ks = np.arange(2, k_max + 1)
+    col = ks[:, None]
+    values = np.empty((len(mus), ks.size, n))
+    bounds = np.empty((len(mus), ks.size))
+    for row, mu in enumerate(mus):
+        mu = float(mu)
+        linear = (n / col) * mu * sign * lin
+        quadratic = (n * n / (2.0 * col)) * mu * mu * quad
+        crossed = (n / col) * mu * mu * cross
+        values[row] = linear + quadratic + crossed
+        mu = abs(mu)
+        first = (theta / ks) * (n**2 * m_bar * mu + n**3 * mu * mu * b_bar) / (1.0 - beta)
+        second = (theta * theta / ks) * (n**4 / 2.0) * mu * mu * s_bar / (1.0 - beta * beta)
+        bounds[row] = first + second
+    return ks, values, bounds
 
 
 def mixing_residual(
@@ -445,43 +471,5 @@ def mixing_residual(
         raise IndexError(f"residual needs k >= 2, got {k}")
     if not 1 <= node <= s.n_nodes:
         raise ParameterError(f"node must be in 1..{s.n_nodes}, got {node}")
-    lin, quad, cross = _residual_components(model, s, k)
-    value = _residual_value(s.n_nodes, k, float(mu), node, hypothesis, lin[k - 2], quad[k - 2], cross[k - 2])
-    return MixingResidual(value=value, bound=_residual_bound(model, s, k, mu))
-
-
-def _residual_value(n, k, mu, node, hypothesis, lin_row, quad_row, cross_row) -> float:
-    sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0
-    i = node - 1
-    linear = (n / k) * mu * sign * lin_row[i]
-    quadratic = (n * n / (2.0 * k)) * mu * mu * quad_row[i]
-    crossed = (n / k) * mu * mu * cross_row[i]
-    return linear + quadratic + crossed
-
-
-def mixing_residual_curves(
-    model: GaussianHypothesisPair,
-    s: WeightSchedule,
-    k_max: int,
-    mu: float,
-    hypothesis: Hypothesis = Hypothesis.H1,
-):
-    """Residual values and bounds for every node and every k in 2..k_max.
-
-    Returns (ks, values, bounds) with values of shape (len(ks), n); a
-    single sweep shares the product sums across all nodes and horizons.
-    """
-    if k_max < 2:
-        raise IndexError(f"k_max must be >= 2, got {k_max}")
-    lin, quad, cross = _residual_components(model, s, k_max)
-    n = s.n_nodes
-    ks = np.arange(2, k_max + 1)
-    values = np.empty((ks.size, n))
-    bounds = np.empty(ks.size)
-    for row, k in enumerate(ks):
-        for node in range(1, n + 1):
-            values[row, node - 1] = _residual_value(
-                n, int(k), float(mu), node, hypothesis, lin[k - 2], quad[k - 2], cross[k - 2]
-            )
-        bounds[row] = _residual_bound(model, s, int(k), mu)
-    return ks, values, bounds
+    _, values, bounds = mixing_residual_curves(model, s, k, (mu,), hypothesis)
+    return MixingResidual(value=float(values[0, -1, node - 1]), bound=float(bounds[0, -1]))

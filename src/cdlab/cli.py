@@ -27,8 +27,7 @@ from .analysis import (
 )
 from .config import ScenarioConfig, scenario_from_file
 from .errors import ConfigError
-from .experiment import compare_detectors, fit_exponent, run_monte_carlo
-from .model import Hypothesis
+from .experiment import compare_detectors, fit_exponent, run_monte_carlo, score_agreement
 from .network import check_geometric_decay, contraction_bound, validate_assumption
 
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
@@ -174,9 +173,8 @@ def cmd_analyze(args) -> int:
 
     ks = sorted(config.checkpoints)
     k_max = ks[-1]
-    traj0 = propagate_moments(model, schedule, Hypothesis.H0, k_max)
-    traj1 = propagate_moments(model, schedule, Hypothesis.H1, k_max)
-    node_curves = exact_error_curves(model, traj0, traj1, priors=config.priors, ks=ks)
+    traj = propagate_moments(model, schedule, k_max)
+    node_curves = exact_error_curves(model, traj, priors=config.priors, ks=ks)
     cen_curve = centralized_error_curve(model, ks, priors=config.priors)
     rows = [CURVE_HEADER]
     for curve in [cen_curve] + node_curves:
@@ -190,23 +188,14 @@ def cmd_analyze(args) -> int:
     res_k_max = min(k_max, 512)
     residual_summary = {}
     if res_k_max >= 2:
-        for mu in RESIDUAL_MUS:
-            res_ks, values, bounds = mixing_residual_curves(model, schedule, res_k_max, mu)
-            for pos, k in enumerate(res_ks):
-                for i in range(model.n_sensors):
-                    res_rows.append(
-                        ",".join(
-                            [
-                                repr(mu),
-                                str(int(k)),
-                                str(i + 1),
-                                _float_cell(values[pos, i]),
-                                _float_cell(bounds[pos]),
-                            ]
-                        )
-                    )
+        res_ks, values, bounds = mixing_residual_curves(model, schedule, res_k_max, RESIDUAL_MUS)
+        node_cells = [f"{node}," for node in range(1, model.n_sensors + 1)]
+        for mu, mu_values, mu_bounds in zip(RESIDUAL_MUS, values, bounds):
+            for k, row, bound in zip(res_ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
+                head, tail = f"{mu!r},{k},", f",{bound!r}"
+                res_rows.extend([f"{head}{node}{value!r}{tail}" for node, value in zip(node_cells, row)])
             with np.errstate(invalid="ignore"):
-                ratio = float((np.abs(values) / bounds[:, None]).max())
+                ratio = float((np.abs(mu_values) / mu_bounds[:, None]).max())
             residual_summary[repr(mu)] = {"max_abs_over_bound": ratio}
     ws.write("residual_diagnostic.csv", "\n".join(res_rows) + "\n")
 
@@ -259,34 +248,21 @@ def cmd_simulate(args) -> int:
         rows.extend(_curve_rows(curve))
     ws.write("curves_mc.csv", "\n".join(rows) + "\n")
 
+    traj = propagate_moments(model, schedule, max(plan.k_checkpoints[-1], thresholds.k_late))
     report = compare_detectors(
         plan,
         k_early=thresholds.k_early,
         k_late=thresholds.k_late,
         gap_tolerance=thresholds.gap_tolerance,
+        trajectory=traj,
     )
 
-    k_max = int(result.ks.max())
-    traj0 = propagate_moments(model, schedule, Hypothesis.H0, k_max)
-    traj1 = propagate_moments(model, schedule, Hypothesis.H1, k_max)
-    exact_nodes = exact_error_curves(model, traj0, traj1, priors=plan.priors, ks=result.ks)
+    exact_nodes = exact_error_curves(model, traj, priors=plan.priors, ks=result.ks)
     exact_cen = centralized_error_curve(model, result.ks, priors=plan.priors)
-    pairs = list(zip(exact_nodes, result.node_curves)) + [
-        (exact_cen, result.centralized_curve)
-    ]
-    cells = passing = 0
-    for exact, estimate in pairs:
-        for pos in range(exact.ks.size):
-            for p, p_hat in (
-                (float(exact.alpha[pos]), float(estimate.alpha[pos])),
-                (float(exact.beta[pos]), float(estimate.beta[pos])),
-            ):
-                if p < thresholds.agreement_min_prob:
-                    continue
-                cells += 1
-                se = math.sqrt(p * (1.0 - p) / plan.n_trials)
-                if abs(p_hat - p) <= thresholds.agreement_sigma * se:
-                    passing += 1
+    pairs = list(zip(exact_nodes, result.node_curves)) + [(exact_cen, result.centralized_curve)]
+    cells, passing, _ = score_agreement(
+        pairs, plan.n_trials, thresholds.agreement_min_prob, thresholds.agreement_sigma
+    )
     waived = plan.n_trials < thresholds.mc_min_trials
     fraction = passing / cells if cells else 1.0
     agreement = {

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     ErrorCurve,
+    MomentTrajectory,
     centralized_error_curve,
     chernoff_information,
     exact_error_curves,
@@ -317,12 +318,38 @@ def subexponential_factor(curve: ErrorCurve, chernoff: float) -> np.ndarray:
     return np.exp(curve.log_pe + curve.ks * chernoff)
 
 
+def score_agreement(pairs, n_trials: int, min_prob: float, sigma: float) -> tuple:
+    """Score (exact, estimate) curve pairs; return (cells, passing, worst_pull).
+
+    Every false-alarm and miss cell whose exact probability p is at least
+    ``min_prob`` is judged; it passes when the estimate lies within
+    ``sigma`` binomial standard errors sqrt(p (1 - p) / n_trials) of p.
+    ``worst_pull`` is the largest |estimate - p| in standard errors.
+    """
+    cells = passing = 0
+    worst_pull = 0.0
+    for exact, estimate in pairs:
+        for p, p_hat in ((exact.alpha, estimate.alpha), (exact.beta, estimate.beta)):
+            judged = p >= min_prob
+            p, p_hat = p[judged], p_hat[judged]
+            se = np.sqrt(p * (1.0 - p) / n_trials)
+            dev = np.abs(p_hat - p)
+            cells += int(judged.sum())
+            passing += int((dev <= sigma * se).sum())
+            worst_pull = max(worst_pull, float((dev / se).max(initial=0.0)))
+    return cells, passing, worst_pull
+
+
 def _empirical_rate(curve: ErrorCurve) -> np.ndarray:
     return -curve.log_pe / curve.ks
 
 
 def compare_detectors(
-    plan: ExperimentPlan, k_early: int = 100, k_late: int = 500, gap_tolerance: float = 0.02
+    plan: ExperimentPlan,
+    k_early: int = 100,
+    k_late: int = 500,
+    gap_tolerance: float = 0.02,
+    trajectory: MomentTrajectory | None = None,
 ) -> dict:
     """Exact-analysis comparison of every node against the centralized rate.
 
@@ -331,7 +358,8 @@ def compare_detectors(
     ``gap_tolerance`` times the Chernoff information and has shrunk since
     the early checkpoint.  The verdict is suppressed (None) when the
     schedule fails its own structural validation, since the rate claim is
-    only meaningful under those assumptions.
+    only meaningful under those assumptions.  A ``trajectory`` reaching
+    ``k_late`` is reused instead of propagating one.
     """
     if not 1 <= k_early < k_late:
         raise ParameterError(f"need 1 <= k_early < k_late, got {k_early}, {k_late}")
@@ -340,9 +368,9 @@ def compare_detectors(
     chernoff = chernoff_information(model)
     envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
     ks = [k_early, k_late]
-    traj0 = propagate_moments(model, schedule, Hypothesis.H0, k_late)
-    traj1 = propagate_moments(model, schedule, Hypothesis.H1, k_late)
-    node_curves = exact_error_curves(model, traj0, traj1, priors=plan.priors, ks=ks)
+    if trajectory is None:
+        trajectory = propagate_moments(model, schedule, k_late)
+    node_curves = exact_error_curves(model, trajectory, priors=plan.priors, ks=ks)
     cen_curve = centralized_error_curve(model, ks, priors=plan.priors)
     cen_rate = _empirical_rate(cen_curve)
     tolerance = gap_tolerance * chernoff

@@ -22,7 +22,13 @@ from cdlab.analysis import (
     scaled_cumulant,
 )
 from cdlab.detectors import distributed_closed_form, distributed_init, distributed_step
-from cdlab.experiment import ExperimentPlan, compare_detectors, fit_exponent, run_monte_carlo
+from cdlab.experiment import (
+    ExperimentPlan,
+    compare_detectors,
+    fit_exponent,
+    run_monte_carlo,
+    score_agreement,
+)
 from cdlab.model import Hypothesis, build_model, local_innovations, sample_observations
 from cdlab.network import check_geometric_decay, validate_assumption
 from cdlab.scenarios import CORPUS, build_scenario
@@ -114,7 +120,7 @@ def test_criterion_06_moments_match_monte_carlo():
     assert schedule.window == 2
     n_trials, checkpoints = 100_000, (5, 50)
     rng = np.random.default_rng(32006)
-    traj = propagate_moments(model, schedule, H1, max(checkpoints))
+    traj = propagate_moments(model, schedule, max(checkpoints), keep=checkpoints)
     x = None
     worst = 0.0
     for k in range(1, max(checkpoints) + 1):
@@ -185,11 +191,11 @@ def test_criterion_09_residual_bound_and_cumulant_limit():
     mus = (-1.0, -0.1, 0.1, 1.0)
     worst_ratio = 0.0
     for hyp in (H0, H1):
-        for mu in mus:
-            ks, values, bounds = mixing_residual_curves(model, schedule, 500, mu, hypothesis=hyp)
-            assert np.all(np.abs(values) <= bounds[:, None]), f"mu={mu} hyp={int(hyp)}"
-            worst_ratio = max(worst_ratio, float((np.abs(values) / bounds[:, None]).max()))
-    traj = propagate_moments(model, schedule, H1, 1000)
+        ks, values, bounds = mixing_residual_curves(model, schedule, 500, mus, hypothesis=hyp)
+        for mu, mu_values, mu_bounds in zip(mus, values, bounds):
+            assert np.all(np.abs(mu_values) <= mu_bounds[:, None]), f"mu={mu} hyp={int(hyp)}"
+            worst_ratio = max(worst_ratio, float((np.abs(mu_values) / mu_bounds[:, None]).max()))
+    traj = propagate_moments(model, schedule, 1000)
     worst_final = 0.0
     for mu in mus:
         limit = model.llr_mean1 * mu + sig2 * mu * mu / 2.0
@@ -224,9 +230,7 @@ def test_criterion_10_monte_carlo_agreement():
         )
         result = run_monte_carlo(plan)
         k_max = int(result.ks.max())
-        traj0 = propagate_moments(model, schedule, H0, k_max)
-        traj1 = propagate_moments(model, schedule, H1, k_max)
-        exact_nodes = exact_error_curves(model, traj0, traj1, ks=result.ks)
+        exact_nodes = exact_error_curves(model, propagate_moments(model, schedule, k_max), ks=result.ks)
         exact_cen = centralized_error_curve(model, result.ks)
         local_cells = local_passing = 0
         pairs = list(zip(exact_nodes, result.node_curves))
@@ -243,6 +247,8 @@ def test_criterion_10_monte_carlo_agreement():
                     se = math.sqrt(p * (1.0 - p) / n_trials)
                     if abs(p_hat - p) <= sigma * se:
                         local_passing += 1
+        scored = score_agreement(pairs, n_trials, min_prob, sigma)
+        assert scored[:2] == (local_cells, local_passing), name
         cells += local_cells
         passing += local_passing
         per_scenario.append(f"{name} {local_passing}/{local_cells}")

@@ -26,7 +26,6 @@ from cdlab.analysis import (
     mixing_residual,
     mixing_residual_curves,
     propagate_moments,
-    q_function,
     rate_function,
     scaled_cumulant,
 )
@@ -37,7 +36,8 @@ from cdlab.errors import (
     ThresholdOutOfRange,
 )
 from cdlab.model import Hypothesis, build_model, innovation_stats, llr, local_innovations, sample_observations
-from cdlab.network import ScheduleSpec, build_schedule
+from cdlab.network import ScheduleSpec, build_schedule, contraction_bound
+from cdlab.scenarios import build_scenario
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
@@ -71,21 +71,9 @@ def pair_scenario():
 
 
 class TestQFunction:
-    def test_center_value(self):
-        assert q_function(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_symmetry(self):
-        xs = np.linspace(-6.0, 6.0, 25)
-        assert q_function(xs) + q_function(-xs) == pytest.approx(np.ones_like(xs), abs=1e-12)
-
-    def test_monotone_decreasing(self):
-        # strict only where the value is not saturated at 1.0 in doubles
-        xs = np.linspace(-5.0, 5.0, 101)
-        assert np.all(np.diff(q_function(xs)) < 0)
-
     def test_log_tail_matches_linear_regime(self):
         xs = np.array([-2.0, 0.0, 1.0, 5.0])
-        assert log_q_function(xs) == pytest.approx(np.log(q_function(xs)), rel=1e-12)
+        assert log_q_function(xs) == pytest.approx(np.log(norm.sf(xs)), rel=1e-12)
 
     def test_log_tail_survives_deep_arguments(self):
         val = float(log_q_function(300.0))
@@ -220,36 +208,83 @@ class TestFixedThresholdRates:
 # ── moment propagation ────────────────────────────────────────────────────
 
 
+def reference_moments_h0(model, schedule, k_max):
+    """Plain full-covariance recursion under H0, every P(k) kept."""
+    stats = innovation_stats(model)
+    m_eta = stats.mean0
+    s_eta = stats.cov
+    n = model.n_sensors
+    mu = n * m_eta
+    p = n * n * s_eta
+    means, covs = [mu], [p]
+    for k in range(1, k_max):
+        w = schedule.weight_at(k)
+        shrink = k / (k + 1.0)
+        gain = n / (k + 1.0)
+        mu = shrink * (w @ mu) + gain * m_eta
+        p = shrink * shrink * (w @ p @ w.T) + gain * gain * s_eta
+        p = (p + p.T) / 2.0
+        means.append(mu)
+        covs.append(p)
+    return np.array(means), np.array(covs)
+
+
 class TestPropagateMoments:
     def test_single_node_closed_form(self):
         m = build_model([0.0], [1.0], [[1.0]])
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
-        traj = propagate_moments(m, s, H1, 40)
+        traj = propagate_moments(m, s, 40, keep=(1, 2, 7, 40))
         for k in (1, 2, 7, 40):
             assert traj.mean_at(k)[0] == pytest.approx(m.llr_mean1, rel=1e-12)
             assert traj.cov_at(k)[0, 0] == pytest.approx(m.llr_variance / k, rel=1e-12)
+            assert traj.variances[k - 1, 0] == traj.cov_at(k)[0, 0]
 
     def test_consensus_moment_identities(self):
         """Node-average mean stays llr_mean, grand covariance sum sigma2/k."""
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, H0, 200)
-        for k in (1, 2, 3, 10, 50, 200):
-            avg = float(traj.mean_at(k).mean())
+        ks = (1, 2, 3, 10, 50, 200)
+        traj = propagate_moments(model, schedule, 200, keep=ks)
+        for k in ks:
+            avg = float(traj.mean_at(k, H0).mean())
             assert abs(avg - model.llr_mean0) <= 1e-10 * max(1.0, abs(model.llr_mean0))
             total = float(traj.cov_at(k).sum()) / 9.0
             assert total == pytest.approx(model.llr_variance / k, rel=1e-10)
 
     def test_hypothesis_symmetry_is_exact(self):
+        """The one H1 pass serves H0 bit for bit.
+
+        The reference recursion is driven by the H0 innovation mean, so the
+        stored means negated, the stored variances and the kept matrices
+        must equal it exactly, on an alternating and a random-subgraph
+        schedule.
+        """
+        rand5_model, rand5_schedule, _ = build_scenario("rand5")
+        for model, schedule in (alt3_scenario(), (rand5_model, rand5_schedule)):
+            keep = (1, 7, 60)
+            traj = propagate_moments(model, schedule, 60, keep=keep)
+            means0, covs = reference_moments_h0(model, schedule, 60)
+            assert np.array_equal(-traj.means, means0)
+            assert np.array_equal(traj.mean_at(7, H0), means0[6])
+            assert np.array_equal(traj.variances, np.diagonal(covs, axis1=1, axis2=2))
+            assert np.array_equal(traj.covariances, covs[[k - 1 for k in keep]])
+
+    def test_only_kept_covariances_are_stored(self):
         model, schedule = alt3_scenario()
-        t0 = propagate_moments(model, schedule, H0, 60)
-        t1 = propagate_moments(model, schedule, H1, 60)
-        assert np.array_equal(t1.means, -t0.means)
-        assert np.array_equal(t1.covariances, t0.covariances)
+        traj = propagate_moments(model, schedule, 30, keep=(30, 4, 4))
+        assert traj.keep == (4, 30)
+        assert traj.covariances.shape == (2, 3, 3)
+        assert propagate_moments(model, schedule, 30).covariances.shape == (0, 3, 3)
+        with pytest.raises(ParameterError):
+            traj.cov_at(5)
+        for keep in ((0,), (31,)):
+            with pytest.raises(ParameterError):
+                propagate_moments(model, schedule, 30, keep=keep)
 
     def test_covariances_stay_psd(self):
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, H1, 100)
-        for k in (1, 5, 25, 100):
+        ks = (1, 5, 25, 100)
+        traj = propagate_moments(model, schedule, 100, keep=ks)
+        for k in ks:
             eigs = np.linalg.eigvalsh(traj.cov_at(k))
             assert eigs.min() >= -1e-12
 
@@ -266,7 +301,7 @@ class TestPropagateMoments:
                 x = 3.0 * etas
             else:
                 x = ((k - 1) / k) * (x @ schedule.weight_at(k - 1)) + (3.0 / k) * etas
-        traj = propagate_moments(model, schedule, H1, k_stop)
+        traj = propagate_moments(model, schedule, k_stop, keep=(k_stop,))
         mu, p = traj.mean_at(k_stop), traj.cov_at(k_stop)
         emp_mu = x.mean(axis=0)
         emp_p = np.cov(x.T)
@@ -280,7 +315,7 @@ class TestPropagateMoments:
     def test_bad_horizon_rejected(self):
         model, schedule = alt3_scenario()
         with pytest.raises(ParameterError):
-            propagate_moments(model, schedule, H0, 0)
+            propagate_moments(model, schedule, 0)
 
 
 # ── error curves ──────────────────────────────────────────────────────────
@@ -291,9 +326,7 @@ class TestErrorCurves:
         """alpha(4) = Q(1) for the unit one-sensor model (scipy oracle)."""
         m = build_model([0.0], [1.0], [[1.0]])
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
-        t0 = propagate_moments(m, s, H0, 4)
-        t1 = propagate_moments(m, s, H1, 4)
-        (curve,) = exact_error_curves(m, t0, t1, ks=[4])
+        (curve,) = exact_error_curves(m, propagate_moments(m, s, 4), ks=[4])
         assert curve.alpha[0] == pytest.approx(norm.sf(1.0), rel=1e-12)
         assert curve.beta[0] == pytest.approx(norm.sf(1.0), rel=1e-12)
 
@@ -304,16 +337,12 @@ class TestErrorCurves:
 
     def test_symmetric_hypotheses_balance_errors(self):
         model, schedule = alt3_scenario()
-        t0 = propagate_moments(model, schedule, H0, 30)
-        t1 = propagate_moments(model, schedule, H1, 30)
-        for curve in exact_error_curves(model, t0, t1):
+        for curve in exact_error_curves(model, propagate_moments(model, schedule, 30)):
             assert curve.log_alpha == pytest.approx(curve.log_beta, rel=1e-12)
 
     def test_priors_weight_the_total(self):
         model, schedule = alt3_scenario()
-        t0 = propagate_moments(model, schedule, H0, 10)
-        t1 = propagate_moments(model, schedule, H1, 10)
-        curves = exact_error_curves(model, t0, t1, priors=(0.3, 0.7))
+        curves = exact_error_curves(model, propagate_moments(model, schedule, 10), priors=(0.3, 0.7))
         for curve in curves:
             combined = 0.3 * curve.alpha + 0.7 * curve.beta
             assert curve.pe == pytest.approx(combined, rel=1e-12)
@@ -327,10 +356,10 @@ class TestErrorCurves:
     def test_degenerate_variance_rejected(self):
         m = identity_pair()
         flat = MomentTrajectory(
-            hypothesis=H0, means=np.zeros((3, 2)), covariances=np.zeros((3, 2, 2))
+            means=np.zeros((3, 2)), variances=np.zeros((3, 2)), covariances=np.zeros((0, 2, 2))
         )
         with pytest.raises(DegenerateVariance):
-            exact_error_curves(m, flat, flat)
+            exact_error_curves(m, flat)
 
     def test_exponent_of_exact_curve_near_chernoff(self):
         """-(1/k) log pe at k = 1e4 within 10% of the Chernoff information."""
@@ -368,7 +397,7 @@ class TestScaledCumulant:
         model, schedule = alt3_scenario()
         mu = 0.5
         limit = model.llr_mean1 * mu + model.llr_variance * mu * mu / 2.0
-        traj = propagate_moments(model, schedule, H1, 1000)
+        traj = propagate_moments(model, schedule, 1000)
         near = scaled_cumulant(model, schedule, H1, 1000, mu, 2, trajectory=traj)
         far = scaled_cumulant(model, schedule, H1, 10, mu, 2, trajectory=traj)
         assert abs(near - limit) < abs(far - limit)
@@ -387,6 +416,33 @@ def full_drift(model, k, mu, node, hypothesis):
     return drift + last
 
 
+def reference_residual(model, schedule, k, mu, node, hypothesis):
+    """Residual value and bound at one (k, node, mu), one scalar at a time."""
+    stats = innovation_stats(model)
+    n = model.n_sensors
+    jmat = np.full((n, n), 1.0 / n)
+    a1, a2, a3 = np.zeros(n), np.zeros((n, n)), np.zeros(n)
+    for j in range(1, k):
+        tw = schedule.weight_at(j) - jmat
+        a1 = tw @ (a1 + stats.mean1)
+        a3 = tw @ (a3 + stats.cov @ np.ones(n))
+        a2 = tw @ (a2 + stats.cov) @ tw.T
+    i = node - 1
+    sign = 1.0 if hypothesis == H1 else -1.0
+    linear = (n / k) * mu * sign * a1[i]
+    quadratic = (n * n / (2.0 * k)) * mu * mu * a2[i, i]
+    crossed = (n / k) * mu * mu * a3[i]
+    m_bar = float(np.abs(stats.mean1).max())
+    s_bar = float(np.abs(stats.cov).max())
+    b_bar = float(np.abs(stats.cov @ np.ones(n)).max()) / n
+    env = contraction_bound(n, schedule.min_weight, schedule.window)
+    theta, beta = env.amplitude, env.ratio
+    a = abs(mu)
+    first = (theta / k) * (n**2 * m_bar * a + n**3 * a * a * b_bar) / (1.0 - beta)
+    second = (theta * theta / k) * (n**4 / 2.0) * a * a * s_bar / (1.0 - beta * beta)
+    return linear + quadratic + crossed, first + second
+
+
 class TestMixingResidual:
     def test_perfect_averaging_gives_exact_zero(self):
         model, schedule = pair_scenario()
@@ -398,27 +454,28 @@ class TestMixingResidual:
     def test_exact_decomposition_cross_check(self):
         """Residual equals scaled cumulant minus the ideal-averaging drift."""
         model, schedule = alt3_scenario()
-        traj = {h: propagate_moments(model, schedule, h, 60) for h in (H0, H1)}
+        traj = propagate_moments(model, schedule, 60)
         for h in (H0, H1):
             for k in (2, 3, 9, 60):
                 for mu in (-1.0, 0.3, 1.0):
                     for node in (1, 2, 3):
-                        cum = scaled_cumulant(model, schedule, h, k, mu, node, trajectory=traj[h])
+                        cum = scaled_cumulant(model, schedule, h, k, mu, node, trajectory=traj)
                         expect = cum - full_drift(model, k, mu, node, h)
                         res = mixing_residual(model, schedule, k, mu, node, hypothesis=h)
                         assert res.value == pytest.approx(expect, abs=1e-12)
 
     def test_bound_holds_on_alternating_schedule(self):
         model, schedule = alt3_scenario()
-        for mu in (-1.0, -0.1, 0.1, 1.0):
-            ks, values, bounds = mixing_residual_curves(model, schedule, 200, mu)
-            assert np.all(np.abs(values) <= bounds[:, None])
+        ks, values, bounds = mixing_residual_curves(model, schedule, 200, (-1.0, -0.1, 0.1, 1.0))
+        assert values.shape == (4, ks.size, 3)
+        assert bounds.shape == (4, ks.size)
+        assert np.all(np.abs(values) <= bounds[:, :, None])
 
     def test_scaled_residual_stays_bounded(self):
         """k * |value| must not grow: the bound is O(1/k)."""
         model, schedule = alt3_scenario()
-        ks, values, bounds = mixing_residual_curves(model, schedule, 500, 0.5)
-        scaled = np.abs(values) * ks[:, None]
+        ks, values, bounds = mixing_residual_curves(model, schedule, 500, (0.5,))
+        scaled = np.abs(values[0]) * ks[:, None]
         assert scaled[200:].max() <= scaled.max() + 1e-12
         assert np.isfinite(scaled).all()
 
@@ -435,9 +492,16 @@ class TestMixingResidual:
             mixing_residual(model, schedule, 1, 0.5, 1)
 
     def test_curves_match_single_calls(self):
+        """The whole-array sweep equals per-point calls and the scalar loop, bit for bit."""
         model, schedule = alt3_scenario()
-        ks, values, bounds = mixing_residual_curves(model, schedule, 12, 0.4)
-        single = mixing_residual(model, schedule, 7, 0.4, 3)
-        row = int(np.where(ks == 7)[0][0])
-        assert values[row, 2] == pytest.approx(single.value, rel=1e-14, abs=1e-300)
-        assert bounds[row] == pytest.approx(single.bound, rel=1e-14)
+        mus = (-1.0, -0.1, 0.1, 1.0)
+        for h in (H0, H1):
+            ks, values, bounds = mixing_residual_curves(model, schedule, 12, mus, hypothesis=h)
+            assert ks.tolist() == list(range(2, 13))
+            for m, mu in enumerate(mus):
+                for k in (2, 7, 12):
+                    for node in (1, 2, 3):
+                        single = mixing_residual(model, schedule, k, mu, node, hypothesis=h)
+                        value, bound = reference_residual(model, schedule, k, mu, node, h)
+                        assert values[m, k - 2, node - 1] == single.value == value
+                        assert bounds[m, k - 2] == single.bound == bound

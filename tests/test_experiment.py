@@ -21,6 +21,7 @@ from cdlab.experiment import (
     compare_detectors,
     fit_exponent,
     run_monte_carlo,
+    score_agreement,
     subexponential_factor,
 )
 from cdlab.model import Hypothesis, build_model
@@ -191,9 +192,7 @@ class TestRunMonteCarlo:
             master_seed=11,
         )
         result = run_monte_carlo(plan)
-        traj0 = propagate_moments(model, schedule, H0, 25)
-        traj1 = propagate_moments(model, schedule, H1, 25)
-        exact = exact_error_curves(model, traj0, traj1, ks=[5, 25])
+        exact = exact_error_curves(model, propagate_moments(model, schedule, 25), ks=[5, 25])
         for i, curve in enumerate(exact):
             mc = result.node_curves[i]
             for pos in range(2):
@@ -414,3 +413,47 @@ class TestCompareDetectors:
     def test_bad_checkpoint_order_rejected(self):
         with pytest.raises(ParameterError):
             compare_detectors(alt3_plan(), k_early=500, k_late=100)
+
+    def test_reuses_a_longer_trajectory(self):
+        plan = alt3_plan()
+        model, schedule = plan.model, plan.schedule
+        own = compare_detectors(plan, k_early=20, k_late=80)
+        reused = compare_detectors(
+            plan, k_early=20, k_late=80, trajectory=propagate_moments(model, schedule, 300)
+        )
+        assert json.dumps(reused, sort_keys=True) == json.dumps(own, sort_keys=True)
+        with pytest.raises(ParameterError):
+            compare_detectors(
+                plan, k_early=20, k_late=80, trajectory=propagate_moments(model, schedule, 79)
+            )
+
+
+# ── agreement scoring ─────────────────────────────────────────────────────
+
+
+def _curve(alpha, beta):
+    ks = np.arange(1, len(alpha) + 1)
+    log_alpha, log_beta = np.log(alpha), np.log(beta)
+    return ErrorCurve(
+        node="1",
+        ks=ks,
+        log_alpha=log_alpha,
+        log_beta=log_beta,
+        log_pe=np.logaddexp(log_alpha, log_beta) - math.log(2.0),
+        priors=(0.5, 0.5),
+        source="test",
+    )
+
+
+class TestScoreAgreement:
+    def test_cells_passing_and_worst_pull(self):
+        """n = 10000: se(0.1) = 0.003 and se(0.5) = 0.005; cells below 1e-3 are not judged."""
+        exact = _curve([0.1, 0.5, 1e-4], [0.1, 0.5, 1e-4])
+        estimate = _curve([0.106, 0.52, 0.5], [0.1, 0.5, 0.5])
+        cells, passing, worst_pull = score_agreement([(exact, estimate)], 10_000, 1e-3, 3.0)
+        assert (cells, passing) == (4, 3)
+        assert worst_pull == pytest.approx(4.0, rel=1e-9)
+
+    def test_no_judged_cells(self):
+        exact = _curve([1e-5], [1e-5])
+        assert score_agreement([(exact, exact)], 10_000, 1e-3, 3.0) == (0, 0, 0.0)
