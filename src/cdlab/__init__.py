@@ -44,7 +44,6 @@ from .model import (
     innovation_stats,
     llr,
     local_innovations,
-    sample_observation,
     sample_observations,
 )
 from .network import (
@@ -99,7 +98,6 @@ __all__ = [
     "propagate_moments",
     "rate_function",
     "run_monte_carlo",
-    "sample_observation",
     "sample_observations",
     "scaled_cumulant",
     "scenario_config",

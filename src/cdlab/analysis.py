@@ -264,10 +264,13 @@ def _combine_log_pe(log_alpha, log_beta, priors) -> np.ndarray:
 
 
 def _check_priors(priors) -> tuple[float, float]:
-    p0, p1 = float(priors[0]), float(priors[1])
-    if not (p0 > 0.0 and p1 > 0.0 and abs(p0 + p1 - 1.0) <= 1e-12):
-        raise ParameterError(f"priors must be positive and sum to 1, got {priors}")
-    return (p0, p1)
+    """The priors rule: two positive numbers summing to 1 within 1e-12."""
+    pair = tuple(float(p) for p in priors)
+    if len(pair) != 2 or not (
+        pair[0] > 0.0 and pair[1] > 0.0 and abs(pair[0] + pair[1] - 1.0) <= 1e-12
+    ):
+        raise ParameterError(f"priors must be two positive numbers summing to 1, got {priors}")
+    return pair
 
 
 def exact_error_curves(

@@ -166,9 +166,6 @@ def cmd_analyze(args) -> int:
     model = config.build_model()
     schedule = config.build_schedule()
     validation = validate_assumption(schedule)
-    if not validation.passed:
-        print("schedule failed structural validation", file=sys.stderr)
-        return 1
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
 
     ks = sorted(config.checkpoints)
@@ -225,17 +222,15 @@ def cmd_analyze(args) -> int:
     }
     ws.write("analysis.json", _dump_json(analysis))
     ws.write_manifest("analyze")
-    return 0
+    if not decay.passed:
+        print(f"decay envelope exceeded: {decay.worst_witness}", file=sys.stderr)
+    return 0 if decay.passed else 1
 
 
 def cmd_simulate(args) -> int:
     config = scenario_from_file(args.config)
     model = config.build_model()
     schedule = config.build_schedule()
-    validation = validate_assumption(schedule)
-    if not validation.passed:
-        print("schedule failed structural validation", file=sys.stderr)
-        return 1
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
     plan = config.build_plan(
         model=model, schedule=schedule, n_trials=args.trials, master_seed=args.seed

@@ -13,25 +13,22 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .analysis import _check_priors
+from .errors import ConfigError, ParameterError
 from .experiment import ExperimentPlan
 from .model import GaussianHypothesisPair, build_model
-from .network import ScheduleSpec, WeightSchedule, build_schedule
+from .network import TOPOLOGIES, WEIGHT_RULES, ScheduleSpec, WeightSchedule, build_schedule
 
 # default checkpoint grid: log-spaced coverage for exponent fits
 GEOMETRIC_CHECKPOINTS = tuple(2**i for i in range(10))
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 _EXPONENTIAL_PATTERN = re.compile(r"^exponential\((?P<rho>[^)]*)\)$")
-
-TOPOLOGIES = ("static", "alternating-links", "random-subgraph")
-WEIGHT_RULES = ("metropolis", "explicit")
-FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -142,12 +139,10 @@ def covariance_matrix(spec, n: int) -> np.ndarray:
 
 
 def _parse_priors(value, path: str) -> tuple:
-    pair = _vector(value, path)
-    if len(pair) != 2:
-        raise ConfigError(f"{path}: expected two priors, got {len(pair)}")
-    if not (pair[0] > 0.0 and pair[1] > 0.0) or abs(pair[0] + pair[1] - 1.0) > 1e-12:
-        raise ConfigError(f"{path}: priors must be positive and sum to 1, got {pair}")
-    return pair
+    try:
+        return _check_priors(_vector(value, path))
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_thresholds(d, path: str) -> Thresholds:
@@ -217,7 +212,6 @@ class ScenarioConfig:
     master_seed: int
     thresholds: Thresholds
     out_dir: str
-    formats: tuple = field(default=("csv", "json"))
 
     @property
     def n_sensors(self) -> int:
@@ -346,17 +340,10 @@ def scenario_from_dict(data) -> ScenarioConfig:
     thresholds = _parse_thresholds(experiment.get("thresholds", {}), "experiment.thresholds")
 
     output = _require_mapping(top.get("output", {}), "output")
-    _check_keys(output, "output", required=(), optional=("directory", "formats"))
+    _check_keys(output, "output", required=(), optional=("directory",))
     out_dir = output.get("directory", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"output.directory: expected a nonempty string, got {out_dir!r}")
-    raw_formats = output.get("formats", list(FORMATS))
-    if not isinstance(raw_formats, list) or not raw_formats:
-        raise ConfigError("output.formats: expected a nonempty list")
-    for i, fmt in enumerate(raw_formats):
-        if fmt not in FORMATS:
-            raise ConfigError(f"output.formats[{i}]: expected one of {FORMATS}, got {fmt!r}")
-    formats = tuple(dict.fromkeys(raw_formats))
 
     return ScenarioConfig(
         name=name,
@@ -370,7 +357,6 @@ def scenario_from_dict(data) -> ScenarioConfig:
         master_seed=master_seed,
         thresholds=thresholds,
         out_dir=out_dir,
-        formats=formats,
     )
 
 

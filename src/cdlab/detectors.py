@@ -29,7 +29,6 @@ __all__ = [
     "centralized_step",
     "distributed_init",
     "distributed_step",
-    "distributed_step_innovations",
     "distributed_closed_form",
     "decide",
 ]
@@ -70,11 +69,14 @@ def distributed_init(
     return DistributedState(k=1, x=model.n_sensors * eta)
 
 
-def distributed_step_innovations(
-    state: DistributedState, s: WeightSchedule, eta_next: np.ndarray
+def distributed_step(
+    state: DistributedState,
+    model: GaussianHypothesisPair,
+    s: WeightSchedule,
+    y_next: np.ndarray,
 ) -> DistributedState:
-    """Advance one step from the innovation vector of the next observation."""
-    eta_next = np.asarray(eta_next, dtype=float)
+    """Advance one step with the innovation vector of the next observation."""
+    eta_next = local_innovations(model, y_next)
     n = s.n_nodes
     if state.x.shape != (n,) or eta_next.shape != (n,):
         raise ShapeError(
@@ -84,15 +86,6 @@ def distributed_step_innovations(
     k = state.k
     x_next = (k / (k + 1)) * (s.weight_at(k) @ state.x) + (n / (k + 1)) * eta_next
     return DistributedState(k=k + 1, x=x_next)
-
-
-def distributed_step(
-    state: DistributedState,
-    model: GaussianHypothesisPair,
-    s: WeightSchedule,
-    y_next: np.ndarray,
-) -> DistributedState:
-    return distributed_step_innovations(state, s, local_innovations(model, y_next))
 
 
 def distributed_closed_form(

@@ -25,17 +25,6 @@ class NoConnectedWindow(ValueError):
     """No window length up to the period yields a connected union graph."""
 
 
-class BoundViolated(RuntimeError):
-    """A measured quantity exceeded its proven envelope.
-
-    Carries the witness so the offending indices can be reported.
-    """
-
-    def __init__(self, message: str, witness: dict | None = None):
-        super().__init__(message)
-        self.witness = witness or {}
-
-
 class MaximizerAtBoundary(RuntimeError):
     """Numeric maximizer landed on the edge of the search interval."""
 

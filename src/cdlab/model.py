@@ -31,9 +31,7 @@ __all__ = [
     "Hypothesis",
     "GaussianHypothesisPair",
     "InnovationStats",
-    "Observation",
     "build_model",
-    "sample_observation",
     "sample_observations",
     "llr",
     "local_innovations",
@@ -102,12 +100,6 @@ class InnovationStats:
         return self.mean1 if h == Hypothesis.H1 else self.mean0
 
 
-@dataclass(frozen=True)
-class Observation:
-    k: int
-    y: np.ndarray
-
-
 def build_model(m0, m1, cov) -> GaussianHypothesisPair:
     """Validate inputs and fix every derived quantity of the pair.
 
@@ -156,17 +148,6 @@ def build_model(m0, m1, cov) -> GaussianHypothesisPair:
         llr_mean1=sigma2 / 2.0,
         llr_variance=sigma2,
     )
-
-
-def sample_observation(
-    model: GaussianHypothesisPair,
-    h: Hypothesis,
-    rng: np.random.Generator,
-    k: int = 1,
-) -> Observation:
-    """Draw one snapshot y(k) = m_h + chol @ z with z standard normal."""
-    z = rng.standard_normal(model.n_sensors)
-    return Observation(k=k, y=model.mean(h) + model.noise_chol @ z)
 
 
 def sample_observations(

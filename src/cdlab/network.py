@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundViolated,
-    InvalidWeights,
-    NoConnectedWindow,
-    ParameterError,
-    ShapeError,
-)
+from .errors import InvalidWeights, NoConnectedWindow, ParameterError, ShapeError
 
 __all__ = [
     "GraphSnapshot",
@@ -193,9 +187,10 @@ def _step_graphs(spec: ScheduleSpec) -> list[GraphSnapshot]:
 def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     """Construct, validate and freeze the periodic matrix sequence.
 
-    Raises InvalidWeights when a step matrix is not symmetric stochastic
-    nonnegative with positive diagonal, and NoConnectedWindow when no
-    window length up to the period has connected union support.
+    Raises InvalidWeights on the first issue ``validate_assumption`` would
+    report for the weights (structure or floor), and NoConnectedWindow when
+    no window length up to the period has connected union support; the
+    returned schedule therefore passes ``validate_assumption``.
     """
     if spec.weight_rule not in WEIGHT_RULES:
         raise ParameterError(f"unknown weight_rule {spec.weight_rule!r}")
@@ -209,21 +204,13 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     else:
         mats = [metropolis_weights(g) for g in _step_graphs(spec)]
 
-    for k, w in enumerate(mats, start=1):
-        if not np.isfinite(w).all():
-            raise InvalidWeights(f"step {k}: non-finite entries")
-        if float(np.abs(w - w.T).max()) > STOCHASTIC_ATOL:
-            raise InvalidWeights(f"step {k}: matrix is not symmetric")
-        if float(np.abs(w.sum(axis=1) - 1.0).max()) > STOCHASTIC_ATOL:
-            raise InvalidWeights(f"step {k}: rows do not sum to 1")
-        if float(w.min()) < -STOCHASTIC_ATOL:
-            raise InvalidWeights(f"step {k}: negative entry {w.min():.3e}")
-        if float(np.diag(w).min()) <= 0.0:
-            raise InvalidWeights(f"step {k}: zero diagonal entry")
-
     stacked = np.array(mats)
     positive = stacked[stacked > 0.0]
-    min_weight = float(positive.min())
+    min_weight = float(positive.min()) if positive.size else 0.0
+    issues = _weight_issues(stacked, min_weight)
+    if issues:
+        check, failure = issues[0]
+        raise InvalidWeights(f"{check}: {failure}")
     window = _find_window(stacked)
     stacked.flags.writeable = False
     return WeightSchedule(
@@ -235,6 +222,60 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     )
 
 
+def _weight_issues(mats: np.ndarray, min_weight: float) -> list:
+    """Every violation of the weight assumption as (check name, failure) pairs.
+
+    Per step k, under "symmetric-stochastic": non-finite entries (which end
+    the step's checks), asymmetry, row sums off 1 and negative entries;
+    under "weight-floor": a nonpositive diagonal entry or one below
+    ``min_weight``, and a supported off-diagonal entry below it.  Last, a
+    ``min_weight`` outside (0, 1] is a "weight-floor" issue of its own.
+    """
+    floor = min_weight - STOCHASTIC_ATOL
+    off_diagonal = ~np.eye(mats.shape[1], dtype=bool)
+    issues = []
+
+    def flag(check, k, issue, value):
+        issues.append((check, {"k": k, "issue": issue, "value": value}))
+
+    for k, w in enumerate(mats, start=1):
+        bad = int(np.count_nonzero(~np.isfinite(w)))
+        if bad:
+            flag("symmetric-stochastic", k, "non-finite", bad)
+            continue
+        sym = float(np.abs(w - w.T).max())
+        rows = float(np.abs(w.sum(axis=1) - 1.0).max())
+        neg = float(w.min())
+        if sym > STOCHASTIC_ATOL:
+            flag("symmetric-stochastic", k, "asymmetric", sym)
+        if rows > STOCHASTIC_ATOL:
+            flag("symmetric-stochastic", k, "row-sum", rows)
+        if neg < -STOCHASTIC_ATOL:
+            flag("symmetric-stochastic", k, "negative-entry", neg)
+        dmin = float(np.diag(w).min())
+        if dmin <= 0.0 or dmin < floor:
+            flag("weight-floor", k, "diagonal-below-floor", dmin)
+        off = w[off_diagonal]
+        small = off[(off > 0.0) & (off < floor)]
+        if small.size:
+            flag("weight-floor", k, "edge-below-floor", float(small.min()))
+    if not 0.0 < min_weight <= 1.0:
+        issues.append(("weight-floor", {"issue": "min-weight-range", "value": min_weight}))
+    return issues
+
+
+def _disconnected_starts(n: int, step_edges: list, window: int):
+    """Yield each start k in 1..period whose ``window``-step union support
+    (of W(k), ..., W(k + window - 1)) is disconnected."""
+    p = len(step_edges)
+    for start in range(p):
+        union = set()
+        for l in range(start, start + window):
+            union |= step_edges[l % p]
+        if not _connected(n, union):
+            yield start + 1
+
+
 def _find_window(mats: np.ndarray) -> int:
     """Smallest B <= period with all length-B union supports connected.
 
@@ -242,17 +283,9 @@ def _find_window(mats: np.ndarray) -> int:
     the period is exhaustive.
     """
     p, n = mats.shape[0], mats.shape[1]
-    step_edges = [_support_edges(mats[l]) for l in range(p)]
+    step_edges = [_support_edges(w) for w in mats]
     for b in range(1, p + 1):
-        ok = True
-        for start in range(p):
-            union = set()
-            for l in range(start, start + b):
-                union |= step_edges[l % p]
-            if not _connected(n, union):
-                ok = False
-                break
-        if ok:
+        if next(_disconnected_starts(n, step_edges, b), None) is None:
             return b
     raise NoConnectedWindow(
         f"union support over a full period is disconnected (period {p})"
@@ -291,47 +324,16 @@ def validate_assumption(s: WeightSchedule) -> ValidationReport:
     (diagonal and supported off-diagonal entries >= min_weight), and
     connectivity of every union window of the claimed length.
     """
-    structural = []
-    for k in range(1, s.period + 1):
-        w = s.weight_at(k)
-        sym = float(np.abs(w - w.T).max())
-        rows = float(np.abs(w.sum(axis=1) - 1.0).max())
-        neg = float(w.min())
-        if sym > STOCHASTIC_ATOL:
-            structural.append({"k": k, "issue": "asymmetric", "value": sym})
-        if rows > STOCHASTIC_ATOL:
-            structural.append({"k": k, "issue": "row-sum", "value": rows})
-        if neg < -STOCHASTIC_ATOL:
-            structural.append({"k": k, "issue": "negative-entry", "value": neg})
-
-    floor = []
-    if not 0.0 < s.min_weight <= 1.0:
-        floor.append({"issue": "min-weight-range", "value": s.min_weight})
-    tol = STOCHASTIC_ATOL
-    for k in range(1, s.period + 1):
-        w = s.weight_at(k)
-        dmin = float(np.diag(w).min())
-        if dmin < s.min_weight - tol:
-            floor.append({"k": k, "issue": "diagonal-below-floor", "value": dmin})
-        off = w[~np.eye(s.n_nodes, dtype=bool)]
-        small = off[(off > 0.0) & (off < s.min_weight - tol)]
-        if small.size:
-            floor.append({"k": k, "issue": "edge-below-floor", "value": float(small.min())})
-
-    connect = []
-    for start in range(1, s.period + 1):
-        union = set()
-        for l in range(start, start + s.window):
-            union |= s.edges_at(l)
-        if not _connected(s.n_nodes, union):
-            connect.append({"start_k": start, "window": s.window, "issue": "disconnected-union"})
-
+    failures = {"symmetric-stochastic": [], "weight-floor": []}
+    for check, failure in _weight_issues(s.matrices, s.min_weight):
+        failures[check].append(failure)
+    step_edges = [_support_edges(w) for w in s.matrices]
+    failures["window-connectivity"] = [
+        {"start_k": start, "window": s.window, "issue": "disconnected-union"}
+        for start in _disconnected_starts(s.n_nodes, step_edges, s.window)
+    ]
     return ValidationReport(
-        items=(
-            CheckResult("symmetric-stochastic", not structural, tuple(structural)),
-            CheckResult("weight-floor", not floor, tuple(floor)),
-            CheckResult("window-connectivity", not connect, tuple(connect)),
-        )
+        items=tuple(CheckResult(name, not found, tuple(found)) for name, found in failures.items())
     )
 
 
@@ -419,9 +421,10 @@ def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
     """Measure max |disagreement entry| over all gaps up to max_gap.
 
     Start times j range over one period; products accumulate incrementally.
-    Raises BoundViolated with a witness if any entry exceeds the envelope.
-    The measured per-gap decay rate (slope of log max-entry) is reported
-    alongside; it is infinite when products vanish outright.
+    ``passed`` is False when any entry exceeds the envelope by more than a
+    relative 1e-9; ``worst_witness`` locates the largest entry-to-envelope
+    ratio.  The measured per-gap decay rate (slope of log max-entry) is
+    reported alongside; it is infinite when products vanish outright.
     """
     if max_gap < 1:
         raise ParameterError(f"max_gap must be >= 1, got {max_gap}")
@@ -430,17 +433,14 @@ def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
     tildes = [s.weight_at(j) - jmat for j in range(1, s.period + 1)]
     gap_max = np.zeros(max_gap)
     worst = (0.0, {})
+    passed = True
     for j0 in range(1, s.period + 1):
         prod = np.eye(s.n_nodes)
         for gap in range(1, max_gap + 1):
             prod = tildes[(j0 + gap - 2) % s.period] @ prod
             value = float(np.abs(prod).max())
             envelope = bound.amplitude * bound.ratio**gap
-            if value > envelope * (1.0 + 1e-9):
-                raise BoundViolated(
-                    f"entry {value:.6e} exceeds envelope {envelope:.6e}",
-                    witness={"j": j0, "k": j0 + gap, "gap": gap, "value": value, "bound": envelope},
-                )
+            passed = passed and value <= envelope * (1.0 + 1e-9)
             gap_max[gap - 1] = max(gap_max[gap - 1], value)
             if envelope > 0 and value / envelope > worst[0]:
                 worst = (value / envelope, {"j": j0, "k": j0 + gap, "gap": gap, "value": value, "bound": envelope})
@@ -459,5 +459,5 @@ def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
         worst_ratio=worst[0],
         worst_witness=worst[1],
         measured_rate=measured_rate,
-        passed=True,
+        passed=passed,
     )

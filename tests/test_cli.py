@@ -1,10 +1,12 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from cdlab import cli
 from cdlab.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -141,6 +143,29 @@ class TestAnalyze:
             a = (outs[0] / f"ref3_{suffix}").read_bytes()
             b = (outs[1] / f"ref3_{suffix}").read_bytes()
             assert a == b
+
+    def test_decay_violation_leaves_report_and_exits_one(self, tmp_path, monkeypatch, capsys):
+        real = cli.check_geometric_decay
+
+        def failing(schedule, max_gap):
+            witness = {"j": 1, "k": 2, "gap": 1, "value": 0.5, "bound": 0.25}
+            return dataclasses.replace(
+                real(schedule, max_gap), passed=False, worst_ratio=2.0, worst_witness=witness
+            )
+
+        monkeypatch.setattr(cli, "check_geometric_decay", failing)
+        out = tmp_path / "out"
+        config = str(SCENARIO_DIR / "identity2.json")
+        code = main(["analyze", "--quiet", "--config", config, "--out", str(out)])
+        assert code == 1
+        assert "decay envelope exceeded" in capsys.readouterr().err
+        decay = json.loads((out / "identity2_decay_report.json").read_text())
+        assert decay["passed"] is False
+        assert decay["worst_witness"]["value"] == 0.5
+        assert json.loads((out / "identity2_analysis.json").read_text())["decay_passed"] is False
+        manifest = json.loads((out / "identity2_analyze_manifest.json").read_text())
+        assert "identity2_decay_report.json" in manifest["files"]
+        assert len(manifest["files"]) == 4
 
     def test_unwritable_output_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -34,7 +34,6 @@ class TestDefaults:
         assert cfg.master_seed == 0
         assert cfg.thresholds == Thresholds()
         assert cfg.out_dir == "out"
-        assert cfg.formats == ("csv", "json")
 
     def test_builders_produce_consistent_objects(self):
         cfg = scenario_from_dict(minimal_dict())
@@ -227,15 +226,13 @@ class TestExperimentSection:
 
 
 class TestOutputSection:
-    def test_formats_normalized(self):
-        d = minimal_dict(output={"directory": "results", "formats": ["json", "json", "csv"]})
-        cfg = scenario_from_dict(d)
+    def test_directory_is_read(self):
+        cfg = scenario_from_dict(minimal_dict(output={"directory": "results"}))
         assert cfg.out_dir == "results"
-        assert cfg.formats == ("json", "csv")
 
-    def test_unknown_format_rejected(self):
-        d = minimal_dict(output={"formats": ["xml"]})
-        with pytest.raises(ConfigError, match=r"formats\[0\]"):
+    def test_formats_key_rejected(self):
+        d = minimal_dict(output={"directory": "results", "formats": ["csv", "json"]})
+        with pytest.raises(ConfigError, match=r"output: unknown key\(s\) formats"):
             scenario_from_dict(d)
 
 

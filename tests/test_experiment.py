@@ -26,6 +26,7 @@ from cdlab.experiment import (
 )
 from cdlab.model import Hypothesis, build_model
 from cdlab.network import ScheduleSpec, build_schedule
+from cdlab.scenarios import scenario_config
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
@@ -379,6 +380,16 @@ class TestCompareDetectors:
         for entry in report["nodes"]:
             assert abs(entry["gap_early"]) <= 1e-14
             assert abs(entry["gap_late"]) <= 1e-14
+
+    def test_single_node_scenario_passes(self):
+        """n1's node is its own fusion centre: its gaps are rounding noise."""
+        config = scenario_config("n1")
+        t = config.thresholds
+        report = compare_detectors(
+            config.build_plan(), k_early=t.k_early, k_late=t.k_late, gap_tolerance=t.gap_tolerance
+        )
+        assert report["verdict"] == "pass"
+        assert report["nodes"][0]["gap_shrinks"] is True
 
     def test_invalid_schedule_suppresses_verdict(self):
         model, schedule = alt3_scenario()

@@ -22,7 +22,6 @@ from cdlab.model import (
     innovation_stats,
     llr,
     local_innovations,
-    sample_observation,
     sample_observations,
 )
 
@@ -152,7 +151,7 @@ class TestLlr:
     @given(random_models(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_llr_is_sum_of_local_innovations(self, m, seed):
-        y = sample_observation(m, Hypothesis.H1, np.random.default_rng(seed)).y
+        y = sample_observations(m, Hypothesis.H1, np.random.default_rng(seed), size=1)[0]
         eta = local_innovations(m, y)
         assert eta.shape == (m.n_sensors,)
         assert llr(m, y) == pytest.approx(float(eta.sum()), rel=1e-12, abs=1e-12)
@@ -182,14 +181,14 @@ class TestInnovationStats:
 class TestSampling:
     def test_same_seed_is_bit_identical(self):
         m = correlated_pair()
-        a = sample_observation(m, Hypothesis.H1, np.random.default_rng(123)).y
-        b = sample_observation(m, Hypothesis.H1, np.random.default_rng(123)).y
+        a = sample_observations(m, Hypothesis.H1, np.random.default_rng(123), size=1)
+        b = sample_observations(m, Hypothesis.H1, np.random.default_rng(123), size=1)
         assert np.array_equal(a, b)
 
     def test_hypotheses_shift_the_mean_only(self):
         m = correlated_pair()
-        a = sample_observation(m, Hypothesis.H0, np.random.default_rng(7)).y
-        b = sample_observation(m, Hypothesis.H1, np.random.default_rng(7)).y
+        a = sample_observations(m, Hypothesis.H0, np.random.default_rng(7), size=1)[0]
+        b = sample_observations(m, Hypothesis.H1, np.random.default_rng(7), size=1)[0]
         assert b - a == pytest.approx(m.m1 - m.m0, rel=1e-12)
 
     def test_empirical_moments_match(self):

@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlab.errors import (
-    BoundViolated,
-    InvalidWeights,
-    NoConnectedWindow,
-    ParameterError,
-)
+from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
 from cdlab.network import (
     ContractionBound,
     GraphSnapshot,
@@ -168,6 +163,13 @@ class TestBuildSchedule:
         with pytest.raises(InvalidWeights):
             build_schedule(ScheduleSpec(n_nodes=2, weight_rule="explicit", matrices=(swap,)))
 
+    def test_explicit_rejects_weight_above_one(self):
+        """Row sum 1 + 1e-13 is within tolerance, but the floor would exceed 1."""
+        with pytest.raises(InvalidWeights, match="min-weight-range"):
+            build_schedule(
+                ScheduleSpec(n_nodes=1, weight_rule="explicit", matrices=([[1.0 + 1e-13]],))
+            )
+
     def test_random_subgraph_is_deterministic(self):
         spec = ScheduleSpec(
             n_nodes=5,
@@ -213,6 +215,13 @@ class TestValidateAssumption:
         item = report.items[0]
         assert not item.passed
         assert any(f["k"] == 1 and f["issue"] == "row-sum" for f in item.failures)
+
+    def test_non_finite_entries_flagged(self):
+        nan = np.array([[[0.5, np.nan], [np.nan, 0.5]]])
+        s = WeightSchedule(n_nodes=2, period=1, matrices=nan, min_weight=0.5, window=1)
+        item = validate_assumption(s).items[0]
+        assert not item.passed
+        assert item.failures == ({"k": 1, "issue": "non-finite", "value": 2},)
 
     def test_overclaimed_floor_fails(self):
         s = build_schedule(PATH3)
@@ -339,10 +348,11 @@ class TestCheckGeometricDecay:
         """Identity matrices with an overclaimed floor must trip the bound."""
         eye = np.eye(2)[None, :, :]
         s = WeightSchedule(n_nodes=2, period=1, matrices=eye, min_weight=0.9, window=1)
-        with pytest.raises(BoundViolated) as err:
-            check_geometric_decay(s, max_gap=100)
-        assert err.value.witness["value"] == pytest.approx(0.5)
-        assert err.value.witness["gap"] >= 1
+        report = check_geometric_decay(s, max_gap=100)
+        assert not report.passed
+        assert report.worst_ratio > 1.0
+        assert report.worst_witness["value"] == pytest.approx(0.5)
+        assert report.worst_witness["gap"] >= 1
 
     def test_report_serializes(self):
         d = check_geometric_decay(build_schedule(ALT3), max_gap=40).as_dict()
