@@ -2,20 +2,14 @@
 """Run one corpus scenario end to end and print a compact report.
 
 Exact analysis first (rates, per-node gap to the centralized exponent),
-then a seeded Monte Carlo run cross-checked against the exact curves.
+then a seeded Monte Carlo run cross-checked against the exact curves: the
+same check as ``cdlab simulate``, printed instead of written.
 """
 
 import argparse
 
-from cdlab.analysis import (
-    centralized_error_curve,
-    chernoff_information,
-    exact_error_curves,
-    propagate_moments,
-)
-from cdlab.experiment import compare_detectors, run_monte_carlo, score_agreement
-from cdlab.network import contraction_bound
-from cdlab.scenarios import CORPUS, build_scenario
+from cdlab.experiment import check_simulation
+from cdlab.scenarios import CORPUS, scenario_config
 
 
 def main() -> int:
@@ -25,27 +19,16 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    model, schedule, config = build_scenario(args.scenario)
-    plan = config.build_plan(
-        model=model, schedule=schedule, n_trials=args.trials, master_seed=args.seed
-    )
-    c = chernoff_information(model)
-    envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
+    config = scenario_config(args.scenario)
+    plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
+    result, exact, report, _ = check_simulation(plan, config.thresholds)
+    schedule, contraction = plan.schedule, report["contraction"]
 
-    print(f"scenario {config.name}: {model.n_sensors} sensors, period {schedule.period}, "
+    print(f"scenario {config.name}: {report['n_sensors']} sensors, period {schedule.period}, "
           f"window {schedule.window}, min weight {schedule.min_weight:.4f}")
-    print(f"chernoff information C = {c:.6f}   "
-          f"envelope amplitude {envelope.amplitude:.4f}, ratio {envelope.ratio:.6f}")
+    print(f"chernoff information C = {report['chernoff_information']:.6f}   "
+          f"envelope amplitude {contraction['amplitude']:.4f}, ratio {contraction['ratio']:.6f}")
 
-    thresholds = config.thresholds
-    traj = propagate_moments(model, schedule, max(plan.k_checkpoints[-1], thresholds.k_late))
-    report = compare_detectors(
-        plan,
-        k_early=thresholds.k_early,
-        k_late=thresholds.k_late,
-        gap_tolerance=thresholds.gap_tolerance,
-        trajectory=traj,
-    )
     print(f"\nexact per-node exponent gap to centralized "
           f"(tolerance {report['gap_tolerance']:.2e}):")
     for entry in report["nodes"]:
@@ -56,21 +39,14 @@ def main() -> int:
 
     print(f"\nmonte carlo: {plan.n_trials} trials per hypothesis, "
           f"seed {plan.master_seed}, checkpoints {list(plan.k_checkpoints)}")
-    result = run_monte_carlo(plan)
-    exact = exact_error_curves(model, traj, priors=plan.priors, ks=result.ks)
-    exact_cen = centralized_error_curve(model, result.ks, priors=plan.priors)
     print(f"paired node-average vs centralized gap: {result.paired_gap:.2e}")
-
-    pairs = list(zip(exact, result.node_curves)) + [(exact_cen, result.centralized_curve)]
-    cells, passing, worst_pull = score_agreement(
-        pairs, plan.n_trials, thresholds.agreement_min_prob, thresholds.agreement_sigma
-    )
-    print(f"agreement: {passing}/{cells} cells with exact p >= "
-          f"{thresholds.agreement_min_prob:g} within {thresholds.agreement_sigma:g} binomial se; "
-          f"worst pull {worst_pull:.2f} se")
+    agreement = report["agreement"]
+    print(f"agreement: {agreement['n_passing']}/{agreement['n_cells']} cells with exact p >= "
+          f"{agreement['min_prob']:g} within {agreement['sigma']:g} binomial se; "
+          f"worst pull {agreement['worst_pull']:.2f} se")
 
     print("\nbayes error, node 1 vs centralized (exact | estimated):")
-    node1_exact, node1_est = exact[0], result.node_curves[0]
+    node1_exact, node1_est, exact_cen = exact[0], result.node_curves[0], exact[-1]
     for pos, k in enumerate(result.ks):
         if node1_exact.pe[pos] < 1e-6:
             break

@@ -20,7 +20,7 @@ from .analysis import (
     rate_function,
     scaled_cumulant,
 )
-from .config import ScenarioConfig, Thresholds, scenario_from_dict, scenario_from_file
+from .config import ScenarioConfig, scenario_from_dict, scenario_from_file
 from .detectors import (
     centralized_init,
     centralized_step,
@@ -32,6 +32,8 @@ from .detectors import (
 from .experiment import (
     ExperimentPlan,
     MonteCarloResult,
+    Thresholds,
+    check_simulation,
     compare_detectors,
     fit_exponent,
     run_monte_carlo,
@@ -77,6 +79,7 @@ __all__ = [
     "centralized_init",
     "centralized_step",
     "check_geometric_decay",
+    "check_simulation",
     "chernoff_information",
     "compare_detectors",
     "contraction_bound",

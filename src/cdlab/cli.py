@@ -20,15 +20,14 @@ import numpy as np
 from . import __version__
 from .analysis import (
     centralized_error_curve,
-    chernoff_information,
     exact_error_curves,
     mixing_residual_curves,
     propagate_moments,
 )
 from .config import ScenarioConfig, scenario_from_file
 from .errors import ConfigError
-from .experiment import compare_detectors, fit_exponent, run_monte_carlo, score_agreement
-from .network import check_geometric_decay, contraction_bound, validate_assumption
+from .experiment import check_simulation, fit_exponent, report_header
+from .network import check_geometric_decay, validate_assumption
 
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
 RESIDUAL_HEADER = "mu,k,node,value,bound"
@@ -59,22 +58,23 @@ def _float_cell(value) -> str:
     return repr(float(value))
 
 
-def _curve_rows(curve) -> list:
-    rows = []
-    for i, k in enumerate(curve.ks):
-        cells = [
-            curve.node,
-            str(int(k)),
-            curve.source,
-            _float_cell(curve.alpha[i]),
-            _float_cell(curve.beta[i]),
-            _float_cell(curve.pe[i]),
-            _float_cell(curve.log10_pe[i]),
-        ]
-        for se in (curve.se_alpha, curve.se_beta, curve.se_pe):
-            cells.append("" if se is None else _float_cell(se[i]))
-        rows.append(",".join(cells))
-    return rows
+def _curves_csv(curves) -> str:
+    rows = [CURVE_HEADER]
+    for curve in curves:
+        for i, k in enumerate(curve.ks):
+            cells = [
+                curve.node,
+                str(int(k)),
+                curve.source,
+                _float_cell(curve.alpha[i]),
+                _float_cell(curve.beta[i]),
+                _float_cell(curve.pe[i]),
+                _float_cell(curve.log10_pe[i]),
+            ]
+            for se in (curve.se_alpha, curve.se_beta, curve.se_pe):
+                cells.append("" if se is None else _float_cell(se[i]))
+            rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -165,7 +165,7 @@ def cmd_analyze(args) -> int:
     config = scenario_from_file(args.config)
     model = config.build_model()
     schedule = config.build_schedule()
-    validation = validate_assumption(schedule)
+    header = report_header(model, schedule, config.priors)
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
 
     ks = sorted(config.checkpoints)
@@ -173,10 +173,7 @@ def cmd_analyze(args) -> int:
     traj = propagate_moments(model, schedule, k_max)
     node_curves = exact_error_curves(model, traj, priors=config.priors, ks=ks)
     cen_curve = centralized_error_curve(model, ks, priors=config.priors)
-    rows = [CURVE_HEADER]
-    for curve in [cen_curve] + node_curves:
-        rows.extend(_curve_rows(curve))
-    ws.write("curves_exact.csv", "\n".join(rows) + "\n")
+    ws.write("curves_exact.csv", _curves_csv([cen_curve] + node_curves))
 
     decay = check_geometric_decay(schedule, max_gap=min(200, max(k_max, 2)))
     ws.write("decay_report.json", _dump_json(decay.as_dict()))
@@ -197,23 +194,13 @@ def cmd_analyze(args) -> int:
     ws.write("residual_diagnostic.csv", "\n".join(res_rows) + "\n")
 
     window = _fit_window(ks)
-    envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
     fits = {"cen": _safe_fit(cen_curve, window)}
     for curve in node_curves:
         fits[curve.node] = _safe_fit(curve, window)
     analysis = {
+        **header,
         "scenario": config.name,
-        "n_sensors": model.n_sensors,
-        "priors": list(config.priors),
-        "chernoff_information": chernoff_information(model),
         "llr_variance": model.llr_variance,
-        "contraction": {
-            "min_weight": schedule.min_weight,
-            "window": schedule.window,
-            "amplitude": envelope.amplitude,
-            "ratio": envelope.ratio,
-        },
-        "assumption_check": validation.as_dict(),
         "decay_passed": decay.passed,
         "checkpoints": [int(k) for k in ks],
         "fit_window": list(window),
@@ -229,66 +216,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = scenario_from_file(args.config)
-    model = config.build_model()
-    schedule = config.build_schedule()
+    plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
-    plan = config.build_plan(
-        model=model, schedule=schedule, n_trials=args.trials, master_seed=args.seed
-    )
-    thresholds = config.thresholds
-
-    result = run_monte_carlo(plan)
-    rows = [CURVE_HEADER]
-    for curve in [result.centralized_curve] + list(result.node_curves):
-        rows.extend(_curve_rows(curve))
-    ws.write("curves_mc.csv", "\n".join(rows) + "\n")
-
-    traj = propagate_moments(model, schedule, max(plan.k_checkpoints[-1], thresholds.k_late))
-    report = compare_detectors(
-        plan,
-        k_early=thresholds.k_early,
-        k_late=thresholds.k_late,
-        gap_tolerance=thresholds.gap_tolerance,
-        trajectory=traj,
-    )
-
-    exact_nodes = exact_error_curves(model, traj, priors=plan.priors, ks=result.ks)
-    exact_cen = centralized_error_curve(model, result.ks, priors=plan.priors)
-    pairs = list(zip(exact_nodes, result.node_curves)) + [(exact_cen, result.centralized_curve)]
-    cells, passing, _ = score_agreement(
-        pairs, plan.n_trials, thresholds.agreement_min_prob, thresholds.agreement_sigma
-    )
-    waived = plan.n_trials < thresholds.mc_min_trials
-    fraction = passing / cells if cells else 1.0
-    agreement = {
-        "waived": waived,
-        "n_cells": cells,
-        "n_passing": passing,
-        "fraction": fraction,
-        "sigma": thresholds.agreement_sigma,
-        "min_prob": thresholds.agreement_min_prob,
-        "min_fraction": thresholds.agreement_min_fraction,
-        "passed": bool(fraction >= thresholds.agreement_min_fraction),
-    }
-    if waived:
-        agreement["note"] = (
-            f"n_trials {plan.n_trials} below mc_min_trials "
-            f"{thresholds.mc_min_trials}; intervals are wide and the "
-            "agreement criterion is not enforced"
-        )
-    report["agreement"] = agreement
-    report["n_trials"] = plan.n_trials
-    report["master_seed"] = plan.master_seed
-    report["paired_gap"] = result.paired_gap
-    report["threads"] = result.threads
+    result, _, report, accepted = check_simulation(plan, config.thresholds)
+    ws.write("curves_mc.csv", _curves_csv([result.centralized_curve, *result.node_curves]))
     ws.write("comparison.json", _dump_json(report))
     ws.write_manifest("simulate")
 
-    accepted = report["verdict"] == "pass" and (waived or agreement["passed"])
-    ws.say(
-        f"verdict={report['verdict']} agreement="
-        f"{'waived' if waived else agreement['passed']} -> exit {0 if accepted else 1}"
-    )
+    agreement = report["agreement"]
+    status = "waived" if agreement["waived"] else agreement["passed"]
+    ws.say(f"verdict={report['verdict']} agreement={status} -> exit {0 if accepted else 1}")
     return 0 if accepted else 1
 
 

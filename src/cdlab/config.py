@@ -2,7 +2,8 @@
 
 A scenario is one JSON document with four sections (model, network,
 experiment, output).  Parsing is strict: unknown keys anywhere are
-rejected, numeric fields must sit in their documented domains, and all
+rejected, and so are network keys the chosen topology or weight rule would
+not read; numeric fields must sit in their documented domains, and all
 diagnostics carry the dotted key path.  Content-level degeneracy (a
 singular covariance, say) is left to the builders so it surfaces as a
 domain error, not a parse error.
@@ -13,35 +14,22 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import _check_priors
 from .errors import ConfigError, ParameterError
-from .experiment import ExperimentPlan
+from .experiment import ExperimentPlan, Thresholds
 from .model import GaussianHypothesisPair, build_model
-from .network import TOPOLOGIES, WEIGHT_RULES, ScheduleSpec, WeightSchedule, build_schedule
+from .network import TOPOLOGIES, TOPOLOGY_FIELDS, WEIGHT_RULES, ScheduleSpec, WeightSchedule, build_schedule
 
 # default checkpoint grid: log-spaced coverage for exponent fits
 GEOMETRIC_CHECKPOINTS = tuple(2**i for i in range(10))
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 _EXPONENTIAL_PATTERN = re.compile(r"^exponential\((?P<rho>[^)]*)\)$")
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Acceptance thresholds a simulate run is judged against."""
-
-    gap_tolerance: float = 0.02
-    k_early: int = 100
-    k_late: int = 500
-    agreement_sigma: float = 3.0
-    agreement_min_prob: float = 1e-3
-    agreement_min_fraction: float = 0.99
-    mc_min_trials: int = 1000
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -147,20 +135,7 @@ def _parse_priors(value, path: str) -> tuple:
 
 def _parse_thresholds(d, path: str) -> Thresholds:
     d = _require_mapping(d, path)
-    _check_keys(
-        d,
-        path,
-        required=(),
-        optional=(
-            "gap_tolerance",
-            "k_early",
-            "k_late",
-            "agreement_sigma",
-            "agreement_min_prob",
-            "agreement_min_fraction",
-            "mc_min_trials",
-        ),
-    )
+    _check_keys(d, path, required=(), optional=[f.name for f in fields(Thresholds)])
     base = Thresholds()
     gap_tolerance = _finite_number(d.get("gap_tolerance", base.gap_tolerance), f"{path}.gap_tolerance")
     if gap_tolerance <= 0.0:
@@ -226,12 +201,10 @@ class ScenarioConfig:
     def build_schedule(self) -> WeightSchedule:
         return build_schedule(self.schedule_spec)
 
-    def build_plan(
-        self, model=None, schedule=None, n_trials=None, master_seed=None
-    ) -> ExperimentPlan:
+    def build_plan(self, n_trials=None, master_seed=None) -> ExperimentPlan:
         return ExperimentPlan(
-            model=self.build_model() if model is None else model,
-            schedule=self.build_schedule() if schedule is None else schedule,
+            model=self.build_model(),
+            schedule=self.build_schedule(),
             k_checkpoints=self.checkpoints,
             n_trials=self.n_trials if n_trials is None else n_trials,
             master_seed=self.master_seed if master_seed is None else master_seed,
@@ -257,27 +230,19 @@ def scenario_from_dict(data) -> ScenarioConfig:
     priors = _parse_priors(model.get("priors", [0.5, 0.5]), "model.priors")
 
     network = _require_mapping(top["network"], "network")
-    _check_keys(
-        network,
-        "network",
-        required=(),
-        optional=(
-            "topology",
-            "edges",
-            "link_cycle",
-            "period",
-            "seed",
-            "keep_prob",
-            "weight_rule",
-            "matrices",
-        ),
-    )
     topology = network.get("topology", "static")
     if topology not in TOPOLOGIES:
         raise ConfigError(f"network.topology: expected one of {TOPOLOGIES}, got {topology!r}")
     weight_rule = network.get("weight_rule", "metropolis")
     if weight_rule not in WEIGHT_RULES:
         raise ConfigError(f"network.weight_rule: expected one of {WEIGHT_RULES}, got {weight_rule!r}")
+    # a network section may hold only the keys its weight rule or topology reads
+    if weight_rule == "explicit":
+        path, read = "network (weight_rule 'explicit')", ("weight_rule", "matrices")
+    else:
+        path = f"network (topology {topology!r})"
+        read = ("topology", "weight_rule", *TOPOLOGY_FIELDS[topology])
+    _check_keys(network, path, required=(), optional=read)
     edges = _edge_list(network.get("edges", []), "network.edges")
     link_cycle = None
     if "link_cycle" in network:

@@ -41,6 +41,19 @@ GAP_NOISE_FRACTION = 1e-12
 
 
 @dataclass(frozen=True)
+class Thresholds:
+    """Acceptance thresholds a simulate run is judged against."""
+
+    gap_tolerance: float = 0.02
+    k_early: int = 100
+    k_late: int = 500
+    agreement_sigma: float = 3.0
+    agreement_min_prob: float = 1e-3
+    agreement_min_fraction: float = 0.99
+    mc_min_trials: int = 1000
+
+
+@dataclass(frozen=True)
 class ExperimentPlan:
     """Everything a Monte Carlo run needs, checkpoints normalized and sorted."""
 
@@ -344,37 +357,53 @@ def _empirical_rate(curve: ErrorCurve) -> np.ndarray:
     return -curve.log_pe / curve.ks
 
 
+def report_header(model: GaussianHypothesisPair, schedule: WeightSchedule, priors) -> dict:
+    """Fields analysis.json and comparison.json share; validates the schedule once."""
+    envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
+    return {
+        "n_sensors": int(model.n_sensors),
+        "priors": [float(p) for p in priors],
+        "chernoff_information": float(chernoff_information(model)),
+        "contraction": {
+            "min_weight": float(schedule.min_weight),
+            "window": int(schedule.window),
+            "amplitude": float(envelope.amplitude),
+            "ratio": float(envelope.ratio),
+        },
+        "assumption_check": validate_assumption(schedule).as_dict(),
+    }
+
+
 def compare_detectors(
     plan: ExperimentPlan,
-    k_early: int = 100,
-    k_late: int = 500,
-    gap_tolerance: float = 0.02,
+    thresholds: Thresholds = Thresholds(),
     trajectory: MomentTrajectory | None = None,
 ) -> dict:
     """Exact-analysis comparison of every node against the centralized rate.
 
-    The per-node figure is the finite-k exponent -log(pe)/k; a node passes
-    when its late-checkpoint gap to the centralized exponent is at most
-    ``gap_tolerance`` times the Chernoff information and has shrunk since
-    the early checkpoint (or is at most GAP_NOISE_FRACTION times the
-    Chernoff information).  The verdict is suppressed (None) when the
-    schedule fails its own structural validation, since the rate claim is
-    only meaningful under those assumptions.  A ``trajectory`` reaching
+    The per-node figure is the finite-k exponent -log(pe)/k at
+    ``thresholds.k_early`` and ``thresholds.k_late``; a node passes when its
+    late gap to the centralized exponent is at most
+    ``thresholds.gap_tolerance`` times the Chernoff information and has
+    shrunk since the early checkpoint (or is at most GAP_NOISE_FRACTION
+    times the Chernoff information).  The verdict is suppressed (None) when
+    the schedule fails its own structural validation, since the rate claim
+    is only meaningful under those assumptions.  A ``trajectory`` reaching
     ``k_late`` is reused instead of propagating one.
     """
+    k_early, k_late = thresholds.k_early, thresholds.k_late
     if not 1 <= k_early < k_late:
         raise ParameterError(f"need 1 <= k_early < k_late, got {k_early}, {k_late}")
-    model, schedule = plan.model, plan.schedule
-    validation = validate_assumption(schedule)
-    chernoff = chernoff_information(model)
-    envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
+    model = plan.model
+    header = report_header(model, plan.schedule, plan.priors)
+    chernoff = header["chernoff_information"]
     ks = [k_early, k_late]
     if trajectory is None:
-        trajectory = propagate_moments(model, schedule, k_late)
+        trajectory = propagate_moments(model, plan.schedule, k_late)
     node_curves = exact_error_curves(model, trajectory, priors=plan.priors, ks=ks)
     cen_curve = centralized_error_curve(model, ks, priors=plan.priors)
     cen_rate = _empirical_rate(cen_curve)
-    tolerance = gap_tolerance * chernoff
+    tolerance = thresholds.gap_tolerance * chernoff
     nodes = []
     all_pass = True
     for curve in node_curves:
@@ -394,23 +423,14 @@ def compare_detectors(
                 "gap_shrinks": shrinks,
             }
         )
-    if validation.passed:
+    if header["assumption_check"]["passed"]:
         verdict = "pass" if all_pass else "fail"
         note = None
     else:
         verdict = None
         note = "schedule failed structural validation; rate comparison suppressed"
     return {
-        "n_sensors": int(model.n_sensors),
-        "priors": [float(p) for p in plan.priors],
-        "chernoff_information": float(chernoff),
-        "contraction": {
-            "min_weight": float(schedule.min_weight),
-            "window": int(schedule.window),
-            "amplitude": float(envelope.amplitude),
-            "ratio": float(envelope.ratio),
-        },
-        "assumption_check": validation.as_dict(),
+        **header,
         "k_early": int(k_early),
         "k_late": int(k_late),
         "gap_tolerance": float(tolerance),
@@ -422,3 +442,56 @@ def compare_detectors(
         "verdict": verdict,
         "verdict_note": note,
     }
+
+
+def check_simulation(plan: ExperimentPlan, thresholds: Thresholds) -> tuple:
+    """Run the simulate check; return (result, exact_curves, report, accepted).
+
+    The Monte Carlo ``result`` is scored against ``exact_curves`` (nodes
+    1..N, then centralized, at its checkpoints) into the ``agreement``
+    block of the ``compare_detectors`` report.  Agreement is waived below
+    ``mc_min_trials`` trials; a run is accepted when the verdict is pass
+    and agreement passed or was waived.
+    """
+    model = plan.model
+    result = run_monte_carlo(plan)
+    trajectory = propagate_moments(
+        model, plan.schedule, max(plan.k_checkpoints[-1], thresholds.k_late)
+    )
+    report = compare_detectors(plan, thresholds, trajectory=trajectory)
+    exact_curves = exact_error_curves(model, trajectory, priors=plan.priors, ks=result.ks) + [
+        centralized_error_curve(model, result.ks, priors=plan.priors)
+    ]
+    estimates = [*result.node_curves, result.centralized_curve]
+    cells, passing, worst_pull = score_agreement(
+        zip(exact_curves, estimates),
+        plan.n_trials,
+        thresholds.agreement_min_prob,
+        thresholds.agreement_sigma,
+    )
+    waived = plan.n_trials < thresholds.mc_min_trials
+    fraction = passing / cells if cells else 1.0
+    agreement = {
+        "waived": waived,
+        "n_cells": cells,
+        "n_passing": passing,
+        "fraction": fraction,
+        "worst_pull": worst_pull,
+        "sigma": thresholds.agreement_sigma,
+        "min_prob": thresholds.agreement_min_prob,
+        "min_fraction": thresholds.agreement_min_fraction,
+        "passed": bool(fraction >= thresholds.agreement_min_fraction),
+    }
+    if waived:
+        agreement["note"] = (
+            f"n_trials {plan.n_trials} below mc_min_trials "
+            f"{thresholds.mc_min_trials}; intervals are wide and the "
+            "agreement criterion is not enforced"
+        )
+    report["agreement"] = agreement
+    report["n_trials"] = plan.n_trials
+    report["master_seed"] = plan.master_seed
+    report["paired_gap"] = result.paired_gap
+    report["threads"] = result.threads
+    accepted = report["verdict"] == "pass" and (waived or agreement["passed"])
+    return result, exact_curves, report, accepted

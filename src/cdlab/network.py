@@ -40,7 +40,13 @@ __all__ = [
 
 STOCHASTIC_ATOL = 1e-12
 PRODUCT_AGREE_ATOL = 1e-12
-TOPOLOGIES = ("static", "alternating-links", "random-subgraph")
+# the ScheduleSpec fields each topology reads under the metropolis rule
+TOPOLOGY_FIELDS = {
+    "static": ("edges",),
+    "alternating-links": ("link_cycle",),
+    "random-subgraph": ("edges", "period", "seed", "keep_prob"),
+}
+TOPOLOGIES = tuple(TOPOLOGY_FIELDS)
 WEIGHT_RULES = ("metropolis", "explicit")
 
 

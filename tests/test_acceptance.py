@@ -8,7 +8,6 @@ documents not just pass/fail but how much headroom each criterion had.
 import math
 
 import numpy as np
-import pytest
 
 from cdlab.analysis import (
     centralized_error_curve,
@@ -24,12 +23,13 @@ from cdlab.analysis import (
 from cdlab.detectors import distributed_closed_form, distributed_init, distributed_step
 from cdlab.experiment import (
     ExperimentPlan,
+    Thresholds,
     compare_detectors,
     fit_exponent,
     run_monte_carlo,
     score_agreement,
 )
-from cdlab.model import Hypothesis, build_model, local_innovations, sample_observations
+from cdlab.model import Hypothesis, local_innovations, sample_observations
 from cdlab.network import check_geometric_decay, validate_assumption
 from cdlab.scenarios import CORPUS, build_scenario
 
@@ -154,7 +154,7 @@ def test_criterion_07_per_node_rate_gap():
         plan = ExperimentPlan(
             model=model, schedule=schedule, k_checkpoints=(1,), n_trials=1, master_seed=0
         )
-        report = compare_detectors(plan, k_early=100, k_late=500, gap_tolerance=0.02)
+        report = compare_detectors(plan, Thresholds(gap_tolerance=0.02, k_early=100, k_late=500))
         assert report["verdict"] == "pass", f"{name}: {report}"
         for entry in report["nodes"]:
             assert entry["within_tolerance"], f"{name} node {entry['node']}"

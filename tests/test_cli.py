@@ -255,3 +255,18 @@ class TestSimulate:
         assert code == 1
         report = json.loads((out / "ref3_comparison.json").read_text())
         assert report["verdict"] == "fail"
+
+    def test_failed_agreement_exits_one(self, tmp_path):
+        """An exact verdict of pass does not save a run whose estimates disagree."""
+        data = ref3_dict(n_trials=2000, checkpoints=[1, 2, 4])
+        data["experiment"]["thresholds"] = {"agreement_sigma": 1e-6}
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--quiet", "--config", write_config(tmp_path, data), "--out", str(out)]
+        )
+        assert code == 1
+        report = json.loads((out / "ref3_comparison.json").read_text())
+        assert report["verdict"] == "pass"
+        assert report["agreement"]["waived"] is False
+        assert report["agreement"]["passed"] is False
+        assert report["agreement"]["worst_pull"] > 0.0

@@ -37,10 +37,9 @@ class TestDefaults:
 
     def test_builders_produce_consistent_objects(self):
         cfg = scenario_from_dict(minimal_dict())
-        model = cfg.build_model()
-        schedule = cfg.build_schedule()
-        assert model.n_sensors == schedule.n_nodes == 2
-        plan = cfg.build_plan(model=model, schedule=schedule)
+        assert cfg.build_model().n_sensors == cfg.build_schedule().n_nodes == 2
+        plan = cfg.build_plan()
+        assert plan.model.n_sensors == plan.schedule.n_nodes == 2
         assert plan.n_trials == 10_000
         assert plan.k_checkpoints == GEOMETRIC_CHECKPOINTS
 
@@ -159,7 +158,7 @@ class TestNetworkSection:
 
     def test_keep_prob_domain(self):
         d = minimal_dict()
-        d["network"]["keep_prob"] = 1.5
+        d["network"] = {"topology": "random-subgraph", "period": 2, "seed": 1, "keep_prob": 1.5}
         with pytest.raises(ConfigError, match="keep_prob"):
             scenario_from_dict(d)
 
@@ -182,6 +181,23 @@ class TestNetworkSection:
         d["network"] = {"topology": "alternating-links", "link_cycle": [[[1, 2]], [[1, 2]]]}
         cfg = scenario_from_dict(d)
         assert cfg.schedule_spec.link_cycle == (((1, 2),), ((1, 2),))
+
+    @pytest.mark.parametrize(
+        "network, ignored",
+        [
+            ({"topology": "static", "edges": [[1, 2]], "keep_prob": 0.3}, "keep_prob"),
+            ({"topology": "alternating-links", "link_cycle": [[[1, 2]]], "edges": []}, "edges"),
+            (
+                {"topology": "static", "weight_rule": "explicit", "matrices": [[[1, 0], [0, 1]]]},
+                "topology",
+            ),
+        ],
+    )
+    def test_keys_the_network_would_ignore_rejected(self, network, ignored):
+        d = minimal_dict()
+        d["network"] = network
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) {ignored}$"):
+            scenario_from_dict(d)
 
     def test_explicit_matrices_parsed(self):
         d = minimal_dict()

@@ -18,6 +18,7 @@ from cdlab.errors import (
 from cdlab.experiment import (
     CHUNK_TRIALS,
     ExperimentPlan,
+    Thresholds,
     compare_detectors,
     fit_exponent,
     run_monte_carlo,
@@ -358,13 +359,13 @@ class TestCompareDetectors:
             assert entry["gap_late"] <= report["gap_tolerance"]
 
     def test_report_is_json_serializable(self):
-        report = compare_detectors(alt3_plan(), k_early=20, k_late=80)
+        report = compare_detectors(alt3_plan(), Thresholds(k_early=20, k_late=80))
         text = json.dumps(report, sort_keys=True)
         assert "chernoff_information" in text
 
     def test_centralized_rate_approaches_chernoff_from_above(self):
         """Q(x) < exp(-x^2/2), so the finite-k exponent sits above C."""
-        report = compare_detectors(alt3_plan(), k_early=100, k_late=2000)
+        report = compare_detectors(alt3_plan(), Thresholds(k_early=100, k_late=2000))
         c = report["chernoff_information"]
         assert report["centralized"]["rate_early"] > c
         assert report["centralized"]["rate_late"] > c
@@ -384,10 +385,7 @@ class TestCompareDetectors:
     def test_single_node_scenario_passes(self):
         """n1's node is its own fusion centre: its gaps are rounding noise."""
         config = scenario_config("n1")
-        t = config.thresholds
-        report = compare_detectors(
-            config.build_plan(), k_early=t.k_early, k_late=t.k_late, gap_tolerance=t.gap_tolerance
-        )
+        report = compare_detectors(config.build_plan(), config.thresholds)
         assert report["verdict"] == "pass"
         assert report["nodes"][0]["gap_shrinks"] is True
 
@@ -423,20 +421,17 @@ class TestCompareDetectors:
 
     def test_bad_checkpoint_order_rejected(self):
         with pytest.raises(ParameterError):
-            compare_detectors(alt3_plan(), k_early=500, k_late=100)
+            compare_detectors(alt3_plan(), Thresholds(k_early=500, k_late=100))
 
     def test_reuses_a_longer_trajectory(self):
         plan = alt3_plan()
         model, schedule = plan.model, plan.schedule
-        own = compare_detectors(plan, k_early=20, k_late=80)
-        reused = compare_detectors(
-            plan, k_early=20, k_late=80, trajectory=propagate_moments(model, schedule, 300)
-        )
+        short = Thresholds(k_early=20, k_late=80)
+        own = compare_detectors(plan, short)
+        reused = compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, 300))
         assert json.dumps(reused, sort_keys=True) == json.dumps(own, sort_keys=True)
         with pytest.raises(ParameterError):
-            compare_detectors(
-                plan, k_early=20, k_late=80, trajectory=propagate_moments(model, schedule, 79)
-            )
+            compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, 79))
 
 
 # ── agreement scoring ─────────────────────────────────────────────────────

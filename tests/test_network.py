@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
 from cdlab.network import (
-    ContractionBound,
     GraphSnapshot,
     ScheduleSpec,
     WeightSchedule,
