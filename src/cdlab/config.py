@@ -236,13 +236,14 @@ def scenario_from_dict(data) -> ScenarioConfig:
     weight_rule = network.get("weight_rule", "metropolis")
     if weight_rule not in WEIGHT_RULES:
         raise ConfigError(f"network.weight_rule: expected one of {WEIGHT_RULES}, got {weight_rule!r}")
-    # a network section may hold only the keys its weight rule or topology reads
+    # a network section holds only keys it reads; those ScheduleSpec defaults to None are required
     if weight_rule == "explicit":
         path, read = "network (weight_rule 'explicit')", ("weight_rule", "matrices")
     else:
         path = f"network (topology {topology!r})"
         read = ("topology", "weight_rule", *TOPOLOGY_FIELDS[topology])
-    _check_keys(network, path, required=(), optional=read)
+    needed = [f.name for f in fields(ScheduleSpec) if f.name in read and f.default is None]
+    _check_keys(network, path, required=needed, optional=read)
     edges = _edge_list(network.get("edges", []), "network.edges")
     link_cycle = None
     if "link_cycle" in network:

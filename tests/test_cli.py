@@ -69,6 +69,12 @@ class TestValidate:
         assert main(["validate", "--config", write_config(tmp_path, data)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_network_missing_needed_key_exits_two(self, tmp_path, capsys):
+        data = ref3_dict()
+        data["network"] = {"weight_rule": "explicit"}
+        assert main(["validate", "--config", write_config(tmp_path, data)]) == 2
+        assert "missing required key(s) matrices" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 

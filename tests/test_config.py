@@ -199,6 +199,21 @@ class TestNetworkSection:
         with pytest.raises(ConfigError, match=f"unknown key\\(s\\) {ignored}$"):
             scenario_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "network, missing",
+        [
+            ({"weight_rule": "explicit"}, "matrices"),
+            ({"topology": "alternating-links"}, "link_cycle"),
+            ({"topology": "random-subgraph", "edges": [[1, 2]], "seed": 1}, "period"),
+            ({"topology": "random-subgraph", "edges": [[1, 2]], "period": 2}, "seed"),
+        ],
+    )
+    def test_keys_the_network_needs_required(self, network, missing):
+        d = minimal_dict()
+        d["network"] = network
+        with pytest.raises(ConfigError, match=f"missing required key\\(s\\) {missing}$"):
+            scenario_from_dict(d)
+
     def test_explicit_matrices_parsed(self):
         d = minimal_dict()
         d["network"] = {

@@ -19,6 +19,7 @@ from cdlab.experiment import (
     CHUNK_TRIALS,
     ExperimentPlan,
     Thresholds,
+    _run_chunk,
     compare_detectors,
     fit_exponent,
     run_monte_carlo,
@@ -112,27 +113,28 @@ class TestExperimentPlan:
 
 
 class TestRunMonteCarlo:
-    def test_counts_match_per_trial_replica(self):
+    @staticmethod
+    def assert_counts_match_per_trial_replica(plan):
         """Bitwise agreement with a scalar re-simulation from the same keys.
 
         The replica draws the documented noise block per (hypothesis, step,
         chunk), hands row t to the step-by-step detector API, and counts
         wrong decisions at the same checkpoints.
         """
-        plan = alt3_plan()
         result = run_monte_carlo(plan, threads=1)
         model, schedule = plan.model, plan.schedule
         n = model.n_sensors
+        n_ck = len(plan.k_checkpoints)
         for hyp in (H0, H1):
             mean = model.mean(hyp)
             blocks = {
                 k: np.random.default_rng((plan.master_seed, int(hyp), k, 0)).standard_normal(
                     (plan.n_trials, n)
                 )
-                for k in range(1, 6)
+                for k in range(1, plan.k_checkpoints[-1] + 1)
             }
-            node_counts = np.zeros((3, n), dtype=int)
-            cen_counts = np.zeros(3, dtype=int)
+            node_counts = np.zeros((n_ck, n), dtype=int)
+            cen_counts = np.zeros(n_ck, dtype=int)
             for t in range(plan.n_trials):
                 ys = {k: mean + blocks[k][t] @ model.noise_chol.T for k in blocks}
                 dist = distributed_init(model, ys[1])
@@ -152,6 +154,31 @@ class TestRunMonteCarlo:
                 assert np.array_equal(result.miss_counts, node_counts)
                 assert np.array_equal(result.cen_miss_counts, cen_counts)
 
+    def test_counts_match_per_trial_replica(self):
+        self.assert_counts_match_per_trial_replica(alt3_plan())
+
+    @pytest.mark.parametrize(
+        "name, m1",
+        [("rand5", None), ("correlated2", [1.0, 0.4]), ("n1", None)],
+        ids=["rand5", "correlated2", "n1"],
+    )
+    def test_counts_match_per_trial_replica_on_corpus_schedules(self, name, m1):
+        """rand5 wraps its period-4 schedule, n1 is the 1 x 1 case, and
+        correlated2's noise with unequal mean shifts makes diag(w) L differ
+        from L diag(w)."""
+        config = scenario_config(name)
+        model = config.build_model()
+        if m1 is not None:
+            model = build_model(model.m0, m1, model.cov)
+        plan = ExperimentPlan(
+            model=model,
+            schedule=config.build_schedule(),
+            k_checkpoints=(1, 2, 5, 11),
+            n_trials=300,
+            master_seed=7,
+        )
+        self.assert_counts_match_per_trial_replica(plan)
+
     def test_thread_count_does_not_change_counts(self, monkeypatch):
         # an ambient operator cap would silently collapse the pooled run
         monkeypatch.delenv("CDL_THREADS", raising=False)
@@ -164,6 +191,19 @@ class TestRunMonteCarlo:
         assert np.array_equal(serial.cen_false_alarm_counts, pooled.cen_false_alarm_counts)
         assert np.array_equal(serial.cen_miss_counts, pooled.cen_miss_counts)
         assert serial.n_chunks == 3
+
+    def test_extra_trials_leave_earlier_trials_alone(self):
+        """More trials only append chunks: the first CHUNK_TRIALS trials keep their draws."""
+        plan = alt3_plan(n_trials=CHUNK_TRIALS, k_checkpoints=(2, 6))
+        base = run_monte_carlo(plan, threads=1)
+        longer = run_monte_carlo(dataclasses.replace(plan, n_trials=CHUNK_TRIALS + 500), threads=1)
+        for hyp, nodes, cen in (
+            (H0, "false_alarm_counts", "cen_false_alarm_counts"),
+            (H1, "miss_counts", "cen_miss_counts"),
+        ):
+            _, node_tail, cen_tail, _ = _run_chunk(plan, hyp, 1, 500)
+            assert np.array_equal(getattr(longer, nodes), getattr(base, nodes) + node_tail)
+            assert np.array_equal(getattr(longer, cen), getattr(base, cen) + cen_tail)
 
     def test_repeat_run_is_bitwise_identical(self):
         plan = alt3_plan(n_trials=1000, k_checkpoints=(3, 9))
