@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the network mixing residual over tilt values and steps.
 
-One sweep of the disagreement products gives, for every tilt, node and
-step, the residual (the part of the scaled cumulant not explained by the
-drift term) and the geometric envelope derived from the schedule's
-contraction constants.  Optionally writes the raw rows to CSV.
+One exact moment propagation gives, for every tilt, node and step, the
+residual (the part of the scaled cumulant not explained by the drift
+term, read off the disagreement parts of the moments) and the geometric
+envelope derived from the schedule's contraction constants.  Optionally
+writes the raw rows to CSV.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import csv
 
 import numpy as np
 
-from cdlab.analysis import mixing_residual_curves
+from cdlab.analysis import mixing_residual_curves, propagate_moments
 from cdlab.model import Hypothesis
 from cdlab.scenarios import CORPUS, build_scenario
 
@@ -24,10 +25,17 @@ def parse_mus(text: str) -> list[float]:
     return values
 
 
+def parse_k_max(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"the residual needs k-max >= 2, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", choices=CORPUS, default="ref3")
-    parser.add_argument("--k-max", type=int, default=500)
+    parser.add_argument("--k-max", type=parse_k_max, default=500)
     parser.add_argument("--mus", type=parse_mus, default="-1.0,-0.1,0.1,1.0")
     parser.add_argument("--hypothesis", choices=["h0", "h1"], default="h1")
     parser.add_argument("--out", default=None, help="optional CSV path for raw rows")
@@ -38,7 +46,8 @@ def main() -> int:
     hypothesis = Hypothesis.H1 if args.hypothesis == "h1" else Hypothesis.H0
 
     print(f"scenario {config.name}, hypothesis {args.hypothesis}, k in [2, {args.k_max}]")
-    ks, values, bounds = mixing_residual_curves(model, schedule, args.k_max, mus, hypothesis)
+    trajectory = propagate_moments(model, schedule, args.k_max)
+    ks, values, bounds = mixing_residual_curves(model, schedule, trajectory, args.k_max, mus, hypothesis)
     rows = []
     for mu, mu_values, mu_bounds in zip(mus, values, bounds):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,7 +14,6 @@ from .analysis import (
     fenchel_legendre,
     fixed_threshold_rates,
     log_mgf,
-    mixing_residual,
     mixing_residual_curves,
     propagate_moments,
     rate_function,
@@ -96,7 +95,6 @@ __all__ = [
     "local_innovations",
     "log_mgf",
     "metropolis_weights",
-    "mixing_residual",
     "mixing_residual_curves",
     "propagate_moments",
     "rate_function",

@@ -9,11 +9,11 @@ direct propagation.  Error curves therefore come from normal tail
 probabilities, not simulation, and stay meaningful far below 1e-300
 because curves store log-probabilities internally.
 
-``mixing_residual`` quantifies how far the finite-k scaled cumulant of a
-node variable is from the value it would take under perfect per-step
-averaging; its proven bound decays like 1/k with constants from the
-contraction envelope, which is the mechanism behind every node matching
-the centralized error exponent.
+``mixing_residual_curves`` quantifies how far the finite-k scaled cumulant
+of a node variable is from the value it would take under perfect per-step
+averaging, read off the same moment trajectory as the curves; its proven
+bound decays like 1/k with constants from the contraction envelope, which
+is the mechanism behind every node matching the centralized error exponent.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .network import WeightSchedule, contraction_bound
 __all__ = [
     "MomentTrajectory",
     "ErrorCurve",
-    "MixingResidual",
     "log_q_function",
     "rate_function",
     "chernoff_information",
@@ -47,7 +46,6 @@ __all__ = [
     "exact_error_curves",
     "centralized_error_curve",
     "scaled_cumulant",
-    "mixing_residual",
     "mixing_residual_curves",
 ]
 
@@ -371,50 +369,10 @@ def scaled_cumulant(
     return mu * mean_i + (k / 2.0) * mu * mu * var_i
 
 
-@dataclass(frozen=True)
-class MixingResidual:
-    """Finite-k cumulant gap due to imperfect averaging, and its envelope."""
-
-    value: float
-    bound: float
-
-
-def _residual_components(model, s, k_max):
-    """One sweep of the three disagreement-product sums for k = 2..k_max.
-
-    Row k-2 of each output holds, for every node i at horizon k:
-      lin[i]  = [sum_j tPhi(k,j) m_eta1]_i
-      quad[i] = [sum_j tPhi(k,j) S_eta tPhi(k,j)']_ii
-      cross[i] = [sum_j tPhi(k,j) S_eta 1]_i
-    where tPhi is the disagreement part of the backward product and the
-    sums run over j = 1..k-1.
-    """
-    stats = innovation_stats(model)
-    m_eta = stats.mean1
-    s_eta = stats.cov
-    n = s.n_nodes
-    jmat = np.full((n, n), 1.0 / n)
-    s_eta_ones = s_eta @ np.ones(n)
-    lin = np.zeros((max(k_max - 1, 0), n))
-    quad = np.zeros_like(lin)
-    cross = np.zeros_like(lin)
-    a1 = np.zeros(n)
-    a2 = np.zeros((n, n))
-    a3 = np.zeros(n)
-    for k_prev in range(1, k_max):
-        tw = s.weight_at(k_prev) - jmat
-        a1 = tw @ (a1 + m_eta)
-        a3 = tw @ (a3 + s_eta_ones)
-        a2 = tw @ (a2 + s_eta) @ tw.T
-        lin[k_prev - 1] = a1
-        quad[k_prev - 1] = np.diag(a2)
-        cross[k_prev - 1] = a3
-    return lin, quad, cross
-
-
 def mixing_residual_curves(
     model: GaussianHypothesisPair,
     s: WeightSchedule,
+    trajectory: MomentTrajectory,
     k_max: int,
     mus,
     hypothesis: Hypothesis = Hypothesis.H1,
@@ -422,57 +380,44 @@ def mixing_residual_curves(
     """Residual values and bounds for every tilt, node and k in 2..k_max.
 
     Returns (ks, values, bounds) with values of shape (len(mus), len(ks), n)
-    and bounds of shape (len(mus), len(ks)).  One sweep of the product sums
-    serves every tilt, node and horizon.  The value's linear part flips sign
-    with the hypothesis; the bound, which decays like 1/k, does not.
+    and bounds of shape (len(mus), len(ks)).  The residual is built from the
+    disagreement products tPhi(k, j) = Phi(k, j) - J, J = 11'/N, summed over
+    j < k: lin = sum tPhi m_eta, quad = diag(sum tPhi S_eta tPhi') and
+    cross = sum tPhi S_eta 1.  These are the disagreement parts of the
+    moments of the running sum U(k) = k x(k) / N = sum_{j<=k} Phi(k, j) eta(j),
+    so they are read off ``trajectory`` (which must reach k_max):
+      lin = E U(k) - (k - 1) J m_eta - m_eta
+      quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
+    The value's linear part flips sign with the hypothesis; the bound,
+    which decays like 1/k, does not.
     """
-    if k_max < 2:
-        raise IndexError(f"k_max must be >= 2, got {k_max}")
-    lin, quad, cross = _residual_components(model, s, k_max)
+    if not 2 <= k_max <= trajectory.k_max:
+        raise ParameterError(f"k_max must lie in 2..{trajectory.k_max}, got {k_max}")
     stats = innovation_stats(model)
+    m_eta, s_eta = stats.mean1, stats.cov
     n = s.n_nodes
-    m_bar = float(np.abs(stats.mean1).max())
-    s_bar = float(np.abs(stats.cov).max())
-    b_bar = float(np.abs(stats.cov @ np.ones(n)).max()) / n
+    ks = np.arange(2, k_max + 1)
+    col = ks[:, None]
+    ideal = col - 1.0
+    lin = (col / n) * trajectory.means[1:k_max] - m_eta - ideal * m_eta.mean()
+    quad_cross = (
+        (col * col / (n * n)) * trajectory.variances[1:k_max]
+        - np.diag(s_eta)
+        - ideal * (s_eta.sum() / (n * n))
+    )
+    m_bar = float(np.abs(m_eta).max())
+    s_bar = float(np.abs(s_eta).max())
+    b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
     env = contraction_bound(n, s.min_weight, s.window)
     theta, beta = env.amplitude, env.ratio
     sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0
-    ks = np.arange(2, k_max + 1)
-    col = ks[:, None]
     values = np.empty((len(mus), ks.size, n))
     bounds = np.empty((len(mus), ks.size))
     for row, mu in enumerate(mus):
         mu = float(mu)
-        linear = (n / col) * mu * sign * lin
-        quadratic = (n * n / (2.0 * col)) * mu * mu * quad
-        crossed = (n / col) * mu * mu * cross
-        values[row] = linear + quadratic + crossed
+        values[row] = (n / col) * mu * sign * lin + (n * n / (2.0 * col)) * mu * mu * quad_cross
         mu = abs(mu)
         first = (theta / ks) * (n**2 * m_bar * mu + n**3 * mu * mu * b_bar) / (1.0 - beta)
         second = (theta * theta / ks) * (n**4 / 2.0) * mu * mu * s_bar / (1.0 - beta * beta)
         bounds[row] = first + second
     return ks, values, bounds
-
-
-def mixing_residual(
-    model: GaussianHypothesisPair,
-    s: WeightSchedule,
-    k: int,
-    mu: float,
-    node: int,
-    hypothesis: Hypothesis = Hypothesis.H1,
-) -> MixingResidual:
-    """Gap between the exact scaled cumulant and its ideal-averaging part.
-
-    The scaled cumulant of x_i(k) splits exactly into a drift term (what
-    perfect per-step averaging would give, including the final innovation's
-    own cumulant) plus this residual, built from disagreement products.
-    The returned bound decays like 1/k and is hypothesis-independent; the
-    value's linear part flips sign with the hypothesis.
-    """
-    if k < 2:
-        raise IndexError(f"residual needs k >= 2, got {k}")
-    if not 1 <= node <= s.n_nodes:
-        raise ParameterError(f"node must be in 1..{s.n_nodes}, got {node}")
-    _, values, bounds = mixing_residual_curves(model, s, k, (mu,), hypothesis)
-    return MixingResidual(value=float(values[0, -1, node - 1]), bound=float(bounds[0, -1]))

@@ -182,7 +182,7 @@ def cmd_analyze(args) -> int:
     res_k_max = min(k_max, 512)
     residual_summary = {}
     if res_k_max >= 2:
-        res_ks, values, bounds = mixing_residual_curves(model, schedule, res_k_max, RESIDUAL_MUS)
+        res_ks, values, bounds = mixing_residual_curves(model, schedule, traj, res_k_max, RESIDUAL_MUS)
         node_cells = [f"{node}," for node in range(1, model.n_sensors + 1)]
         for mu, mu_values, mu_bounds in zip(RESIDUAL_MUS, values, bounds):
             for k, row, bound in zip(res_ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):

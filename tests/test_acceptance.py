@@ -189,13 +189,13 @@ def test_criterion_09_residual_bound_and_cumulant_limit():
     model, schedule, _ = build_scenario("ref3")
     sig2 = model.llr_variance
     mus = (-1.0, -0.1, 0.1, 1.0)
+    traj = propagate_moments(model, schedule, 1000)
     worst_ratio = 0.0
     for hyp in (H0, H1):
-        ks, values, bounds = mixing_residual_curves(model, schedule, 500, mus, hypothesis=hyp)
+        ks, values, bounds = mixing_residual_curves(model, schedule, traj, 500, mus, hypothesis=hyp)
         for mu, mu_values, mu_bounds in zip(mus, values, bounds):
             assert np.all(np.abs(mu_values) <= mu_bounds[:, None]), f"mu={mu} hyp={int(hyp)}"
             worst_ratio = max(worst_ratio, float((np.abs(mu_values) / mu_bounds[:, None]).max()))
-    traj = propagate_moments(model, schedule, 1000)
     worst_final = 0.0
     for mu in mus:
         limit = model.llr_mean1 * mu + sig2 * mu * mu / 2.0

@@ -23,12 +23,12 @@ from cdlab.analysis import (
     fixed_threshold_rates,
     log_mgf,
     log_q_function,
-    mixing_residual,
     mixing_residual_curves,
     propagate_moments,
     rate_function,
     scaled_cumulant,
 )
+from cdlab.cli import RESIDUAL_MUS
 from cdlab.errors import (
     DegenerateVariance,
     MaximizerAtBoundary,
@@ -416,57 +416,86 @@ def full_drift(model, k, mu, node, hypothesis):
     return drift + last
 
 
-def reference_residual(model, schedule, k, mu, node, hypothesis):
-    """Residual value and bound at one (k, node, mu), one scalar at a time."""
+def reference_residual(model, schedule, k_max, mu, hypothesis):
+    """Residual values (k_max - 1, n) and bounds (k_max - 1,) for k = 2..k_max.
+
+    The independent definition: the disagreement products tPhi(k, j), the
+    backward products minus J, summed one step at a time.
+    """
     stats = innovation_stats(model)
     n = model.n_sensors
     jmat = np.full((n, n), 1.0 / n)
-    a1, a2, a3 = np.zeros(n), np.zeros((n, n)), np.zeros(n)
-    for j in range(1, k):
-        tw = schedule.weight_at(j) - jmat
-        a1 = tw @ (a1 + stats.mean1)
-        a3 = tw @ (a3 + stats.cov @ np.ones(n))
-        a2 = tw @ (a2 + stats.cov) @ tw.T
-    i = node - 1
     sign = 1.0 if hypothesis == H1 else -1.0
-    linear = (n / k) * mu * sign * a1[i]
-    quadratic = (n * n / (2.0 * k)) * mu * mu * a2[i, i]
-    crossed = (n / k) * mu * mu * a3[i]
     m_bar = float(np.abs(stats.mean1).max())
     s_bar = float(np.abs(stats.cov).max())
     b_bar = float(np.abs(stats.cov @ np.ones(n)).max()) / n
     env = contraction_bound(n, schedule.min_weight, schedule.window)
     theta, beta = env.amplitude, env.ratio
     a = abs(mu)
-    first = (theta / k) * (n**2 * m_bar * a + n**3 * a * a * b_bar) / (1.0 - beta)
-    second = (theta * theta / k) * (n**4 / 2.0) * a * a * s_bar / (1.0 - beta * beta)
-    return linear + quadratic + crossed, first + second
+    a1, a2, a3 = np.zeros(n), np.zeros((n, n)), np.zeros(n)
+    values, bounds = [], []
+    for j in range(1, k_max):
+        tw = schedule.weight_at(j) - jmat
+        a1 = tw @ (a1 + stats.mean1)
+        a3 = tw @ (a3 + stats.cov @ np.ones(n))
+        a2 = tw @ (a2 + stats.cov) @ tw.T
+        k = j + 1
+        linear = (n / k) * mu * sign * a1
+        quadratic = (n * n / (2.0 * k)) * mu * mu * np.diag(a2)
+        crossed = (n / k) * mu * mu * a3
+        values.append(linear + quadratic + crossed)
+        first = (theta / k) * (n**2 * m_bar * a + n**3 * a * a * b_bar) / (1.0 - beta)
+        second = (theta * theta / k) * (n**4 / 2.0) * a * a * s_bar / (1.0 - beta * beta)
+        bounds.append(first + second)
+    return np.array(values), np.array(bounds)
+
+
+# The residual is read off the moment trajectory by subtracting the
+# ideal-averaging part from the scaled cumulant's two terms, mu * mean_i(k)
+# and (k/2) mu^2 var_i(k).  Those carry the rounding of k propagation steps,
+# each with N-term inner products, so the floor is N * k * eps times the size
+# of the two terms.  Against the disagreement-product loop up to k = 512 (both
+# hypotheses, every RESIDUAL_MUS) the largest fraction of the floor used is
+# 0.15 on the corpus (ref3) and 0.07 on the 256-node benchmark ring.
+
+
+def rounding_floor(traj, ks, mu):
+    """Allowed rounding of the residual at (ks, node) for tilt mu, shape (len(ks), n)."""
+    ks = np.asarray(ks)
+    col = ks[:, None]
+    size = np.abs(mu * traj.means[ks - 1]) + (col / 2.0) * mu * mu * traj.variances[ks - 1]
+    return traj.means.shape[1] * col * np.finfo(float).eps * size
 
 
 class TestMixingResidual:
     def test_perfect_averaging_gives_exact_zero(self):
+        """W = J leaves no disagreement: the residual is zero up to its rounding floor."""
         model, schedule = pair_scenario()
-        for k in (2, 5, 40):
-            res = mixing_residual(model, schedule, k, 0.8, 1)
-            assert res.value == 0.0
-            assert res.bound > 0.0
+        traj = propagate_moments(model, schedule, 40)
+        ks, values, bounds = mixing_residual_curves(model, schedule, traj, 40, (0.8,))
+        assert np.all(np.abs(values[0]) <= rounding_floor(traj, ks, 0.8))
+        assert np.all(bounds > 0.0)
 
     def test_exact_decomposition_cross_check(self):
         """Residual equals scaled cumulant minus the ideal-averaging drift."""
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, 60)
+        mus = (-1.0, 0.3, 1.0)
         for h in (H0, H1):
+            _, values, _ = mixing_residual_curves(model, schedule, traj, 60, mus, hypothesis=h)
             for k in (2, 3, 9, 60):
-                for mu in (-1.0, 0.3, 1.0):
+                for m, mu in enumerate(mus):
                     for node in (1, 2, 3):
                         cum = scaled_cumulant(model, schedule, h, k, mu, node, trajectory=traj)
                         expect = cum - full_drift(model, k, mu, node, h)
-                        res = mixing_residual(model, schedule, k, mu, node, hypothesis=h)
-                        assert res.value == pytest.approx(expect, abs=1e-12)
+                        assert values[m, k - 2, node - 1] == pytest.approx(expect, abs=1e-12)
 
     def test_bound_holds_on_alternating_schedule(self):
         model, schedule = alt3_scenario()
-        ks, values, bounds = mixing_residual_curves(model, schedule, 200, (-1.0, -0.1, 0.1, 1.0))
+        traj = propagate_moments(model, schedule, 200)
+        ks, values, bounds = mixing_residual_curves(
+            model, schedule, traj, 200, (-1.0, -0.1, 0.1, 1.0)
+        )
         assert values.shape == (4, ks.size, 3)
         assert bounds.shape == (4, ks.size)
         assert np.all(np.abs(values) <= bounds[:, :, None])
@@ -474,34 +503,50 @@ class TestMixingResidual:
     def test_scaled_residual_stays_bounded(self):
         """k * |value| must not grow: the bound is O(1/k)."""
         model, schedule = alt3_scenario()
-        ks, values, bounds = mixing_residual_curves(model, schedule, 500, (0.5,))
+        traj = propagate_moments(model, schedule, 500)
+        ks, values, bounds = mixing_residual_curves(model, schedule, traj, 500, (0.5,))
         scaled = np.abs(values[0]) * ks[:, None]
         assert scaled[200:].max() <= scaled.max() + 1e-12
         assert np.isfinite(scaled).all()
 
     def test_hypothesis_flip_matches_sign_flip(self):
         model, schedule = alt3_scenario()
+        traj = propagate_moments(model, schedule, 33)
+        _, a, _ = mixing_residual_curves(model, schedule, traj, 33, (0.6,), hypothesis=H0)
+        _, b, _ = mixing_residual_curves(model, schedule, traj, 33, (-0.6,), hypothesis=H1)
         for k in (2, 7, 33):
-            a = mixing_residual(model, schedule, k, 0.6, 2, hypothesis=H0).value
-            b = mixing_residual(model, schedule, k, -0.6, 2, hypothesis=H1).value
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+            assert a[0, k - 2, 1] == pytest.approx(b[0, k - 2, 1], rel=1e-12, abs=1e-15)
 
     def test_short_horizon_rejected(self):
         model, schedule = alt3_scenario()
-        with pytest.raises(IndexError):
-            mixing_residual(model, schedule, 1, 0.5, 1)
+        traj = propagate_moments(model, schedule, 10)
+        for k_max in (1, 0, 11):
+            with pytest.raises(ParameterError):
+                mixing_residual_curves(model, schedule, traj, k_max, (0.5,))
 
     def test_curves_match_single_calls(self):
-        """The whole-array sweep equals per-point calls and the scalar loop, bit for bit."""
+        """Values match the scalar disagreement-product loop to rounding; bounds bit for bit."""
         model, schedule = alt3_scenario()
         mus = (-1.0, -0.1, 0.1, 1.0)
+        traj = propagate_moments(model, schedule, 12)
         for h in (H0, H1):
-            ks, values, bounds = mixing_residual_curves(model, schedule, 12, mus, hypothesis=h)
+            ks, values, bounds = mixing_residual_curves(model, schedule, traj, 12, mus, hypothesis=h)
             assert ks.tolist() == list(range(2, 13))
             for m, mu in enumerate(mus):
-                for k in (2, 7, 12):
-                    for node in (1, 2, 3):
-                        single = mixing_residual(model, schedule, k, mu, node, hypothesis=h)
-                        value, bound = reference_residual(model, schedule, k, mu, node, h)
-                        assert values[m, k - 2, node - 1] == single.value == value
-                        assert bounds[m, k - 2] == single.bound == bound
+                value, bound = reference_residual(model, schedule, 12, mu, h)
+                assert np.all(np.abs(values[m] - value) <= rounding_floor(traj, ks, mu))
+                assert np.array_equal(bounds[m], bound)
+
+    @pytest.mark.parametrize("name", ["ref3", "rand5", "n8", "correlated2", "n1"])
+    def test_matches_disagreement_products_on_corpus(self, name):
+        """The residual derived from the trajectory equals the product sums on every schedule."""
+        model, schedule, _ = build_scenario(name)
+        traj = propagate_moments(model, schedule, 512)
+        for h in (H0, H1):
+            ks, values, bounds = mixing_residual_curves(
+                model, schedule, traj, 512, RESIDUAL_MUS, hypothesis=h
+            )
+            for m, mu in enumerate(RESIDUAL_MUS):
+                value, bound = reference_residual(model, schedule, 512, mu, h)
+                assert np.all(np.abs(values[m] - value) <= rounding_floor(traj, ks, mu)), (h, mu)
+                assert np.array_equal(bounds[m], bound)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,19 @@ class TestAnalyze:
         assert code == 0
         analysis = json.loads((out / "correlated2_analysis.json").read_text())
         assert analysis["chernoff_information"] == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+    def test_residual_ratio_of_perfect_averaging_is_rounding_noise(self, tmp_path):
+        """correlated2 has W = J: every residual value is rounding, and the ratio stays a number."""
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", "--quiet", "--config", str(SCENARIO_DIR / "correlated2.json"), "--out", str(out)]
+        )
+        assert code == 0
+        residual = json.loads((out / "correlated2_analysis.json").read_text())["residual"]
+        assert len(residual) == len(cli.RESIDUAL_MUS)
+        for summary in residual.values():
+            ratio = summary["max_abs_over_bound"]
+            assert isinstance(ratio, float) and math.isfinite(ratio) and ratio <= 1e-12
 
     def test_outputs_are_deterministic(self, tmp_path):
         outs = []

@@ -1,4 +1,4 @@
-"""Smoke tests: the scripts under scripts/ run to completion on ref3."""
+"""Smoke tests: the scripts under scripts/ run to completion on ref3 and reject bad input."""
 
 import os
 import subprocess
@@ -18,16 +18,28 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(argv, tmp_path):
+    proc = run_script(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("k_max", ["1", "0"])
+def test_residual_sweep_rejects_short_horizon(k_max, tmp_path):
+    proc = run_script(["residual_sweep.py", "--scenario", "ref3", "--k-max", k_max], tmp_path)
+    assert proc.returncode == 2
+    assert "k-max >= 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def run_script(argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
