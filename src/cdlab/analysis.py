@@ -156,6 +156,8 @@ class MomentTrajectory:
         return self.means.shape[0]
 
     def mean_at(self, k: int, l: Hypothesis = Hypothesis.H1) -> np.ndarray:
+        if not 1 <= k <= self.k_max:
+            raise ParameterError(f"mean at k={k} outside 1..{self.k_max}")
         mean = self.means[k - 1]
         return mean if l == Hypothesis.H1 else -mean
 
@@ -174,7 +176,8 @@ def propagate_moments(
     mu(k+1) = (k/(k+1)) W(k) mu(k) + (N/(k+1)) m_eta and
     P(k+1) = (k/(k+1))^2 W(k) P(k) W(k)' + (N/(k+1))^2 S_eta,
     with m_eta the H1 innovation mean.  ``keep`` lists the k at which the
-    full covariance matrix is stored.
+    full covariance matrix is stored.  W(k) comes from ``s.operators()``,
+    so a step costs O(nnz N) on a sparse schedule and O(N^3) on a dense one.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
@@ -190,21 +193,23 @@ def propagate_moments(
     covs = np.empty((len(keep), n, n))
     mu = n * m_eta
     p = n * n * s_eta
-    wp, wpw = np.empty((n, n)), np.empty((n, n))
+    ops = s.operators()
+    wpt = np.empty((n, n))
     for k in range(1, k_max + 1):
         means[k - 1], variances[k - 1] = mu, np.diag(p)
         if k in keep:
             covs[keep.index(k)] = p
         if k == k_max:
             break
-        w = s.weight_at(k)
+        w = ops[(k - 1) % s.period]
         shrink = k / (k + 1.0)
         gain = n / (k + 1.0)
         mu = shrink * (w @ mu) + gain * m_eta
-        # p = (q + q') / 2 with q = shrink^2 W p W' + gain^2 S_eta, computed
-        # in preallocated buffers with the same operations in the same order
-        np.matmul(w, p, out=wp)
-        np.matmul(wp, w.T, out=wpw)
+        # p = (q + q') / 2 with q = shrink^2 W p W' + gain^2 S_eta, formed as
+        # W (W p)' since W and p are symmetric; (W p)' goes into a reused
+        # buffer, as a fresh copy faults its pages in at every step
+        np.copyto(wpt, (w @ p).T)
+        wpw = w @ wpt
         wpw *= shrink * shrink
         wpw += gain * gain * s_eta
         np.add(wpw, wpw.T, out=p)

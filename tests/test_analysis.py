@@ -250,19 +250,26 @@ class TestPropagateMoments:
             total = float(traj.cov_at(k).sum()) / 9.0
             assert total == pytest.approx(model.llr_variance / k, rel=1e-10)
 
-    def test_hypothesis_symmetry_is_exact(self):
+    def test_hypothesis_symmetry_is_exact(self, two_matching_ring):
         """The one H1 pass serves H0 bit for bit.
 
         The reference recursion is driven by the H0 innovation mean, so the
         stored means negated, the stored variances and the kept matrices
         must equal it exactly, on an alternating and a random-subgraph
-        schedule.
+        schedule and on a 64-node ring propagated through CSR operators.
         """
         rand5_model, rand5_schedule, _ = build_scenario("rand5")
-        for model, schedule in (alt3_scenario(), (rand5_model, rand5_schedule)):
-            keep = (1, 7, 60)
-            traj = propagate_moments(model, schedule, 60, keep=keep)
-            means0, covs = reference_moments_h0(model, schedule, 60)
+        idx = np.arange(64)
+        ring_model = build_model(np.zeros(64), 0.3 * np.ones(64), 0.5 ** np.abs(idx[:, None] - idx))
+        cases = [
+            (*alt3_scenario(), 60),
+            (rand5_model, rand5_schedule, 60),
+            (ring_model, build_schedule(two_matching_ring(64)), 200),
+        ]
+        for model, schedule, k_max in cases:
+            keep = (1, 7, k_max)
+            traj = propagate_moments(model, schedule, k_max, keep=keep)
+            means0, covs = reference_moments_h0(model, schedule, k_max)
             assert np.array_equal(-traj.means, means0)
             assert np.array_equal(traj.mean_at(7, H0), means0[6])
             assert np.array_equal(traj.variances, np.diagonal(covs, axis1=1, axis2=2))
@@ -279,6 +286,13 @@ class TestPropagateMoments:
         for keep in ((0,), (31,)):
             with pytest.raises(ParameterError):
                 propagate_moments(model, schedule, 30, keep=keep)
+
+    def test_mean_outside_horizon_rejected(self):
+        model, schedule = alt3_scenario()
+        traj = propagate_moments(model, schedule, 30)
+        for k in (0, -1, 31):
+            with pytest.raises(ParameterError):
+                traj.mean_at(k)
 
     def test_covariances_stay_psd(self):
         model, schedule = alt3_scenario()
