@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import (
     DegenerateCovariance,
@@ -135,7 +134,7 @@ def build_model(m0, m1, cov) -> GaussianHypothesisPair:
             f"covariance nearly singular: pivot {pivots.min():.3e}"
         )
     diff = m1 - m0
-    weights = cho_solve((chol, True), diff)
+    weights = np.linalg.solve(cov, diff)
     sigma2 = float(diff @ weights)
     return GaussianHypothesisPair(
         n_sensors=n,

@@ -15,7 +15,7 @@ measures actual products against it.
 
 ``WeightSchedule.operators`` hands the exact path CSR factors (O(nnz N) a
 step) on large sparse schedules and dense BLAS ones otherwise, as for every
-corpus schedule.
+corpus schedule.  Building a CSR factor is the one place cdlab imports scipy.
 """
 
 from __future__ import annotations

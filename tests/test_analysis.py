@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import log_ndtr, logsumexp
 from scipy.stats import norm
 
 from cdlab.analysis import (
@@ -79,6 +79,33 @@ class TestQFunction:
         val = float(log_q_function(300.0))
         assert np.isfinite(val)
         assert val < -40000.0
+
+    def test_log_tail_matches_log_ndtr(self):
+        """Every branch and both sides of each switch (x = 1, x = 30) against
+        log_ndtr(-x).  Measured relative deviation: 8.6e-16 for x >= -1 and
+        5.7e-14 on [-37, -1), where log_ndtr's erfc loses about x^2 ulps;
+        below x = -37, where both lie within 1e-299 of 0, the absolute
+        deviation is 5.8e-311."""
+        xs = np.concatenate([
+            np.linspace(-37.0, 40.0, 7701),
+            np.nextafter([1.0, 1.0, 30.0, 30.0], [0.0, 2.0, 0.0, 31.0]),
+            np.geomspace(40.0, 1e8, 400),
+        ])
+        got, ref = log_q_function(xs), log_ndtr(-xs)
+        rel = np.abs(got - ref) / np.abs(ref)
+        assert rel[xs >= -1.0].max() <= 2e-15
+        assert rel.max() <= 1e-13
+        deep = np.linspace(-60.0, -37.0, 2301)
+        assert np.abs(log_q_function(deep) - log_ndtr(-deep)).max() <= 1e-308
+        specials = np.array([np.inf, -np.inf, np.nan])
+        np.testing.assert_array_equal(log_q_function(specials), log_ndtr(-specials))
+
+    def test_log_tail_keeps_shape(self):
+        scalar = log_q_function(2.0)
+        assert scalar.shape == ()
+        assert float(scalar) == pytest.approx(math.log(norm.sf(2.0)), rel=1e-14)
+        assert log_q_function(np.ones((2, 3))).shape == (2, 3)
+        assert log_q_function([]).shape == (0,)
 
 
 # ── rate function, Chernoff information, log-MGF ──────────────────────────

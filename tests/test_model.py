@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
+from cdlab.config import covariance_matrix
 from cdlab.errors import (
     DegenerateCovariance,
     IndistinguishableHypotheses,
@@ -24,6 +26,7 @@ from cdlab.model import (
     local_innovations,
     sample_observations,
 )
+from cdlab.scenarios import CORPUS, build_scenario
 
 
 def identity_pair():
@@ -122,6 +125,19 @@ class TestBuildModel:
         resid = m.cov @ m.innovation_weights - (m.m1 - m.m0)
         scale = max(1.0, float(np.abs(m.m1 - m.m0).max()))
         assert float(np.abs(resid).max()) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("name", CORPUS + ("ring256",))
+    def test_weights_match_cholesky_solve(self, name):
+        """Weights against a Cholesky-solve oracle, relative to the largest
+        weight.  Measured: 0 on n1 and identity2, 1.4e-16 to 3.3e-16 on the
+        other corpus models, 8.3e-16 on the 256-node exponential(0.5) model."""
+        if name == "ring256":
+            m = build_model(np.zeros(256), np.full(256, 0.3), covariance_matrix("exponential(0.5)", 256))
+        else:
+            m = build_scenario(name)[0]
+        ref = cho_solve((m.noise_chol, True), m.m1 - m.m0)
+        deviation = np.abs(m.innovation_weights - ref).max() / np.abs(ref).max()
+        assert deviation <= 4e-15
 
 
 # ── llr and innovations ───────────────────────────────────────────────────
