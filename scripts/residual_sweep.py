@@ -5,15 +5,16 @@ One exact moment propagation gives, for every tilt, node and step, the
 residual (the part of the scaled cumulant not explained by the drift
 term, read off the disagreement parts of the moments) and the geometric
 envelope derived from the schedule's contraction constants.  Optionally
-writes the raw rows to CSV.
+streams the raw rows to CSV in the same format as ``cdlab analyze``'s
+residual diagnostic.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
 from cdlab.analysis import mixing_residual_curves, propagate_moments
+from cdlab.cli import residual_csv
 from cdlab.model import Hypothesis
 from cdlab.scenarios import CORPUS, build_scenario
 
@@ -48,23 +49,18 @@ def main() -> int:
     print(f"scenario {config.name}, hypothesis {args.hypothesis}, k in [2, {args.k_max}]")
     trajectory = propagate_moments(model, schedule, args.k_max)
     ks, values, bounds = mixing_residual_curves(model, schedule, trajectory, args.k_max, mus, hypothesis)
-    rows = []
     for mu, mu_values, mu_bounds in zip(mus, values, bounds):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.abs(mu_values) / mu_bounds[:, None]
         worst_ratio = float(np.nanmax(ratios)) if np.isfinite(ratios).any() else 0.0
         worst_scaled = float(np.max(ks[:, None] * np.abs(mu_values)))
-        for k, row, bound in zip(ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
-            rows.extend((mu, k, node, value, bound) for node, value in enumerate(row, 1))
         print(f"  mu={mu:+.3g}: max |residual|/bound {worst_ratio:.3e}   "
               f"max k*|residual| {worst_scaled:.3e}")
 
     if args.out is not None:
         with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["mu", "k", "node", "value", "bound"])
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.out}")
+            handle.writelines(residual_csv(mus, ks, values, bounds))
+        print(f"wrote {values.size} rows to {args.out}")
     return 0
 
 

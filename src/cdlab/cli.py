@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain or acceptance failure, 2 config error,
 3 I/O error.  Every artifact is a deterministic function of the config
-file; a manifest records the config hash and tool version alongside the
-hashes of the files written.
+file, streamed to disk, hashed as it is written and replaced atomically; a
+manifest records the config hash, tool version and those hashes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -54,47 +55,36 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _float_cell(value) -> str:
-    return repr(float(value))
-
-
-def _curves_csv(curves) -> str:
-    rows = [CURVE_HEADER]
+def _curves_csv(curves):
+    """Yield the curves CSV: the header, then one chunk per curve."""
+    yield CURVE_HEADER + "\n"
     for curve in curves:
-        for i, k in enumerate(curve.ks):
-            cells = [
-                curve.node,
-                str(int(k)),
-                curve.source,
-                _float_cell(curve.alpha[i]),
-                _float_cell(curve.beta[i]),
-                _float_cell(curve.pe[i]),
-                _float_cell(curve.log10_pe[i]),
-            ]
-            for se in (curve.se_alpha, curve.se_beta, curve.se_pe):
-                cells.append("" if se is None else _float_cell(se[i]))
-            rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+        n = len(curve.ks)
+        views = (curve.alpha, curve.beta, curve.pe, curve.log10_pe, curve.se_alpha, curve.se_beta, curve.se_pe)
+        columns = [[curve.node] * n, [str(int(k)) for k in curve.ks], [curve.source] * n]
+        columns += [[""] * n if view is None else map(repr, view.tolist()) for view in views]
+        yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def residual_csv(mus, ks, values, bounds):
+    """Yield the CSV of ``mixing_residual_curves(..., mus)``: the header, then n rows per (mu, k)."""
+    yield RESIDUAL_HEADER + "\n"
+    node_cells = [f"{node},%r" for node in range(1, values.shape[-1] + 1)]
+    for mu, mu_values, mu_bounds in zip(mus, values, bounds):
+        for k, row, bound in zip(ks.tolist(), mu_values, mu_bounds.tolist()):
+            head, tail = f"{mu!r},{k},", f",{bound!r}\n"
+            yield (head + (tail + head).join(node_cells) + tail) % tuple(row.tolist())
 
 
 class _Workspace:
-    """Collects output files for one command run and writes the manifest."""
+    """Streams output files for one command run and writes the manifest."""
 
     def __init__(self, config_path: Path, config: ScenarioConfig, out_override, quiet: bool):
         self.config_path = config_path
         self.config = config
         self.out_dir = Path(out_override) if out_override else Path(config.out_dir)
         self.quiet = quiet
-        self.written = []
+        self.written = []  # (path, sha256 hex digest) per file, in write order
 
     def say(self, message: str) -> None:
         if not self.quiet:
@@ -103,10 +93,22 @@ class _Workspace:
     def path(self, suffix: str) -> Path:
         return self.out_dir / f"{self.config.name}_{suffix}"
 
-    def write(self, suffix: str, text: str) -> Path:
+    def write(self, suffix: str, chunks) -> Path:
+        """Stream a text or text chunks, hashed as written, to a file that replaces the target."""
         target = self.path(suffix)
-        _write_text(target, text)
-        self.written.append(target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        digest = hashlib.sha256()
+        try:
+            with open(partial, "wb") as handle:
+                for chunk in (chunks,) if isinstance(chunks, str) else chunks:
+                    data = chunk.encode()
+                    handle.write(data)
+                    digest.update(data)
+            os.replace(partial, target)
+        finally:
+            partial.unlink(missing_ok=True)
+        self.written.append((target, digest.hexdigest()))
         self.say(f"wrote {target}")
         return target
 
@@ -114,10 +116,10 @@ class _Workspace:
         manifest = {
             "command": command,
             "config_path": str(self.config_path),
-            "config_sha256": _sha256_file(self.config_path),
+            "config_sha256": hashlib.sha256(self.config_path.read_bytes()).hexdigest(),
             "scenario": self.config.name,
             "version": __version__,
-            "files": {p.name: _sha256_file(p) for p in self.written},
+            "files": {path.name: digest for path, digest in self.written},
         }
         return self.write(f"{command}_manifest.json", _dump_json(manifest))
 
@@ -178,20 +180,17 @@ def cmd_analyze(args) -> int:
     decay = check_geometric_decay(schedule, max_gap=min(200, max(k_max, 2)))
     ws.write("decay_report.json", _dump_json(decay.as_dict()))
 
-    res_rows = [RESIDUAL_HEADER]
     res_k_max = min(k_max, 512)
     residual_summary = {}
+    residual_rows = RESIDUAL_HEADER + "\n"
     if res_k_max >= 2:
         res_ks, values, bounds = mixing_residual_curves(model, schedule, traj, res_k_max, RESIDUAL_MUS)
-        node_cells = [f"{node}," for node in range(1, model.n_sensors + 1)]
         for mu, mu_values, mu_bounds in zip(RESIDUAL_MUS, values, bounds):
-            for k, row, bound in zip(res_ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
-                head, tail = f"{mu!r},{k},", f",{bound!r}"
-                res_rows.extend([f"{head}{node}{value!r}{tail}" for node, value in zip(node_cells, row)])
             with np.errstate(invalid="ignore"):
                 ratio = float((np.abs(mu_values) / mu_bounds[:, None]).max())
             residual_summary[repr(mu)] = {"max_abs_over_bound": ratio}
-    ws.write("residual_diagnostic.csv", "\n".join(res_rows) + "\n")
+        residual_rows = residual_csv(RESIDUAL_MUS, res_ks, values, bounds)
+    ws.write("residual_diagnostic.csv", residual_rows)
 
     window = _fit_window(ks)
     fits = {"cen": _safe_fit(cen_curve, window)}

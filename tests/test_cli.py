@@ -1,14 +1,18 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cdlab import cli
+from cdlab.analysis import mixing_residual_curves, propagate_moments
 from cdlab.cli import main
+from cdlab.config import scenario_from_file
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -23,6 +27,30 @@ def ref3_dict(**experiment):
     data = json.loads((SCENARIO_DIR / "ref3.json").read_text())
     data["experiment"].update(experiment)
     return data
+
+
+def ring_config(tmp_path, two_matching_ring, n, k_max):
+    """Config file for the n-node two-matching ring, checkpoints doubling up to k_max."""
+    spec = two_matching_ring(n)
+    data = {
+        "name": f"ring{n}",
+        "model": {"m0": [0.0] * n, "m1": [0.3] * n, "covariance": "exponential(0.5)"},
+        "network": {
+            "topology": "alternating-links",
+            "link_cycle": [[list(edge) for edge in step] for step in spec.link_cycle],
+        },
+        "experiment": {"checkpoints": [2**j for j in range(k_max.bit_length()) if 2**j <= k_max]},
+    }
+    return write_config(tmp_path, data, name=f"ring{n}.json")
+
+
+def per_cell_residual_csv(mus, ks, values, bounds) -> str:
+    """The residual CSV as the per-cell f-string formatter wrote it, one row at a time."""
+    rows = ["mu,k,node,value,bound"]
+    for mu, mu_values, mu_bounds in zip(mus, values, bounds):
+        for k, row, bound in zip(ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
+            rows.extend(f"{mu!r},{k},{node},{value!r},{bound!r}" for node, value in enumerate(row, 1))
+    return "\n".join(rows) + "\n"
 
 
 class TestValidate:
@@ -202,6 +230,75 @@ class TestAnalyze:
         )
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+
+class TestArtifactWriter:
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_manifest_digests_match_bytes_on_disk(self, command, tmp_path, monkeypatch):
+        monkeypatch.setenv("CDL_THREADS", "1")
+        out = tmp_path / "out"
+        argv = [command, "--quiet", "--config", str(SCENARIO_DIR / "ref3.json"), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--trials", "2000"]
+        assert main(argv) == 0
+        manifest_path = out / f"ref3_{command}_manifest.json"
+        files = json.loads(manifest_path.read_text())["files"]
+        on_disk = sorted(p.name for p in out.iterdir())
+        assert sorted([*files, manifest_path.name]) == on_disk
+        for name, digest in files.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+
+    def test_failed_chunk_leaves_no_partial_file(self, tmp_path):
+        """A chunk that raises leaves no new file, no temporary file, and an earlier file whole."""
+        config = scenario_from_file(SCENARIO_DIR / "ref3.json")
+        ws = cli._Workspace(SCENARIO_DIR / "ref3.json", config, str(tmp_path), quiet=True)
+        kept = ws.write("kept.csv", ["a,b\n", "1,2\n"])
+
+        def chunks():
+            yield "first chunk\n"
+            raise RuntimeError("formatter failed")
+
+        for suffix in ("broken.csv", "kept.csv"):
+            with pytest.raises(RuntimeError, match="formatter failed"):
+                ws.write(suffix, chunks())
+        assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+        assert kept.read_text() == "a,b\n1,2\n"
+        assert ws.written == [(kept, hashlib.sha256(b"a,b\n1,2\n").hexdigest())]
+
+    @pytest.mark.parametrize("scenario", ["ref3", "correlated2", "ring64"])
+    def test_residual_csv_matches_per_cell_formatter(self, scenario, tmp_path, two_matching_ring):
+        if scenario == "ring64":
+            config_path = ring_config(tmp_path, two_matching_ring, 64, 64)
+        else:
+            config_path = str(SCENARIO_DIR / f"{scenario}.json")
+        out = tmp_path / "out"
+        assert main(["analyze", "--quiet", "--config", config_path, "--out", str(out)]) == 0
+
+        config = scenario_from_file(config_path)
+        model, schedule = config.build_model(), config.build_schedule()
+        k_max = min(max(config.checkpoints), 512)
+        traj = propagate_moments(model, schedule, k_max)
+        ks, values, bounds = mixing_residual_curves(model, schedule, traj, k_max, cli.RESIDUAL_MUS)
+        expected = per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds)
+        written = (out / f"{config.name}_residual_diagnostic.csv").read_bytes()
+        assert written == expected.encode()
+
+    def test_analyze_peak_memory_below_residual_csv_size(self, tmp_path, two_matching_ring):
+        """The residual CSV is streamed: no copy of it, as rows or as one text, is held."""
+        import scipy.sparse  # noqa: F401  (the ring's CSR operators import it; keep that out of the trace)
+
+        config_path = ring_config(tmp_path, two_matching_ring, 64, 512)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["analyze", "--quiet", "--config", config_path, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        csv_size = (out / "ring64_residual_diagnostic.csv").stat().st_size
+        assert csv_size > 5_000_000
+        assert peak < csv_size, (peak, csv_size)
 
 
 class TestSimulate:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from cdlab.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,6 +30,19 @@ def test_residual_sweep_rejects_short_horizon(k_max, tmp_path):
     assert proc.returncode == 2
     assert "k-max >= 2" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_residual_sweep_csv_is_the_analyze_csv(tmp_path):
+    """One row format: the script's --out file has the bytes of analyze's residual diagnostic."""
+    sweep = tmp_path / "sweep.csv"
+    proc = run_script(
+        ["residual_sweep.py", "--scenario", "ref3", "--k-max", "512", "--out", str(sweep)], tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out"
+    config = str(ROOT / "scenarios" / "ref3.json")
+    assert main(["analyze", "--quiet", "--config", config, "--out", str(out)]) == 0
+    assert sweep.read_bytes() == (out / "ref3_residual_diagnostic.csv").read_bytes()
 
 
 def run_script(argv, cwd):
