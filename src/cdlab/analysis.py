@@ -300,6 +300,19 @@ def _check_priors(priors) -> tuple[float, float]:
     return pair
 
 
+def _exact_curve(node: str, ks: np.ndarray, log_tail: np.ndarray, priors) -> ErrorCurve:
+    """An exact curve with alpha = beta: one log tail serves both."""
+    return ErrorCurve(
+        node=node,
+        ks=ks.copy(),
+        log_alpha=log_tail,
+        log_beta=log_tail.copy(),
+        log_pe=_combine_log_pe(log_tail, log_tail, priors),
+        priors=priors,
+        source="exact",
+    )
+
+
 def exact_error_curves(
     model: GaussianHypothesisPair,
     traj: MomentTrajectory,
@@ -331,17 +344,7 @@ def exact_error_curves(
                 f"node {i + 1} variance {floor:.3e} is not positive"
             )
         log_tail = log_q_function(traj.means[idx, i] / np.sqrt(var))
-        curves.append(
-            ErrorCurve(
-                node=str(i + 1),
-                ks=ks.copy(),
-                log_alpha=log_tail,
-                log_beta=log_tail.copy(),
-                log_pe=_combine_log_pe(log_tail, log_tail, priors),
-                priors=priors,
-                source="exact",
-            )
-        )
+        curves.append(_exact_curve(str(i + 1), ks, log_tail, priors))
     return curves
 
 
@@ -354,16 +357,7 @@ def centralized_error_curve(
     if ks.size == 0 or ks.min() < 1:
         raise ParameterError("checkpoints must be >= 1")
     sigma = math.sqrt(model.llr_variance)
-    log_tail = log_q_function(np.sqrt(ks) * sigma / 2.0)
-    return ErrorCurve(
-        node="cen",
-        ks=ks.copy(),
-        log_alpha=log_tail,
-        log_beta=log_tail.copy(),
-        log_pe=_combine_log_pe(log_tail, log_tail, priors),
-        priors=priors,
-        source="exact",
-    )
+    return _exact_curve("cen", ks, log_q_function(np.sqrt(ks) * sigma / 2.0), priors)
 
 
 # ── scaled cumulants and the mixing residual ──────────────────────────────

@@ -1,12 +1,17 @@
-"""Scenario files: strict parsing, domain checks and object construction.
+"""Scenario files: strict reading of JSON shapes, then object construction.
 
 A scenario is one JSON document with four sections (model, network,
-experiment, output).  Parsing is strict: unknown keys anywhere are
+experiment, output).  Reading is strict: unknown keys anywhere are
 rejected, and so are network keys the chosen topology or weight rule would
-not read; numeric fields must sit in their documented domains, and all
-diagnostics carry the dotted key path.  Content-level degeneracy (a
-singular covariance, say) is left to the builders so it surfaces as a
-domain error, not a parse error.
+not read; every value must have its JSON shape (a number, an integer, a
+list of [i, j] pairs, a matrix), and diagnostics carry the dotted key path.
+The domain of each field is checked once, by the object that needs it:
+``ScheduleSpec`` for the network, ``Thresholds`` for the acceptance
+thresholds, ``covariance_matrix`` for the covariance and the priors rule
+for the priors.  Their ParameterError or ShapeError becomes a ConfigError
+naming the section, so the CLI exits 2 for every bad value in a file.
+Content-level degeneracy (a singular covariance, a disconnected schedule)
+is left to the builders so it surfaces as a domain error, not a parse error.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _check_priors
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, ShapeError
 from .experiment import ExperimentPlan, Thresholds
 from .model import GaussianHypothesisPair, build_model
 from .network import TOPOLOGIES, TOPOLOGY_FIELDS, WEIGHT_RULES, ScheduleSpec, WeightSchedule, build_schedule
@@ -57,10 +62,10 @@ def _finite_number(value, path: str) -> float:
     return out
 
 
-def _integer(value, path: str, minimum: int) -> int:
+def _integer(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     return value
 
@@ -71,115 +76,96 @@ def _vector(value, path: str) -> tuple:
     return tuple(_finite_number(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
-def _edge_list(value, path: str) -> tuple:
+def _list(value, path: str, read) -> tuple:
     if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of [i, j] pairs")
-    edges = []
-    for i, e in enumerate(value):
-        if not isinstance(e, list) or len(e) != 2:
-            raise ConfigError(f"{path}[{i}]: expected a pair [i, j], got {e!r}")
-        edges.append((_integer(e[0], f"{path}[{i}][0]", 1), _integer(e[1], f"{path}[{i}][1]", 1)))
-    return tuple(edges)
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
-def _parse_covariance(value, n: int, path: str):
-    """Return the normalized spec ('identity', 'exponential(rho)' or a
-    tuple-of-tuples matrix).  Only structure is checked here."""
-    if isinstance(value, str):
-        if value == "identity":
-            return "identity"
-        m = _EXPONENTIAL_PATTERN.match(value)
-        if m is None:
-            raise ConfigError(
-                f"{path}: expected 'identity', 'exponential(rho)' or a matrix, got {value!r}"
-            )
-        try:
-            rho = float(m.group("rho"))
-        except ValueError:
-            raise ConfigError(f"{path}: bad correlation {m.group('rho')!r}") from None
-        if not math.isfinite(rho) or rho < 0.0:
-            raise ConfigError(f"{path}: correlation must be finite and >= 0, got {rho}")
-        return f"exponential({rho!r})"
-    if isinstance(value, list):
-        if len(value) != n:
-            raise ConfigError(f"{path}: matrix must be {n}x{n}, got {len(value)} rows")
-        rows = []
-        for i, row in enumerate(value):
-            if not isinstance(row, list) or len(row) != n:
-                raise ConfigError(f"{path}[{i}]: matrix must be {n}x{n}")
-            rows.append(tuple(_finite_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)))
-        return tuple(rows)
-    raise ConfigError(f"{path}: expected a string or a matrix, got {type(value).__name__}")
+def _edge(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected a pair [i, j], got {value!r}")
+    return (_integer(value[0], f"{path}[0]"), _integer(value[1], f"{path}[1]"))
+
+
+def _edge_list(value, path: str) -> tuple:
+    return _list(value, path, _edge)
+
+
+def _matrix(value, path: str) -> tuple:
+    """A nonempty square matrix of finite numbers, as a tuple of row tuples."""
+    rows = _list(value, path, lambda row, row_path: _list(row, row_path, _finite_number))
+    if not rows or any(len(row) != len(rows) for row in rows):
+        lengths = sorted({len(row) for row in rows})
+        raise ConfigError(f"{path}: expected a square matrix, got {len(rows)} rows of lengths {lengths}")
+    return rows
+
+
+# the JSON shape of each ScheduleSpec field a network section may hold
+_SPEC_READERS = {
+    "edges": _edge_list,
+    "link_cycle": lambda value, path: _list(value, path, _edge_list),
+    "period": _integer,
+    "seed": _integer,
+    "keep_prob": _finite_number,
+    "matrices": lambda value, path: _list(value, path, _matrix),
+}
+
+
+def _construct(path: str, make, *args, **kwargs):
+    """Call a library constructor; its domain errors become ConfigErrors at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (ParameterError, ShapeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def covariance_matrix(spec, n: int) -> np.ndarray:
-    """Materialize a normalized covariance spec as an (n, n) array."""
+    """Materialize a covariance spec as an (n, n) array.
+
+    ``spec`` is "identity", "exponential(rho)" with rho finite and >= 0
+    (entry (i, j) is rho**|i - j|) or an n x n matrix; any other string
+    raises ParameterError and a matrix of another size ShapeError.
+    """
+    if not isinstance(spec, str):
+        cov = np.array(spec, dtype=float)
+        if cov.shape != (n, n):
+            raise ShapeError(f"matrix must be {n}x{n}, got shape {cov.shape}")
+        return cov
     if spec == "identity":
         return np.eye(n)
-    if isinstance(spec, str):
-        m = _EXPONENTIAL_PATTERN.match(spec)
-        if m is None:
-            raise ConfigError(f"unrecognized covariance spec {spec!r}")
-        rho = float(m.group("rho"))
-        idx = np.arange(n)
-        return rho ** np.abs(idx[:, None] - idx[None, :])
-    return np.array(spec, dtype=float)
-
-
-def _parse_priors(value, path: str) -> tuple:
+    m = _EXPONENTIAL_PATTERN.match(spec)
+    if m is None:
+        raise ParameterError(f"expected 'identity', 'exponential(rho)' or a matrix, got {spec!r}")
     try:
-        return _check_priors(_vector(value, path))
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        rho = float(m.group("rho"))
+    except ValueError:
+        raise ParameterError(f"bad correlation {m.group('rho')!r}") from None
+    if not math.isfinite(rho) or rho < 0.0:
+        raise ParameterError(f"correlation must be finite and >= 0, got {rho}")
+    idx = np.arange(n)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def _parse_thresholds(d, path: str) -> Thresholds:
     d = _require_mapping(d, path)
     _check_keys(d, path, required=(), optional=[f.name for f in fields(Thresholds)])
-    base = Thresholds()
-    gap_tolerance = _finite_number(d.get("gap_tolerance", base.gap_tolerance), f"{path}.gap_tolerance")
-    if gap_tolerance <= 0.0:
-        raise ConfigError(f"{path}.gap_tolerance: must be > 0, got {gap_tolerance}")
-    k_early = _integer(d.get("k_early", base.k_early), f"{path}.k_early", 1)
-    k_late = _integer(d.get("k_late", base.k_late), f"{path}.k_late", 2)
-    if k_early >= k_late:
-        raise ConfigError(f"{path}: k_early ({k_early}) must be < k_late ({k_late})")
-    sigma = _finite_number(d.get("agreement_sigma", base.agreement_sigma), f"{path}.agreement_sigma")
-    if sigma <= 0.0:
-        raise ConfigError(f"{path}.agreement_sigma: must be > 0, got {sigma}")
-    min_prob = _finite_number(
-        d.get("agreement_min_prob", base.agreement_min_prob), f"{path}.agreement_min_prob"
-    )
-    if not 0.0 < min_prob < 1.0:
-        raise ConfigError(f"{path}.agreement_min_prob: must be in (0, 1), got {min_prob}")
-    min_fraction = _finite_number(
-        d.get("agreement_min_fraction", base.agreement_min_fraction),
-        f"{path}.agreement_min_fraction",
-    )
-    if not 0.0 < min_fraction <= 1.0:
-        raise ConfigError(
-            f"{path}.agreement_min_fraction: must be in (0, 1], got {min_fraction}"
-        )
-    mc_min_trials = _integer(d.get("mc_min_trials", base.mc_min_trials), f"{path}.mc_min_trials", 0)
-    return Thresholds(
-        gap_tolerance=gap_tolerance,
-        k_early=k_early,
-        k_late=k_late,
-        agreement_sigma=sigma,
-        agreement_min_prob=min_prob,
-        agreement_min_fraction=min_fraction,
-        mc_min_trials=mc_min_trials,
-    )
+    values = {}
+    for f in fields(Thresholds):
+        if f.name in d:
+            read = _integer if isinstance(f.default, int) else _finite_number
+            values[f.name] = read(d[f.name], f"{path}.{f.name}")
+    return _construct(path, Thresholds, **values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Parsed scenario: plain values in, builders out."""
+    """Parsed scenario: checked values in, builders out."""
 
     name: str
     m0: tuple
     m1: tuple
-    covariance_spec: object
+    covariance: np.ndarray
     priors: tuple
     schedule_spec: ScheduleSpec
     checkpoints: tuple
@@ -192,11 +178,8 @@ class ScenarioConfig:
     def n_sensors(self) -> int:
         return len(self.m0)
 
-    def covariance(self) -> np.ndarray:
-        return covariance_matrix(self.covariance_spec, self.n_sensors)
-
     def build_model(self) -> GaussianHypothesisPair:
-        return build_model(self.m0, self.m1, self.covariance())
+        return build_model(self.m0, self.m1, self.covariance)
 
     def build_schedule(self) -> WeightSchedule:
         return build_schedule(self.schedule_spec)
@@ -226,8 +209,12 @@ def scenario_from_dict(data) -> ScenarioConfig:
     m1 = _vector(model["m1"], "model.m1")
     if len(m0) != len(m1):
         raise ConfigError(f"model: m0 has {len(m0)} entries but m1 has {len(m1)}")
-    covariance_spec = _parse_covariance(model["covariance"], len(m0), "model.covariance")
-    priors = _parse_priors(model.get("priors", [0.5, 0.5]), "model.priors")
+    cov = model["covariance"]
+    if not isinstance(cov, str):
+        cov = _matrix(cov, "model.covariance")
+    covariance = _construct("model.covariance", covariance_matrix, cov, len(m0))
+    raw_priors = _vector(model.get("priors", [0.5, 0.5]), "model.priors")
+    priors = _construct("model.priors", _check_priors, raw_priors)
 
     network = _require_mapping(top["network"], "network")
     topology = network.get("topology", "static")
@@ -244,48 +231,13 @@ def scenario_from_dict(data) -> ScenarioConfig:
         read = ("topology", "weight_rule", *TOPOLOGY_FIELDS[topology])
     needed = [f.name for f in fields(ScheduleSpec) if f.name in read and f.default is None]
     _check_keys(network, path, required=needed, optional=read)
-    edges = _edge_list(network.get("edges", []), "network.edges")
-    link_cycle = None
-    if "link_cycle" in network:
-        raw_cycle = network["link_cycle"]
-        if not isinstance(raw_cycle, list) or not raw_cycle:
-            raise ConfigError("network.link_cycle: expected a nonempty list of edge lists")
-        link_cycle = tuple(
-            _edge_list(step, f"network.link_cycle[{i}]") for i, step in enumerate(raw_cycle)
-        )
-    period = None
-    if "period" in network:
-        period = _integer(network["period"], "network.period", 1)
-    seed = None
-    if "seed" in network:
-        seed = _integer(network["seed"], "network.seed", 0)
-    keep_prob = 0.5
-    if "keep_prob" in network:
-        keep_prob = _finite_number(network["keep_prob"], "network.keep_prob")
-        if not 0.0 <= keep_prob <= 1.0:
-            raise ConfigError(f"network.keep_prob: must be in [0, 1], got {keep_prob}")
-    matrices = None
-    if "matrices" in network:
-        raw_m = network["matrices"]
-        if not isinstance(raw_m, list) or not raw_m:
-            raise ConfigError("network.matrices: expected a nonempty list of matrices")
-        n = len(m0)
-        matrices = tuple(
-            _parse_covariance(mat, n, f"network.matrices[{i}]") for i, mat in enumerate(raw_m)
-        )
-        for i, mat in enumerate(matrices):
-            if isinstance(mat, str):
-                raise ConfigError(f"network.matrices[{i}]: expected an explicit matrix")
-    schedule_spec = ScheduleSpec(
-        n_nodes=len(m0),
-        topology=topology,
-        edges=edges,
-        link_cycle=link_cycle,
-        period=period,
-        seed=seed,
-        keep_prob=keep_prob,
-        weight_rule=weight_rule,
-        matrices=matrices,
+    spec_fields = {
+        key: _SPEC_READERS[key](value, f"network.{key}")
+        for key, value in network.items()
+        if key in _SPEC_READERS
+    }
+    schedule_spec = _construct(
+        path, ScheduleSpec, n_nodes=len(m0), topology=topology, weight_rule=weight_rule, **spec_fields
     )
 
     experiment = _require_mapping(top.get("experiment", {}), "experiment")
@@ -315,7 +267,7 @@ def scenario_from_dict(data) -> ScenarioConfig:
         name=name,
         m0=m0,
         m1=m1,
-        covariance_spec=covariance_spec,
+        covariance=covariance,
         priors=priors,
         schedule_spec=schedule_spec,
         checkpoints=checkpoints,

@@ -43,7 +43,7 @@ GAP_NOISE_FRACTION = 1e-12
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Acceptance thresholds a simulate run is judged against."""
+    """Acceptance thresholds a simulate run is judged against; construction checks each domain."""
 
     gap_tolerance: float = 0.02
     k_early: int = 100
@@ -52,6 +52,18 @@ class Thresholds:
     agreement_min_prob: float = 1e-3
     agreement_min_fraction: float = 0.99
     mc_min_trials: int = 1000
+
+    def __post_init__(self):
+        for name, ok, domain in (
+            ("gap_tolerance", self.gap_tolerance > 0.0, "> 0"),
+            ("k_early", 1 <= self.k_early < self.k_late, f"in [1, k_late = {self.k_late})"),
+            ("agreement_sigma", self.agreement_sigma > 0.0, "> 0"),
+            ("agreement_min_prob", 0.0 < self.agreement_min_prob < 1.0, "in (0, 1)"),
+            ("agreement_min_fraction", 0.0 < self.agreement_min_fraction <= 1.0, "in (0, 1]"),
+            ("mc_min_trials", self.mc_min_trials >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ParameterError(f"{name} must be {domain}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -99,15 +111,6 @@ class MonteCarloResult:
     n_chunks: int
     threads: int
     paired_gap: float
-
-    def curve(self, node) -> ErrorCurve:
-        label = str(node)
-        if label == "cen":
-            return self.centralized_curve
-        for c in self.node_curves:
-            if c.node == label:
-                return c
-        raise KeyError(f"no curve for node {node!r}")
 
 
 def _chunk_sizes(n_trials: int) -> list:
@@ -235,25 +238,12 @@ def run_monte_carlo(plan: ExperimentPlan, threads=None) -> MonteCarloResult:
     cen_fa = np.zeros(n_ck, dtype=np.int64)
     cen_miss = np.zeros(n_ck, dtype=np.int64)
     gap = 0.0
-
-    def consume(result):
-        nonlocal gap
-        hyp, node_counts, cen_counts, chunk_gap = result
-        if hyp == Hypothesis.H0:
-            fa_dst, cen_dst = fa, cen_fa
-        else:
-            fa_dst, cen_dst = miss, cen_miss
-        fa_dst += node_counts
-        cen_dst += cen_counts
-        gap = max(gap, chunk_gap)
-
-    if workers == 1:
-        for hyp, c, size in jobs:
-            consume(_run_chunk(plan, hyp, c, size))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(lambda j: _run_chunk(plan, *j), jobs):
-                consume(result)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for hyp, node_counts, cen_counts, chunk_gap in pool.map(lambda j: _run_chunk(plan, *j), jobs):
+            node_dst, cen_dst = (fa, cen_fa) if hyp == Hypothesis.H0 else (miss, cen_miss)
+            node_dst += node_counts
+            cen_dst += cen_counts
+            gap = max(gap, chunk_gap)
 
     ks = np.asarray(plan.k_checkpoints, dtype=int)
     node_curves = tuple(
@@ -391,8 +381,6 @@ def compare_detectors(
     ``k_late`` is reused instead of propagating one.
     """
     k_early, k_late = thresholds.k_early, thresholds.k_late
-    if not 1 <= k_early < k_late:
-        raise ParameterError(f"need 1 <= k_early < k_late, got {k_early}, {k_late}")
     model = plan.model
     header = report_header(model, plan.schedule, plan.priors)
     chernoff = header["chernoff_information"]

@@ -133,6 +133,11 @@ class ScheduleSpec:
                          with probability ``keep_prob``, frozen at build
     weight_rule "metropolis" derives W(k) from each step's graph;
     "explicit" takes ``matrices`` verbatim (topology is then ignored).
+
+    Construction checks the fields the rule and topology read: explicit
+    ``matrices`` nonempty and n_nodes x n_nodes (ShapeError otherwise), a
+    nonempty ``link_cycle``, a random-subgraph ``period`` >= 1, ``seed``
+    >= 0 and ``keep_prob`` in [0, 1], and every edge through GraphSnapshot.
     """
 
     n_nodes: int
@@ -144,6 +149,31 @@ class ScheduleSpec:
     keep_prob: float = 0.5
     weight_rule: str = "metropolis"
     matrices: tuple | None = None
+
+    def __post_init__(self):
+        n = self.n_nodes
+        if self.weight_rule not in WEIGHT_RULES:
+            raise ParameterError(f"unknown weight_rule {self.weight_rule!r}")
+        if self.weight_rule == "explicit":
+            if not self.matrices:
+                raise ParameterError("explicit weight_rule needs matrices")
+            for k, w in enumerate(self.matrices, start=1):
+                if np.shape(w) != (n, n):
+                    raise ShapeError(f"matrix {k} has shape {np.shape(w)}, expected ({n}, {n})")
+            return
+        if self.topology not in TOPOLOGIES:
+            raise ParameterError(f"unknown topology {self.topology!r}")
+        if self.topology == "alternating-links" and not self.link_cycle:
+            raise ParameterError("alternating-links needs a nonempty link_cycle")
+        if self.topology == "random-subgraph":
+            if self.period is None or self.period < 1:
+                raise ParameterError(f"random-subgraph needs period >= 1, got {self.period}")
+            if self.seed is None or self.seed < 0:
+                raise ParameterError(f"random-subgraph needs a seed >= 0, got {self.seed}")
+            if not 0.0 <= self.keep_prob <= 1.0:
+                raise ParameterError(f"keep_prob must be in [0, 1], got {self.keep_prob}")
+        for edges in self.link_cycle if self.topology == "alternating-links" else (self.edges,):
+            GraphSnapshot(n, edges)
 
 
 @dataclass(frozen=True)
@@ -186,24 +216,14 @@ def _step_graphs(spec: ScheduleSpec) -> list[GraphSnapshot]:
     if spec.topology == "static":
         return [GraphSnapshot(n, spec.edges)]
     if spec.topology == "alternating-links":
-        if not spec.link_cycle:
-            raise ParameterError("alternating-links needs a nonempty link_cycle")
         return [GraphSnapshot(n, step) for step in spec.link_cycle]
-    if spec.topology == "random-subgraph":
-        if spec.period is None or spec.period < 1:
-            raise ParameterError("random-subgraph needs period >= 1")
-        if spec.seed is None:
-            raise ParameterError("random-subgraph needs a seed")
-        if not 0.0 <= spec.keep_prob <= 1.0:
-            raise ParameterError(f"keep_prob must be in [0, 1], got {spec.keep_prob}")
-        base = sorted(GraphSnapshot(n, spec.edges).edges)
-        rng = np.random.default_rng(spec.seed)
-        graphs = []
-        for _ in range(spec.period):
-            keep = rng.random(len(base)) < spec.keep_prob
-            graphs.append(GraphSnapshot(n, [e for e, m in zip(base, keep) if m]))
-        return graphs
-    raise ParameterError(f"unknown topology {spec.topology!r}")
+    base = sorted(GraphSnapshot(n, spec.edges).edges)
+    rng = np.random.default_rng(spec.seed)
+    graphs = []
+    for _ in range(spec.period):
+        keep = rng.random(len(base)) < spec.keep_prob
+        graphs.append(GraphSnapshot(n, [e for e, m in zip(base, keep) if m]))
+    return graphs
 
 
 def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
@@ -214,15 +234,8 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     no window length up to the period has connected union support; the
     returned schedule therefore passes ``validate_assumption``.
     """
-    if spec.weight_rule not in WEIGHT_RULES:
-        raise ParameterError(f"unknown weight_rule {spec.weight_rule!r}")
     if spec.weight_rule == "explicit":
-        if not spec.matrices:
-            raise ParameterError("explicit weight_rule needs matrices")
         mats = [np.array(m, dtype=float) for m in spec.matrices]
-        for k, w in enumerate(mats, start=1):
-            if w.shape != (spec.n_nodes, spec.n_nodes):
-                raise ShapeError(f"matrix {k} has shape {w.shape}")
     else:
         mats = [metropolis_weights(g) for g in _step_graphs(spec)]
 

@@ -1,8 +1,11 @@
 """Strict-parsing tests for scenario configs."""
 
+import json
+
 import numpy as np
 import pytest
 
+from cdlab.cli import main
 from cdlab.config import (
     GEOMETRIC_CHECKPOINTS,
     ScenarioConfig,
@@ -11,7 +14,8 @@ from cdlab.config import (
     scenario_from_dict,
     scenario_from_file,
 )
-from cdlab.errors import ConfigError, DegenerateCovariance
+from cdlab.errors import ConfigError, DegenerateCovariance, ParameterError, ShapeError
+from cdlab.network import ScheduleSpec
 
 
 def minimal_dict(**overrides):
@@ -116,7 +120,7 @@ class TestCovarianceSpec:
         d = minimal_dict()
         d["model"]["covariance"] = [[1.0, 0.25], [0.25, 1.0]]
         cfg = scenario_from_dict(d)
-        assert np.array_equal(cfg.covariance(), [[1.0, 0.25], [0.25, 1.0]])
+        assert np.array_equal(cfg.covariance, [[1.0, 0.25], [0.25, 1.0]])
 
     def test_wrong_size_matrix_rejected(self):
         d = minimal_dict()
@@ -286,3 +290,69 @@ class TestFromFile:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             scenario_from_file(tmp_path / "absent.json")
+
+
+# section -> (library constructor of its values, placement of the same values in a 3-node file)
+SECTIONS = {
+    "model.covariance": (
+        lambda v: covariance_matrix(v, 3),
+        lambda doc, v: doc["model"].update(covariance=v),
+    ),
+    "network": (lambda v: ScheduleSpec(n_nodes=3, **v), lambda doc, v: doc.update(network=v)),
+    "experiment.thresholds": (
+        lambda v: Thresholds(**v),
+        lambda doc, v: doc.update(experiment={"thresholds": v}),
+    ),
+}
+RANDOM3 = {"topology": "random-subgraph", "edges": ((1, 2), (2, 3), (1, 3)), "period": 2, "seed": 1}
+# every domain rule on a scenario value, each written once in the object that needs it
+RULES = [
+    ("model.covariance", "exponential(-0.2)", ParameterError),
+    ("model.covariance", "gaussian", ParameterError),
+    ("model.covariance", ((1.0,),), ShapeError),
+    ("network", {"edges": ((1, 9),)}, ParameterError),
+    ("network", {"edges": ((2, 2),)}, ParameterError),
+    ("network", {"topology": "alternating-links", "link_cycle": (((1, 2),), ((2, 9),))}, ParameterError),
+    ("network", {"topology": "alternating-links", "link_cycle": (((1, 2),), ((2, 2),))}, ParameterError),
+    ("network", {"topology": "alternating-links", "link_cycle": ()}, ParameterError),
+    ("network", {**RANDOM3, "edges": ((0, 1),)}, ParameterError),
+    ("network", {**RANDOM3, "period": 0}, ParameterError),
+    ("network", {**RANDOM3, "seed": -1}, ParameterError),
+    ("network", {**RANDOM3, "keep_prob": 1.5}, ParameterError),
+    ("network", {**RANDOM3, "keep_prob": -0.1}, ParameterError),
+    ("network", {"weight_rule": "explicit", "matrices": ()}, ParameterError),
+    ("network", {"weight_rule": "explicit", "matrices": (((1.0,),),)}, ShapeError),
+    ("experiment.thresholds", {"gap_tolerance": 0.0}, ParameterError),
+    ("experiment.thresholds", {"k_early": 0}, ParameterError),
+    ("experiment.thresholds", {"k_early": 500, "k_late": 100}, ParameterError),
+    ("experiment.thresholds", {"k_early": 100, "k_late": 100}, ParameterError),
+    ("experiment.thresholds", {"agreement_sigma": 0.0}, ParameterError),
+    ("experiment.thresholds", {"agreement_min_prob": 0.0}, ParameterError),
+    ("experiment.thresholds", {"agreement_min_prob": 1.0}, ParameterError),
+    ("experiment.thresholds", {"agreement_min_fraction": 0.0}, ParameterError),
+    ("experiment.thresholds", {"agreement_min_fraction": 1.5}, ParameterError),
+    ("experiment.thresholds", {"mc_min_trials": -1}, ParameterError),
+]
+
+
+class TestOneHomePerRule:
+    """The library constructor and `cdlab validate` reject each bad value by the same rule."""
+
+    @pytest.mark.parametrize("section, values, error", RULES)
+    def test_library_constructor_raises(self, section, values, error):
+        build, _ = SECTIONS[section]
+        with pytest.raises(error):
+            build(values)
+
+    @pytest.mark.parametrize("section, values, error", RULES)
+    def test_validate_exits_two_naming_the_section(self, section, values, error, tmp_path, capsys):
+        doc = {
+            "name": "rule",
+            "model": {"m0": [0.0] * 3, "m1": [1.0] * 3, "covariance": "identity"},
+            "network": {"edges": [[1, 2], [2, 3]]},
+        }
+        SECTIONS[section][1](doc, values)
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--quiet", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}")

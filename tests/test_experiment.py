@@ -268,13 +268,6 @@ class TestRunMonteCarlo:
             assert curve.alpha[0] in (0.0, 1.0)
             assert curve.beta[0] in (0.0, 1.0)
 
-    def test_curve_lookup_by_node(self):
-        result = run_monte_carlo(alt3_plan())
-        assert result.curve(2).node == "2"
-        assert result.curve("cen") is result.centralized_curve
-        with pytest.raises(KeyError):
-            result.curve(9)
-
     def test_thread_env_cap(self, monkeypatch):
         monkeypatch.setenv("CDL_THREADS", "1")
         plan = alt3_plan(n_trials=CHUNK_TRIALS + 10)
