@@ -9,6 +9,14 @@ direct propagation.  Error curves therefore come from normal tail
 probabilities, not simulation, and stay meaningful far below 1e-300
 because curves store log-probabilities internally.
 
+``propagate_moments`` steps the moments of x(k) one k at a time up to a
+horizon and keeps each per-node mean and variance on the way.  Past the
+horizon it visits the checkpoints in order and holds only the current
+state: in running-sum coordinates U(k) = k x(k) / N one period of the
+recursion is an affine Gaussian map and n periods compose by repeated
+squaring, so a gap of g steps costs O(N^3 log g) where that beats
+stepping, and k = 1e9 is as cheap as k = 1e3.  Shorter gaps are stepped.
+
 ``mixing_residual_curves`` quantifies how far the finite-k scaled cumulant
 of a node variable is from the value it would take under perfect per-step
 averaging, read off the same moment trajectory as the curves; its proven
@@ -19,7 +27,7 @@ is the mechanism behind every node matching the centralized error exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,28 +169,50 @@ def fixed_threshold_rates(model: GaussianHypothesisPair, gamma: float) -> tuple[
 
 @dataclass(frozen=True)
 class MomentTrajectory:
-    """Exact moments of x(k) for k = 1..k_max under both hypotheses.
+    """Exact moments of x(k) for k = 1..k_max, and at checkpoints past k_max.
 
     The H0 innovation mean is the negation of the H1 mean and the innovation
     covariance does not depend on the hypothesis, so one pass serves both:
     mu0(k) = -mu1(k) and P0(k) = P1(k), bit for bit.  Only the per-node
-    variances are kept at every k; full covariances only at ``keep``.
+    variances are kept at every stepped k; full covariances only at ``keep``.
+    ``beyond`` holds the H1 mean and per-node variances at each checkpoint
+    past the stepping horizon k_max, each stepped or jumped to from the last.
     """
 
     means: np.ndarray  # H1 means, (k_max, n)
     variances: np.ndarray  # (k_max, n)
     covariances: np.ndarray  # (len(keep), n, n)
     keep: tuple = ()
+    beyond: dict = field(default_factory=dict)  # k > k_max -> (H1 mean, variances)
 
     @property
     def k_max(self) -> int:
+        """The stepping horizon: moments are held at every k up to here."""
         return self.means.shape[0]
 
+    def moments_at(self, ks) -> tuple[np.ndarray, np.ndarray]:
+        """H1 means and per-node variances at each k of ``ks``, each (len(ks), n)."""
+        ks = np.asarray(ks, dtype=int)
+        stepped = (ks >= 1) & (ks <= self.k_max)
+        for k in ks[~stepped].tolist():
+            if k not in self.beyond:
+                raise ParameterError(
+                    f"no moments at k={k}: stepped to {self.k_max}, jumped to {sorted(self.beyond)}"
+                )
+        means = np.empty((ks.size, self.means.shape[1]))
+        variances = np.empty_like(means)
+        means[stepped] = self.means[ks[stepped] - 1]
+        variances[stepped] = self.variances[ks[stepped] - 1]
+        for row in np.flatnonzero(~stepped).tolist():
+            means[row], variances[row] = self.beyond[int(ks[row])]
+        return means, variances
+
     def mean_at(self, k: int, l: Hypothesis = Hypothesis.H1) -> np.ndarray:
-        if not 1 <= k <= self.k_max:
-            raise ParameterError(f"mean at k={k} outside 1..{self.k_max}")
-        mean = self.means[k - 1]
+        mean = self.moments_at([k])[0][0]
         return mean if l == Hypothesis.H1 else -mean
+
+    def variance_at(self, k: int) -> np.ndarray:
+        return self.moments_at([k])[1][0]
 
     def cov_at(self, k: int) -> np.ndarray:
         if k not in self.keep:
@@ -191,16 +221,20 @@ class MomentTrajectory:
 
 
 def propagate_moments(
-    model: GaussianHypothesisPair, s: WeightSchedule, k_max: int, keep=()
+    model: GaussianHypothesisPair, s: WeightSchedule, k_max: int, keep=(), checkpoints=()
 ) -> MomentTrajectory:
     """Push the exact first and second moments through the recursion.
 
     mu(1) = N m_eta, P(1) = N^2 S_eta, then
     mu(k+1) = (k/(k+1)) W(k) mu(k) + (N/(k+1)) m_eta and
     P(k+1) = (k/(k+1))^2 W(k) P(k) W(k)' + (N/(k+1))^2 S_eta,
-    with m_eta the H1 innovation mean.  ``keep`` lists the k at which the
-    full covariance matrix is stored.  W(k) comes from ``s.operators()``,
-    so a step costs O(nnz N) on a sparse schedule and O(N^3) on a dense one.
+    with m_eta the H1 innovation mean, stepped for k up to ``k_max``.
+    ``keep`` lists the k at which the full covariance matrix is stored.
+    W(k) comes from ``s.operators()``, so a step costs O(nnz N) on a sparse
+    schedule and O(N^3) on a dense one.  The ``checkpoints`` past k_max
+    are then visited in order, each from the one before: the whole periods
+    of a gap are jumped (see ``_jump``) where ``_squaring_pays``, and every
+    other k is stepped, so memory stays O(N^2) past k_max.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
@@ -219,16 +253,12 @@ def propagate_moments(
     ops = s.operators()
     wpt = np.empty((n, n))
     noise = np.empty((n, n))
-    for k in range(1, k_max + 1):
-        means[k - 1], variances[k - 1] = mu, np.diag(p)
-        if k in keep:
-            covs[keep.index(k)] = p
-        if k == k_max:
-            break
+
+    def step(k, mu, p):
+        """mu(k+1), with p overwritten in place by P(k+1)."""
         w = ops[(k - 1) % s.period]
         shrink = k / (k + 1.0)
         gain = n / (k + 1.0)
-        mu = shrink * (w @ mu) + gain * m_eta
         # p = (q + q') / 2 with q = shrink^2 W p W' + gain^2 S_eta, formed as
         # W (W p)' since W and p are symmetric; temporaries go into reused
         # buffers, as fresh ones fault their pages in at every step
@@ -238,9 +268,94 @@ def propagate_moments(
         wpw += np.multiply(s_eta, gain * gain, out=noise)
         np.add(wpw, wpw.T, out=p)
         p *= 0.5
-    for array in (means, variances, covs):
+        return shrink * (w @ mu) + gain * m_eta
+
+    for k in range(1, k_max + 1):
+        means[k - 1], variances[k - 1] = mu, np.diag(p)
+        if k in keep:
+            covs[keep.index(k)] = p
+        if k == k_max:
+            break
+        mu = step(k, mu, p)
+    beyond = {}
+    for target in sorted({int(k) for k in checkpoints if k > k_max}):
+        periods = (target - k) // s.period
+        if _squaring_pays(periods, s.period):
+            mu, jumped = _jump(stats, s, k, mu, p, periods)
+            np.copyto(p, jumped)
+            k += periods * s.period
+        for k in range(k, target):
+            mu = step(k, mu, p)
+        k = target
+        beyond[k] = (mu, np.diag(p).copy())
+    for array in (means, variances, covs, *(a for pair in beyond.values() for a in pair)):
         array.flags.writeable = False
-    return MomentTrajectory(means=means, variances=variances, covariances=covs, keep=keep)
+    return MomentTrajectory(
+        means=means, variances=variances, covariances=covs, keep=keep, beyond=beyond
+    )
+
+
+# In running-sum coordinates U(k) = k x(k) / N the recursion is
+# U(k + 1) = W(k) U(k) + eta(k + 1), so any run of steps is an affine
+# Gaussian map U -> A U + noise, noise ~ N(b, Q), held as the triple (A, b, Q).
+# A state, the mean and covariance of U itself, is the triple (None, mean, cov).
+
+
+def _compose(first, second) -> tuple:
+    """The map ``second`` after ``first``: (A2 A1, A2 b1 + b2, A2 Q1 A2' + Q2)."""
+    a1, b1, q1 = first
+    a2, b2, q2 = second
+    q = a2 @ q1 @ a2.T + q2
+    return None if a1 is None else a2 @ a1, a2 @ b1 + b2, (q + q.T) / 2.0
+
+
+def _period_map(stats, s: WeightSchedule, start: int) -> tuple:
+    """The map from U(start) to U(start + P), composed one step at a time.
+
+    The single home of "one period"; it depends on ``start`` only modulo P.
+    """
+
+    def step(k):
+        return s.matrices[(k - 1) % s.period], stats.mean1, stats.cov
+
+    out = step(start)
+    for k in range(start + 1, start + s.period):
+        out = _compose(out, step(k))
+    return out
+
+
+def _squaring_pays(periods: int, period: int) -> bool:
+    """Whether ``_jump`` over ``periods`` whole periods costs less than stepping them.
+
+    The jump costs dense N x N products: 3 per composition building the
+    period map, 3 per squaring and 2 per power applied to the state.
+    Stepping costs ``periods * period`` steps, each at least as dear as a
+    dense product on a dense schedule and about as dear on a CSR one.
+    """
+    products = 3 * (period - 1) + 3 * (periods.bit_length() - 1) + 2 * bin(periods).count("1")
+    return periods > 0 and periods * period > products
+
+
+def _jump(stats, s: WeightSchedule, k: int, mean, cov, periods: int) -> tuple:
+    """x(k + periods P)'s H1 mean and covariance from x(k)'s.
+
+    The period map is squared once per binary digit of ``periods`` and
+    each square whose digit is set is applied to the state, so only the
+    state and the current square are held.
+    """
+    n = len(mean)
+    end = k + periods * s.period
+    state = (None, (k / n) * mean, (k / n) ** 2 * cov)
+    power = _period_map(stats, s, k)
+    while True:
+        if periods & 1:
+            state = _compose(state, power)
+        periods >>= 1
+        if not periods:
+            break
+        power = _compose(power, power)
+    _, u_mean, u_cov = state
+    return (n / end) * u_mean, (n / end) ** 2 * u_cov
 
 
 # ── error curves ──────────────────────────────────────────────────────────
@@ -324,26 +439,27 @@ def exact_error_curves(
     alpha_i(k) is the H0 probability of x_i(k) > 0 and beta_i(k) the H1
     probability of x_i(k) <= 0.  Since mu0 = -mu1 and the variance is
     shared, both equal Phi(-mu1 / sd) exactly, so one tail serves both.
-    ``ks`` selects checkpoints (default: every k in the trajectory).
+    ``ks`` selects checkpoints (default: every k in the trajectory), each
+    stepped or jumped to.
     Raises DegenerateVariance when a per-node variance is not strictly
     positive.
     """
     priors = _check_priors(priors)
     if ks is None:
-        ks = np.arange(1, traj.k_max + 1)
+        ks = [*range(1, traj.k_max + 1), *sorted(traj.beyond)]
     ks = np.asarray(ks, dtype=int)
-    if ks.size == 0 or ks.min() < 1 or ks.max() > traj.k_max:
-        raise ParameterError("checkpoints outside trajectory horizon")
-    idx = ks - 1
+    if ks.size == 0:
+        raise ParameterError("no checkpoints")
+    means, variances = traj.moments_at(ks)
     curves = []
     for i in range(model.n_sensors):
-        var = traj.variances[idx, i]
+        var = variances[:, i]
         floor = float(var.min())
         if floor <= VARIANCE_FLOOR:
             raise DegenerateVariance(
                 f"node {i + 1} variance {floor:.3e} is not positive"
             )
-        log_tail = log_q_function(traj.means[idx, i] / np.sqrt(var))
+        log_tail = log_q_function(means[:, i] / np.sqrt(var))
         curves.append(_exact_curve(str(i + 1), ks, log_tail, priors))
     return curves
 
@@ -383,12 +499,10 @@ def scaled_cumulant(
         raise ParameterError(f"node must be in 1..{model.n_sensors}, got {node}")
     if trajectory is None:
         trajectory = propagate_moments(model, s, k)
-    elif trajectory.k_max < k:
-        raise ParameterError(f"trajectory ends at k={trajectory.k_max}, before k={k}")
     mu = float(mu)
     i = node - 1
     mean_i = float(trajectory.mean_at(k, l)[i])
-    var_i = float(trajectory.variances[k - 1, i])
+    var_i = float(trajectory.variance_at(k)[i])
     return mu * mean_i + (k / 2.0) * mu * mu * var_i
 
 

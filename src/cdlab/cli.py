@@ -33,6 +33,9 @@ from .network import check_geometric_decay, validate_assumption
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
 RESIDUAL_HEADER = "mu,k,node,value,bound"
 RESIDUAL_MUS = (-1.0, -0.1, 0.1, 1.0)
+# analyze keeps the moments at every k up to here, the residual diagnostic's
+# last k; checkpoints past it are visited in order, long gaps by a jump
+RESIDUAL_HORIZON = 512
 
 
 def _jsonable(obj):
@@ -172,7 +175,8 @@ def cmd_analyze(args) -> int:
 
     ks = sorted(config.checkpoints)
     k_max = ks[-1]
-    traj = propagate_moments(model, schedule, k_max)
+    horizon = min(k_max, RESIDUAL_HORIZON)
+    traj = propagate_moments(model, schedule, horizon, checkpoints=ks)
     node_curves = exact_error_curves(model, traj, priors=config.priors, ks=ks)
     cen_curve = centralized_error_curve(model, ks, priors=config.priors)
     ws.write("curves_exact.csv", _curves_csv([cen_curve] + node_curves))
@@ -180,11 +184,10 @@ def cmd_analyze(args) -> int:
     decay = check_geometric_decay(schedule, max_gap=min(200, max(k_max, 2)))
     ws.write("decay_report.json", _dump_json(decay.as_dict()))
 
-    res_k_max = min(k_max, 512)
     residual_summary = {}
     residual_rows = RESIDUAL_HEADER + "\n"
-    if res_k_max >= 2:
-        res_ks, values, bounds = mixing_residual_curves(model, schedule, traj, res_k_max, RESIDUAL_MUS)
+    if horizon >= 2:
+        res_ks, values, bounds = mixing_residual_curves(model, schedule, traj, horizon, RESIDUAL_MUS)
         for mu, mu_values, mu_bounds in zip(RESIDUAL_MUS, values, bounds):
             with np.errstate(invalid="ignore"):
                 ratio = float((np.abs(mu_values) / mu_bounds[:, None]).max())

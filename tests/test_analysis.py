@@ -6,6 +6,8 @@ moments, and the exact-decomposition cross-check for the mixing residual.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr, logsumexp
 from scipy.stats import norm
 
+from cdlab import analysis
 from cdlab.analysis import (
     MomentTrajectory,
     centralized_error_curve,
@@ -37,7 +40,7 @@ from cdlab.errors import (
 )
 from cdlab.model import Hypothesis, build_model, innovation_stats, llr, local_innovations, sample_observations
 from cdlab.network import ScheduleSpec, build_schedule, contraction_bound
-from cdlab.scenarios import build_scenario
+from cdlab.scenarios import CORPUS, build_scenario
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
@@ -357,6 +360,136 @@ class TestPropagateMoments:
         model, schedule = alt3_scenario()
         with pytest.raises(ParameterError):
             propagate_moments(model, schedule, 0)
+
+
+# The jump's log tails agree with stepping within 1.4e-14 relative over
+# the cases below (largest on correlated2); the tolerance is about 75 times that.
+JUMP_REL_TOL = 1e-12
+
+
+def log_tails(model, traj, ks):
+    return np.array([curve.log_alpha for curve in exact_error_curves(model, traj, ks=ks)])
+
+
+def ring64(two_matching_ring):
+    idx = np.arange(64)
+    model = build_model(np.zeros(64), 0.3 * np.ones(64), 0.5 ** np.abs(idx[:, None] - idx))
+    return model, build_schedule(two_matching_ring(64))
+
+
+real_jump = analysis._jump
+
+
+class TestJumpPastTheHorizon:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_jump_matches_stepping_on_the_corpus(self, name):
+        """From k = 512 to 513, 1000, 1001 and 8192, each from the one before:
+        single steps, jumps with one and three leftover steps for P = 2 and
+        P = 4, and a deep jump."""
+        model, schedule, _ = build_scenario(name)
+        targets = [513, 1000, 1001, 8192]
+        stepped = propagate_moments(model, schedule, max(targets))
+        jumped = propagate_moments(model, schedule, 512, checkpoints=targets)
+        assert jumped.k_max == 512
+        assert sorted(jumped.beyond) == targets
+        want = log_tails(model, stepped, targets)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_allclose(log_tails(model, jumped, targets), want, rtol=JUMP_REL_TOL, atol=0.0)
+
+    def test_jump_matches_stepping_through_sparse_operators(self, two_matching_ring):
+        """A 64-node two-matching ring steps through CSR factors; the jump is dense."""
+        model, schedule = ring64(two_matching_ring)
+        assert type(schedule.operators()[0]).__name__ == "csr_array"
+        stepped = propagate_moments(model, schedule, 1024)
+        jumped = propagate_moments(model, schedule, 512, checkpoints=[1024])
+        np.testing.assert_allclose(
+            log_tails(model, jumped, [1024]), log_tails(model, stepped, [1024]), rtol=JUMP_REL_TOL, atol=0.0
+        )
+
+    def test_dense_grid_past_the_horizon_is_stepped(self, two_matching_ring, monkeypatch):
+        """Gaps too short for squaring to pay are stepped by the stepping body,
+        so every k of a dense grid past the horizon matches stepping bit for bit."""
+        jumps = []
+        monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[-1]) or real_jump(*a))
+        model, schedule = ring64(two_matching_ring)
+        stepped = propagate_moments(model, schedule, 700)
+        grid = propagate_moments(model, schedule, 512, checkpoints=range(513, 701))
+        assert jumps == []
+        ks = np.arange(513, 701)
+        means, variances = grid.moments_at(ks)
+        assert np.array_equal(means, stepped.means[ks - 1])
+        assert np.array_equal(variances, stepped.variances[ks - 1])
+        # gaps of 8, 180, 1 and 999299 steps: only the second and last pay
+        propagate_moments(model, schedule, 512, checkpoints=[520, 700, 701, 10**6])
+        assert jumps == [90, 499649]
+
+    def test_memory_past_the_horizon_does_not_grow_with_checkpoints(self, two_matching_ring):
+        """Past the horizon only the current N x N state is held: 1524
+        checkpoints on the 64-node ring peak within 32 N x N matrices
+        (32 kB each) of what the returned moments hold, where a covariance
+        per checkpoint would take 50 MB."""
+        model, schedule = ring64(two_matching_ring)
+        schedule.operators()  # scipy's first import is not the trajectory's memory
+        checkpoints = [*range(513, 1537), *range(1600, 4096, 5)]
+        tracemalloc.start()
+        try:
+            traj = propagate_moments(model, schedule, 512, checkpoints=checkpoints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = traj.means.nbytes + traj.variances.nbytes + sys.getsizeof(traj.beyond)
+        for k, pair in traj.beyond.items():
+            held += sys.getsizeof(k) + sys.getsizeof(pair) + sum(map(sys.getsizeof, pair))
+        assert len(traj.beyond) == len(checkpoints)
+        assert peak < held + 32 * 64 * 64 * 8
+
+    def test_scaled_cumulant_reads_jumped_moments(self):
+        model, schedule, _ = build_scenario("ref3")
+        stepped = propagate_moments(model, schedule, 5000)
+        jumped = propagate_moments(model, schedule, 512, checkpoints=[5000])
+        for mu in (-1.0, 0.1):
+            want = scaled_cumulant(model, schedule, H1, 5000, mu, 2, trajectory=stepped)
+            got = scaled_cumulant(model, schedule, H1, 5000, mu, 2, trajectory=jumped)
+            assert got == pytest.approx(want, rel=JUMP_REL_TOL)
+        with pytest.raises(ParameterError):
+            scaled_cumulant(model, schedule, H1, 4999, 0.1, 2, trajectory=jumped)
+
+    def test_stepped_moments_ignore_deeper_checkpoints(self):
+        """Every k up to the horizon is bit-identical with and without a jump requested."""
+        model, schedule, _ = build_scenario("rand5")
+        alone = propagate_moments(model, schedule, 512, keep=(7, 512), checkpoints=range(1, 513))
+        deep = propagate_moments(model, schedule, 512, keep=(7, 512), checkpoints=[1, 300, 512, 10**9])
+        assert alone.beyond == {}
+        assert sorted(deep.beyond) == [10**9]
+        for field in ("means", "variances", "covariances"):
+            assert np.array_equal(getattr(deep, field), getattr(alone, field))
+        ks = np.arange(1, 513)
+        assert np.array_equal(log_tails(model, deep, ks), log_tails(model, alone, ks))
+
+    def test_lookups_answer_jumped_checkpoints(self):
+        model, schedule = alt3_scenario()
+        stepped = propagate_moments(model, schedule, 100)
+        traj = propagate_moments(model, schedule, 30, checkpoints=(5, 33, 100))
+        assert sorted(traj.beyond) == [33, 100]
+        for k in (33, 100):
+            np.testing.assert_allclose(traj.mean_at(k), stepped.mean_at(k), rtol=1e-13)
+            np.testing.assert_allclose(traj.mean_at(k, H0), -stepped.mean_at(k), rtol=1e-13)
+            np.testing.assert_allclose(traj.variance_at(k), stepped.variance_at(k), rtol=1e-13)
+        assert [int(k) for k in exact_error_curves(model, traj)[0].ks] == [*range(1, 31), 33, 100]
+        for k in (31, 34, 101):
+            with pytest.raises(ParameterError):
+                traj.mean_at(k)
+            with pytest.raises(ParameterError):
+                exact_error_curves(model, traj, ks=[30, k])
+
+    def test_billionth_step_is_finite(self):
+        """ref3 at k = 1e9: log10 pe about -3.26e7, through the series branch of log Q."""
+        model, schedule, _ = build_scenario("ref3")
+        traj = propagate_moments(model, schedule, 512, checkpoints=[10**6, 10**9])
+        for curve in exact_error_curves(model, traj, ks=[10**6, 10**9]):
+            assert np.all(np.isfinite(curve.log_pe))
+            assert curve.log10_pe[1] == pytest.approx(-3.26e7, rel=2e-3)
+            assert curve.log10_pe[0] == pytest.approx(-3.26e4, rel=2e-3)
 
 
 # ── error curves ──────────────────────────────────────────────────────────

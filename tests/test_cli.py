@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -192,6 +193,30 @@ class TestAnalyze:
             b = (outs[1] / f"ref3_{suffix}").read_bytes()
             assert a == b
 
+    def test_billionth_checkpoint_is_jumped_to(self, tmp_path):
+        """ref3 with checkpoints 1..512 and 1e9: the deep row is finite and
+        every other row, and the residual CSV, is byte-identical to the run
+        without it."""
+        shallow = list(range(1, cli.RESIDUAL_HORIZON + 1))
+        runs = {}
+        for name, checkpoints in (("shallow", shallow), ("deep", shallow + [10**9])):
+            config = write_config(tmp_path, ref3_dict(checkpoints=checkpoints), name=f"{name}.json")
+            start = time.perf_counter()
+            assert main(["analyze", "--quiet", "--config", config, "--out", str(tmp_path / name)]) == 0
+            assert time.perf_counter() - start < 30.0
+            runs[name] = tmp_path / name
+        deep_lines = (runs["deep"] / "ref3_curves_exact.csv").read_text().splitlines()
+        jumped = [line for line in deep_lines if line.split(",")[1] == str(10**9)]
+        kept = [line for line in deep_lines if line not in jumped]
+        assert kept == (runs["shallow"] / "ref3_curves_exact.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in jumped] == ["cen", "1", "2", "3"]
+        for line in jumped[1:]:
+            log10_pe = float(line.split(",")[6])
+            assert math.isfinite(log10_pe)
+            assert log10_pe == pytest.approx(-3.26e7, rel=2e-3)
+        residual = "ref3_residual_diagnostic.csv"
+        assert (runs["deep"] / residual).read_bytes() == (runs["shallow"] / residual).read_bytes()
+
     def test_decay_violation_leaves_report_and_exits_one(self, tmp_path, monkeypatch, capsys):
         real = cli.check_geometric_decay
 
@@ -276,7 +301,7 @@ class TestArtifactWriter:
 
         config = scenario_from_file(config_path)
         model, schedule = config.build_model(), config.build_schedule()
-        k_max = min(max(config.checkpoints), 512)
+        k_max = min(max(config.checkpoints), cli.RESIDUAL_HORIZON)
         traj = propagate_moments(model, schedule, k_max)
         ks, values, bounds = mixing_residual_curves(model, schedule, traj, k_max, cli.RESIDUAL_MUS)
         expected = per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds)

@@ -223,6 +223,12 @@ class TestRunMonteCarlo:
         result = run_monte_carlo(alt3_plan(n_trials=4000, k_checkpoints=(1, 7, 30)))
         assert result.paired_gap <= 1e-9
 
+    def test_paired_gap_is_measured(self):
+        """The gap is rounding noise, not a constant: ref3 at 8192 trials, seed 3
+        reads about 1.2e-15, so a gap forced to zero fails."""
+        plan = scenario_config("ref3").build_plan(n_trials=8192, master_seed=3)
+        assert 0.0 < run_monte_carlo(plan).paired_gap <= 1e-9
+
     def test_estimates_track_exact_curves(self):
         """Each empirical rate within 4 exact-binomial stderr, 20000 trials."""
         model, schedule = alt3_scenario()
@@ -309,6 +315,21 @@ class TestFitExponent:
         assert fit.rate == pytest.approx(0.5, rel=1e-12)
         assert fit.n_points == ks.size - 1
 
+    def test_every_finite_point_is_fitted(self):
+        """The first point lies off the line through the others, so a fit that
+        skipped it would report a different rate."""
+        ks = np.arange(10, 61, 10)
+        log_pe = (-0.5 * ks).astype(float)
+        log_pe[0] += 3.0
+        log_pe[3] = -np.inf
+        fit = fit_exponent(synthetic_curve(ks, log_pe), (10, 60))
+        finite = np.isfinite(log_pe)
+        slope, intercept = np.polyfit(ks[finite].astype(float), log_pe[finite], 1)
+        assert fit.rate == pytest.approx(-slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+        assert fit.rate != pytest.approx(0.5, rel=1e-3)
+        assert fit.n_points == 5
+
     def test_too_few_checkpoints(self):
         curve = synthetic_curve([5, 50, 70], [-1.0, -10.0, -14.0])
         with pytest.raises(InsufficientPoints):
@@ -390,6 +411,19 @@ class TestCompareDetectors:
         for entry in report["nodes"]:
             assert entry["gap_late"] < entry["gap_early"]
             assert entry["gap_late"] <= report["gap_tolerance"]
+
+    def test_tolerance_is_the_line(self):
+        """n8's largest late gap is about 0.0186 C: a tolerance 1% below it
+        fails and 1% above it passes, so the tolerance is applied as given."""
+        config = scenario_config("n8")
+        plan = config.build_plan()
+        report = compare_detectors(plan, config.thresholds)
+        assert report["verdict"] == "pass"
+        ratio = max(entry["gap_late"] for entry in report["nodes"]) / report["chernoff_information"]
+        assert ratio == pytest.approx(0.0186, rel=1e-2)
+        for factor, verdict in ((0.99, "fail"), (1.01, "pass")):
+            thresholds = dataclasses.replace(config.thresholds, gap_tolerance=factor * ratio)
+            assert compare_detectors(plan, thresholds)["verdict"] == verdict
 
     def test_report_is_json_serializable(self):
         report = compare_detectors(alt3_plan(), Thresholds(k_early=20, k_late=80))
