@@ -47,7 +47,7 @@ def main() -> int:
     hypothesis = Hypothesis.H1 if args.hypothesis == "h1" else Hypothesis.H0
 
     print(f"scenario {config.name}, hypothesis {args.hypothesis}, k in [2, {args.k_max}]")
-    trajectory = propagate_moments(model, schedule, args.k_max)
+    trajectory = propagate_moments(model, schedule, range(1, args.k_max + 1))
     ks, values, bounds = mixing_residual_curves(model, schedule, trajectory, args.k_max, mus, hypothesis)
     for mu, mu_values, mu_bounds in zip(mus, values, bounds):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,13 +9,13 @@ direct propagation.  Error curves therefore come from normal tail
 probabilities, not simulation, and stay meaningful far below 1e-300
 because curves store log-probabilities internally.
 
-``propagate_moments`` steps the moments of x(k) one k at a time up to a
-horizon and keeps each per-node mean and variance on the way.  Past the
-horizon it visits the checkpoints in order and holds only the current
-state: in running-sum coordinates U(k) = k x(k) / N one period of the
-recursion is an affine Gaussian map and n periods compose by repeated
-squaring, so a gap of g steps costs O(N^3 log g) where that beats
-stepping, and k = 1e9 is as cheap as k = 1e3.  Shorter gaps are stepped.
+``propagate_moments`` visits a sorted set of k in order, each from the one
+before, keeping the per-node mean and variance at each and holding only
+the current state in between.  In running-sum coordinates U(k) = k x(k) / N
+one period of the recursion is an affine Gaussian map and n periods
+compose by repeated squaring, so a gap of g steps costs O(N^3 log g) where
+that beats stepping, and k = 1e9 is as cheap as k = 1e3.  Shorter gaps are
+stepped.
 
 ``mixing_residual_curves`` quantifies how far the finite-k scaled cumulant
 of a node variable is from the value it would take under perfect per-step
@@ -27,7 +27,7 @@ is the mechanism behind every node matching the centralized error exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,43 +169,32 @@ def fixed_threshold_rates(model: GaussianHypothesisPair, gamma: float) -> tuple[
 
 @dataclass(frozen=True)
 class MomentTrajectory:
-    """Exact moments of x(k) for k = 1..k_max, and at checkpoints past k_max.
+    """Exact moments of x(k) at each visited k of ``ks``, sorted and distinct.
 
     The H0 innovation mean is the negation of the H1 mean and the innovation
     covariance does not depend on the hypothesis, so one pass serves both:
-    mu0(k) = -mu1(k) and P0(k) = P1(k), bit for bit.  Only the per-node
-    variances are kept at every stepped k; full covariances only at ``keep``.
-    ``beyond`` holds the H1 mean and per-node variances at each checkpoint
-    past the stepping horizon k_max, each stepped or jumped to from the last.
+    mu0(k) = -mu1(k) and P0(k) = P1(k), bit for bit.  Row i of ``means`` and
+    ``variances`` holds the H1 mean and per-node variances at ``ks[i]``;
+    full covariances are held only at the k of ``keep``.
     """
 
-    means: np.ndarray  # H1 means, (k_max, n)
-    variances: np.ndarray  # (k_max, n)
+    ks: np.ndarray  # visited k, (len(ks),)
+    means: np.ndarray  # H1 means, (len(ks), n)
+    variances: np.ndarray  # (len(ks), n)
     covariances: np.ndarray  # (len(keep), n, n)
     keep: tuple = ()
-    beyond: dict = field(default_factory=dict)  # k > k_max -> (H1 mean, variances)
-
-    @property
-    def k_max(self) -> int:
-        """The stepping horizon: moments are held at every k up to here."""
-        return self.means.shape[0]
 
     def moments_at(self, ks) -> tuple[np.ndarray, np.ndarray]:
         """H1 means and per-node variances at each k of ``ks``, each (len(ks), n)."""
         ks = np.asarray(ks, dtype=int)
-        stepped = (ks >= 1) & (ks <= self.k_max)
-        for k in ks[~stepped].tolist():
-            if k not in self.beyond:
-                raise ParameterError(
-                    f"no moments at k={k}: stepped to {self.k_max}, jumped to {sorted(self.beyond)}"
-                )
-        means = np.empty((ks.size, self.means.shape[1]))
-        variances = np.empty_like(means)
-        means[stepped] = self.means[ks[stepped] - 1]
-        variances[stepped] = self.variances[ks[stepped] - 1]
-        for row in np.flatnonzero(~stepped).tolist():
-            means[row], variances[row] = self.beyond[int(ks[row])]
-        return means, variances
+        rows = np.searchsorted(self.ks, ks)
+        missing = ks != self.ks[np.minimum(rows, self.ks.size - 1)]
+        if missing.any():
+            raise ParameterError(
+                f"no moments at k={int(ks[missing][0])}: {self.ks.size} k visited "
+                f"in {int(self.ks[0])}..{int(self.ks[-1])}"
+            )
+        return self.means[rows], self.variances[rows]
 
     def mean_at(self, k: int, l: Hypothesis = Hypothesis.H1) -> np.ndarray:
         mean = self.moments_at([k])[0][0]
@@ -221,32 +210,33 @@ class MomentTrajectory:
 
 
 def propagate_moments(
-    model: GaussianHypothesisPair, s: WeightSchedule, k_max: int, keep=(), checkpoints=()
+    model: GaussianHypothesisPair, s: WeightSchedule, ks, keep=()
 ) -> MomentTrajectory:
     """Push the exact first and second moments through the recursion.
 
     mu(1) = N m_eta, P(1) = N^2 S_eta, then
     mu(k+1) = (k/(k+1)) W(k) mu(k) + (N/(k+1)) m_eta and
     P(k+1) = (k/(k+1))^2 W(k) P(k) W(k)' + (N/(k+1))^2 S_eta,
-    with m_eta the H1 innovation mean, stepped for k up to ``k_max``.
-    ``keep`` lists the k at which the full covariance matrix is stored.
-    W(k) comes from ``s.operators()``, so a step costs O(nnz N) on a sparse
-    schedule and O(N^3) on a dense one.  The ``checkpoints`` past k_max
-    are then visited in order, each from the one before: the whole periods
-    of a gap are jumped (see ``_jump``) where ``_squaring_pays``, and every
-    other k is stepped, so memory stays O(N^2) past k_max.
+    with m_eta the H1 innovation mean.  The sorted distinct ``ks`` are
+    visited in order, each from the one before: the whole periods of a gap
+    are jumped (see ``_jump``) where ``_squaring_pays``, and every other k
+    is stepped.  W(k) comes from ``s.operators()``, so a step costs
+    O(nnz N) on a sparse schedule and O(N^3) on a dense one, and only the
+    current N x N state is held between visits.  ``keep``, a subset of
+    ``ks``, lists the k at which the full covariance matrix is stored.
     """
-    if k_max < 1:
-        raise ParameterError(f"k_max must be >= 1, got {k_max}")
+    ks = sorted({int(k) for k in ks})
+    if not ks or ks[0] < 1:
+        raise ParameterError(f"the visited k must be a nonempty set of k >= 1, got {ks[:1] or 'none'}")
     keep = tuple(sorted({int(k) for k in keep}))
-    if keep and not 1 <= keep[0] <= keep[-1] <= k_max:
-        raise ParameterError(f"kept covariances {keep} outside 1..{k_max}")
+    if not set(keep) <= set(ks):
+        raise ParameterError(f"kept covariances {keep} are not all among the visited k")
     stats = innovation_stats(model)
     m_eta = stats.mean1
     s_eta = stats.cov
     n = model.n_sensors
-    means = np.empty((k_max, n))
-    variances = np.empty((k_max, n))
+    means = np.empty((len(ks), n))
+    variances = np.empty((len(ks), n))
     covs = np.empty((len(keep), n, n))
     mu = n * m_eta
     p = n * n * s_eta
@@ -270,15 +260,8 @@ def propagate_moments(
         p *= 0.5
         return shrink * (w @ mu) + gain * m_eta
 
-    for k in range(1, k_max + 1):
-        means[k - 1], variances[k - 1] = mu, np.diag(p)
-        if k in keep:
-            covs[keep.index(k)] = p
-        if k == k_max:
-            break
-        mu = step(k, mu, p)
-    beyond = {}
-    for target in sorted({int(k) for k in checkpoints if k > k_max}):
+    k = 1
+    for row, target in enumerate(ks):
         periods = (target - k) // s.period
         if _squaring_pays(periods, s.period):
             mu, jumped = _jump(stats, s, k, mu, p, periods)
@@ -287,12 +270,13 @@ def propagate_moments(
         for k in range(k, target):
             mu = step(k, mu, p)
         k = target
-        beyond[k] = (mu, np.diag(p).copy())
-    for array in (means, variances, covs, *(a for pair in beyond.values() for a in pair)):
+        means[row], variances[row] = mu, np.diag(p)
+        if k in keep:
+            covs[keep.index(k)] = p
+    ks = np.asarray(ks, dtype=int)
+    for array in (ks, means, variances, covs):
         array.flags.writeable = False
-    return MomentTrajectory(
-        means=means, variances=variances, covariances=covs, keep=keep, beyond=beyond
-    )
+    return MomentTrajectory(ks=ks, means=means, variances=variances, covariances=covs, keep=keep)
 
 
 # In running-sum coordinates U(k) = k x(k) / N the recursion is
@@ -439,15 +423,12 @@ def exact_error_curves(
     alpha_i(k) is the H0 probability of x_i(k) > 0 and beta_i(k) the H1
     probability of x_i(k) <= 0.  Since mu0 = -mu1 and the variance is
     shared, both equal Phi(-mu1 / sd) exactly, so one tail serves both.
-    ``ks`` selects checkpoints (default: every k in the trajectory), each
-    stepped or jumped to.
+    ``ks`` selects checkpoints among the visited k (default: all of them).
     Raises DegenerateVariance when a per-node variance is not strictly
     positive.
     """
     priors = _check_priors(priors)
-    if ks is None:
-        ks = [*range(1, traj.k_max + 1), *sorted(traj.beyond)]
-    ks = np.asarray(ks, dtype=int)
+    ks = np.asarray(traj.ks if ks is None else ks, dtype=int)
     if ks.size == 0:
         raise ParameterError("no checkpoints")
     means, variances = traj.moments_at(ks)
@@ -498,7 +479,7 @@ def scaled_cumulant(
     if not 1 <= node <= model.n_sensors:
         raise ParameterError(f"node must be in 1..{model.n_sensors}, got {node}")
     if trajectory is None:
-        trajectory = propagate_moments(model, s, k)
+        trajectory = propagate_moments(model, s, range(1, k + 1))
     mu = float(mu)
     i = node - 1
     mean_i = float(trajectory.mean_at(k, l)[i])
@@ -522,14 +503,15 @@ def mixing_residual_curves(
     j < k: lin = sum tPhi m_eta, quad = diag(sum tPhi S_eta tPhi') and
     cross = sum tPhi S_eta 1.  These are the disagreement parts of the
     moments of the running sum U(k) = k x(k) / N = sum_{j<=k} Phi(k, j) eta(j),
-    so they are read off ``trajectory`` (which must reach k_max):
+    so they are read off ``trajectory``, which must have visited every k
+    up to k_max:
       lin = E U(k) - (k - 1) J m_eta - m_eta
       quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
     The value's linear part flips sign with the hypothesis; the bound,
     which decays like 1/k, does not.
     """
-    if not 2 <= k_max <= trajectory.k_max:
-        raise ParameterError(f"k_max must lie in 2..{trajectory.k_max}, got {k_max}")
+    if not (2 <= k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
+        raise ParameterError(f"k_max must be >= 2 with every k up to it visited, got {k_max}")
     stats = innovation_stats(model)
     m_eta, s_eta = stats.mean1, stats.cov
     n = s.n_nodes

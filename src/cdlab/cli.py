@@ -33,8 +33,8 @@ from .network import check_geometric_decay, validate_assumption
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
 RESIDUAL_HEADER = "mu,k,node,value,bound"
 RESIDUAL_MUS = (-1.0, -0.1, 0.1, 1.0)
-# analyze keeps the moments at every k up to here, the residual diagnostic's
-# last k; checkpoints past it are visited in order, long gaps by a jump
+# the residual diagnostic's last k: analyze visits every k up to here, and
+# then the checkpoints past it
 RESIDUAL_HORIZON = 512
 
 
@@ -127,9 +127,8 @@ class _Workspace:
         return self.write(f"{command}_manifest.json", _dump_json(manifest))
 
 
-def _fit_window(checkpoints) -> tuple:
-    """Default fit window: the last five checkpoints (at least three)."""
-    ks = sorted(checkpoints)
+def _fit_window(ks) -> tuple:
+    """Default fit window over sorted checkpoints: the last five (at least three)."""
     lo = ks[-5] if len(ks) >= 5 else ks[0]
     return (lo, ks[-1])
 
@@ -173,10 +172,10 @@ def cmd_analyze(args) -> int:
     header = report_header(model, schedule, config.priors)
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
 
-    ks = sorted(config.checkpoints)
+    ks = config.checkpoints
     k_max = ks[-1]
     horizon = min(k_max, RESIDUAL_HORIZON)
-    traj = propagate_moments(model, schedule, horizon, checkpoints=ks)
+    traj = propagate_moments(model, schedule, [*range(1, horizon + 1), *ks])
     node_curves = exact_error_curves(model, traj, priors=config.priors, ks=ks)
     cen_curve = centralized_error_curve(model, ks, priors=config.priors)
     ws.write("curves_exact.csv", _curves_csv([cen_curve] + node_curves))

@@ -168,7 +168,7 @@ class ScenarioConfig:
     covariance: np.ndarray
     priors: tuple
     schedule_spec: ScheduleSpec
-    checkpoints: tuple
+    checkpoints: tuple  # sorted and distinct, so analyze and simulate see one set
     n_trials: int
     master_seed: int
     thresholds: Thresholds
@@ -251,7 +251,7 @@ def scenario_from_dict(data) -> ScenarioConfig:
     if not isinstance(raw_ck, list) or not raw_ck:
         raise ConfigError("experiment.checkpoints: expected a nonempty list of integers")
     checkpoints = tuple(
-        _integer(k, f"experiment.checkpoints[{i}]", 1) for i, k in enumerate(raw_ck)
+        sorted({_integer(k, f"experiment.checkpoints[{i}]", 1) for i, k in enumerate(raw_ck)})
     )
     n_trials = _integer(experiment.get("n_trials", 10_000), "experiment.n_trials", 1)
     master_seed = _integer(experiment.get("master_seed", 0), "experiment.master_seed", 0)

@@ -185,22 +185,14 @@ def _run_chunk(plan: ExperimentPlan, hypothesis: Hypothesis, chunk: int, chunk_n
 
 
 def _binomial_curve(node, ks, fa, miss, n_trials, priors) -> ErrorCurve:
-    a_hat = fa / n_trials
-    b_hat = miss / n_trials
+    counts = np.stack([fa, miss])
+    a_hat, b_hat = hats = counts / n_trials
     with np.errstate(divide="ignore"):
-        log_alpha = np.log(a_hat)
-        log_beta = np.log(b_hat)
+        log_alpha, log_beta = np.log(hats)
         log_pe = np.log(priors[0] * a_hat + priors[1] * b_hat)
     # rule of three stands in for the stderr at degenerate counts
-    se_alpha = np.where(
-        (fa > 0) & (fa < n_trials),
-        np.sqrt(a_hat * (1.0 - a_hat) / n_trials),
-        3.0 / n_trials,
-    )
-    se_beta = np.where(
-        (miss > 0) & (miss < n_trials),
-        np.sqrt(b_hat * (1.0 - b_hat) / n_trials),
-        3.0 / n_trials,
+    se_alpha, se_beta = np.where(
+        (counts > 0) & (counts < n_trials), np.sqrt(hats * (1.0 - hats) / n_trials), 3.0 / n_trials
     )
     se_pe = np.sqrt((priors[0] * se_alpha) ** 2 + (priors[1] * se_beta) ** 2)
     return ErrorCurve(
@@ -386,7 +378,7 @@ def compare_detectors(
     chernoff = header["chernoff_information"]
     ks = [k_early, k_late]
     if trajectory is None:
-        trajectory = propagate_moments(model, plan.schedule, k_late)
+        trajectory = propagate_moments(model, plan.schedule, range(1, k_late + 1))
     node_curves = exact_error_curves(model, trajectory, priors=plan.priors, ks=ks)
     cen_curve = centralized_error_curve(model, ks, priors=plan.priors)
     cen_rate = _empirical_rate(cen_curve)
@@ -443,7 +435,7 @@ def check_simulation(plan: ExperimentPlan, thresholds: Thresholds) -> tuple:
     model = plan.model
     result = run_monte_carlo(plan)
     trajectory = propagate_moments(
-        model, plan.schedule, max(plan.k_checkpoints[-1], thresholds.k_late)
+        model, plan.schedule, range(1, max(plan.k_checkpoints[-1], thresholds.k_late) + 1)
     )
     report = compare_detectors(plan, thresholds, trajectory=trajectory)
     exact_curves = exact_error_curves(model, trajectory, priors=plan.priors, ks=result.ks) + [

@@ -120,7 +120,7 @@ def test_criterion_06_moments_match_monte_carlo():
     assert schedule.window == 2
     n_trials, checkpoints = 100_000, (5, 50)
     rng = np.random.default_rng(32006)
-    traj = propagate_moments(model, schedule, max(checkpoints), keep=checkpoints)
+    traj = propagate_moments(model, schedule, range(1, max(checkpoints) + 1), keep=checkpoints)
     x = None
     worst = 0.0
     for k in range(1, max(checkpoints) + 1):
@@ -189,7 +189,7 @@ def test_criterion_09_residual_bound_and_cumulant_limit():
     model, schedule, _ = build_scenario("ref3")
     sig2 = model.llr_variance
     mus = (-1.0, -0.1, 0.1, 1.0)
-    traj = propagate_moments(model, schedule, 1000)
+    traj = propagate_moments(model, schedule, range(1, 1001))
     worst_ratio = 0.0
     for hyp in (H0, H1):
         ks, values, bounds = mixing_residual_curves(model, schedule, traj, 500, mus, hypothesis=hyp)
@@ -230,7 +230,7 @@ def test_criterion_10_monte_carlo_agreement():
         )
         result = run_monte_carlo(plan)
         k_max = int(result.ks.max())
-        exact_nodes = exact_error_curves(model, propagate_moments(model, schedule, k_max), ks=result.ks)
+        exact_nodes = exact_error_curves(model, propagate_moments(model, schedule, range(1, k_max + 1)), ks=result.ks)
         exact_cen = centralized_error_curve(model, result.ks)
         local_cells = local_passing = 0
         pairs = list(zip(exact_nodes, result.node_curves))

@@ -6,7 +6,6 @@ moments, and the exact-decomposition cross-check for the mixing residual.
 """
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -263,7 +262,7 @@ class TestPropagateMoments:
     def test_single_node_closed_form(self):
         m = build_model([0.0], [1.0], [[1.0]])
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
-        traj = propagate_moments(m, s, 40, keep=(1, 2, 7, 40))
+        traj = propagate_moments(m, s, range(1, 41), keep=(1, 2, 7, 40))
         for k in (1, 2, 7, 40):
             assert traj.mean_at(k)[0] == pytest.approx(m.llr_mean1, rel=1e-12)
             assert traj.cov_at(k)[0, 0] == pytest.approx(m.llr_variance / k, rel=1e-12)
@@ -273,7 +272,7 @@ class TestPropagateMoments:
         """Node-average mean stays llr_mean, grand covariance sum sigma2/k."""
         model, schedule = alt3_scenario()
         ks = (1, 2, 3, 10, 50, 200)
-        traj = propagate_moments(model, schedule, 200, keep=ks)
+        traj = propagate_moments(model, schedule, range(1, 201), keep=ks)
         for k in ks:
             avg = float(traj.mean_at(k, H0).mean())
             assert abs(avg - model.llr_mean0) <= 1e-10 * max(1.0, abs(model.llr_mean0))
@@ -298,7 +297,7 @@ class TestPropagateMoments:
         ]
         for model, schedule, k_max in cases:
             keep = (1, 7, k_max)
-            traj = propagate_moments(model, schedule, k_max, keep=keep)
+            traj = propagate_moments(model, schedule, range(1, k_max + 1), keep=keep)
             means0, covs = reference_moments_h0(model, schedule, k_max)
             assert np.array_equal(-traj.means, means0)
             assert np.array_equal(traj.mean_at(7, H0), means0[6])
@@ -307,19 +306,19 @@ class TestPropagateMoments:
 
     def test_only_kept_covariances_are_stored(self):
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, 30, keep=(30, 4, 4))
+        traj = propagate_moments(model, schedule, range(1, 31), keep=(30, 4, 4))
         assert traj.keep == (4, 30)
         assert traj.covariances.shape == (2, 3, 3)
-        assert propagate_moments(model, schedule, 30).covariances.shape == (0, 3, 3)
+        assert propagate_moments(model, schedule, range(1, 31)).covariances.shape == (0, 3, 3)
         with pytest.raises(ParameterError):
             traj.cov_at(5)
         for keep in ((0,), (31,)):
             with pytest.raises(ParameterError):
-                propagate_moments(model, schedule, 30, keep=keep)
+                propagate_moments(model, schedule, range(1, 31), keep=keep)
 
     def test_mean_outside_horizon_rejected(self):
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, 30)
+        traj = propagate_moments(model, schedule, range(1, 31))
         for k in (0, -1, 31):
             with pytest.raises(ParameterError):
                 traj.mean_at(k)
@@ -327,7 +326,7 @@ class TestPropagateMoments:
     def test_covariances_stay_psd(self):
         model, schedule = alt3_scenario()
         ks = (1, 5, 25, 100)
-        traj = propagate_moments(model, schedule, 100, keep=ks)
+        traj = propagate_moments(model, schedule, range(1, 101), keep=ks)
         for k in ks:
             eigs = np.linalg.eigvalsh(traj.cov_at(k))
             assert eigs.min() >= -1e-12
@@ -345,7 +344,7 @@ class TestPropagateMoments:
                 x = 3.0 * etas
             else:
                 x = ((k - 1) / k) * (x @ schedule.weight_at(k - 1)) + (3.0 / k) * etas
-        traj = propagate_moments(model, schedule, k_stop, keep=(k_stop,))
+        traj = propagate_moments(model, schedule, range(1, k_stop + 1), keep=(k_stop,))
         mu, p = traj.mean_at(k_stop), traj.cov_at(k_stop)
         emp_mu = x.mean(axis=0)
         emp_p = np.cov(x.T)
@@ -359,7 +358,7 @@ class TestPropagateMoments:
     def test_bad_horizon_rejected(self):
         model, schedule = alt3_scenario()
         with pytest.raises(ParameterError):
-            propagate_moments(model, schedule, 0)
+            propagate_moments(model, schedule, range(1, 1))
 
 
 # The jump's log tails agree with stepping within 1.4e-14 relative over
@@ -380,6 +379,11 @@ def ring64(two_matching_ring):
 real_jump = analysis._jump
 
 
+def past_horizon(*checkpoints):
+    """Every k up to 512, then ``checkpoints``: the visit set of analyze."""
+    return [*range(1, 513), *checkpoints]
+
+
 class TestJumpPastTheHorizon:
     @pytest.mark.parametrize("name", CORPUS)
     def test_jump_matches_stepping_on_the_corpus(self, name):
@@ -388,10 +392,9 @@ class TestJumpPastTheHorizon:
         P = 4, and a deep jump."""
         model, schedule, _ = build_scenario(name)
         targets = [513, 1000, 1001, 8192]
-        stepped = propagate_moments(model, schedule, max(targets))
-        jumped = propagate_moments(model, schedule, 512, checkpoints=targets)
-        assert jumped.k_max == 512
-        assert sorted(jumped.beyond) == targets
+        stepped = propagate_moments(model, schedule, range(1, max(targets) + 1))
+        jumped = propagate_moments(model, schedule, past_horizon(*targets))
+        assert jumped.ks.tolist() == past_horizon(*targets)
         want = log_tails(model, stepped, targets)
         assert np.all(np.isfinite(want))
         np.testing.assert_allclose(log_tails(model, jumped, targets), want, rtol=JUMP_REL_TOL, atol=0.0)
@@ -400,8 +403,8 @@ class TestJumpPastTheHorizon:
         """A 64-node two-matching ring steps through CSR factors; the jump is dense."""
         model, schedule = ring64(two_matching_ring)
         assert type(schedule.operators()[0]).__name__ == "csr_array"
-        stepped = propagate_moments(model, schedule, 1024)
-        jumped = propagate_moments(model, schedule, 512, checkpoints=[1024])
+        stepped = propagate_moments(model, schedule, range(1, 1025))
+        jumped = propagate_moments(model, schedule, past_horizon(1024))
         np.testing.assert_allclose(
             log_tails(model, jumped, [1024]), log_tails(model, stepped, [1024]), rtol=JUMP_REL_TOL, atol=0.0
         )
@@ -412,15 +415,15 @@ class TestJumpPastTheHorizon:
         jumps = []
         monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[-1]) or real_jump(*a))
         model, schedule = ring64(two_matching_ring)
-        stepped = propagate_moments(model, schedule, 700)
-        grid = propagate_moments(model, schedule, 512, checkpoints=range(513, 701))
+        stepped = propagate_moments(model, schedule, range(1, 701))
+        grid = propagate_moments(model, schedule, past_horizon(*range(513, 701)))
         assert jumps == []
         ks = np.arange(513, 701)
         means, variances = grid.moments_at(ks)
         assert np.array_equal(means, stepped.means[ks - 1])
         assert np.array_equal(variances, stepped.variances[ks - 1])
         # gaps of 8, 180, 1 and 999299 steps: only the second and last pay
-        propagate_moments(model, schedule, 512, checkpoints=[520, 700, 701, 10**6])
+        propagate_moments(model, schedule, past_horizon(520, 700, 701, 10**6))
         assert jumps == [90, 499649]
 
     def test_memory_past_the_horizon_does_not_grow_with_checkpoints(self, two_matching_ring):
@@ -433,20 +436,18 @@ class TestJumpPastTheHorizon:
         checkpoints = [*range(513, 1537), *range(1600, 4096, 5)]
         tracemalloc.start()
         try:
-            traj = propagate_moments(model, schedule, 512, checkpoints=checkpoints)
+            traj = propagate_moments(model, schedule, past_horizon(*checkpoints))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = traj.means.nbytes + traj.variances.nbytes + sys.getsizeof(traj.beyond)
-        for k, pair in traj.beyond.items():
-            held += sys.getsizeof(k) + sys.getsizeof(pair) + sum(map(sys.getsizeof, pair))
-        assert len(traj.beyond) == len(checkpoints)
+        held = traj.ks.nbytes + traj.means.nbytes + traj.variances.nbytes
+        assert traj.ks.tolist() == past_horizon(*checkpoints)
         assert peak < held + 32 * 64 * 64 * 8
 
     def test_scaled_cumulant_reads_jumped_moments(self):
         model, schedule, _ = build_scenario("ref3")
-        stepped = propagate_moments(model, schedule, 5000)
-        jumped = propagate_moments(model, schedule, 512, checkpoints=[5000])
+        stepped = propagate_moments(model, schedule, range(1, 5001))
+        jumped = propagate_moments(model, schedule, past_horizon(5000))
         for mu in (-1.0, 0.1):
             want = scaled_cumulant(model, schedule, H1, 5000, mu, 2, trajectory=stepped)
             got = scaled_cumulant(model, schedule, H1, 5000, mu, 2, trajectory=jumped)
@@ -457,20 +458,21 @@ class TestJumpPastTheHorizon:
     def test_stepped_moments_ignore_deeper_checkpoints(self):
         """Every k up to the horizon is bit-identical with and without a jump requested."""
         model, schedule, _ = build_scenario("rand5")
-        alone = propagate_moments(model, schedule, 512, keep=(7, 512), checkpoints=range(1, 513))
-        deep = propagate_moments(model, schedule, 512, keep=(7, 512), checkpoints=[1, 300, 512, 10**9])
-        assert alone.beyond == {}
-        assert sorted(deep.beyond) == [10**9]
-        for field in ("means", "variances", "covariances"):
-            assert np.array_equal(getattr(deep, field), getattr(alone, field))
+        alone = propagate_moments(model, schedule, past_horizon(*range(1, 513)), keep=(7, 512))
+        deep = propagate_moments(model, schedule, past_horizon(1, 300, 512, 10**9), keep=(7, 512))
+        assert alone.ks.tolist() == past_horizon()
+        assert deep.ks.tolist() == past_horizon(10**9)
+        assert np.array_equal(deep.means[:512], alone.means)
+        assert np.array_equal(deep.variances[:512], alone.variances)
+        assert np.array_equal(deep.covariances, alone.covariances)
         ks = np.arange(1, 513)
         assert np.array_equal(log_tails(model, deep, ks), log_tails(model, alone, ks))
 
     def test_lookups_answer_jumped_checkpoints(self):
         model, schedule = alt3_scenario()
-        stepped = propagate_moments(model, schedule, 100)
-        traj = propagate_moments(model, schedule, 30, checkpoints=(5, 33, 100))
-        assert sorted(traj.beyond) == [33, 100]
+        stepped = propagate_moments(model, schedule, range(1, 101))
+        traj = propagate_moments(model, schedule, [*range(1, 31), 5, 33, 100])
+        assert traj.ks.tolist() == [*range(1, 31), 33, 100]
         for k in (33, 100):
             np.testing.assert_allclose(traj.mean_at(k), stepped.mean_at(k), rtol=1e-13)
             np.testing.assert_allclose(traj.mean_at(k, H0), -stepped.mean_at(k), rtol=1e-13)
@@ -485,7 +487,7 @@ class TestJumpPastTheHorizon:
     def test_billionth_step_is_finite(self):
         """ref3 at k = 1e9: log10 pe about -3.26e7, through the series branch of log Q."""
         model, schedule, _ = build_scenario("ref3")
-        traj = propagate_moments(model, schedule, 512, checkpoints=[10**6, 10**9])
+        traj = propagate_moments(model, schedule, past_horizon(10**6, 10**9))
         for curve in exact_error_curves(model, traj, ks=[10**6, 10**9]):
             assert np.all(np.isfinite(curve.log_pe))
             assert curve.log10_pe[1] == pytest.approx(-3.26e7, rel=2e-3)
@@ -500,7 +502,7 @@ class TestErrorCurves:
         """alpha(4) = Q(1) for the unit one-sensor model (scipy oracle)."""
         m = build_model([0.0], [1.0], [[1.0]])
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
-        (curve,) = exact_error_curves(m, propagate_moments(m, s, 4), ks=[4])
+        (curve,) = exact_error_curves(m, propagate_moments(m, s, range(1, 5)), ks=[4])
         assert curve.alpha[0] == pytest.approx(norm.sf(1.0), rel=1e-12)
         assert curve.beta[0] == pytest.approx(norm.sf(1.0), rel=1e-12)
 
@@ -511,12 +513,12 @@ class TestErrorCurves:
 
     def test_symmetric_hypotheses_balance_errors(self):
         model, schedule = alt3_scenario()
-        for curve in exact_error_curves(model, propagate_moments(model, schedule, 30)):
+        for curve in exact_error_curves(model, propagate_moments(model, schedule, range(1, 31))):
             assert curve.log_alpha == pytest.approx(curve.log_beta, rel=1e-12)
 
     def test_priors_weight_the_total(self):
         model, schedule = alt3_scenario()
-        curves = exact_error_curves(model, propagate_moments(model, schedule, 10), priors=(0.3, 0.7))
+        curves = exact_error_curves(model, propagate_moments(model, schedule, range(1, 11)), priors=(0.3, 0.7))
         for curve in curves:
             combined = 0.3 * curve.alpha + 0.7 * curve.beta
             assert curve.pe == pytest.approx(combined, rel=1e-12)
@@ -527,10 +529,18 @@ class TestErrorCurves:
         assert curve.log_pe[0] < -40_000.0
         assert curve.pe[0] == 0.0
 
+    def test_log10_pe_is_the_base_ten_log(self):
+        """On ref3's checkpoints, where pe stays above 1e-300, log10_pe is log10(pe)."""
+        model, schedule, config = build_scenario("ref3")
+        ks = config.checkpoints
+        for curve in exact_error_curves(model, propagate_moments(model, schedule, ks), ks=ks):
+            assert np.all(curve.pe > 1e-300)
+            np.testing.assert_allclose(curve.log10_pe, np.log10(curve.pe), rtol=1e-12, atol=0.0)
+
     def test_degenerate_variance_rejected(self):
         m = identity_pair()
         flat = MomentTrajectory(
-            means=np.zeros((3, 2)), variances=np.zeros((3, 2)), covariances=np.zeros((0, 2, 2))
+            ks=np.arange(1, 4), means=np.zeros((3, 2)), variances=np.zeros((3, 2)), covariances=np.zeros((0, 2, 2))
         )
         with pytest.raises(DegenerateVariance):
             exact_error_curves(m, flat)
@@ -571,7 +581,7 @@ class TestScaledCumulant:
         model, schedule = alt3_scenario()
         mu = 0.5
         limit = model.llr_mean1 * mu + model.llr_variance * mu * mu / 2.0
-        traj = propagate_moments(model, schedule, 1000)
+        traj = propagate_moments(model, schedule, range(1, 1001))
         near = scaled_cumulant(model, schedule, H1, 1000, mu, 2, trajectory=traj)
         far = scaled_cumulant(model, schedule, H1, 10, mu, 2, trajectory=traj)
         assert abs(near - limit) < abs(far - limit)
@@ -645,7 +655,7 @@ class TestMixingResidual:
     def test_perfect_averaging_gives_exact_zero(self):
         """W = J leaves no disagreement: the residual is zero up to its rounding floor."""
         model, schedule = pair_scenario()
-        traj = propagate_moments(model, schedule, 40)
+        traj = propagate_moments(model, schedule, range(1, 41))
         ks, values, bounds = mixing_residual_curves(model, schedule, traj, 40, (0.8,))
         assert np.all(np.abs(values[0]) <= rounding_floor(traj, ks, 0.8))
         assert np.all(bounds > 0.0)
@@ -653,7 +663,7 @@ class TestMixingResidual:
     def test_exact_decomposition_cross_check(self):
         """Residual equals scaled cumulant minus the ideal-averaging drift."""
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, 60)
+        traj = propagate_moments(model, schedule, range(1, 61))
         mus = (-1.0, 0.3, 1.0)
         for h in (H0, H1):
             _, values, _ = mixing_residual_curves(model, schedule, traj, 60, mus, hypothesis=h)
@@ -666,7 +676,7 @@ class TestMixingResidual:
 
     def test_bound_holds_on_alternating_schedule(self):
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, 200)
+        traj = propagate_moments(model, schedule, range(1, 201))
         ks, values, bounds = mixing_residual_curves(
             model, schedule, traj, 200, (-1.0, -0.1, 0.1, 1.0)
         )
@@ -677,7 +687,7 @@ class TestMixingResidual:
     def test_scaled_residual_stays_bounded(self):
         """k * |value| must not grow: the bound is O(1/k)."""
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, 500)
+        traj = propagate_moments(model, schedule, range(1, 501))
         ks, values, bounds = mixing_residual_curves(model, schedule, traj, 500, (0.5,))
         scaled = np.abs(values[0]) * ks[:, None]
         assert scaled[200:].max() <= scaled.max() + 1e-12
@@ -685,7 +695,7 @@ class TestMixingResidual:
 
     def test_hypothesis_flip_matches_sign_flip(self):
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, 33)
+        traj = propagate_moments(model, schedule, range(1, 34))
         _, a, _ = mixing_residual_curves(model, schedule, traj, 33, (0.6,), hypothesis=H0)
         _, b, _ = mixing_residual_curves(model, schedule, traj, 33, (-0.6,), hypothesis=H1)
         for k in (2, 7, 33):
@@ -693,16 +703,27 @@ class TestMixingResidual:
 
     def test_short_horizon_rejected(self):
         model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, 10)
+        traj = propagate_moments(model, schedule, range(1, 11))
         for k_max in (1, 0, 11):
             with pytest.raises(ParameterError):
                 mixing_residual_curves(model, schedule, traj, k_max, (0.5,))
+
+    def test_residual_needs_every_k_visited(self):
+        """Row i holds k = i + 1 only when every k up to k_max was visited."""
+        model, schedule = alt3_scenario()
+        for ks, k_max in (([*range(1, 11), 20], 11), (range(2, 13), 10), ([1, 3, 5, 7], 4)):
+            traj = propagate_moments(model, schedule, ks)
+            with pytest.raises(ParameterError):
+                mixing_residual_curves(model, schedule, traj, k_max, (0.5,))
+        traj = propagate_moments(model, schedule, [*range(1, 11), 20])
+        ks, _, _ = mixing_residual_curves(model, schedule, traj, 10, (0.5,))
+        assert ks.tolist() == list(range(2, 11))
 
     def test_curves_match_single_calls(self):
         """Values match the scalar disagreement-product loop to rounding; bounds bit for bit."""
         model, schedule = alt3_scenario()
         mus = (-1.0, -0.1, 0.1, 1.0)
-        traj = propagate_moments(model, schedule, 12)
+        traj = propagate_moments(model, schedule, range(1, 13))
         for h in (H0, H1):
             ks, values, bounds = mixing_residual_curves(model, schedule, traj, 12, mus, hypothesis=h)
             assert ks.tolist() == list(range(2, 13))
@@ -715,7 +736,7 @@ class TestMixingResidual:
     def test_matches_disagreement_products_on_corpus(self, name):
         """The residual derived from the trajectory equals the product sums on every schedule."""
         model, schedule, _ = build_scenario(name)
-        traj = propagate_moments(model, schedule, 512)
+        traj = propagate_moments(model, schedule, range(1, 513))
         for h in (H0, H1):
             ks, values, bounds = mixing_residual_curves(
                 model, schedule, traj, 512, RESIDUAL_MUS, hypothesis=h

@@ -217,6 +217,19 @@ class TestAnalyze:
         residual = "ref3_residual_diagnostic.csv"
         assert (runs["deep"] / residual).read_bytes() == (runs["shallow"] / residual).read_bytes()
 
+    def test_repeated_checkpoint_is_written_once(self, tmp_path):
+        """Checkpoints [8, 4, 4, 16, 2] analyze as the set 2, 4, 8, 16: one
+        row per curve and k, and four points in each fit."""
+        config = write_config(tmp_path, ref3_dict(checkpoints=[8, 4, 4, 16, 2]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--quiet", "--config", config, "--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in (out / "ref3_curves_exact.csv").read_text().splitlines()[1:]]
+        for node in ("cen", "1", "2", "3"):
+            assert [k for name, k in rows if name == node] == ["2", "4", "8", "16"]
+        analysis = json.loads((out / "ref3_analysis.json").read_text())
+        assert analysis["checkpoints"] == [2, 4, 8, 16]
+        assert {fit["n_points"] for fit in analysis["fits"].values()} == {4}
+
     def test_decay_violation_leaves_report_and_exits_one(self, tmp_path, monkeypatch, capsys):
         real = cli.check_geometric_decay
 
@@ -302,7 +315,7 @@ class TestArtifactWriter:
         config = scenario_from_file(config_path)
         model, schedule = config.build_model(), config.build_schedule()
         k_max = min(max(config.checkpoints), cli.RESIDUAL_HORIZON)
-        traj = propagate_moments(model, schedule, k_max)
+        traj = propagate_moments(model, schedule, range(1, k_max + 1))
         ks, values, bounds = mixing_residual_curves(model, schedule, traj, k_max, cli.RESIDUAL_MUS)
         expected = per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds)
         written = (out / f"{config.name}_residual_diagnostic.csv").read_bytes()

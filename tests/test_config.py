@@ -235,6 +235,10 @@ class TestExperimentSection:
         d = minimal_dict(experiment={"checkpoints": [1, 10, 100]})
         assert scenario_from_dict(d).checkpoints == (1, 10, 100)
 
+    def test_checkpoints_are_sorted_and_distinct(self):
+        d = minimal_dict(experiment={"checkpoints": [8, 4, 4, 16, 2]})
+        assert scenario_from_dict(d).checkpoints == (2, 4, 8, 16)
+
     def test_bad_checkpoint_rejected(self):
         d = minimal_dict(experiment={"checkpoints": [0, 10]})
         with pytest.raises(ConfigError, match=r"checkpoints\[0\]"):

@@ -240,7 +240,7 @@ class TestRunMonteCarlo:
             master_seed=11,
         )
         result = run_monte_carlo(plan)
-        exact = exact_error_curves(model, propagate_moments(model, schedule, 25), ks=[5, 25])
+        exact = exact_error_curves(model, propagate_moments(model, schedule, range(1, 26)), ks=[5, 25])
         for i, curve in enumerate(exact):
             mc = result.node_curves[i]
             for pos in range(2):
@@ -425,6 +425,22 @@ class TestCompareDetectors:
             thresholds = dataclasses.replace(config.thresholds, gap_tolerance=factor * ratio)
             assert compare_detectors(plan, thresholds)["verdict"] == verdict
 
+    def test_a_growing_gap_fails(self):
+        """ref3 at k_early = 100 and k_late = 101 with gap_tolerance 0.05
+        (0.00375 absolute): every node is within tolerance, but node 1's gap
+        grows from 0.00104 to 0.00178, so the verdict is fail.  100 and 101
+        lie in different phases of ref3's period-2 schedule; a shrink rule
+        that compares checkpoints of one phase, as the ROADMAP's closed-form
+        rate item proposes, may move this witness."""
+        plan = scenario_config("ref3").build_plan()
+        report = compare_detectors(plan, Thresholds(k_early=100, k_late=101, gap_tolerance=0.05))
+        assert all(entry["within_tolerance"] for entry in report["nodes"])
+        node1 = report["nodes"][0]
+        assert node1["node"] == "1"
+        assert node1["gap_late"] > node1["gap_early"]
+        assert node1["gap_shrinks"] is False
+        assert report["verdict"] == "fail"
+
     def test_report_is_json_serializable(self):
         report = compare_detectors(alt3_plan(), Thresholds(k_early=20, k_late=80))
         text = json.dumps(report, sort_keys=True)
@@ -495,10 +511,10 @@ class TestCompareDetectors:
         model, schedule = plan.model, plan.schedule
         short = Thresholds(k_early=20, k_late=80)
         own = compare_detectors(plan, short)
-        reused = compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, 300))
+        reused = compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, range(1, 301)))
         assert json.dumps(reused, sort_keys=True) == json.dumps(own, sort_keys=True)
         with pytest.raises(ParameterError):
-            compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, 79))
+            compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, range(1, 80)))
 
 
 # ── agreement scoring ─────────────────────────────────────────────────────

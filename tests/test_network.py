@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
+from cdlab import network
 from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
 from cdlab.network import (
     PRODUCT_AGREE_ATOL,
@@ -371,6 +372,23 @@ class TestCheckGeometricDecay:
         assert report.passed
         assert report.worst_ratio == 0.0
         assert report.measured_rate == np.inf
+
+    def test_pass_line_is_the_envelope(self, monkeypatch):
+        """ref3's largest entry-to-envelope ratio to gap 60 is 0.6528; with the
+        amplitude scaled so that it reads 1.5, an entry between one and two
+        envelopes, the check fails."""
+        real = network.contraction_bound
+
+        def scaled(*args):
+            bound = real(*args)
+            return dataclasses.replace(bound, amplitude=bound.amplitude * 0.6528 / 1.5)
+
+        _, schedule, _ = build_scenario("ref3")
+        assert check_geometric_decay(schedule, max_gap=60).worst_ratio == pytest.approx(0.6528, rel=1e-4)
+        monkeypatch.setattr(network, "contraction_bound", scaled)
+        report = check_geometric_decay(schedule, max_gap=60)
+        assert report.passed is False
+        assert report.worst_ratio == pytest.approx(1.5, rel=1e-4)
 
     def test_non_mixing_schedule_violates(self):
         """Identity matrices with an overclaimed floor must trip the bound."""
