@@ -1,9 +1,8 @@
-"""Large-deviations objects and exact Gaussian error analysis.
+"""Exact Gaussian error analysis of running-consensus detection.
 
-Snapshot log-likelihood ratios are Gaussian, so every asymptotic object has
-a closed form: the rate function is quadratic, its Fenchel-Legendre dual is
-the quadratic log-MGF, and the Chernoff information is llr_variance / 8.
-The consensus recursion is linear-Gaussian as well, which makes the law of
+Snapshot log-likelihood ratios are Gaussian, so the Chernoff information,
+the best error exponent, is llr_variance / 8 in closed form.  The
+consensus recursion is linear-Gaussian as well, which makes the law of
 every node variable x_i(k) exactly Gaussian with moments obtainable by
 direct propagation.  Error curves therefore come from normal tail
 probabilities, not simulation, and stay meaningful far below 1e-300
@@ -31,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    MaximizerAtBoundary,
-    ParameterError,
-    ThresholdOutOfRange,
-)
+from .errors import DegenerateVariance, ParameterError
 from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
 from .network import WeightSchedule, contraction_bound
 
@@ -44,21 +38,13 @@ __all__ = [
     "MomentTrajectory",
     "ErrorCurve",
     "log_q_function",
-    "rate_function",
     "chernoff_information",
-    "log_mgf",
-    "fenchel_legendre",
-    "fixed_threshold_rates",
     "propagate_moments",
     "exact_error_curves",
     "centralized_error_curve",
-    "scaled_cumulant",
     "mixing_residual_curves",
 ]
 
-FL_DEFAULT_INTERVAL = (-50.0, 50.0)
-FL_XTOL = 1e-10
-FL_BOUNDARY_MARGIN = 1e-5
 VARIANCE_FLOOR = 1e-300
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -91,77 +77,9 @@ def _log_q(x: float) -> float:
     return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log(series)
 
 
-# ── closed-form rate objects ──────────────────────────────────────────────
-
-
-def rate_function(model: GaussianHypothesisPair, l: Hypothesis, t: float) -> float:
-    """Quadratic rate function (t - mean)^2 / (2 variance) of the llr mean."""
-    d = float(t) - model.llr_mean(l)
-    return d * d / (2.0 * model.llr_variance)
-
-
 def chernoff_information(model: GaussianHypothesisPair) -> float:
-    """Best achievable Bayes error exponent; equals rate_function at t = 0."""
+    """Best achievable Bayes error exponent: the llr mean's rate function at t = 0."""
     return model.llr_variance / 8.0
-
-
-def log_mgf(model: GaussianHypothesisPair, l: Hypothesis, lam: float) -> float:
-    lam = float(lam)
-    return lam * model.llr_mean(l) + lam * lam * model.llr_variance / 2.0
-
-
-def fenchel_legendre(f, t: float, interval=FL_DEFAULT_INTERVAL) -> float:
-    """sup over lambda of lambda*t - f(lambda) by golden-section search.
-
-    The caller guarantees f is convex on the interval and that the interval
-    brackets the maximizer with some margin; an argmax within 1e-5 of the
-    interval width from either end raises MaximizerAtBoundary.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ParameterError(f"empty search interval ({a}, {b})")
-    t = float(t)
-
-    def g(lam: float) -> float:
-        return lam * t - f(lam)
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = a, b
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    gc, gd = g(c), g(d)
-    tol = FL_XTOL * max(1.0, abs(a), abs(b))
-    while hi - lo > tol:
-        if gc >= gd:
-            hi, d, gd = d, c, gc
-            c = hi - inv_phi * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + inv_phi * (hi - lo)
-            gd = g(d)
-    arg = (lo + hi) / 2.0
-    margin = FL_BOUNDARY_MARGIN * (b - a)
-    if arg - a < margin or b - arg < margin:
-        raise MaximizerAtBoundary(
-            f"argmax {arg:.6g} touches the search interval ({a}, {b})"
-        )
-    return g(arg)
-
-
-def fixed_threshold_rates(model: GaussianHypothesisPair, gamma: float) -> tuple[float, float]:
-    """Error exponents of the constant-threshold test at level gamma.
-
-    For gamma strictly between the two llr means the false-alarm exponent is
-    -I0(gamma) and the miss exponent gamma - I0(gamma); both are negative.
-    """
-    gamma = float(gamma)
-    if not model.llr_mean0 < gamma < model.llr_mean1:
-        raise ThresholdOutOfRange(
-            f"gamma must lie in ({model.llr_mean0}, {model.llr_mean1}), got {gamma}"
-        )
-    i0 = rate_function(model, Hypothesis.H0, gamma)
-    return (-i0, gamma - i0)
 
 
 # ── exact moments of a node variable ──────────────────────────────────────
@@ -457,34 +375,7 @@ def centralized_error_curve(
     return _exact_curve("cen", ks, log_q_function(np.sqrt(ks) * sigma / 2.0), priors)
 
 
-# ── scaled cumulants and the mixing residual ──────────────────────────────
-
-
-def scaled_cumulant(
-    model: GaussianHypothesisPair,
-    s: WeightSchedule,
-    l: Hypothesis,
-    k: int,
-    mu: float,
-    node: int,
-    trajectory: MomentTrajectory | None = None,
-) -> float:
-    """Exact (1/k) log E[exp(k mu x_i(k))] from the Gaussian law of x_i(k).
-
-    Equals mu * mean_i(k) + (k/2) mu^2 var_i(k); its k -> infinity limit is
-    llr_mean * mu + llr_variance * mu^2 / 2 for every node.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not 1 <= node <= model.n_sensors:
-        raise ParameterError(f"node must be in 1..{model.n_sensors}, got {node}")
-    if trajectory is None:
-        trajectory = propagate_moments(model, s, range(1, k + 1))
-    mu = float(mu)
-    i = node - 1
-    mean_i = float(trajectory.mean_at(k, l)[i])
-    var_i = float(trajectory.variance_at(k)[i])
-    return mu * mean_i + (k / 2.0) * mu * mu * var_i
+# ── the mixing residual ───────────────────────────────────────────────────
 
 
 def mixing_residual_curves(

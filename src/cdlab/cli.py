@@ -26,7 +26,7 @@ from .analysis import (
     propagate_moments,
 )
 from .config import ScenarioConfig, scenario_from_file
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .experiment import check_simulation, fit_exponent, report_header
 from .network import check_geometric_decay, validate_assumption
 
@@ -217,7 +217,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = scenario_from_file(args.config)
-    plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
+    try:
+        plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
+    except ParameterError as exc:
+        # the file's values were checked as it was read, so a flag is at fault
+        given = (("--trials", args.trials), ("--seed", args.seed))
+        flags = " ".join(f"{flag} {value}" for flag, value in given if value is not None)
+        raise ConfigError(f"{flags}: {exc}") from None
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
     result, _, report, accepted = check_simulation(plan, config.thresholds)
     ws.write("curves_mc.csv", _curves_csv([result.centralized_curve, *result.node_curves]))

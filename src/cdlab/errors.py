@@ -25,14 +25,6 @@ class NoConnectedWindow(ValueError):
     """No window length up to the period yields a connected union graph."""
 
 
-class MaximizerAtBoundary(RuntimeError):
-    """Numeric maximizer landed on the edge of the search interval."""
-
-
-class ThresholdOutOfRange(ValueError):
-    """Decision threshold outside the open interval of achievable means."""
-
-
 class DegenerateVariance(ValueError):
     """A per-node variance is zero or negative beyond tolerance."""
 

@@ -32,7 +32,7 @@ from .errors import (
     ZeroProbabilityInWindow,
 )
 from .model import GaussianHypothesisPair, Hypothesis
-from .network import WeightSchedule, contraction_bound, validate_assumption
+from .network import WeightSchedule, _check_integer, contraction_bound, validate_assumption
 
 CHUNK_TRIALS = 4096
 THREADS_ENV = "CDL_THREADS"
@@ -83,16 +83,12 @@ class ExperimentPlan:
                 f"model has {self.model.n_sensors} sensors but the schedule "
                 f"has {self.schedule.n_nodes} nodes"
             )
-        ck = sorted({int(k) for k in self.k_checkpoints})
-        if not ck or ck[0] < 1:
-            raise ParameterError(f"checkpoints must be >= 1, got {self.k_checkpoints!r}")
+        ck = sorted({_check_integer(k, "checkpoint", 1) for k in self.k_checkpoints})
+        if not ck:
+            raise ParameterError("checkpoints must be a nonempty set")
         object.__setattr__(self, "k_checkpoints", tuple(ck))
-        if int(self.n_trials) < 1:
-            raise ParameterError(f"n_trials must be >= 1, got {self.n_trials}")
-        object.__setattr__(self, "n_trials", int(self.n_trials))
-        if int(self.master_seed) < 0:
-            raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "n_trials", _check_integer(self.n_trials, "n_trials", 1))
+        object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed", 0))
         object.__setattr__(self, "priors", _check_priors(self.priors))
 
 
@@ -303,13 +299,6 @@ def fit_exponent(curve: ErrorCurve, window) -> ExponentFit:
         residual=residual,
         n_points=int(finite.sum()),
     )
-
-
-def subexponential_factor(curve: ErrorCurve, chernoff: float) -> np.ndarray:
-    """pe(k) * exp(k * chernoff): the part of the decay slower than e^{-kC}."""
-    if not (np.isfinite(chernoff) and chernoff > 0.0):
-        raise ParameterError(f"chernoff must be positive and finite, got {chernoff}")
-    return np.exp(curve.log_pe + curve.ks * chernoff)
 
 
 def score_agreement(pairs, n_trials: int, min_prob: float, sigma: float) -> tuple:

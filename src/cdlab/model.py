@@ -31,9 +31,6 @@ __all__ = [
     "GaussianHypothesisPair",
     "InnovationStats",
     "build_model",
-    "sample_observations",
-    "llr",
-    "local_innovations",
     "innovation_stats",
 ]
 
@@ -147,34 +144,6 @@ def build_model(m0, m1, cov) -> GaussianHypothesisPair:
         llr_mean1=sigma2 / 2.0,
         llr_variance=sigma2,
     )
-
-
-def sample_observations(
-    model: GaussianHypothesisPair,
-    h: Hypothesis,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """Draw ``size`` independent snapshots as rows of a (size, n) array."""
-    z = rng.standard_normal((size, model.n_sensors))
-    return model.mean(h) + z @ model.noise_chol.T
-
-
-def llr(model: GaussianHypothesisPair, y: np.ndarray):
-    """Log-likelihood ratio of one snapshot (or a batch on the last axis)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != model.n_sensors:
-        raise ShapeError(f"observation has {y.shape[-1]} entries, expected {model.n_sensors}")
-    out = (y - model.midpoint) @ model.innovation_weights
-    return float(out) if out.ndim == 0 else out
-
-
-def local_innovations(model: GaussianHypothesisPair, y: np.ndarray) -> np.ndarray:
-    """Per-sensor innovation eta_i = w_i (y_i - midpoint_i); sums to llr."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != model.n_sensors:
-        raise ShapeError(f"observation has {y.shape[-1]} entries, expected {model.n_sensors}")
-    return model.innovation_weights * (y - model.midpoint)
 
 
 def innovation_stats(model: GaussianHypothesisPair) -> InnovationStats:

@@ -36,14 +36,11 @@ __all__ = [
     "metropolis_weights",
     "build_schedule",
     "validate_assumption",
-    "forward_product",
-    "disagreement_product",
     "contraction_bound",
     "check_geometric_decay",
 ]
 
 STOCHASTIC_ATOL = 1e-12
-PRODUCT_AGREE_ATOL = 1e-12
 # factors stored as CSR: below these sizes a CSR step measured slower than BLAS
 SPARSE_DENSITY = 1 / 16
 SPARSE_MIN_NODES = 64
@@ -57,6 +54,17 @@ TOPOLOGIES = tuple(TOPOLOGY_FIELDS)
 WEIGHT_RULES = ("metropolis", "explicit")
 
 
+def _check_integer(value, name: str, minimum: int) -> int:
+    """The integer rule: a Python or numpy integer, not a bool, at least ``minimum``.
+
+    Anything else, an integral float included, raises ParameterError rather
+    than being truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GraphSnapshot:
     """Undirected simple graph on nodes labeled 1..n_nodes."""
@@ -65,17 +73,16 @@ class GraphSnapshot:
     edges: frozenset
 
     def __init__(self, n_nodes: int, edges):
-        if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
-            raise ParameterError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+        _check_integer(n_nodes, "n_nodes", 1)
         norm = set()
         for e in edges:
-            pair = tuple(int(x) for x in e)
+            pair = tuple(_check_integer(x, f"edge {e!r} endpoint", 1) for x in e)
             if len(pair) != 2:
                 raise ParameterError(f"edge {e!r} is not a pair")
             i, j = min(pair), max(pair)
             if i == j:
                 raise ParameterError(f"self-loop on node {i}")
-            if not (1 <= i and j <= n_nodes):
+            if j > n_nodes:
                 raise ParameterError(f"edge {e!r} outside nodes 1..{n_nodes}")
             norm.add((i, j))
         object.__setattr__(self, "n_nodes", int(n_nodes))
@@ -372,40 +379,7 @@ def validate_assumption(s: WeightSchedule) -> ValidationReport:
     )
 
 
-# ── products and contraction ──────────────────────────────────────────────
-
-
-def forward_product(s: WeightSchedule, k: int, j: int) -> np.ndarray:
-    """Phi(k, j) = W(k-1) @ ... @ W(j) for k > j >= 1."""
-    if not (k > j >= 1):
-        raise IndexError(f"need k > j >= 1, got k={k}, j={j}")
-    out = np.eye(s.n_nodes)
-    for l in range(j, k):
-        out = s.weight_at(l) @ out
-    return out
-
-
-def disagreement_product(s: WeightSchedule, k: int, j: int) -> np.ndarray:
-    """Phi(k, j) minus the averaging projector, cross-checked two ways.
-
-    Computed as the ordered product of the (W(l) - J) factors, which keeps
-    precision once entries are tiny, and verified against Phi(k, j) - J to
-    1e-12 absolute; doubly stochastic factors make the two identical in
-    exact arithmetic.
-    """
-    if not (k > j >= 1):
-        raise IndexError(f"need k > j >= 1, got k={k}, j={j}")
-    jmat = np.full((s.n_nodes, s.n_nodes), 1.0 / s.n_nodes)
-    tilde = np.eye(s.n_nodes)
-    for l in range(j, k):
-        tilde = (s.weight_at(l) - jmat) @ tilde
-    direct = forward_product(s, k, j) - jmat
-    gap = float(np.abs(tilde - direct).max())
-    if gap > PRODUCT_AGREE_ATOL:
-        raise RuntimeError(
-            f"disagreement product mismatch {gap:.3e} at (k={k}, j={j})"
-        )
-    return tilde
+# ── contraction ───────────────────────────────────────────────────────────
 
 
 @dataclass(frozen=True)
@@ -418,12 +392,10 @@ class ContractionBound:
 
 def contraction_bound(n: int, min_weight: float, window: int) -> ContractionBound:
     """Geometric envelope constants from network size, weight floor, window."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    _check_integer(n, "n", 1)
     if not 0.0 < min_weight <= 1.0:
         raise ParameterError(f"min_weight must be in (0, 1], got {min_weight}")
-    if not isinstance(window, (int, np.integer)) or window < 1:
-        raise ParameterError(f"window must be a positive integer, got {window!r}")
+    _check_integer(window, "window", 1)
     base = 1.0 - min_weight / (4.0 * n * n)
     return ContractionBound(amplitude=base**-2, ratio=base ** (1.0 / window))
 

@@ -1,0 +1,319 @@
+"""Reference implementations the tests compare the shipped code against.
+
+None of this runs in a ``cdlab`` command.  Each function states once more,
+in its most literal form, something the package computes another way:
+
+* the step-driven detectors (one snapshot at a time, the tie rule in
+  ``decide``) and their closed form from backward products, against the
+  node-major Monte Carlo kernel ``experiment._run_chunk`` and the exact
+  moment walk ``analysis.propagate_moments``;
+* the observation sampler and the per-snapshot log-likelihood ratio and
+  innovations, which drive independent simulations of the recursion;
+* the closed-form rate objects (rate function, log-MGF, its
+  Fenchel-Legendre transform, constant-threshold exponents) and the scaled
+  cumulant of a node variable, for the large-deviations checks;
+* the literal products Phi(k, j) and Phi(k, j) - J, against the running
+  products of ``network.check_geometric_decay`` and the moments behind
+  ``analysis.mixing_residual_curves``;
+* the subexponential factor pe(k) exp(k C) of an error curve.
+
+``MaximizerAtBoundary`` and ``ThresholdOutOfRange`` are raised only here.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cdlab.analysis import ErrorCurve, MomentTrajectory, propagate_moments
+from cdlab.errors import ParameterError, ShapeError
+from cdlab.model import GaussianHypothesisPair, Hypothesis
+from cdlab.network import WeightSchedule
+
+FL_DEFAULT_INTERVAL = (-50.0, 50.0)
+FL_XTOL = 1e-10
+FL_BOUNDARY_MARGIN = 1e-5
+PRODUCT_AGREE_ATOL = 1e-12
+
+
+class MaximizerAtBoundary(RuntimeError):
+    """Numeric maximizer landed on the edge of the search interval."""
+
+
+class ThresholdOutOfRange(ValueError):
+    """Decision threshold outside the open interval of achievable means."""
+
+
+# ── observations ──────────────────────────────────────────────────────────
+
+
+def sample_observations(
+    model: GaussianHypothesisPair,
+    h: Hypothesis,
+    rng: np.random.Generator,
+    size: int,
+) -> np.ndarray:
+    """Draw ``size`` independent snapshots as rows of a (size, n) array."""
+    z = rng.standard_normal((size, model.n_sensors))
+    return model.mean(h) + z @ model.noise_chol.T
+
+
+def llr(model: GaussianHypothesisPair, y: np.ndarray):
+    """Log-likelihood ratio of one snapshot (or a batch on the last axis)."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] != model.n_sensors:
+        raise ShapeError(f"observation has {y.shape[-1]} entries, expected {model.n_sensors}")
+    out = (y - model.midpoint) @ model.innovation_weights
+    return float(out) if out.ndim == 0 else out
+
+
+def local_innovations(model: GaussianHypothesisPair, y: np.ndarray) -> np.ndarray:
+    """Per-sensor innovation eta_i = w_i (y_i - midpoint_i); sums to llr."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] != model.n_sensors:
+        raise ShapeError(f"observation has {y.shape[-1]} entries, expected {model.n_sensors}")
+    return model.innovation_weights * (y - model.midpoint)
+
+
+# ── step-driven detectors ─────────────────────────────────────────────────
+#
+# The centralized detector keeps D(k), the running mean of snapshot
+# log-likelihood ratios.  The distributed detector keeps one decision
+# variable per node and evolves it by
+#
+#     x(k+1) = (k/(k+1)) W(k) x(k) + (N/(k+1)) eta(k+1),    x(1) = N eta(1),
+#
+# where eta is the innovation vector of the new observation.  Because every
+# W(k) is doubly stochastic, the node average of x(k) reproduces D(k)
+# exactly, so both detectors can be compared pathwise on a shared stream.
+# Both decide H1 iff the decision variable is strictly positive.
+
+
+@dataclass(frozen=True)
+class CentralizedState:
+    k: int
+    value: float
+
+
+@dataclass(frozen=True)
+class DistributedState:
+    k: int
+    x: np.ndarray
+
+
+def centralized_init(model: GaussianHypothesisPair) -> CentralizedState:
+    return CentralizedState(k=0, value=0.0)
+
+
+def centralized_step(
+    state: CentralizedState, model: GaussianHypothesisPair, y: np.ndarray
+) -> CentralizedState:
+    score = llr(model, y)
+    if not np.isscalar(score) and np.ndim(score):
+        raise ShapeError("centralized_step takes a single observation")
+    k = state.k
+    return CentralizedState(k=k + 1, value=(k * state.value + score) / (k + 1))
+
+
+def distributed_init(
+    model: GaussianHypothesisPair, y1: np.ndarray
+) -> DistributedState:
+    eta = local_innovations(model, y1)
+    if eta.ndim != 1:
+        raise ShapeError("distributed_init takes a single observation")
+    return DistributedState(k=1, x=model.n_sensors * eta)
+
+
+def distributed_step(
+    state: DistributedState,
+    model: GaussianHypothesisPair,
+    s: WeightSchedule,
+    y_next: np.ndarray,
+) -> DistributedState:
+    """Advance one step with the innovation vector of the next observation."""
+    eta_next = local_innovations(model, y_next)
+    n = s.n_nodes
+    if state.x.shape != (n,) or eta_next.shape != (n,):
+        raise ShapeError(
+            f"state/innovation length must equal {n} nodes, "
+            f"got {state.x.shape} and {eta_next.shape}"
+        )
+    k = state.k
+    x_next = (k / (k + 1)) * (s.weight_at(k) @ state.x) + (n / (k + 1)) * eta_next
+    return DistributedState(k=k + 1, x=x_next)
+
+
+def distributed_closed_form(
+    model: GaussianHypothesisPair, s: WeightSchedule, observations
+) -> np.ndarray:
+    """x(k) assembled from backward products instead of the recursion.
+
+    x(k) = (N/k) [ sum_{j<k} Phi(k,j) eta(j) + eta(k) ].  The product
+    Phi(k, j) is accumulated by literal right-multiplication, a different
+    evaluation order from the step recursion, so agreement between the two
+    is a real cross-check of the indexing.
+    """
+    obs = list(observations)
+    k = len(obs)
+    if k < 2:
+        raise IndexError(f"closed form needs at least 2 observations, got {k}")
+    etas = [local_innovations(model, y) for y in obs]
+    n = model.n_sensors
+    total = etas[-1].copy()
+    prod = np.eye(n)
+    for j in range(k - 1, 0, -1):
+        # prod becomes Phi(k, j) = Phi(k, j+1) @ W(j)
+        prod = prod @ s.weight_at(j)
+        total += prod @ etas[j - 1]
+    return (n / k) * total
+
+
+def decide(variable: float) -> Hypothesis:
+    """H1 iff the decision variable is strictly positive; ties go to H0."""
+    value = float(variable)
+    if not np.isfinite(value):
+        raise ParameterError(f"decision variable must be finite, got {value}")
+    return Hypothesis.H1 if value > 0.0 else Hypothesis.H0
+
+
+# ── closed-form rate objects ──────────────────────────────────────────────
+
+
+def rate_function(model: GaussianHypothesisPair, l: Hypothesis, t: float) -> float:
+    """Quadratic rate function (t - mean)^2 / (2 variance) of the llr mean."""
+    d = float(t) - model.llr_mean(l)
+    return d * d / (2.0 * model.llr_variance)
+
+
+def log_mgf(model: GaussianHypothesisPair, l: Hypothesis, lam: float) -> float:
+    lam = float(lam)
+    return lam * model.llr_mean(l) + lam * lam * model.llr_variance / 2.0
+
+
+def fenchel_legendre(f, t: float, interval=FL_DEFAULT_INTERVAL) -> float:
+    """sup over lambda of lambda*t - f(lambda) by golden-section search.
+
+    The caller guarantees f is convex on the interval and that the interval
+    brackets the maximizer with some margin; an argmax within 1e-5 of the
+    interval width from either end raises MaximizerAtBoundary.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ParameterError(f"empty search interval ({a}, {b})")
+    t = float(t)
+
+    def g(lam: float) -> float:
+        return lam * t - f(lam)
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = a, b
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    gc, gd = g(c), g(d)
+    tol = FL_XTOL * max(1.0, abs(a), abs(b))
+    while hi - lo > tol:
+        if gc >= gd:
+            hi, d, gd = d, c, gc
+            c = hi - inv_phi * (hi - lo)
+            gc = g(c)
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + inv_phi * (hi - lo)
+            gd = g(d)
+    arg = (lo + hi) / 2.0
+    margin = FL_BOUNDARY_MARGIN * (b - a)
+    if arg - a < margin or b - arg < margin:
+        raise MaximizerAtBoundary(
+            f"argmax {arg:.6g} touches the search interval ({a}, {b})"
+        )
+    return g(arg)
+
+
+def fixed_threshold_rates(model: GaussianHypothesisPair, gamma: float) -> tuple[float, float]:
+    """Error exponents of the constant-threshold test at level gamma.
+
+    For gamma strictly between the two llr means the false-alarm exponent is
+    -I0(gamma) and the miss exponent gamma - I0(gamma); both are negative.
+    """
+    gamma = float(gamma)
+    if not model.llr_mean0 < gamma < model.llr_mean1:
+        raise ThresholdOutOfRange(
+            f"gamma must lie in ({model.llr_mean0}, {model.llr_mean1}), got {gamma}"
+        )
+    i0 = rate_function(model, Hypothesis.H0, gamma)
+    return (-i0, gamma - i0)
+
+
+def scaled_cumulant(
+    model: GaussianHypothesisPair,
+    s: WeightSchedule,
+    l: Hypothesis,
+    k: int,
+    mu: float,
+    node: int,
+    trajectory: MomentTrajectory | None = None,
+) -> float:
+    """Exact (1/k) log E[exp(k mu x_i(k))] from the Gaussian law of x_i(k).
+
+    Equals mu * mean_i(k) + (k/2) mu^2 var_i(k); its k -> infinity limit is
+    llr_mean * mu + llr_variance * mu^2 / 2 for every node.
+    """
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if not 1 <= node <= model.n_sensors:
+        raise ParameterError(f"node must be in 1..{model.n_sensors}, got {node}")
+    if trajectory is None:
+        trajectory = propagate_moments(model, s, range(1, k + 1))
+    mu = float(mu)
+    i = node - 1
+    mean_i = float(trajectory.mean_at(k, l)[i])
+    var_i = float(trajectory.variance_at(k)[i])
+    return mu * mean_i + (k / 2.0) * mu * mu * var_i
+
+
+# ── products ──────────────────────────────────────────────────────────────
+
+
+def forward_product(s: WeightSchedule, k: int, j: int) -> np.ndarray:
+    """Phi(k, j) = W(k-1) @ ... @ W(j) for k > j >= 1."""
+    if not (k > j >= 1):
+        raise IndexError(f"need k > j >= 1, got k={k}, j={j}")
+    out = np.eye(s.n_nodes)
+    for l in range(j, k):
+        out = s.weight_at(l) @ out
+    return out
+
+
+def disagreement_product(s: WeightSchedule, k: int, j: int) -> np.ndarray:
+    """Phi(k, j) minus the averaging projector, cross-checked two ways.
+
+    Computed as the ordered product of the (W(l) - J) factors, which keeps
+    precision once entries are tiny, and verified against Phi(k, j) - J to
+    1e-12 absolute; doubly stochastic factors make the two identical in
+    exact arithmetic.
+    """
+    if not (k > j >= 1):
+        raise IndexError(f"need k > j >= 1, got k={k}, j={j}")
+    jmat = np.full((s.n_nodes, s.n_nodes), 1.0 / s.n_nodes)
+    tilde = np.eye(s.n_nodes)
+    for l in range(j, k):
+        tilde = (s.weight_at(l) - jmat) @ tilde
+    direct = forward_product(s, k, j) - jmat
+    gap = float(np.abs(tilde - direct).max())
+    if gap > PRODUCT_AGREE_ATOL:
+        raise RuntimeError(
+            f"disagreement product mismatch {gap:.3e} at (k={k}, j={j})"
+        )
+    return tilde
+
+
+# ── error curves ──────────────────────────────────────────────────────────
+
+
+def subexponential_factor(curve: ErrorCurve, chernoff: float) -> np.ndarray:
+    """pe(k) * exp(k * chernoff): the part of the decay slower than e^{-kC}."""
+    if not (np.isfinite(chernoff) and chernoff > 0.0):
+        raise ParameterError(f"chernoff must be positive and finite, got {chernoff}")
+    return np.exp(curve.log_pe + curve.ks * chernoff)

@@ -3,6 +3,15 @@ pass/fail line under -v) per criterion.
 
 Each test prints a summary line with the measured margins so a tee'd run
 documents not just pass/fail but how much headroom each criterion had.
+
+Three criteria check mathematics or an oracle rather than the package:
+02 checks the duality of closed forms (``fenchel_legendre`` of ``log_mgf``
+against ``rate_function``, all in ``oracles``), 03 steps its own inline
+recursion on observations from the oracle sampler, and 05 compares one
+oracle with another (the step recursion against its closed form).  The
+others exercise shipped code: 06 compares ``propagate_moments`` with an
+inline simulation, and 09's cumulant limit reads the oracle
+``scaled_cumulant`` off a shipped moment trajectory.
 """
 
 import math
@@ -13,14 +22,9 @@ from cdlab.analysis import (
     centralized_error_curve,
     chernoff_information,
     exact_error_curves,
-    fenchel_legendre,
-    log_mgf,
     mixing_residual_curves,
     propagate_moments,
-    rate_function,
-    scaled_cumulant,
 )
-from cdlab.detectors import distributed_closed_form, distributed_init, distributed_step
 from cdlab.experiment import (
     ExperimentPlan,
     Thresholds,
@@ -29,9 +33,20 @@ from cdlab.experiment import (
     run_monte_carlo,
     score_agreement,
 )
-from cdlab.model import Hypothesis, local_innovations, sample_observations
+from cdlab.model import Hypothesis
 from cdlab.network import check_geometric_decay, validate_assumption
 from cdlab.scenarios import CORPUS, build_scenario
+from oracles import (
+    distributed_closed_form,
+    distributed_init,
+    distributed_step,
+    fenchel_legendre,
+    local_innovations,
+    log_mgf,
+    rate_function,
+    sample_observations,
+    scaled_cumulant,
+)
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 

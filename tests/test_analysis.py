@@ -21,25 +21,27 @@ from cdlab.analysis import (
     centralized_error_curve,
     chernoff_information,
     exact_error_curves,
-    fenchel_legendre,
-    fixed_threshold_rates,
-    log_mgf,
     log_q_function,
     mixing_residual_curves,
     propagate_moments,
-    rate_function,
-    scaled_cumulant,
 )
 from cdlab.cli import RESIDUAL_MUS
-from cdlab.errors import (
-    DegenerateVariance,
-    MaximizerAtBoundary,
-    ParameterError,
-    ThresholdOutOfRange,
-)
-from cdlab.model import Hypothesis, build_model, innovation_stats, llr, local_innovations, sample_observations
+from cdlab.errors import DegenerateVariance, ParameterError
+from cdlab.model import Hypothesis, build_model, innovation_stats
 from cdlab.network import ScheduleSpec, build_schedule, contraction_bound
 from cdlab.scenarios import CORPUS, build_scenario
+from oracles import (
+    MaximizerAtBoundary,
+    ThresholdOutOfRange,
+    fenchel_legendre,
+    fixed_threshold_rates,
+    llr,
+    local_innovations,
+    log_mgf,
+    rate_function,
+    sample_observations,
+    scaled_cumulant,
+)
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 

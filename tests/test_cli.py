@@ -393,6 +393,15 @@ class TestSimulate:
             reports.append((out / "ref3_curves_mc.csv").read_text())
         assert reports[0] != reports[1]
 
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--seed", "-1"]])
+    def test_out_of_range_flag_is_a_config_error(self, flags, tmp_path, capsys):
+        """Exit 2 naming the flag, as the same value in the file would; 1 means a failed verdict."""
+        out = tmp_path / "out"
+        code = main(["simulate", "--quiet", "--config", str(SCENARIO_DIR / "n1.json"), "--out", str(out), *flags])
+        assert code == 2
+        assert f"config error: {' '.join(flags)}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_threshold_exits_one(self, tmp_path):
         data = ref3_dict(n_trials=200, checkpoints=[1, 2, 4])
         data["experiment"]["thresholds"] = {"gap_tolerance": 1e-9}

@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlab.detectors import (
+from cdlab.errors import ParameterError, ShapeError
+from cdlab.model import Hypothesis, build_model
+from cdlab.network import ScheduleSpec, WeightSchedule, build_schedule
+from oracles import (
     centralized_init,
     centralized_step,
     decide,
     distributed_closed_form,
     distributed_init,
     distributed_step,
+    llr,
+    local_innovations,
 )
-from cdlab.errors import ParameterError, ShapeError
-from cdlab.model import Hypothesis, build_model, llr, local_innovations
-from cdlab.network import ScheduleSpec, WeightSchedule, build_schedule
 
 
 def identity_pair():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cdlab.analysis import ErrorCurve, propagate_moments, exact_error_curves
-from cdlab.detectors import centralized_init, centralized_step, distributed_init, distributed_step
 from cdlab.errors import (
     InsufficientPoints,
     ParameterError,
@@ -24,11 +23,17 @@ from cdlab.experiment import (
     fit_exponent,
     run_monte_carlo,
     score_agreement,
-    subexponential_factor,
 )
 from cdlab.model import Hypothesis, build_model
 from cdlab.network import ScheduleSpec, build_schedule
 from cdlab.scenarios import scenario_config
+from oracles import (
+    centralized_init,
+    centralized_step,
+    distributed_init,
+    distributed_step,
+    subexponential_factor,
+)
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
 
@@ -89,6 +94,27 @@ class TestExperimentPlan:
             alt3_plan(n_trials=0)
         with pytest.raises(ParameterError):
             alt3_plan(master_seed=-1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_trials": 2.9},
+            {"n_trials": 300.0},
+            {"n_trials": True},
+            {"master_seed": 1.5},
+            {"master_seed": False},
+            {"k_checkpoints": (1.7, 3)},
+            {"k_checkpoints": (True, 3)},
+        ],
+    )
+    def test_non_integers_rejected_not_truncated(self, overrides):
+        with pytest.raises(ParameterError):
+            alt3_plan(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        plan = alt3_plan(n_trials=np.int64(300), master_seed=np.uint32(7), k_checkpoints=np.arange(1, 4))
+        assert (plan.n_trials, plan.master_seed, plan.k_checkpoints) == (300, 7, (1, 2, 3))
+        assert all(type(v) is int for v in (plan.n_trials, plan.master_seed, *plan.k_checkpoints))
 
     def test_bad_priors_rejected(self):
         with pytest.raises(ParameterError):

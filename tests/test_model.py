@@ -18,15 +18,9 @@ from cdlab.errors import (
     ParameterError,
     ShapeError,
 )
-from cdlab.model import (
-    Hypothesis,
-    build_model,
-    innovation_stats,
-    llr,
-    local_innovations,
-    sample_observations,
-)
+from cdlab.model import Hypothesis, build_model, innovation_stats
 from cdlab.scenarios import CORPUS, build_scenario
+from oracles import llr, local_innovations, sample_observations
 
 
 def identity_pair():

@@ -16,20 +16,18 @@ from scipy.sparse import csr_array
 from cdlab import network
 from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
 from cdlab.network import (
-    PRODUCT_AGREE_ATOL,
     GraphSnapshot,
     ScheduleSpec,
     WeightSchedule,
     build_schedule,
     check_geometric_decay,
     contraction_bound,
-    disagreement_product,
-    forward_product,
     metropolis_weights,
     validate_assumption,
     _support_edges,
 )
 from cdlab.scenarios import CORPUS, build_scenario
+from oracles import PRODUCT_AGREE_ATOL, disagreement_product, forward_product
 
 PATH3 = ScheduleSpec(n_nodes=3, topology="static", edges=((1, 2), (2, 3)))
 ALT3 = ScheduleSpec(
@@ -66,6 +64,18 @@ class TestGraphSnapshot:
             GraphSnapshot(3, [(0, 2)])
         with pytest.raises(ParameterError):
             GraphSnapshot(3, [(1, 4)])
+
+    @pytest.mark.parametrize(
+        "n_nodes, edges",
+        [(3, [(1.5, 2.9)]), (3, [(1.0, 2)]), (3, [(True, 2)]), (3.0, []), (True, [])],
+    )
+    def test_non_integers_rejected_not_truncated(self, n_nodes, edges):
+        with pytest.raises(ParameterError):
+            GraphSnapshot(n_nodes, edges)
+
+    def test_numpy_integers_accepted(self):
+        g = GraphSnapshot(np.int64(3), np.array([[2, 1], [3, 2]]))
+        assert g.n_nodes == 3 and g.edges == frozenset({(1, 2), (2, 3)})
 
     def test_connectivity(self):
         assert GraphSnapshot(1, []).is_connected()
