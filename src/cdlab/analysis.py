@@ -16,11 +16,11 @@ compose by repeated squaring, so a gap of g steps costs O(N^3 log g) where
 that beats stepping, and k = 1e9 is as cheap as k = 1e3.  Shorter gaps are
 stepped.
 
-``mixing_residual_curves`` quantifies how far the finite-k scaled cumulant
-of a node variable is from the value it would take under perfect per-step
-averaging, read off the same moment trajectory as the curves; its proven
-bound decays like 1/k with constants from the contraction envelope, which
-is the mechanism behind every node matching the centralized error exponent.
+``mixing_residual_curves`` reads off the same trajectory how far the finite-k
+scaled cumulant of a node variable is from its value under perfect per-step
+averaging: two K x N parts, from which rows are formed one (tilt, k) at a time
+in O(K N) memory.  Its proven bound decays like 1/k (contraction envelope), the
+mechanism behind every node matching the centralized error exponent.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ import numpy as np
 
 from .errors import DegenerateVariance, ParameterError
 from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
-from .network import WeightSchedule, contraction_bound
+from .network import WeightSchedule, _check_integer, contraction_bound
 
 __all__ = [
     "MomentTrajectory",
     "ErrorCurve",
+    "ResidualCurves",
     "log_q_function",
     "chernoff_information",
     "propagate_moments",
@@ -143,15 +144,14 @@ def propagate_moments(
     current N x N state is held between visits.  ``keep``, a subset of
     ``ks``, lists the k at which the full covariance matrix is stored.
     """
-    ks = sorted({int(k) for k in ks})
-    if not ks or ks[0] < 1:
-        raise ParameterError(f"the visited k must be a nonempty set of k >= 1, got {ks[:1] or 'none'}")
-    keep = tuple(sorted({int(k) for k in keep}))
+    ks = sorted({_check_integer(k, "a visited k", 1) for k in ks})
+    if not ks:
+        raise ParameterError("the visited k must be a nonempty set of k >= 1, got none")
+    keep = tuple(sorted({_check_integer(k, "a kept k", 1) for k in keep}))
     if not set(keep) <= set(ks):
         raise ParameterError(f"kept covariances {keep} are not all among the visited k")
     stats = innovation_stats(model)
-    m_eta = stats.mean1
-    s_eta = stats.cov
+    m_eta, s_eta = stats.mean1, stats.cov
     n = model.n_sensors
     means = np.empty((len(ks), n))
     variances = np.empty((len(ks), n))
@@ -355,9 +355,7 @@ def exact_error_curves(
         var = variances[:, i]
         floor = float(var.min())
         if floor <= VARIANCE_FLOOR:
-            raise DegenerateVariance(
-                f"node {i + 1} variance {floor:.3e} is not positive"
-            )
+            raise DegenerateVariance(f"node {i + 1} variance {floor:.3e} is not positive")
         log_tail = log_q_function(means[:, i] / np.sqrt(var))
         curves.append(_exact_curve(str(i + 1), ks, log_tail, priors))
     return curves
@@ -378,6 +376,27 @@ def centralized_error_curve(
 # ── the mixing residual ───────────────────────────────────────────────────
 
 
+@dataclass(frozen=True)
+class ResidualCurves:
+    """The mixing residual at each tilt of ``mus`` and k of ``ks``, as two K x n parts.
+
+    ``rows`` forms the row at (mu, k), (n/k) mu lin_k + n^2/(2k) mu^2 quad_cross_k.
+    """
+
+    mus: tuple
+    ks: np.ndarray  # (K,)
+    lin: np.ndarray  # (K, n), signed for the hypothesis
+    quad_cross: np.ndarray  # (K, n)
+    bounds: np.ndarray  # (len(mus), K)
+
+    def rows(self):
+        """Yield (mu, k, values, bound) for each tilt, then each k; values is a new n-vector."""
+        n = self.lin.shape[1]
+        for mu, bounds in zip(self.mus, self.bounds):
+            for k, bound, lin, quad_cross in zip(self.ks.tolist(), bounds.tolist(), self.lin, self.quad_cross):
+                yield mu, k, (n / k) * mu * lin + (n * n / (2.0 * k)) * mu * mu * quad_cross, bound
+
+
 def mixing_residual_curves(
     model: GaussianHypothesisPair,
     s: WeightSchedule,
@@ -385,49 +404,44 @@ def mixing_residual_curves(
     k_max: int,
     mus,
     hypothesis: Hypothesis = Hypothesis.H1,
-):
-    """Residual values and bounds for every tilt, node and k in 2..k_max.
+) -> ResidualCurves:
+    """The residual and its bound for every tilt, node and k in 2..k_max.
 
-    Returns (ks, values, bounds) with values of shape (len(mus), len(ks), n)
-    and bounds of shape (len(mus), len(ks)).  The residual is built from the
-    disagreement products tPhi(k, j) = Phi(k, j) - J, J = 11'/N, summed over
-    j < k: lin = sum tPhi m_eta, quad = diag(sum tPhi S_eta tPhi') and
+    The residual is built from the disagreement products
+    tPhi(k, j) = Phi(k, j) - J, J = 11'/N, summed over j < k:
+    lin = sum tPhi m_eta, quad = diag(sum tPhi S_eta tPhi') and
     cross = sum tPhi S_eta 1.  These are the disagreement parts of the
     moments of the running sum U(k) = k x(k) / N = sum_{j<=k} Phi(k, j) eta(j),
     so they are read off ``trajectory``, which must have visited every k
-    up to k_max:
+    up to k_max, into two K x N arrays built in place:
       lin = E U(k) - (k - 1) J m_eta - m_eta
-      quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
-    The value's linear part flips sign with the hypothesis; the bound,
-    which decays like 1/k, does not.
+      quad_cross = quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
+    with m_eta the innovation mean under ``hypothesis``.  The bound, which
+    decays like 1/k, does not depend on the hypothesis.
     """
     if not (2 <= k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
         raise ParameterError(f"k_max must be >= 2 with every k up to it visited, got {k_max}")
     stats = innovation_stats(model)
-    m_eta, s_eta = stats.mean1, stats.cov
+    sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0  # the H0 means negate the H1 means
+    m_eta, s_eta = sign * stats.mean1, stats.cov
     n = s.n_nodes
     ks = np.arange(2, k_max + 1)
     col = ks[:, None]
     ideal = col - 1.0
-    lin = (col / n) * trajectory.means[1:k_max] - m_eta - ideal * m_eta.mean()
-    quad_cross = (
-        (col * col / (n * n)) * trajectory.variances[1:k_max]
-        - np.diag(s_eta)
-        - ideal * (s_eta.sum() / (n * n))
-    )
-    m_bar = float(np.abs(m_eta).max())
-    s_bar = float(np.abs(s_eta).max())
+    lin = np.multiply(sign * col / n, trajectory.means[1:k_max])
+    lin -= m_eta
+    lin -= ideal * m_eta.mean()
+    quad_cross = np.multiply(col * col / (n * n), trajectory.variances[1:k_max])
+    quad_cross -= np.diag(s_eta)
+    quad_cross -= ideal * (s_eta.sum() / (n * n))
+    m_bar, s_bar = float(np.abs(m_eta).max()), float(np.abs(s_eta).max())
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
     env = contraction_bound(n, s.min_weight, s.window)
     theta, beta = env.amplitude, env.ratio
-    sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0
-    values = np.empty((len(mus), ks.size, n))
-    bounds = np.empty((len(mus), ks.size))
-    for row, mu in enumerate(mus):
-        mu = float(mu)
-        values[row] = (n / col) * mu * sign * lin + (n * n / (2.0 * col)) * mu * mu * quad_cross
-        mu = abs(mu)
+    mus = tuple(float(mu) for mu in mus)
+    bounds = np.empty((len(mus), ks.size))  # a row at a time: its temporaries are K-vectors
+    for row, mu in enumerate(map(abs, mus)):
         first = (theta / ks) * (n**2 * m_bar * mu + n**3 * mu * mu * b_bar) / (1.0 - beta)
         second = (theta * theta / ks) * (n**4 / 2.0) * mu * mu * s_bar / (1.0 - beta * beta)
         bounds[row] = first + second
-    return ks, values, bounds
+    return ResidualCurves(mus, ks, lin, quad_cross, bounds)

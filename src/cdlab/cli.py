@@ -69,14 +69,13 @@ def _curves_csv(curves):
         yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 
 
-def residual_csv(mus, ks, values, bounds):
-    """Yield the CSV of ``mixing_residual_curves(..., mus)``: the header, then n rows per (mu, k)."""
+def residual_csv(rows, n_nodes: int):
+    """Yield the residual CSV: the header, then n_nodes lines per row of ``ResidualCurves.rows()``."""
     yield RESIDUAL_HEADER + "\n"
-    node_cells = [f"{node},%r" for node in range(1, values.shape[-1] + 1)]
-    for mu, mu_values, mu_bounds in zip(mus, values, bounds):
-        for k, row, bound in zip(ks.tolist(), mu_values, mu_bounds.tolist()):
-            head, tail = f"{mu!r},{k},", f",{bound!r}\n"
-            yield (head + (tail + head).join(node_cells) + tail) % tuple(row.tolist())
+    node_cells = [f"{node},%r" for node in range(1, n_nodes + 1)]
+    for mu, k, values, bound in rows:
+        head, tail = f"{mu!r},{k},", f",{bound!r}\n"
+        yield (head + (tail + head).join(node_cells) + tail) % tuple(values.tolist())
 
 
 class _Workspace:
@@ -93,12 +92,9 @@ class _Workspace:
         if not self.quiet:
             print(message)
 
-    def path(self, suffix: str) -> Path:
-        return self.out_dir / f"{self.config.name}_{suffix}"
-
     def write(self, suffix: str, chunks) -> Path:
         """Stream a text or text chunks, hashed as written, to a file that replaces the target."""
-        target = self.path(suffix)
+        target = self.out_dir / f"{self.config.name}_{suffix}"
         target.parent.mkdir(parents=True, exist_ok=True)
         partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
         digest = hashlib.sha256()
@@ -125,12 +121,6 @@ class _Workspace:
             "files": {path.name: digest for path, digest in self.written},
         }
         return self.write(f"{command}_manifest.json", _dump_json(manifest))
-
-
-def _fit_window(ks) -> tuple:
-    """Default fit window over sorted checkpoints: the last five (at least three)."""
-    lo = ks[-5] if len(ks) >= 5 else ks[0]
-    return (lo, ks[-1])
 
 
 def _safe_fit(curve, window):
@@ -183,21 +173,19 @@ def cmd_analyze(args) -> int:
     decay = check_geometric_decay(schedule, max_gap=min(200, max(k_max, 2)))
     ws.write("decay_report.json", _dump_json(decay.as_dict()))
 
-    residual_summary = {}
-    residual_rows = RESIDUAL_HEADER + "\n"
-    if horizon >= 2:
-        res_ks, values, bounds = mixing_residual_curves(model, schedule, traj, horizon, RESIDUAL_MUS)
-        for mu, mu_values, mu_bounds in zip(RESIDUAL_MUS, values, bounds):
-            with np.errstate(invalid="ignore"):
-                ratio = float((np.abs(mu_values) / mu_bounds[:, None]).max())
-            residual_summary[repr(mu)] = {"max_abs_over_bound": ratio}
-        residual_rows = residual_csv(RESIDUAL_MUS, res_ks, values, bounds)
-    ws.write("residual_diagnostic.csv", residual_rows)
+    worst = {}  # mu -> max over k and node of |value| / bound, nan if any is nan
 
-    window = _fit_window(ks)
-    fits = {"cen": _safe_fit(cen_curve, window)}
-    for curve in node_curves:
-        fits[curve.node] = _safe_fit(curve, window)
+    def folded(rows):
+        for mu, k, values, bound in rows:
+            with np.errstate(invalid="ignore"):
+                worst[mu] = np.maximum(worst.get(mu, -np.inf), np.abs(values).max() / bound)
+            yield mu, k, values, bound
+
+    rows = mixing_residual_curves(model, schedule, traj, horizon, RESIDUAL_MUS).rows() if horizon >= 2 else ()
+    ws.write("residual_diagnostic.csv", residual_csv(folded(rows), model.n_sensors))
+
+    window = (ks[max(len(ks) - 5, 0)], ks[-1])  # the last five checkpoints, or all of them
+    fits = {curve.node: _safe_fit(curve, window) for curve in [cen_curve, *node_curves]}
     analysis = {
         **header,
         "scenario": config.name,
@@ -206,7 +194,7 @@ def cmd_analyze(args) -> int:
         "checkpoints": [int(k) for k in ks],
         "fit_window": list(window),
         "fits": fits,
-        "residual": residual_summary,
+        "residual": {repr(mu): {"max_abs_over_bound": float(w)} for mu, w in worst.items()},
     }
     ws.write("analysis.json", _dump_json(analysis))
     ws.write_manifest("analyze")

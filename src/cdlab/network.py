@@ -143,8 +143,8 @@ class ScheduleSpec:
 
     Construction checks the fields the rule and topology read: explicit
     ``matrices`` nonempty and n_nodes x n_nodes (ShapeError otherwise), a
-    nonempty ``link_cycle``, a random-subgraph ``period`` >= 1, ``seed``
-    >= 0 and ``keep_prob`` in [0, 1], and every edge through GraphSnapshot.
+    nonempty ``link_cycle``, a random-subgraph integer ``period`` >= 1 and
+    integer ``seed`` >= 0, ``keep_prob`` in [0, 1], and every edge through GraphSnapshot.
     """
 
     n_nodes: int
@@ -173,10 +173,8 @@ class ScheduleSpec:
         if self.topology == "alternating-links" and not self.link_cycle:
             raise ParameterError("alternating-links needs a nonempty link_cycle")
         if self.topology == "random-subgraph":
-            if self.period is None or self.period < 1:
-                raise ParameterError(f"random-subgraph needs period >= 1, got {self.period}")
-            if self.seed is None or self.seed < 0:
-                raise ParameterError(f"random-subgraph needs a seed >= 0, got {self.seed}")
+            _check_integer(self.period, "random-subgraph period", 1)
+            _check_integer(self.seed, "random-subgraph seed", 0)
             if not 0.0 <= self.keep_prob <= 1.0:
                 raise ParameterError(f"keep_prob must be in [0, 1], got {self.keep_prob}")
         for edges in self.link_cycle if self.topology == "alternating-links" else (self.edges,):

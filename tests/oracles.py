@@ -15,7 +15,9 @@ in its most literal form, something the package computes another way:
 * the literal products Phi(k, j) and Phi(k, j) - J, against the running
   products of ``network.check_geometric_decay`` and the moments behind
   ``analysis.mixing_residual_curves``;
-* the subexponential factor pe(k) exp(k C) of an error curve.
+* the subexponential factor pe(k) exp(k C) of an error curve;
+* the whole (tilt, k, node) cube of the mixing residual, stacked from the
+  rows ``analysis.ResidualCurves`` forms one at a time.
 
 ``MaximizerAtBoundary`` and ``ThresholdOutOfRange`` are raised only here.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdlab.analysis import ErrorCurve, MomentTrajectory, propagate_moments
+from cdlab.analysis import ErrorCurve, MomentTrajectory, mixing_residual_curves, propagate_moments
 from cdlab.errors import ParameterError, ShapeError
 from cdlab.model import GaussianHypothesisPair, Hypothesis
 from cdlab.network import WeightSchedule
@@ -317,3 +319,14 @@ def subexponential_factor(curve: ErrorCurve, chernoff: float) -> np.ndarray:
     if not (np.isfinite(chernoff) and chernoff > 0.0):
         raise ParameterError(f"chernoff must be positive and finite, got {chernoff}")
     return np.exp(curve.log_pe + curve.ks * chernoff)
+
+
+def residual_cube(*args, **kwargs) -> tuple:
+    """``mixing_residual_curves(*args, **kwargs)`` as (ks, values, bounds) arrays.
+
+    ``values``, (len(mus), K, n), is stacked from ``ResidualCurves.rows()``,
+    so it holds the rows the commands write; ``bounds`` is (len(mus), K).
+    """
+    residual = mixing_residual_curves(*args, **kwargs)
+    values = np.array([values for _, _, values, _ in residual.rows()])
+    return residual.ks, values.reshape(len(residual.mus), *residual.lin.shape), residual.bounds

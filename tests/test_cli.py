@@ -14,6 +14,7 @@ from cdlab import cli
 from cdlab.analysis import mixing_residual_curves, propagate_moments
 from cdlab.cli import main
 from cdlab.config import scenario_from_file
+from oracles import residual_cube
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -316,7 +317,7 @@ class TestArtifactWriter:
         model, schedule = config.build_model(), config.build_schedule()
         k_max = min(max(config.checkpoints), cli.RESIDUAL_HORIZON)
         traj = propagate_moments(model, schedule, range(1, k_max + 1))
-        ks, values, bounds = mixing_residual_curves(model, schedule, traj, k_max, cli.RESIDUAL_MUS)
+        ks, values, bounds = residual_cube(model, schedule, traj, k_max, cli.RESIDUAL_MUS)
         expected = per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds)
         written = (out / f"{config.name}_residual_diagnostic.csv").read_bytes()
         assert written == expected.encode()
@@ -337,6 +338,28 @@ class TestArtifactWriter:
         csv_size = (out / "ring64_residual_diagnostic.csv").stat().st_size
         assert csv_size > 5_000_000
         assert peak < csv_size, (peak, csv_size)
+
+    def test_residual_memory_does_not_grow_with_tilts(self, tmp_path, two_matching_ring):
+        """Building and streaming the residual holds O(K N), not O(len(mus) K N).
+
+        Going from 4 tilts to 32 on a 64-node ring to k = 512 may add less
+        than one K x N array (0.25 MiB) to the traced peak; a (len(mus), K, N)
+        cube would add 28 of them (7.1 MiB).
+        """
+        config = scenario_from_file(ring_config(tmp_path, two_matching_ring, 64, 512))
+        model, schedule = config.build_model(), config.build_schedule()
+        traj = propagate_moments(model, schedule, range(1, 513))
+        peaks = []
+        for mus in (cli.RESIDUAL_MUS, [i / 16 for i in range(-16, 16)]):
+            tracemalloc.start()
+            try:
+                residual = mixing_residual_curves(model, schedule, traj, 512, mus)
+                for _ in cli.residual_csv(residual.rows(), 64):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 511 * 64 * 8, peaks
 
 
 class TestSimulate:

@@ -336,6 +336,11 @@ RULES = [
     ("experiment.thresholds", {"agreement_min_fraction": 0.0}, ParameterError),
     ("experiment.thresholds", {"agreement_min_fraction": 1.5}, ParameterError),
     ("experiment.thresholds", {"mc_min_trials": -1}, ParameterError),
+    # appended, so the parametrize ids of the rows above stay as they were
+    ("network", {**RANDOM3, "period": True}, ParameterError),
+    ("network", {**RANDOM3, "period": 2.5}, ParameterError),
+    ("network", {**RANDOM3, "seed": 1.5}, ParameterError),
+    ("network", {**RANDOM3, "seed": False}, ParameterError),
 ]
 
 

@@ -9,6 +9,19 @@ and ``n_points`` exact) and the false-alarm and miss counts of
 ``curves_mc.csv`` alpha and beta times 8192, rounded: the CSV holds
 exp(log(count / 8192)), within a few ulps of the count.
 
+``golden/<name>_residual.csv`` holds the rows of ``analyze``'s residual
+diagnostic at k = 2, 4, ..., 512, and ``golden/<name>.json`` also the
+``analysis.json`` ``residual`` summary.  A residual value is a difference
+of terms that carry the rounding of k propagation steps, so it is
+compared at rel 1e-9 with an absolute floor, ``RESIDUAL_FLOOR`` = 1e-12.
+That floor lies above the largest rounding floor N k eps (|mu mean_i(k)| +
+(k/2) mu^2 var_i(k)) of any corpus value at k <= 512, 7.0e-13 on n8, and
+below every value that is not rounding noise (the smallest is 1.6e-6, on
+ref3).  On correlated2, identity2 and n1 every value is noise: there is no
+disagreement to measure, and the values lie within 2e-15 of 0.  A
+``max_abs_over_bound`` is a value over its bound, so its floor is
+``RESIDUAL_FLOOR`` over the smallest bound of its tilt.
+
 Regenerate only after a change that is meant to move these values, from
 the repository root::
 
@@ -31,6 +44,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 TRIALS = 8192
 SIMULATE = ["--trials", str(TRIALS), "--seed", "3"]
 REL = 1e-9
+RESIDUAL_FLOOR = 1e-12
 FIT_KEYS = ("window", "rate", "intercept", "n_points")
 
 
@@ -55,9 +69,11 @@ def observed(name: str, out: Path) -> dict:
             count = float(row[col[column]]) * TRIALS
             assert abs(count - round(count)) < 1e-6, f"{name}: {column} {row[col[column]]} is not a count"
             entry[key].append(round(count))
-    record = {"fits": fits, "simulate": {"argv": SIMULATE, "counts": counts}}
+    record = {"fits": fits, "residual": analysis["residual"], "simulate": {"argv": SIMULATE, "counts": counts}}
+    header, *rows = (out / f"{name}_residual_diagnostic.csv").read_text().splitlines(keepends=True)
     return {
         f"{name}_curves_exact.csv": (out / f"{name}_curves_exact.csv").read_text(),
+        f"{name}_residual.csv": header + "".join(row for row in rows if int(row.split(",")[1]) % 2 == 0),
         f"{name}.json": json.dumps(record, indent=1, sort_keys=True) + "\n",
     }
 
@@ -102,3 +118,26 @@ def test_fits_and_counts_match_golden(name, runs):
         assert (got["window"], got["n_points"]) == (want["window"], want["n_points"]), node
         assert _close(got["rate"], want["rate"]), f"{name} node {node} rate"
         assert _close(got["intercept"], want["intercept"]), f"{name} node {node} intercept"
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_residual_matches_golden(name, runs):
+    csv = f"{name}_residual.csv"
+    expected = _rows((GOLDEN / csv).read_text())
+    actual = _rows(runs(name)[csv])
+    assert actual[0] == expected[0] == ["mu", "k", "node", "value", "bound"]
+    assert len(actual) == len(expected) > 1
+    smallest_bound = {}
+    for got, want in zip(actual[1:], expected[1:]):
+        assert got[:3] == want[:3]
+        value, bound = float(want[3]), float(want[4])
+        assert math.isclose(float(got[3]), value, rel_tol=REL, abs_tol=RESIDUAL_FLOOR), f"{name} {want[:3]} value"
+        assert _close(float(got[4]), bound), f"{name} {want[:3]} bound"
+        smallest_bound[want[0]] = min(bound, smallest_bound.get(want[0], math.inf))
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())["residual"]
+    actual = json.loads(runs(name)[f"{name}.json"])["residual"]
+    assert actual.keys() == expected.keys() == smallest_bound.keys()
+    for mu, want in expected.items():
+        got, want = actual[mu]["max_abs_over_bound"], want["max_abs_over_bound"]
+        floor = RESIDUAL_FLOOR / smallest_bound[mu]
+        assert math.isclose(got, want, rel_tol=REL, abs_tol=floor), f"{name} mu={mu}: {got} != {want}"
