@@ -8,6 +8,7 @@ same check as ``cdlab simulate``, printed instead of written.
 
 import argparse
 
+from cdlab.errors import ParameterError
 from cdlab.experiment import check_simulation
 from cdlab.scenarios import CORPUS, scenario_config
 
@@ -20,7 +21,10 @@ def main() -> int:
     args = parser.parse_args()
 
     config = scenario_config(args.scenario)
-    plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
+    try:
+        plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
+    except ParameterError as exc:
+        parser.error(str(exc))
     result, exact, report, _ = check_simulation(plan, config.thresholds)
     schedule, contraction = plan.schedule, report["contraction"]
 

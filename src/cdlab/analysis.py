@@ -20,7 +20,8 @@ stepped.
 scaled cumulant of a node variable is from its value under perfect per-step
 averaging: two K x N parts, from which rows are formed one (tilt, k) at a time
 in O(K N) memory.  Its proven bound decays like 1/k (contraction envelope), the
-mechanism behind every node matching the centralized error exponent.
+mechanism behind every node matching the centralized error exponent.  Its
+rows are H1's (H0's at mu are H1's at -mu); ``fold_worst_ratio`` summarizes them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, ParameterError
 from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
-from .network import WeightSchedule, _check_integer, contraction_bound
+from .network import WeightSchedule, _check_integer, _check_ks, contraction_bound
 
 __all__ = [
     "MomentTrajectory",
@@ -44,6 +45,7 @@ __all__ = [
     "exact_error_curves",
     "centralized_error_curve",
     "mixing_residual_curves",
+    "fold_worst_ratio",
 ]
 
 VARIANCE_FLOOR = 1e-300
@@ -104,8 +106,8 @@ class MomentTrajectory:
     keep: tuple = ()
 
     def moments_at(self, ks) -> tuple[np.ndarray, np.ndarray]:
-        """H1 means and per-node variances at each k of ``ks``, each (len(ks), n)."""
-        ks = np.asarray(ks, dtype=int)
+        """H1 means and per-node variances at the sorted distinct ``ks``, each (len(ks), n)."""
+        ks = np.asarray(_check_ks(ks, "k"))
         rows = np.searchsorted(self.ks, ks)
         missing = ks != self.ks[np.minimum(rows, self.ks.size - 1)]
         if missing.any():
@@ -144,9 +146,7 @@ def propagate_moments(
     current N x N state is held between visits.  ``keep``, a subset of
     ``ks``, lists the k at which the full covariance matrix is stored.
     """
-    ks = sorted({_check_integer(k, "a visited k", 1) for k in ks})
-    if not ks:
-        raise ParameterError("the visited k must be a nonempty set of k >= 1, got none")
+    ks = _check_ks(ks, "visited k")
     keep = tuple(sorted({_check_integer(k, "a kept k", 1) for k in keep}))
     if not set(keep) <= set(ks):
         raise ParameterError(f"kept covariances {keep} are not all among the visited k")
@@ -341,14 +341,12 @@ def exact_error_curves(
     alpha_i(k) is the H0 probability of x_i(k) > 0 and beta_i(k) the H1
     probability of x_i(k) <= 0.  Since mu0 = -mu1 and the variance is
     shared, both equal Phi(-mu1 / sd) exactly, so one tail serves both.
-    ``ks`` selects checkpoints among the visited k (default: all of them).
+    ``ks`` selects checkpoints among the visited k, sorted and distinct (default: all).
     Raises DegenerateVariance when a per-node variance is not strictly
     positive.
     """
     priors = _check_priors(priors)
-    ks = np.asarray(traj.ks if ks is None else ks, dtype=int)
-    if ks.size == 0:
-        raise ParameterError("no checkpoints")
+    ks = np.asarray(_check_ks(traj.ks if ks is None else ks, "checkpoint"))
     means, variances = traj.moments_at(ks)
     curves = []
     for i in range(model.n_sensors):
@@ -366,9 +364,7 @@ def centralized_error_curve(
 ) -> ErrorCurve:
     """Exact curve of the centralized running mean: alpha = beta = Q(sqrt(k) sigma / 2)."""
     priors = _check_priors(priors)
-    ks = np.asarray(ks, dtype=int)
-    if ks.size == 0 or ks.min() < 1:
-        raise ParameterError("checkpoints must be >= 1")
+    ks = np.asarray(_check_ks(ks, "checkpoint"))
     sigma = math.sqrt(model.llr_variance)
     return _exact_curve("cen", ks, log_q_function(np.sqrt(ks) * sigma / 2.0), priors)
 
@@ -385,7 +381,7 @@ class ResidualCurves:
 
     mus: tuple
     ks: np.ndarray  # (K,)
-    lin: np.ndarray  # (K, n), signed for the hypothesis
+    lin: np.ndarray  # (K, n)
     quad_cross: np.ndarray  # (K, n)
     bounds: np.ndarray  # (len(mus), K)
 
@@ -397,15 +393,27 @@ class ResidualCurves:
                 yield mu, k, (n / k) * mu * lin + (n * n / (2.0 * k)) * mu * mu * quad_cross, bound
 
 
+def fold_worst_ratio(rows, worst: dict):
+    """Pass ``rows`` through, folding max |value| / bound over k and node into ``worst[mu]``.
+
+    NaN propagates; a zero row reads 0, even under mu = 0's zero bound.
+    """
+    for mu, k, values, bound in rows:
+        peak = np.abs(values).max()
+        with np.errstate(divide="ignore"):
+            ratio = 0.0 if peak == 0.0 else peak / bound
+        worst[mu] = np.maximum(worst.get(mu, -np.inf), ratio)
+        yield mu, k, values, bound
+
+
 def mixing_residual_curves(
     model: GaussianHypothesisPair,
     s: WeightSchedule,
     trajectory: MomentTrajectory,
     k_max: int,
     mus,
-    hypothesis: Hypothesis = Hypothesis.H1,
 ) -> ResidualCurves:
-    """The residual and its bound for every tilt, node and k in 2..k_max.
+    """The H1 residual and its bound for every finite tilt, node and k in 2..k_max.
 
     The residual is built from the disagreement products
     tPhi(k, j) = Phi(k, j) - J, J = 11'/N, summed over j < k:
@@ -416,19 +424,23 @@ def mixing_residual_curves(
     up to k_max, into two K x N arrays built in place:
       lin = E U(k) - (k - 1) J m_eta - m_eta
       quad_cross = quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
-    with m_eta the innovation mean under ``hypothesis``.  The bound, which
-    decays like 1/k, does not depend on the hypothesis.
+    with m_eta the H1 innovation mean.  The H0 innovation mean is its
+    negation and the covariance is shared, so the H0 residual at tilt mu is
+    the H1 residual at -mu.  The bound decays like 1/k and depends on |mu|.
     """
-    if not (2 <= k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
-        raise ParameterError(f"k_max must be >= 2 with every k up to it visited, got {k_max}")
+    k_max = _check_integer(k_max, "k_max", 2)
+    if not (k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
+        raise ParameterError(f"k_max must have every k up to it visited, got {k_max}")
+    mus = tuple(float(mu) for mu in mus)
+    if bad := [repr(mu) for mu in mus if not math.isfinite(mu)]:
+        raise ParameterError(f"tilts must be finite, got {', '.join(bad)}")
     stats = innovation_stats(model)
-    sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0  # the H0 means negate the H1 means
-    m_eta, s_eta = sign * stats.mean1, stats.cov
+    m_eta, s_eta = stats.mean1, stats.cov
     n = s.n_nodes
     ks = np.arange(2, k_max + 1)
     col = ks[:, None]
     ideal = col - 1.0
-    lin = np.multiply(sign * col / n, trajectory.means[1:k_max])
+    lin = np.multiply(col / n, trajectory.means[1:k_max])
     lin -= m_eta
     lin -= ideal * m_eta.mean()
     quad_cross = np.multiply(col * col / (n * n), trajectory.variances[1:k_max])
@@ -438,7 +450,6 @@ def mixing_residual_curves(
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
     env = contraction_bound(n, s.min_weight, s.window)
     theta, beta = env.amplitude, env.ratio
-    mus = tuple(float(mu) for mu in mus)
     bounds = np.empty((len(mus), ks.size))  # a row at a time: its temporaries are K-vectors
     for row, mu in enumerate(map(abs, mus)):
         first = (theta / ks) * (n**2 * m_bar * mu + n**3 * mu * mu * b_bar) / (1.0 - beta)

@@ -9,6 +9,7 @@ manifest records the config hash, tool version and those hashes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from . import __version__
 from .analysis import (
     centralized_error_curve,
     exact_error_curves,
+    fold_worst_ratio,
     mixing_residual_curves,
     propagate_moments,
 )
@@ -128,13 +130,7 @@ def _safe_fit(curve, window):
         fit = fit_exponent(curve, window)
     except ValueError as exc:
         return {"window": list(window), "error": str(exc)}
-    return {
-        "window": list(fit.window),
-        "rate": fit.rate,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "n_points": fit.n_points,
-    }
+    return dataclasses.asdict(fit)
 
 
 def cmd_validate(args) -> int:
@@ -173,16 +169,9 @@ def cmd_analyze(args) -> int:
     decay = check_geometric_decay(schedule, max_gap=min(200, max(k_max, 2)))
     ws.write("decay_report.json", _dump_json(decay.as_dict()))
 
-    worst = {}  # mu -> max over k and node of |value| / bound, nan if any is nan
-
-    def folded(rows):
-        for mu, k, values, bound in rows:
-            with np.errstate(invalid="ignore"):
-                worst[mu] = np.maximum(worst.get(mu, -np.inf), np.abs(values).max() / bound)
-            yield mu, k, values, bound
-
+    worst = {}  # mu -> max over k and node of |value| / bound
     rows = mixing_residual_curves(model, schedule, traj, horizon, RESIDUAL_MUS).rows() if horizon >= 2 else ()
-    ws.write("residual_diagnostic.csv", residual_csv(folded(rows), model.n_sensors))
+    ws.write("residual_diagnostic.csv", residual_csv(fold_worst_ratio(rows, worst), model.n_sensors))
 
     window = (ks[max(len(ks) - 5, 0)], ks[-1])  # the last five checkpoints, or all of them
     fits = {curve.node: _safe_fit(curve, window) for curve in [cen_curve, *node_curves]}

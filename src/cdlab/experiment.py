@@ -32,7 +32,7 @@ from .errors import (
     ZeroProbabilityInWindow,
 )
 from .model import GaussianHypothesisPair, Hypothesis
-from .network import WeightSchedule, _check_integer, contraction_bound, validate_assumption
+from .network import WeightSchedule, _check_integer, _check_ks, contraction_bound, validate_assumption
 
 CHUNK_TRIALS = 4096
 THREADS_ENV = "CDL_THREADS"
@@ -54,13 +54,14 @@ class Thresholds:
     mc_min_trials: int = 1000
 
     def __post_init__(self):
+        for name, minimum in (("k_early", 1), ("k_late", 1), ("mc_min_trials", 0)):
+            _check_integer(getattr(self, name), name, minimum)
         for name, ok, domain in (
             ("gap_tolerance", self.gap_tolerance > 0.0, "> 0"),
-            ("k_early", 1 <= self.k_early < self.k_late, f"in [1, k_late = {self.k_late})"),
+            ("k_early", self.k_early < self.k_late, f"< k_late = {self.k_late}"),
             ("agreement_sigma", self.agreement_sigma > 0.0, "> 0"),
             ("agreement_min_prob", 0.0 < self.agreement_min_prob < 1.0, "in (0, 1)"),
             ("agreement_min_fraction", 0.0 < self.agreement_min_fraction <= 1.0, "in (0, 1]"),
-            ("mc_min_trials", self.mc_min_trials >= 0, ">= 0"),
         ):
             if not ok:
                 raise ParameterError(f"{name} must be {domain}, got {getattr(self, name)}")
@@ -83,10 +84,7 @@ class ExperimentPlan:
                 f"model has {self.model.n_sensors} sensors but the schedule "
                 f"has {self.schedule.n_nodes} nodes"
             )
-        ck = sorted({_check_integer(k, "checkpoint", 1) for k in self.k_checkpoints})
-        if not ck:
-            raise ParameterError("checkpoints must be a nonempty set")
-        object.__setattr__(self, "k_checkpoints", tuple(ck))
+        object.__setattr__(self, "k_checkpoints", tuple(_check_ks(self.k_checkpoints, "checkpoint")))
         object.__setattr__(self, "n_trials", _check_integer(self.n_trials, "n_trials", 1))
         object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed", 0))
         object.__setattr__(self, "priors", _check_priors(self.priors))
@@ -274,8 +272,8 @@ def fit_exponent(curve: ErrorCurve, window) -> ExponentFit:
     three checkpoints and ZeroProbabilityInWindow when the drops leave
     fewer than three.
     """
-    lo, hi = (int(w) for w in window)
-    if lo < 1 or hi <= lo:
+    lo, hi = (_check_integer(w, "a window end", 1) for w in window)
+    if hi <= lo:
         raise ParameterError(f"window must satisfy 1 <= lo < hi, got {window!r}")
     mask = (curve.ks >= lo) & (curve.ks <= hi)
     if int(mask.sum()) < 3:

@@ -20,7 +20,7 @@ corpus schedule.  Building a CSR factor is the one place cdlab imports scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,6 +63,14 @@ def _check_integer(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_ks(values, name: str) -> list:
+    """The k-set rule: a nonempty set of integers >= 1, each by the integer rule, sorted."""
+    ks = sorted({_check_integer(k, name, 1) for k in values})
+    if not ks:
+        raise ParameterError(f"need at least one {name}, got none")
+    return ks
 
 
 @dataclass(frozen=True)
@@ -411,15 +419,7 @@ class DecayReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "amplitude": self.amplitude,
-            "ratio": self.ratio,
-            "worst_ratio": self.worst_ratio,
-            "worst_witness": dict(self.worst_witness),
-            "measured_rate": self.measured_rate,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
@@ -432,8 +432,7 @@ def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
     ratio.  The measured per-gap decay rate (slope of log max-entry) is
     reported alongside; it is infinite when products vanish outright.
     """
-    if max_gap < 1:
-        raise ParameterError(f"max_gap must be >= 1, got {max_gap}")
+    max_gap = _check_integer(max_gap, "max_gap", 1)
     bound = contraction_bound(s.n_nodes, s.min_weight, s.window)
     ops = s.operators()
     gap_max = np.zeros(max_gap)

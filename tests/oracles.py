@@ -321,12 +321,15 @@ def subexponential_factor(curve: ErrorCurve, chernoff: float) -> np.ndarray:
     return np.exp(curve.log_pe + curve.ks * chernoff)
 
 
-def residual_cube(*args, **kwargs) -> tuple:
-    """``mixing_residual_curves(*args, **kwargs)`` as (ks, values, bounds) arrays.
+def residual_cube(model, schedule, trajectory, k_max, mus, hypothesis=Hypothesis.H1) -> tuple:
+    """The residual under ``hypothesis`` as (ks, values, bounds) arrays.
 
-    ``values``, (len(mus), K, n), is stacked from ``ResidualCurves.rows()``,
-    so it holds the rows the commands write; ``bounds`` is (len(mus), K).
+    The H0 residual at tilt mu is the H1 residual at -mu, so H0 reads the
+    shipped H1 rows at the negated tilts.  ``values``, (len(mus), K, n), is
+    stacked from ``ResidualCurves.rows()``, so it holds the rows the
+    commands write; ``bounds`` is (len(mus), K).
     """
-    residual = mixing_residual_curves(*args, **kwargs)
+    sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0
+    residual = mixing_residual_curves(model, schedule, trajectory, k_max, [sign * mu for mu in mus])
     values = np.array([values for _, _, values, _ in residual.rows()])
     return residual.ks, values.reshape(len(residual.mus), *residual.lin.shape), residual.bounds

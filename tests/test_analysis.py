@@ -7,6 +7,7 @@ moments, and the exact-decomposition cross-check for the mixing residual.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,14 +22,16 @@ from cdlab.analysis import (
     centralized_error_curve,
     chernoff_information,
     exact_error_curves,
+    fold_worst_ratio,
     log_q_function,
     mixing_residual_curves,
     propagate_moments,
 )
 from cdlab.cli import RESIDUAL_MUS
 from cdlab.errors import DegenerateVariance, ParameterError
+from cdlab.experiment import ExperimentPlan, Thresholds, fit_exponent
 from cdlab.model import Hypothesis, build_model, innovation_stats
-from cdlab.network import ScheduleSpec, build_schedule, contraction_bound
+from cdlab.network import ScheduleSpec, build_schedule, check_geometric_decay, contraction_bound
 from cdlab.scenarios import CORPUS, build_scenario
 from oracles import (
     MaximizerAtBoundary,
@@ -374,6 +377,41 @@ class TestPropagateMoments:
         assert type(traj.keep[0]) is int
 
 
+# Every entry point that takes a k, a set of k or a count refuses a
+# non-integer: 2.7 is not read as 2, nor True as 1, nor left to fail deeper in.
+NON_INTEGER_K_CALLS = {
+    "exact_error_curves": lambda m, s, traj: exact_error_curves(m, traj, ks=[2.7]),
+    "centralized_error_curve": lambda m, s, traj: centralized_error_curve(m, [2.7]),
+    "centralized_error_curve-bool": lambda m, s, traj: centralized_error_curve(m, [True]),
+    "moments_at": lambda m, s, traj: traj.moments_at([4, 2.7]),
+    "mean_at": lambda m, s, traj: traj.mean_at(3.9),
+    "ExperimentPlan": lambda m, s, traj: ExperimentPlan(m, s, (10, 2.7), 100, 0),
+    "fit_exponent": lambda m, s, traj: fit_exponent(exact_error_curves(m, traj)[0], (1.5, 16.9)),
+    "Thresholds-k_early": lambda m, s, traj: Thresholds(k_early=99.9),
+    "Thresholds-k_late": lambda m, s, traj: Thresholds(k_late=500.5),
+    "Thresholds-mc_min_trials": lambda m, s, traj: Thresholds(mc_min_trials=True),
+    "check_geometric_decay": lambda m, s, traj: check_geometric_decay(s, max_gap=2.5),
+    "mixing_residual_curves": lambda m, s, traj: mixing_residual_curves(m, s, traj, 10.0, (0.5,)),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_K_CALLS.values(), ids=NON_INTEGER_K_CALLS)
+def test_non_integer_k_refused_at_every_entry_point(call):
+    model, schedule = alt3_scenario()
+    traj = propagate_moments(model, schedule, range(1, 21))
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(model, schedule, traj)
+
+
+def test_curves_come_back_at_sorted_distinct_k():
+    model, schedule = alt3_scenario()
+    traj = propagate_moments(model, schedule, range(1, 21))
+    assert exact_error_curves(model, traj, ks=[9, 3, 9])[0].ks.tolist() == [3, 9]
+    assert centralized_error_curve(model, [9, 3, 9]).ks.tolist() == [3, 9]
+    means, _ = traj.moments_at([9, 3, 9])
+    assert np.array_equal(means, traj.means[[2, 8]])
+
+
 # The jump's log tails agree with stepping within 1.4e-14 relative over
 # the cases below (largest on correlated2); the tolerance is about 75 times that.
 JUMP_REL_TOL = 1e-12
@@ -707,12 +745,36 @@ class TestMixingResidual:
         assert np.isfinite(scaled).all()
 
     def test_hypothesis_flip_matches_sign_flip(self):
+        """The shipped H1 rows at -0.6 are the H0 product sums at 0.6."""
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 34))
-        _, a, _ = residual_cube(model, schedule, traj, 33, (0.6,), hypothesis=H0)
-        _, b, _ = residual_cube(model, schedule, traj, 33, (-0.6,), hypothesis=H1)
-        for k in (2, 7, 33):
-            assert a[0, k - 2, 1] == pytest.approx(b[0, k - 2, 1], rel=1e-12, abs=1e-15)
+        ks, values, _ = residual_cube(model, schedule, traj, 33, (-0.6,))
+        value, _ = reference_residual(model, schedule, 33, 0.6, H0)
+        assert np.all(np.abs(values[0] - value) <= rounding_floor(traj, ks, 0.6))
+
+    def test_fold_worst_ratio_rule(self):
+        """The one summary rule: mu = 0 reads 0, a NaN survives, a zero bound under a nonzero row reads inf."""
+        rows = [
+            (0.0, 2, np.zeros(3), 0.0),
+            (0.5, 2, np.array([1.0, np.nan, 2.0]), 4.0),
+            (0.5, 3, np.array([8.0, 0.0, 0.0]), 4.0),
+            (1.0, 2, np.array([0.0, 1e-3, 0.0]), 0.0),
+            (1.0, 3, np.array([1.0, 1.0, 1.0]), 2.0),
+        ]
+        worst = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passed = list(fold_worst_ratio(rows, worst))
+        assert len(passed) == len(rows) and all(out[2] is row[2] for out, row in zip(passed, rows))
+        assert worst[0.0] == 0.0
+        assert math.isnan(worst[0.5])
+        assert worst[1.0] == math.inf
+
+    def test_non_finite_tilt_rejected(self):
+        model, schedule = alt3_scenario()
+        traj = propagate_moments(model, schedule, range(1, 11))
+        with pytest.raises(ParameterError, match="tilts must be finite, got nan, inf"):
+            mixing_residual_curves(model, schedule, traj, 10, (0.0, math.nan, 1.0, math.inf))
 
     def test_short_horizon_rejected(self):
         model, schedule = alt3_scenario()

@@ -24,11 +24,22 @@ def test_script_exits_zero(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("k_max", ["1", "0"])
-def test_residual_sweep_rejects_short_horizon(k_max, tmp_path):
-    proc = run_script(["residual_sweep.py", "--scenario", "ref3", "--k-max", k_max], tmp_path)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["residual_sweep.py", "--k-max", "1"], "k-max >= 2"),
+        (["residual_sweep.py", "--k-max", "0"], "k-max >= 2"),
+        (["residual_sweep.py", "--mus=0,nan"], "tilts must be finite, got nan"),
+        (["run_reference.py", "--trials", "0"], "n_trials must be an integer >= 1"),
+        (["run_reference.py", "--seed", "-1"], "master_seed must be an integer >= 0"),
+    ],
+    ids=["sweep-k-max-1", "sweep-k-max-0", "sweep-mus-nan", "reference-trials-0", "reference-seed-neg"],
+)
+def test_script_rejects_bad_flag(argv, message, tmp_path):
+    """A bad flag is a usage error: exit 2 with the rule's message, no traceback."""
+    proc = run_script(argv, tmp_path)
     assert proc.returncode == 2
-    assert "k-max >= 2" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
