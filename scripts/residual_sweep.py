@@ -13,20 +13,26 @@ H0 residual at a tilt is the H1 residual at its negation.
 
 import argparse
 import collections
+from pathlib import Path
 
 import numpy as np
 
-from cdlab.analysis import fold_worst_ratio, mixing_residual_curves, propagate_moments
+from cdlab.analysis import check_tilts, fold_worst_ratio, mixing_residual_curves, propagate_moments
 from cdlab.cli import residual_csv
+from cdlab.config import scenario_from_file
 from cdlab.errors import ParameterError
-from cdlab.scenarios import CORPUS, build_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def parse_mus(text: str) -> list[float]:
+def parse_mus(text: str) -> tuple:
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError("need at least one tilt value")
-    return values
+    try:
+        return check_tilts(values)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_k_max(text: str) -> int:
@@ -38,18 +44,17 @@ def parse_k_max(text: str) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenario", choices=CORPUS, default="ref3")
+    parser.add_argument("--scenario", choices=sorted(p.stem for p in SCENARIOS.glob("*.json")), default="ref3",
+                        help="run scenarios/SCENARIO.json")
     parser.add_argument("--k-max", type=parse_k_max, default=500)
     parser.add_argument("--mus", type=parse_mus, default="-1.0,-0.1,0.1,1.0")
     parser.add_argument("--out", default=None, help="optional CSV path for raw rows")
     args = parser.parse_args()
 
-    model, schedule, config = build_scenario(args.scenario)
+    config = scenario_from_file(SCENARIOS / f"{args.scenario}.json")
+    model, schedule = config.build_model(), config.build_schedule()
     trajectory = propagate_moments(model, schedule, range(1, args.k_max + 1))
-    try:
-        residual = mixing_residual_curves(model, schedule, trajectory, args.k_max, args.mus)
-    except ParameterError as exc:
-        parser.error(f"--mus: {exc}")
+    residual = mixing_residual_curves(model, schedule, trajectory, args.k_max, args.mus)
     print(f"scenario {config.name}, k in [2, {args.k_max}]")
     worst, scaled = {}, {}  # per mu: max |residual|/bound, max k|residual|
 

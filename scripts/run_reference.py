@@ -7,23 +7,28 @@ same check as ``cdlab simulate``, printed instead of written.
 """
 
 import argparse
+from pathlib import Path
 
-from cdlab.errors import ParameterError
+from cdlab.cli import plan_with_flags
+from cdlab.config import scenario_from_file
+from cdlab.errors import ConfigError
 from cdlab.experiment import check_simulation
-from cdlab.scenarios import CORPUS, scenario_config
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scenario", choices=CORPUS, default="ref3")
+    parser.add_argument("--scenario", choices=sorted(p.stem for p in SCENARIOS.glob("*.json")), default="ref3",
+                        help="run scenarios/SCENARIO.json")
     parser.add_argument("--trials", type=int, default=20_000)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    config = scenario_config(args.scenario)
+    config = scenario_from_file(SCENARIOS / f"{args.scenario}.json")
     try:
-        plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
-    except ParameterError as exc:
+        plan = plan_with_flags(config, args.trials, args.seed)
+    except ConfigError as exc:
         parser.error(str(exc))
     result, exact, report, _ = check_simulation(plan, config.thresholds)
     schedule, contraction = plan.schedule, report["contraction"]

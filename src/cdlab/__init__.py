@@ -40,10 +40,8 @@ from .network import (
     metropolis_weights,
     validate_assumption,
 )
-from .scenarios import CORPUS, build_scenario, scenario_config, scenario_dict
 
 __all__ = [
-    "CORPUS",
     "ExperimentPlan",
     "GaussianHypothesisPair",
     "GraphSnapshot",
@@ -55,7 +53,6 @@ __all__ = [
     "WeightSchedule",
     "__version__",
     "build_model",
-    "build_scenario",
     "build_schedule",
     "centralized_error_curve",
     "check_geometric_decay",
@@ -70,8 +67,6 @@ __all__ = [
     "mixing_residual_curves",
     "propagate_moments",
     "run_monte_carlo",
-    "scenario_config",
-    "scenario_dict",
     "scenario_from_dict",
     "scenario_from_file",
     "validate_assumption",

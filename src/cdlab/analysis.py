@@ -406,6 +406,14 @@ def fold_worst_ratio(rows, worst: dict):
         yield mu, k, values, bound
 
 
+def check_tilts(mus) -> tuple:
+    """The tilt rule: each tilt finite; ``mus`` as a tuple of floats, or a ParameterError naming each bad one."""
+    mus = tuple(float(mu) for mu in mus)
+    if bad := [repr(mu) for mu in mus if not math.isfinite(mu)]:
+        raise ParameterError(f"tilts must be finite, got {', '.join(bad)}")
+    return mus
+
+
 def mixing_residual_curves(
     model: GaussianHypothesisPair,
     s: WeightSchedule,
@@ -431,9 +439,7 @@ def mixing_residual_curves(
     k_max = _check_integer(k_max, "k_max", 2)
     if not (k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
         raise ParameterError(f"k_max must have every k up to it visited, got {k_max}")
-    mus = tuple(float(mu) for mu in mus)
-    if bad := [repr(mu) for mu in mus if not math.isfinite(mu)]:
-        raise ParameterError(f"tilts must be finite, got {', '.join(bad)}")
+    mus = check_tilts(mus)
     stats = innovation_stats(model)
     m_eta, s_eta = stats.mean1, stats.cov
     n = s.n_nodes

@@ -192,15 +192,19 @@ def cmd_analyze(args) -> int:
     return 0 if decay.passed else 1
 
 
-def cmd_simulate(args) -> int:
-    config = scenario_from_file(args.config)
+def plan_with_flags(config: ScenarioConfig, trials, seed):
+    """The plan under the --trials/--seed given (None: the file's, checked when read); a ConfigError names a bad flag."""
     try:
-        plan = config.build_plan(n_trials=args.trials, master_seed=args.seed)
+        return config.build_plan(n_trials=trials, master_seed=seed)
     except ParameterError as exc:
-        # the file's values were checked as it was read, so a flag is at fault
-        given = (("--trials", args.trials), ("--seed", args.seed))
+        given = (("--trials", trials), ("--seed", seed))
         flags = " ".join(f"{flag} {value}" for flag, value in given if value is not None)
         raise ConfigError(f"{flags}: {exc}") from None
+
+
+def cmd_simulate(args) -> int:
+    config = scenario_from_file(args.config)
+    plan = plan_with_flags(config, args.trials, args.seed)
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
     result, _, report, accepted = check_simulation(plan, config.thresholds)
     ws.write("curves_mc.csv", _curves_csv([result.centralized_curve, *result.node_curves]))

@@ -34,7 +34,7 @@ from cdlab.experiment import (
 )
 from cdlab.model import Hypothesis
 from cdlab.network import check_geometric_decay, validate_assumption
-from cdlab.scenarios import CORPUS, build_scenario
+from corpus import CORPUS, build_scenario
 from oracles import (
     distributed_closed_form,
     distributed_init,

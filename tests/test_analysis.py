@@ -32,7 +32,7 @@ from cdlab.errors import DegenerateVariance, ParameterError
 from cdlab.experiment import ExperimentPlan, Thresholds, fit_exponent
 from cdlab.model import Hypothesis, build_model, innovation_stats
 from cdlab.network import ScheduleSpec, build_schedule, check_geometric_decay, contraction_bound
-from cdlab.scenarios import CORPUS, build_scenario
+from corpus import CORPUS, build_scenario
 from oracles import (
     MaximizerAtBoundary,
     ThresholdOutOfRange,

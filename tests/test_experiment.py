@@ -26,7 +26,7 @@ from cdlab.experiment import (
 )
 from cdlab.model import Hypothesis, build_model
 from cdlab.network import ScheduleSpec, build_schedule
-from cdlab.scenarios import scenario_config
+from corpus import scenario_config
 from oracles import (
     centralized_init,
     centralized_step,

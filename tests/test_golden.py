@@ -37,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from cdlab.cli import main
-from cdlab.scenarios import CORPUS
+from corpus import CORPUS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"

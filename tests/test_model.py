@@ -19,7 +19,7 @@ from cdlab.errors import (
     ShapeError,
 )
 from cdlab.model import Hypothesis, build_model, innovation_stats
-from cdlab.scenarios import CORPUS, build_scenario
+from corpus import CORPUS, build_scenario
 from oracles import llr, local_innovations, sample_observations
 
 

@@ -26,7 +26,7 @@ from cdlab.network import (
     validate_assumption,
     _support_edges,
 )
-from cdlab.scenarios import CORPUS, build_scenario
+from corpus import CORPUS, build_scenario
 from oracles import PRODUCT_AGREE_ATOL, disagreement_product, forward_product
 
 PATH3 = ScheduleSpec(n_nodes=3, topology="static", edges=((1, 2), (2, 3)))

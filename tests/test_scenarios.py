@@ -1,21 +1,17 @@
-"""Corpus integrity: every scenario builds, validates and mirrors its file."""
+"""Corpus integrity: every scenario file builds, validates and is named for its stem."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from cdlab.network import check_geometric_decay, validate_assumption
-from cdlab.scenarios import CORPUS, build_scenario, scenario_config, scenario_dict
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from corpus import CORPUS, SCENARIO_DIR, build_scenario, scenario_config
 
 
 class TestCorpus:
     def test_expected_members_and_sizes(self):
-        assert CORPUS == ("n1", "identity2", "correlated2", "ref3", "rand5", "n8")
-        sizes = [scenario_config(name).n_sensors for name in CORPUS]
-        assert sizes == [1, 2, 2, 3, 5, 8]
+        sizes = {name: scenario_config(name).n_sensors for name in CORPUS}
+        assert sizes == {"n1": 1, "identity2": 2, "correlated2": 2, "ref3": 3, "rand5": 5, "n8": 8}
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_builds_and_validates(self, name):
@@ -29,21 +25,7 @@ class TestCorpus:
         assert schedule.period == 2
         assert schedule.window == 2
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError, match="corpus"):
-            scenario_dict("nope")
-
-    def test_dict_copies_are_independent(self):
-        d = scenario_dict("ref3")
-        d["model"]["m1"][0] = 99.0
-        assert scenario_dict("ref3")["model"]["m1"][0] == 0.6
-
     @pytest.mark.parametrize("name", CORPUS)
-    def test_files_mirror_corpus(self, name):
-        path = SCENARIO_DIR / f"{name}.json"
-        assert path.is_file(), f"missing {path}"
-        assert json.loads(path.read_text()) == scenario_dict(name)
-
-    def test_no_stray_scenario_files(self):
-        stems = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
-        assert stems == sorted(CORPUS)
+    def test_name_is_file_stem(self, name):
+        """Artifacts are named {name}_*, and the scripts and golden files look them up by stem."""
+        assert json.loads((SCENARIO_DIR / f"{name}.json").read_text())["name"] == name

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run to completion on ref3 and reject bad input."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,10 +31,20 @@ def test_script_exits_zero(argv, tmp_path):
         (["residual_sweep.py", "--k-max", "1"], "k-max >= 2"),
         (["residual_sweep.py", "--k-max", "0"], "k-max >= 2"),
         (["residual_sweep.py", "--mus=0,nan"], "tilts must be finite, got nan"),
-        (["run_reference.py", "--trials", "0"], "n_trials must be an integer >= 1"),
-        (["run_reference.py", "--seed", "-1"], "master_seed must be an integer >= 0"),
+        (["run_reference.py", "--trials", "0"], "--trials 0: n_trials must be an integer >= 1"),
+        (["run_reference.py", "--seed", "-1"], "--seed -1: master_seed must be an integer >= 0"),
+        (["residual_sweep.py", "--scenario", "nope"], "invalid choice"),
+        (["run_reference.py", "--scenario", "nope"], "invalid choice"),
     ],
-    ids=["sweep-k-max-1", "sweep-k-max-0", "sweep-mus-nan", "reference-trials-0", "reference-seed-neg"],
+    ids=[
+        "sweep-k-max-1",
+        "sweep-k-max-0",
+        "sweep-mus-nan",
+        "reference-trials-0",
+        "reference-seed-neg",
+        "sweep-scenario-unknown",
+        "reference-scenario-unknown",
+    ],
 )
 def test_script_rejects_bad_flag(argv, message, tmp_path):
     """A bad flag is a usage error: exit 2 with the rule's message, no traceback."""
@@ -41,6 +52,26 @@ def test_script_rejects_bad_flag(argv, message, tmp_path):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, capsys):
+    """The tilts are checked as the flags are parsed, so no propagation runs for a bad one."""
+    spec = importlib.util.spec_from_file_location("residual_sweep", ROOT / "scripts" / "residual_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def propagate_moments(*args, **kwargs):
+        raise AssertionError("propagate_moments ran")
+
+    monkeypatch.setattr(sweep, "propagate_moments", propagate_moments)
+    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--k-max", "2", "--mus=0,1"])
+    with pytest.raises(AssertionError, match="propagate_moments ran"):
+        sweep.main()  # good tilts reach the patched propagation
+    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--k-max", "2", "--mus=0,nan"])
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main()
+    assert exit_info.value.code == 2
+    assert "tilts must be finite, got nan" in capsys.readouterr().err
 
 
 def test_residual_sweep_csv_is_the_analyze_csv(tmp_path):
