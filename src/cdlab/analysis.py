@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, ParameterError
-from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
+from .model import GaussianHypothesisPair, innovation_stats
 from .network import WeightSchedule, _check_integer, _check_ks, contraction_bound
 
 __all__ = [
@@ -95,8 +95,9 @@ class MomentTrajectory:
     The H0 innovation mean is the negation of the H1 mean and the innovation
     covariance does not depend on the hypothesis, so one pass serves both:
     mu0(k) = -mu1(k) and P0(k) = P1(k), bit for bit.  Row i of ``means`` and
-    ``variances`` holds the H1 mean and per-node variances at ``ks[i]``;
-    full covariances are held only at the k of ``keep``.
+    ``variances`` holds the H1 mean and per-node variances at ``ks[i]``
+    (H0's mean is ``-mean_at(k)``); full covariances are held only at the
+    k of ``keep``.
     """
 
     ks: np.ndarray  # visited k, (len(ks),)
@@ -117,9 +118,8 @@ class MomentTrajectory:
             )
         return self.means[rows], self.variances[rows]
 
-    def mean_at(self, k: int, l: Hypothesis = Hypothesis.H1) -> np.ndarray:
-        mean = self.moments_at([k])[0][0]
-        return mean if l == Hypothesis.H1 else -mean
+    def mean_at(self, k: int) -> np.ndarray:
+        return self.moments_at([k])[0][0]
 
     def variance_at(self, k: int) -> np.ndarray:
         return self.moments_at([k])[1][0]
@@ -150,8 +150,7 @@ def propagate_moments(
     keep = tuple(sorted({_check_integer(k, "a kept k", 1) for k in keep}))
     if not set(keep) <= set(ks):
         raise ParameterError(f"kept covariances {keep} are not all among the visited k")
-    stats = innovation_stats(model)
-    m_eta, s_eta = stats.mean1, stats.cov
+    m_eta, s_eta = innovation = innovation_stats(model)
     n = model.n_sensors
     means = np.empty((len(ks), n))
     variances = np.empty((len(ks), n))
@@ -182,7 +181,7 @@ def propagate_moments(
     for row, target in enumerate(ks):
         periods = (target - k) // s.period
         if _squaring_pays(periods, s.period):
-            mu, jumped = _jump(stats, s, k, mu, p, periods)
+            mu, jumped = _jump(innovation, s, k, mu, p, periods)
             np.copyto(p, jumped)
             k += periods * s.period
         for k in range(k, target):
@@ -211,14 +210,15 @@ def _compose(first, second) -> tuple:
     return None if a1 is None else a2 @ a1, a2 @ b1 + b2, (q + q.T) / 2.0
 
 
-def _period_map(stats, s: WeightSchedule, start: int) -> tuple:
+def _period_map(innovation, s: WeightSchedule, start: int) -> tuple:
     """The map from U(start) to U(start + P), composed one step at a time.
 
     The single home of "one period"; it depends on ``start`` only modulo P.
+    ``innovation`` is the (H1 mean, covariance) pair of ``innovation_stats``.
     """
 
     def step(k):
-        return s.matrices[(k - 1) % s.period], stats.mean1, stats.cov
+        return s.matrices[(k - 1) % s.period], *innovation
 
     out = step(start)
     for k in range(start + 1, start + s.period):
@@ -238,7 +238,7 @@ def _squaring_pays(periods: int, period: int) -> bool:
     return periods > 0 and periods * period > products
 
 
-def _jump(stats, s: WeightSchedule, k: int, mean, cov, periods: int) -> tuple:
+def _jump(innovation, s: WeightSchedule, k: int, mean, cov, periods: int) -> tuple:
     """x(k + periods P)'s H1 mean and covariance from x(k)'s.
 
     The period map is squared once per binary digit of ``periods`` and
@@ -248,7 +248,7 @@ def _jump(stats, s: WeightSchedule, k: int, mean, cov, periods: int) -> tuple:
     n = len(mean)
     end = k + periods * s.period
     state = (None, (k / n) * mean, (k / n) ** 2 * cov)
-    power = _period_map(stats, s, k)
+    power = _period_map(innovation, s, k)
     while True:
         if periods & 1:
             state = _compose(state, power)
@@ -440,8 +440,7 @@ def mixing_residual_curves(
     if not (k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
         raise ParameterError(f"k_max must have every k up to it visited, got {k_max}")
     mus = check_tilts(mus)
-    stats = innovation_stats(model)
-    m_eta, s_eta = stats.mean1, stats.cov
+    m_eta, s_eta = innovation_stats(model)
     n = s.n_nodes
     ks = np.arange(2, k_max + 1)
     col = ks[:, None]

@@ -193,13 +193,15 @@ def cmd_analyze(args) -> int:
 
 
 def plan_with_flags(config: ScenarioConfig, trials, seed):
-    """The plan under the --trials/--seed given (None: the file's, checked when read); a ConfigError names a bad flag."""
-    try:
-        return config.build_plan(n_trials=trials, master_seed=seed)
-    except ParameterError as exc:
-        given = (("--trials", trials), ("--seed", seed))
-        flags = " ".join(f"{flag} {value}" for flag, value in given if value is not None)
-        raise ConfigError(f"{flags}: {exc}") from None
+    """The file's plan under each --trials/--seed given, applied alone; a ConfigError names the flag that failed."""
+    plan = config.build_plan()
+    for flag, field, value in (("--trials", "n_trials", trials), ("--seed", "master_seed", seed)):
+        if value is not None:
+            try:
+                plan = dataclasses.replace(plan, **{field: value})
+            except ParameterError as exc:
+                raise ConfigError(f"{flag} {value}: {exc}") from None
+    return plan
 
 
 def cmd_simulate(args) -> int:

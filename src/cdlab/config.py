@@ -2,14 +2,15 @@
 
 A scenario is one JSON document with four sections (model, network,
 experiment, output).  Reading is strict: unknown keys anywhere are
-rejected, and so are network keys the chosen topology or weight rule would
-not read; every value must have its JSON shape (a number, an integer, a
-list of [i, j] pairs, a matrix), and diagnostics carry the dotted key path.
-The domain of each field is checked once, by the object that needs it:
+rejected, and so are network keys the chosen topology would not read;
+every value must have its JSON shape (a number, an integer, a list of
+[i, j] pairs, a matrix), and diagnostics carry the dotted key path.
+The domain of each field is checked once, by the rule that needs it:
 ``ScheduleSpec`` for the network, ``Thresholds`` for the acceptance
-thresholds, ``covariance_matrix`` for the covariance and the priors rule
-for the priors.  Their ParameterError or ShapeError becomes a ConfigError
-naming the section, so the CLI exits 2 for every bad value in a file.
+thresholds, ``covariance_matrix`` for the covariance, the priors rule for
+the priors and the integer rule for the checkpoints, trial count and seed.
+Their ParameterError or ShapeError becomes a ConfigError naming the
+section, so the CLI exits 2 for every bad value in a file.
 Content-level degeneracy (a singular covariance, a disconnected schedule)
 is left to the builders so it surfaces as a domain error, not a parse error.
 """
@@ -28,7 +29,7 @@ from .analysis import _check_priors
 from .errors import ConfigError, ParameterError, ShapeError
 from .experiment import ExperimentPlan, Thresholds
 from .model import GaussianHypothesisPair, build_model
-from .network import TOPOLOGIES, TOPOLOGY_FIELDS, WEIGHT_RULES, ScheduleSpec, WeightSchedule, build_schedule
+from .network import TOPOLOGIES, TOPOLOGY_FIELDS, ScheduleSpec, WeightSchedule, _check_integer, build_schedule
 
 # default checkpoint grid: log-spaced coverage for exponent fits
 GEOMETRIC_CHECKPOINTS = tuple(2**i for i in range(10))
@@ -62,11 +63,9 @@ def _finite_number(value, path: str) -> float:
     return out
 
 
-def _integer(value, path: str, minimum: int | None = None) -> int:
+def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -220,15 +219,9 @@ def scenario_from_dict(data) -> ScenarioConfig:
     topology = network.get("topology", "static")
     if topology not in TOPOLOGIES:
         raise ConfigError(f"network.topology: expected one of {TOPOLOGIES}, got {topology!r}")
-    weight_rule = network.get("weight_rule", "metropolis")
-    if weight_rule not in WEIGHT_RULES:
-        raise ConfigError(f"network.weight_rule: expected one of {WEIGHT_RULES}, got {weight_rule!r}")
     # a network section holds only keys it reads; those ScheduleSpec defaults to None are required
-    if weight_rule == "explicit":
-        path, read = "network (weight_rule 'explicit')", ("weight_rule", "matrices")
-    else:
-        path = f"network (topology {topology!r})"
-        read = ("topology", "weight_rule", *TOPOLOGY_FIELDS[topology])
+    path = f"network (topology {topology!r})"
+    read = ("topology", *TOPOLOGY_FIELDS[topology])
     needed = [f.name for f in fields(ScheduleSpec) if f.name in read and f.default is None]
     _check_keys(network, path, required=needed, optional=read)
     spec_fields = {
@@ -236,9 +229,7 @@ def scenario_from_dict(data) -> ScenarioConfig:
         for key, value in network.items()
         if key in _SPEC_READERS
     }
-    schedule_spec = _construct(
-        path, ScheduleSpec, n_nodes=len(m0), topology=topology, weight_rule=weight_rule, **spec_fields
-    )
+    schedule_spec = _construct(path, ScheduleSpec, n_nodes=len(m0), topology=topology, **spec_fields)
 
     experiment = _require_mapping(top.get("experiment", {}), "experiment")
     _check_keys(
@@ -250,11 +241,12 @@ def scenario_from_dict(data) -> ScenarioConfig:
     raw_ck = experiment.get("checkpoints", list(GEOMETRIC_CHECKPOINTS))
     if not isinstance(raw_ck, list) or not raw_ck:
         raise ConfigError("experiment.checkpoints: expected a nonempty list of integers")
+    # the integer rule ExperimentPlan applies, reported at each value's dotted path
     checkpoints = tuple(
-        sorted({_integer(k, f"experiment.checkpoints[{i}]", 1) for i, k in enumerate(raw_ck)})
+        sorted({_construct(f"experiment.checkpoints[{i}]", _check_integer, k, "checkpoint", 1) for i, k in enumerate(raw_ck)})
     )
-    n_trials = _integer(experiment.get("n_trials", 10_000), "experiment.n_trials", 1)
-    master_seed = _integer(experiment.get("master_seed", 0), "experiment.master_seed", 0)
+    n_trials = _construct("experiment.n_trials", _check_integer, experiment.get("n_trials", 10_000), "n_trials", 1)
+    master_seed = _construct("experiment.master_seed", _check_integer, experiment.get("master_seed", 0), "master_seed", 0)
     thresholds = _parse_thresholds(experiment.get("thresholds", {}), "experiment.thresholds")
 
     output = _require_mapping(top.get("output", {}), "output")

@@ -31,7 +31,7 @@ from .errors import (
     ShapeError,
     ZeroProbabilityInWindow,
 )
-from .model import GaussianHypothesisPair, Hypothesis
+from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
 from .network import WeightSchedule, _check_integer, _check_ks, contraction_bound, validate_assumption
 
 CHUNK_TRIALS = 4096
@@ -127,9 +127,7 @@ def _resolve_threads(requested, n_jobs: int) -> int:
     if requested is None:
         workers = env_cap if env_cap is not None else (os.cpu_count() or 1)
     else:
-        workers = int(requested)
-        if workers < 1:
-            raise ParameterError(f"thread count must be >= 1, got {requested}")
+        workers = _check_integer(requested, "thread count", 1)
         if env_cap is not None:
             workers = min(workers, env_cap)
     return max(1, min(workers, n_jobs))
@@ -138,7 +136,8 @@ def _resolve_threads(requested, n_jobs: int) -> int:
 def _run_chunk(plan: ExperimentPlan, hypothesis: Hypothesis, chunk: int, chunk_n: int):
     """Simulate one chunk under one hypothesis up to the last checkpoint.
 
-    Node-major, (N, chunk_n), with eta = diag(w) L z + w (m_h - midpoint).
+    Node-major, (N, chunk_n), with eta = diag(w) L z +- m_eta, m_eta the H1
+    innovation mean: w (m_h - (m0 + m1)/2) is +m_eta under H1, -m_eta under H0.
     Carries u(k) = k x(k) / N = W(k-1) u(k-1) + eta(k) and D(k) = k d(k) =
     D(k-1) + score(k), whose signs are the decisions.  Returns per-checkpoint
     wrong-decision counts for the nodes and for the centralized statistic,
@@ -149,8 +148,9 @@ def _run_chunk(plan: ExperimentPlan, hypothesis: Hypothesis, chunk: int, chunk_n
     checkpoints = plan.k_checkpoints
     w = model.innovation_weights
     gain = model.noise_chol * w[:, None]
-    offset = (w * (model.mean(hypothesis) - model.midpoint))[:, None]
     wrong = hypothesis == Hypothesis.H0  # under H0 an error is deciding H1
+    m_eta = innovation_stats(model)[0]
+    offset = (-m_eta if wrong else m_eta)[:, None]
     node_counts = np.zeros((len(checkpoints), n), dtype=np.int64)
     cen_counts = np.zeros(len(checkpoints), dtype=np.int64)
     gap = 0.0

@@ -8,8 +8,10 @@ and independent across time.  The log-likelihood ratio of a single snapshot is
 
 which is Gaussian under either hypothesis with variance sigma2 = (m1-m0) . w
 and mean +sigma2/2 under H1, -sigma2/2 under H0.  L splits into per-sensor
-terms eta_i = w_i (y_i - midpoint_i); these "innovations" are what the
+terms eta_i = w_i (y_i - (m0_i + m1_i)/2); these "innovations" are what the
 distributed detector exchanges, so their joint statistics are exposed here.
+The noise is symmetric, so under H0 the llr and the innovations have the law
+of their H1 values negated: only H1's means are kept.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
 __all__ = [
     "Hypothesis",
     "GaussianHypothesisPair",
-    "InnovationStats",
     "build_model",
     "innovation_stats",
 ]
@@ -64,36 +65,7 @@ class GaussianHypothesisPair:
     cov: np.ndarray
     noise_chol: np.ndarray
     innovation_weights: np.ndarray
-    llr_mean0: float
-    llr_mean1: float
-    llr_variance: float
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return (self.m0 + self.m1) / 2.0
-
-    def mean(self, h: Hypothesis) -> np.ndarray:
-        return self.m1 if h == Hypothesis.H1 else self.m0
-
-    def llr_mean(self, h: Hypothesis) -> float:
-        return self.llr_mean1 if h == Hypothesis.H1 else self.llr_mean0
-
-
-@dataclass(frozen=True)
-class InnovationStats:
-    """Per-sensor innovation moments under each hypothesis.
-
-    mean1 = -mean0 and cov does not depend on the hypothesis.  The totals
-    recover the llr statistics: sum(mean1) = llr_mean1 and the grand sum of
-    cov equals llr_variance.
-    """
-
-    mean0: np.ndarray
-    mean1: np.ndarray
-    cov: np.ndarray
-
-    def mean(self, h: Hypothesis) -> np.ndarray:
-        return self.mean1 if h == Hypothesis.H1 else self.mean0
+    llr_variance: float  # the llr mean is +llr_variance/2 under H1, -llr_variance/2 under H0
 
 
 def build_model(m0, m1, cov) -> GaussianHypothesisPair:
@@ -140,15 +112,15 @@ def build_model(m0, m1, cov) -> GaussianHypothesisPair:
         cov=_frozen(cov),
         noise_chol=_frozen(chol),
         innovation_weights=_frozen(weights),
-        llr_mean0=-sigma2 / 2.0,
-        llr_mean1=sigma2 / 2.0,
         llr_variance=sigma2,
     )
 
 
-def innovation_stats(model: GaussianHypothesisPair) -> InnovationStats:
-    """Joint moments of the innovation vector under each hypothesis."""
+def innovation_stats(model: GaussianHypothesisPair) -> tuple[np.ndarray, np.ndarray]:
+    """The innovation vector's H1 mean and its covariance, computed on demand.
+
+    The H0 mean is the negation and the covariance is shared; the mean sums
+    to llr_variance / 2 and the covariance's grand sum is llr_variance.
+    """
     w = model.innovation_weights
-    mean1 = w * (model.m1 - model.m0) / 2.0
-    cov = np.outer(w, w) * model.cov
-    return InnovationStats(mean0=_frozen(-mean1), mean1=_frozen(mean1), cov=_frozen(cov))
+    return _frozen(w * (model.m1 - model.m0) / 2.0), _frozen(np.outer(w, w) * model.cov)

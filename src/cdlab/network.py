@@ -44,14 +44,14 @@ STOCHASTIC_ATOL = 1e-12
 # factors stored as CSR: below these sizes a CSR step measured slower than BLAS
 SPARSE_DENSITY = 1 / 16
 SPARSE_MIN_NODES = 64
-# the ScheduleSpec fields each topology reads under the metropolis rule
+# the ScheduleSpec fields each topology reads
 TOPOLOGY_FIELDS = {
     "static": ("edges",),
     "alternating-links": ("link_cycle",),
     "random-subgraph": ("edges", "period", "seed", "keep_prob"),
+    "explicit": ("matrices",),
 }
 TOPOLOGIES = tuple(TOPOLOGY_FIELDS)
-WEIGHT_RULES = ("metropolis", "explicit")
 
 
 def _check_integer(value, name: str, minimum: int) -> int:
@@ -141,15 +141,15 @@ def metropolis_weights(g: GraphSnapshot) -> np.ndarray:
 class ScheduleSpec:
     """Recipe for a periodic schedule.
 
-    topology selects how per-step support graphs are produced:
+    topology selects how the per-step matrices W(k) are produced:
       static             one graph (``edges``) repeated, period 1
       alternating-links  ``link_cycle`` lists the edge set of each step
       random-subgraph    seeded per-step subsets of ``edges``, each edge kept
                          with probability ``keep_prob``, frozen at build
-    weight_rule "metropolis" derives W(k) from each step's graph;
-    "explicit" takes ``matrices`` verbatim (topology is then ignored).
+      explicit           ``matrices`` taken verbatim, one per step
+    Every topology but explicit takes Metropolis weights on each step's graph.
 
-    Construction checks the fields the rule and topology read: explicit
+    Construction checks the fields the topology reads: explicit
     ``matrices`` nonempty and n_nodes x n_nodes (ShapeError otherwise), a
     nonempty ``link_cycle``, a random-subgraph integer ``period`` >= 1 and
     integer ``seed`` >= 0, ``keep_prob`` in [0, 1], and every edge through GraphSnapshot.
@@ -162,22 +162,19 @@ class ScheduleSpec:
     period: int | None = None
     seed: int | None = None
     keep_prob: float = 0.5
-    weight_rule: str = "metropolis"
     matrices: tuple | None = None
 
     def __post_init__(self):
         n = self.n_nodes
-        if self.weight_rule not in WEIGHT_RULES:
-            raise ParameterError(f"unknown weight_rule {self.weight_rule!r}")
-        if self.weight_rule == "explicit":
+        if self.topology not in TOPOLOGIES:
+            raise ParameterError(f"unknown topology {self.topology!r}")
+        if self.topology == "explicit":
             if not self.matrices:
-                raise ParameterError("explicit weight_rule needs matrices")
+                raise ParameterError("explicit topology needs matrices")
             for k, w in enumerate(self.matrices, start=1):
                 if np.shape(w) != (n, n):
                     raise ShapeError(f"matrix {k} has shape {np.shape(w)}, expected ({n}, {n})")
             return
-        if self.topology not in TOPOLOGIES:
-            raise ParameterError(f"unknown topology {self.topology!r}")
         if self.topology == "alternating-links" and not self.link_cycle:
             raise ParameterError("alternating-links needs a nonempty link_cycle")
         if self.topology == "random-subgraph":
@@ -247,7 +244,7 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     no window length up to the period has connected union support; the
     returned schedule therefore passes ``validate_assumption``.
     """
-    if spec.weight_rule == "explicit":
+    if spec.topology == "explicit":
         mats = [np.array(m, dtype=float) for m in spec.matrices]
     else:
         mats = [metropolis_weights(g) for g in _step_graphs(spec)]

@@ -59,7 +59,7 @@ def sample_observations(
 ) -> np.ndarray:
     """Draw ``size`` independent snapshots as rows of a (size, n) array."""
     z = rng.standard_normal((size, model.n_sensors))
-    return model.mean(h) + z @ model.noise_chol.T
+    return (model.m1 if h == Hypothesis.H1 else model.m0) + z @ model.noise_chol.T
 
 
 def llr(model: GaussianHypothesisPair, y: np.ndarray):
@@ -67,16 +67,16 @@ def llr(model: GaussianHypothesisPair, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != model.n_sensors:
         raise ShapeError(f"observation has {y.shape[-1]} entries, expected {model.n_sensors}")
-    out = (y - model.midpoint) @ model.innovation_weights
+    out = (y - (model.m0 + model.m1) / 2.0) @ model.innovation_weights
     return float(out) if out.ndim == 0 else out
 
 
 def local_innovations(model: GaussianHypothesisPair, y: np.ndarray) -> np.ndarray:
-    """Per-sensor innovation eta_i = w_i (y_i - midpoint_i); sums to llr."""
+    """Per-sensor innovation eta_i = w_i (y_i - (m0_i + m1_i)/2); sums to llr."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != model.n_sensors:
         raise ShapeError(f"observation has {y.shape[-1]} entries, expected {model.n_sensors}")
-    return model.innovation_weights * (y - model.midpoint)
+    return model.innovation_weights * (y - (model.m0 + model.m1) / 2.0)
 
 
 # ── step-driven detectors ─────────────────────────────────────────────────
@@ -184,14 +184,15 @@ def decide(variable: float) -> Hypothesis:
 
 
 def rate_function(model: GaussianHypothesisPair, l: Hypothesis, t: float) -> float:
-    """Quadratic rate function (t - mean)^2 / (2 variance) of the llr mean."""
-    d = float(t) - model.llr_mean(l)
+    """Quadratic rate function (t - mean)^2 / (2 variance) of the llr mean, +-variance/2."""
+    d = float(t) - (1.0 if l == Hypothesis.H1 else -1.0) * model.llr_variance / 2.0
     return d * d / (2.0 * model.llr_variance)
 
 
 def log_mgf(model: GaussianHypothesisPair, l: Hypothesis, lam: float) -> float:
     lam = float(lam)
-    return lam * model.llr_mean(l) + lam * lam * model.llr_variance / 2.0
+    mean = (1.0 if l == Hypothesis.H1 else -1.0) * model.llr_variance / 2.0
+    return lam * mean + lam * lam * model.llr_variance / 2.0
 
 
 def fenchel_legendre(f, t: float, interval=FL_DEFAULT_INTERVAL) -> float:
@@ -236,14 +237,14 @@ def fenchel_legendre(f, t: float, interval=FL_DEFAULT_INTERVAL) -> float:
 def fixed_threshold_rates(model: GaussianHypothesisPair, gamma: float) -> tuple[float, float]:
     """Error exponents of the constant-threshold test at level gamma.
 
-    For gamma strictly between the two llr means the false-alarm exponent is
-    -I0(gamma) and the miss exponent gamma - I0(gamma); both are negative.
+    For gamma strictly between the two llr means, -+llr_variance/2, the
+    false-alarm exponent is -I0(gamma) and the miss exponent gamma - I0(gamma);
+    both are negative.
     """
     gamma = float(gamma)
-    if not model.llr_mean0 < gamma < model.llr_mean1:
-        raise ThresholdOutOfRange(
-            f"gamma must lie in ({model.llr_mean0}, {model.llr_mean1}), got {gamma}"
-        )
+    half = model.llr_variance / 2.0
+    if not -half < gamma < half:
+        raise ThresholdOutOfRange(f"gamma must lie in ({-half}, {half}), got {gamma}")
     i0 = rate_function(model, Hypothesis.H0, gamma)
     return (-i0, gamma - i0)
 
@@ -260,7 +261,8 @@ def scaled_cumulant(
     """Exact (1/k) log E[exp(k mu x_i(k))] from the Gaussian law of x_i(k).
 
     Equals mu * mean_i(k) + (k/2) mu^2 var_i(k); its k -> infinity limit is
-    llr_mean * mu + llr_variance * mu^2 / 2 for every node.
+    llr_mean * mu + llr_variance * mu^2 / 2 for every node, the llr mean being
+    +llr_variance / 2 under H1 and -llr_variance / 2 under H0.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -270,7 +272,7 @@ def scaled_cumulant(
         trajectory = propagate_moments(model, s, range(1, k + 1))
     mu = float(mu)
     i = node - 1
-    mean_i = float(trajectory.mean_at(k, l)[i])
+    mean_i = float(trajectory.mean_at(k)[i]) * (1.0 if l == Hypothesis.H1 else -1.0)
     var_i = float(trajectory.variance_at(k)[i])
     return mu * mean_i + (k / 2.0) * mu * mu * var_i
 

@@ -68,7 +68,7 @@ def test_criterion_02_rate_function_duality():
     for name in ("identity2", "correlated2", "ref3"):
         model, _, _ = build_scenario(name)
         sigma = math.sqrt(model.llr_variance)
-        grid = np.linspace(model.llr_mean0 - 2 * sigma, model.llr_mean1 + 2 * sigma, 41)
+        grid = np.linspace(-model.llr_variance / 2.0 - 2 * sigma, model.llr_variance / 2.0 + 2 * sigma, 41)
         for hyp in (H0, H1):
             for t in grid:
                 dual = fenchel_legendre(lambda lam: log_mgf(model, hyp, lam), float(t))
@@ -213,7 +213,7 @@ def test_criterion_09_residual_bound_and_cumulant_limit():
             worst_ratio = max(worst_ratio, float((np.abs(mu_values) / mu_bounds[:, None]).max()))
     worst_final = 0.0
     for mu in mus:
-        limit = model.llr_mean1 * mu + sig2 * mu * mu / 2.0
+        limit = sig2 / 2.0 * mu + sig2 * mu * mu / 2.0
         gaps = []
         for k in (10, 100, 1000):
             gap = max(

@@ -122,8 +122,8 @@ class TestQFunction:
 class TestRateFunction:
     def test_zero_at_own_mean(self):
         m = correlated_pair()
-        assert rate_function(m, H0, m.llr_mean0) == 0.0
-        assert rate_function(m, H1, m.llr_mean1) == 0.0
+        assert rate_function(m, H0, -m.llr_variance / 2.0) == 0.0
+        assert rate_function(m, H1, m.llr_variance / 2.0) == 0.0
 
     def test_identity_model_at_origin(self):
         assert rate_function(identity_pair(), H0, 0.0) == pytest.approx(0.25, abs=1e-15)
@@ -185,7 +185,7 @@ class TestFenchelLegendre:
     def test_duality_on_grid(self):
         m = correlated_pair()
         sigma = math.sqrt(m.llr_variance)
-        grid = np.linspace(m.llr_mean0 - 2 * sigma, m.llr_mean1 + 2 * sigma, 41)
+        grid = np.linspace(-m.llr_variance / 2.0 - 2 * sigma, m.llr_variance / 2.0 + 2 * sigma, 41)
         for l in (H0, H1):
             for t in grid:
                 dual = fenchel_legendre(lambda lam: log_mgf(m, l, lam), float(t))
@@ -215,7 +215,7 @@ class TestFixedThresholdRates:
 
     def test_boundary_rejected(self):
         m = identity_pair()
-        for gamma in (m.llr_mean0, m.llr_mean1, -5.0, 5.0):
+        for gamma in (-m.llr_variance / 2.0, m.llr_variance / 2.0, -5.0, 5.0):
             with pytest.raises(ThresholdOutOfRange):
                 fixed_threshold_rates(m, gamma)
 
@@ -223,7 +223,7 @@ class TestFixedThresholdRates:
     @settings(max_examples=40, deadline=None)
     def test_rates_strictly_negative(self, frac):
         m = correlated_pair()
-        gamma = frac * m.llr_mean1
+        gamma = frac * m.llr_variance / 2.0
         a, b = fixed_threshold_rates(m, gamma)
         assert a < 0.0
         assert b < 0.0
@@ -234,8 +234,8 @@ class TestFixedThresholdRates:
         gamma, k = 0.5, 4000
         sigma = math.sqrt(m.llr_variance)
         a_rate, b_rate = fixed_threshold_rates(m, gamma)
-        log_alpha = float(log_q_function((gamma - m.llr_mean0) * math.sqrt(k) / sigma))
-        log_beta = float(log_q_function((m.llr_mean1 - gamma) * math.sqrt(k) / sigma))
+        log_alpha = float(log_q_function((gamma + m.llr_variance / 2.0) * math.sqrt(k) / sigma))
+        log_beta = float(log_q_function((m.llr_variance / 2.0 - gamma) * math.sqrt(k) / sigma))
         assert log_alpha / k == pytest.approx(a_rate, abs=2e-3)
         assert log_beta / k == pytest.approx(b_rate, abs=2e-3)
 
@@ -245,9 +245,8 @@ class TestFixedThresholdRates:
 
 def reference_moments_h0(model, schedule, k_max):
     """Plain full-covariance recursion under H0, every P(k) kept."""
-    stats = innovation_stats(model)
-    m_eta = stats.mean0
-    s_eta = stats.cov
+    m_eta, s_eta = innovation_stats(model)
+    m_eta = -m_eta  # the H0 innovation mean
     n = model.n_sensors
     mu = n * m_eta
     p = n * n * s_eta
@@ -270,18 +269,19 @@ class TestPropagateMoments:
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
         traj = propagate_moments(m, s, range(1, 41), keep=(1, 2, 7, 40))
         for k in (1, 2, 7, 40):
-            assert traj.mean_at(k)[0] == pytest.approx(m.llr_mean1, rel=1e-12)
+            assert traj.mean_at(k)[0] == pytest.approx(m.llr_variance / 2.0, rel=1e-12)
             assert traj.cov_at(k)[0, 0] == pytest.approx(m.llr_variance / k, rel=1e-12)
             assert traj.variances[k - 1, 0] == traj.cov_at(k)[0, 0]
 
     def test_consensus_moment_identities(self):
-        """Node-average mean stays llr_mean, grand covariance sum sigma2/k."""
+        """Node-average H0 mean stays the H0 llr mean -sigma2/2, grand covariance sum sigma2/k."""
         model, schedule = alt3_scenario()
         ks = (1, 2, 3, 10, 50, 200)
         traj = propagate_moments(model, schedule, range(1, 201), keep=ks)
         for k in ks:
-            avg = float(traj.mean_at(k, H0).mean())
-            assert abs(avg - model.llr_mean0) <= 1e-10 * max(1.0, abs(model.llr_mean0))
+            avg = float((-traj.mean_at(k)).mean())
+            llr_mean0 = -model.llr_variance / 2.0
+            assert abs(avg - llr_mean0) <= 1e-10 * max(1.0, abs(llr_mean0))
             total = float(traj.cov_at(k).sum()) / 9.0
             assert total == pytest.approx(model.llr_variance / k, rel=1e-10)
 
@@ -306,7 +306,7 @@ class TestPropagateMoments:
             traj = propagate_moments(model, schedule, range(1, k_max + 1), keep=keep)
             means0, covs = reference_moments_h0(model, schedule, k_max)
             assert np.array_equal(-traj.means, means0)
-            assert np.array_equal(traj.mean_at(7, H0), means0[6])
+            assert np.array_equal(-traj.mean_at(7), means0[6])
             assert np.array_equal(traj.variances, np.diagonal(covs, axis1=1, axis2=2))
             assert np.array_equal(traj.covariances, covs[[k - 1 for k in keep]])
 
@@ -526,7 +526,6 @@ class TestJumpPastTheHorizon:
         assert traj.ks.tolist() == [*range(1, 31), 33, 100]
         for k in (33, 100):
             np.testing.assert_allclose(traj.mean_at(k), stepped.mean_at(k), rtol=1e-13)
-            np.testing.assert_allclose(traj.mean_at(k, H0), -stepped.mean_at(k), rtol=1e-13)
             np.testing.assert_allclose(traj.variance_at(k), stepped.variance_at(k), rtol=1e-13)
         assert [int(k) for k in exact_error_curves(model, traj)[0].ks] == [*range(1, 31), 33, 100]
         for k in (31, 34, 101):
@@ -624,14 +623,14 @@ class TestScaledCumulant:
         m = build_model([0.0], [1.0], [[1.0]])
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
         mu = 0.7
-        expect = m.llr_mean1 * mu + m.llr_variance * mu * mu / 2.0
+        expect = m.llr_variance / 2.0 * mu + m.llr_variance * mu * mu / 2.0
         for k in (1, 3, 17, 200):
             assert scaled_cumulant(m, s, H1, k, mu, 1) == pytest.approx(expect, rel=1e-12)
 
     def test_approaches_limit(self):
         model, schedule = alt3_scenario()
         mu = 0.5
-        limit = model.llr_mean1 * mu + model.llr_variance * mu * mu / 2.0
+        limit = model.llr_variance / 2.0 * mu + model.llr_variance * mu * mu / 2.0
         traj = propagate_moments(model, schedule, range(1, 1001))
         near = scaled_cumulant(model, schedule, H1, 1000, mu, 2, trajectory=traj)
         far = scaled_cumulant(model, schedule, H1, 10, mu, 2, trajectory=traj)
@@ -641,13 +640,11 @@ class TestScaledCumulant:
 
 def full_drift(model, k, mu, node, hypothesis):
     """Ideal-averaging part of the scaled cumulant, last innovation included."""
-    stats = innovation_stats(model)
+    m_eta, s_eta = innovation_stats(model)
+    sign = 1.0 if hypothesis == H1 else -1.0
     n = model.n_sensors
-    m_eta = stats.mean(hypothesis)
-    drift = (k - 1) / k * (
-        model.llr_mean(hypothesis) * mu + model.llr_variance * mu * mu / 2.0
-    )
-    last = (n * mu * m_eta[node - 1] + (n * n / 2.0) * mu * mu * stats.cov[node - 1, node - 1]) / k
+    drift = (k - 1) / k * (sign * model.llr_variance / 2.0 * mu + model.llr_variance * mu * mu / 2.0)
+    last = (n * mu * sign * m_eta[node - 1] + (n * n / 2.0) * mu * mu * s_eta[node - 1, node - 1]) / k
     return drift + last
 
 
@@ -657,13 +654,13 @@ def reference_residual(model, schedule, k_max, mu, hypothesis):
     The independent definition: the disagreement products tPhi(k, j), the
     backward products minus J, summed one step at a time.
     """
-    stats = innovation_stats(model)
+    m_eta, s_eta = innovation_stats(model)
     n = model.n_sensors
     jmat = np.full((n, n), 1.0 / n)
     sign = 1.0 if hypothesis == H1 else -1.0
-    m_bar = float(np.abs(stats.mean1).max())
-    s_bar = float(np.abs(stats.cov).max())
-    b_bar = float(np.abs(stats.cov @ np.ones(n)).max()) / n
+    m_bar = float(np.abs(m_eta).max())
+    s_bar = float(np.abs(s_eta).max())
+    b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
     env = contraction_bound(n, schedule.min_weight, schedule.window)
     theta, beta = env.amplitude, env.ratio
     a = abs(mu)
@@ -671,9 +668,9 @@ def reference_residual(model, schedule, k_max, mu, hypothesis):
     values, bounds = [], []
     for j in range(1, k_max):
         tw = schedule.weight_at(j) - jmat
-        a1 = tw @ (a1 + stats.mean1)
-        a3 = tw @ (a3 + stats.cov @ np.ones(n))
-        a2 = tw @ (a2 + stats.cov) @ tw.T
+        a1 = tw @ (a1 + m_eta)
+        a3 = tw @ (a3 + s_eta @ np.ones(n))
+        a2 = tw @ (a2 + s_eta) @ tw.T
         k = j + 1
         linear = (n / k) * mu * sign * a1
         quadratic = (n * n / (2.0 * k)) * mu * mu * np.diag(a2)

@@ -102,7 +102,7 @@ class TestValidate:
 
     def test_network_missing_needed_key_exits_two(self, tmp_path, capsys):
         data = ref3_dict()
-        data["network"] = {"weight_rule": "explicit"}
+        data["network"] = {"topology": "explicit"}
         assert main(["validate", "--config", write_config(tmp_path, data)]) == 2
         assert "missing required key(s) matrices" in capsys.readouterr().err
 
@@ -416,13 +416,16 @@ class TestSimulate:
             reports.append((out / "ref3_curves_mc.csv").read_text())
         assert reports[0] != reports[1]
 
-    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--seed", "-1"]])
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--seed", "-1"], ["--trials", "5", "--seed", "-1"]])
     def test_out_of_range_flag_is_a_config_error(self, flags, tmp_path, capsys):
-        """Exit 2 naming the flag, as the same value in the file would; 1 means a failed verdict."""
+        """Exit 2 naming the flag, as the same value in the file would; 1 means a failed verdict.
+
+        The last flag given is the bad one, and the error names it alone.
+        """
         out = tmp_path / "out"
         code = main(["simulate", "--quiet", "--config", str(SCENARIO_DIR / "n1.json"), "--out", str(out), *flags])
         assert code == 2
-        assert f"config error: {' '.join(flags)}:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {' '.join(flags[-2:])}:")
         assert not out.exists()
 
     def test_unreachable_threshold_exits_one(self, tmp_path):

@@ -191,10 +191,9 @@ class TestNetworkSection:
         [
             ({"topology": "static", "edges": [[1, 2]], "keep_prob": 0.3}, "keep_prob"),
             ({"topology": "alternating-links", "link_cycle": [[[1, 2]]], "edges": []}, "edges"),
-            (
-                {"topology": "static", "weight_rule": "explicit", "matrices": [[[1, 0], [0, 1]]]},
-                "topology",
-            ),
+            ({"topology": "explicit", "matrices": [[[1, 0], [0, 1]]], "edges": [[1, 2]]}, "edges"),
+            # the weight rule is the topology's: explicit matrices are a topology of their own
+            ({"topology": "static", "edges": [[1, 2]], "weight_rule": "metropolis"}, "weight_rule"),
         ],
     )
     def test_keys_the_network_would_ignore_rejected(self, network, ignored):
@@ -206,7 +205,7 @@ class TestNetworkSection:
     @pytest.mark.parametrize(
         "network, missing",
         [
-            ({"weight_rule": "explicit"}, "matrices"),
+            ({"topology": "explicit"}, "matrices"),
             ({"topology": "alternating-links"}, "link_cycle"),
             ({"topology": "random-subgraph", "edges": [[1, 2]], "seed": 1}, "period"),
             ({"topology": "random-subgraph", "edges": [[1, 2]], "period": 2}, "seed"),
@@ -221,7 +220,7 @@ class TestNetworkSection:
     def test_explicit_matrices_parsed(self):
         d = minimal_dict()
         d["network"] = {
-            "weight_rule": "explicit",
+            "topology": "explicit",
             "matrices": [[[0.5, 0.5], [0.5, 0.5]]],
         }
         cfg = scenario_from_dict(d)
@@ -248,6 +247,20 @@ class TestExperimentSection:
         d = minimal_dict(experiment={"n_trials": 0})
         with pytest.raises(ConfigError, match="n_trials"):
             scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "experiment, path",
+        [
+            ({"checkpoints": [4, 2.5]}, r"experiment\.checkpoints\[1\]: checkpoint"),
+            ({"n_trials": True}, r"experiment\.n_trials: n_trials"),
+            ({"master_seed": -1}, r"experiment\.master_seed: master_seed"),
+        ],
+        ids=["checkpoints", "n_trials", "master_seed"],
+    )
+    def test_plan_integers_read_by_the_plan_rule(self, experiment, path):
+        """The checkpoints, trial count and seed go through the integer rule ExperimentPlan uses."""
+        with pytest.raises(ConfigError, match=f"^{path} must be an integer >= "):
+            scenario_from_dict(minimal_dict(experiment=experiment))
 
     def test_threshold_ordering_enforced(self):
         d = minimal_dict(experiment={"thresholds": {"k_early": 500, "k_late": 100}})
@@ -324,8 +337,8 @@ RULES = [
     ("network", {**RANDOM3, "seed": -1}, ParameterError),
     ("network", {**RANDOM3, "keep_prob": 1.5}, ParameterError),
     ("network", {**RANDOM3, "keep_prob": -0.1}, ParameterError),
-    ("network", {"weight_rule": "explicit", "matrices": ()}, ParameterError),
-    ("network", {"weight_rule": "explicit", "matrices": (((1.0,),),)}, ShapeError),
+    ("network", {"topology": "explicit", "matrices": ()}, ParameterError),
+    ("network", {"topology": "explicit", "matrices": (((1.0,),),)}, ShapeError),
     ("experiment.thresholds", {"gap_tolerance": 0.0}, ParameterError),
     ("experiment.thresholds", {"k_early": 0}, ParameterError),
     ("experiment.thresholds", {"k_early": 500, "k_late": 100}, ParameterError),

@@ -60,7 +60,7 @@ def run_both(model, schedule, ys):
 class TestCentralized:
     def test_midpoint_observation_scores_zero(self):
         m = identity_pair()
-        state = centralized_step(centralized_init(m), m, m.midpoint)
+        state = centralized_step(centralized_init(m), m, (m.m0 + m.m1) / 2.0)
         assert state.k == 1
         assert state.value == pytest.approx(0.0, abs=1e-15)
 
@@ -97,7 +97,7 @@ class TestCentralized:
 class TestDistributed:
     def test_init_midpoint_is_zero(self):
         m = identity_pair()
-        state = distributed_init(m, m.midpoint)
+        state = distributed_init(m, (m.m0 + m.m1) / 2.0)
         assert state.k == 1
         assert state.x == pytest.approx(np.zeros(2), abs=1e-15)
 
@@ -146,7 +146,7 @@ class TestDistributed:
         pmat = np.eye(3)[perm]
         m_p = build_model(m.m0[perm], m.m1[perm], m.cov[np.ix_(perm, perm)])
         mats = tuple(pmat @ w @ pmat.T for w in s.matrices)
-        s_p = build_schedule(ScheduleSpec(n_nodes=3, weight_rule="explicit", matrices=mats))
+        s_p = build_schedule(ScheduleSpec(n_nodes=3, topology="explicit", matrices=mats))
         ys = np.random.default_rng(6).normal(size=(12, 3))
         state = distributed_init(m, ys[0])
         state_p = distributed_init(m_p, ys[0][perm])

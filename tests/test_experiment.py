@@ -152,7 +152,7 @@ class TestRunMonteCarlo:
         n = model.n_sensors
         n_ck = len(plan.k_checkpoints)
         for hyp in (H0, H1):
-            mean = model.mean(hyp)
+            mean = model.m1 if hyp == H1 else model.m0
             blocks = {
                 k: np.random.default_rng((plan.master_seed, int(hyp), k, 0)).standard_normal(
                     (plan.n_trials, n)
@@ -184,18 +184,25 @@ class TestRunMonteCarlo:
         self.assert_counts_match_per_trial_replica(alt3_plan())
 
     @pytest.mark.parametrize(
-        "name, m1",
-        [("rand5", None), ("correlated2", [1.0, 0.4]), ("n1", None)],
-        ids=["rand5", "correlated2", "n1"],
+        "name, means",
+        [
+            ("rand5", None),
+            ("correlated2", ([0.0, 0.0], [1.0, 0.4])),
+            ("n1", None),
+            ("correlated2", ([0.3, -0.5], [1.1, 0.1])),
+        ],
+        ids=["rand5", "correlated2", "n1", "correlated2-m0-nonzero"],
     )
-    def test_counts_match_per_trial_replica_on_corpus_schedules(self, name, m1):
+    def test_counts_match_per_trial_replica_on_corpus_schedules(self, name, means):
         """rand5 wraps its period-4 schedule, n1 is the 1 x 1 case, and
         correlated2's noise with unequal mean shifts makes diag(w) L differ
-        from L diag(w)."""
+        from L diag(w).  With m0 != 0 the kernel's offset, +-(w (m1 - m0) / 2),
+        and the replica's w (y - (m0 + m1) / 2) are no longer the same
+        floating-point expression."""
         config = scenario_config(name)
         model = config.build_model()
-        if m1 is not None:
-            model = build_model(model.m0, m1, model.cov)
+        if means is not None:
+            model = build_model(*means, model.cov)
         plan = ExperimentPlan(
             model=model,
             schedule=config.build_schedule(),
@@ -310,6 +317,13 @@ class TestRunMonteCarlo:
         monkeypatch.setenv("CDL_THREADS", "0")
         with pytest.raises(ParameterError):
             run_monte_carlo(plan)
+
+    @pytest.mark.parametrize("threads", [2.5, True, 0])
+    def test_thread_count_is_an_integer(self, threads, monkeypatch):
+        """2.5 does not run as 2 threads nor True as 1: the integer rule refuses both."""
+        monkeypatch.delenv("CDL_THREADS", raising=False)
+        with pytest.raises(ParameterError, match="thread count must be an integer >= 1"):
+            run_monte_carlo(alt3_plan(n_trials=10), threads=threads)
 
 
 # ── exponent fits ─────────────────────────────────────────────────────────

@@ -52,8 +52,6 @@ class TestBuildModel:
         m = identity_pair()
         assert m.innovation_weights == pytest.approx([1.0, 1.0], abs=1e-15)
         assert m.llr_variance == pytest.approx(2.0, abs=1e-15)
-        assert m.llr_mean1 == pytest.approx(1.0, abs=1e-15)
-        assert m.llr_mean0 == pytest.approx(-1.0, abs=1e-15)
 
     def test_correlated_pair_matches_direct_inverse(self):
         """Oracle: explicit 2x2 inverse [[d,-b],[-c,a]]/det."""
@@ -104,14 +102,6 @@ class TestBuildModel:
         for arr in (m.m0, m.m1, m.cov, m.innovation_weights, m.noise_chol):
             with pytest.raises(ValueError):
                 arr[0] = 9.0  # type: ignore[index]
-
-    @given(random_models())
-    @settings(max_examples=50, deadline=None)
-    def test_llr_mean_identities(self, m):
-        """llr_mean1 - llr_mean0 = llr_variance and symmetry about zero."""
-        assert m.llr_mean1 - m.llr_mean0 == pytest.approx(m.llr_variance, rel=1e-12)
-        assert m.llr_mean1 == pytest.approx(-m.llr_mean0, rel=1e-12)
-        assert m.llr_variance > 0
 
     @given(random_models())
     @settings(max_examples=50, deadline=None)
@@ -169,20 +159,21 @@ class TestLlr:
 
 class TestInnovationStats:
     def test_frozen_correlated_values(self):
-        # mean1 = v * (m1-m0)/2 = (1/3, 1/3); cov = outer(v,v)*S = 4/9 * [[1,.5],[.5,1]]
-        st_ = innovation_stats(correlated_pair())
-        assert st_.mean1 == pytest.approx([1.0 / 3.0, 1.0 / 3.0], rel=1e-12)
-        assert st_.mean0 == pytest.approx([-1.0 / 3.0, -1.0 / 3.0], rel=1e-12)
+        # H1 mean = v * (m1-m0)/2 = (1/3, 1/3); cov = outer(v,v)*S = 4/9 * [[1,.5],[.5,1]]
+        mean, cov = innovation_stats(correlated_pair())
+        assert mean == pytest.approx([1.0 / 3.0, 1.0 / 3.0], rel=1e-12)
         expect = 4.0 / 9.0 * np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert st_.cov == pytest.approx(expect, rel=1e-12)
+        assert cov == pytest.approx(expect, rel=1e-12)
 
     @given(random_models())
     @settings(max_examples=50, deadline=None)
     def test_totals_recover_llr_statistics(self, m):
-        st_ = innovation_stats(m)
-        assert float(st_.mean1.sum()) == pytest.approx(m.llr_mean1, rel=1e-10, abs=1e-12)
-        assert float(st_.cov.sum()) == pytest.approx(m.llr_variance, rel=1e-10)
-        assert np.array_equal(st_.mean0, -st_.mean1)
+        """The H1 innovation mean sums to the H1 llr mean, llr_variance / 2, and the
+        covariance's grand sum is llr_variance: the pair carries the llr's law."""
+        mean, cov = innovation_stats(m)
+        assert m.llr_variance > 0
+        assert float(mean.sum()) == pytest.approx(m.llr_variance / 2.0, rel=1e-10, abs=1e-12)
+        assert float(cov.sum()) == pytest.approx(m.llr_variance, rel=1e-10)
 
 
 # ── sampling ──────────────────────────────────────────────────────────────

@@ -182,7 +182,7 @@ class TestBuildSchedule:
     def test_explicit_matrices_accepted(self):
         half = np.full((2, 2), 0.5)
         s = build_schedule(
-            ScheduleSpec(n_nodes=2, weight_rule="explicit", matrices=(half,))
+            ScheduleSpec(n_nodes=2, topology="explicit", matrices=(half,))
         )
         assert s.period == 1
         assert s.min_weight == 0.5
@@ -190,23 +190,23 @@ class TestBuildSchedule:
     def test_explicit_rejects_bad_row_sums(self):
         bad = np.array([[0.5, 0.4], [0.4, 0.5]])
         with pytest.raises(InvalidWeights):
-            build_schedule(ScheduleSpec(n_nodes=2, weight_rule="explicit", matrices=(bad,)))
+            build_schedule(ScheduleSpec(n_nodes=2, topology="explicit", matrices=(bad,)))
 
     def test_explicit_rejects_asymmetry(self):
         bad = np.array([[0.5, 0.5], [0.4, 0.6]])
         with pytest.raises(InvalidWeights):
-            build_schedule(ScheduleSpec(n_nodes=2, weight_rule="explicit", matrices=(bad,)))
+            build_schedule(ScheduleSpec(n_nodes=2, topology="explicit", matrices=(bad,)))
 
     def test_explicit_rejects_zero_diagonal(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InvalidWeights):
-            build_schedule(ScheduleSpec(n_nodes=2, weight_rule="explicit", matrices=(swap,)))
+            build_schedule(ScheduleSpec(n_nodes=2, topology="explicit", matrices=(swap,)))
 
     def test_explicit_rejects_weight_above_one(self):
         """Row sum 1 + 1e-13 is within tolerance, but the floor would exceed 1."""
         with pytest.raises(InvalidWeights, match="min-weight-range"):
             build_schedule(
-                ScheduleSpec(n_nodes=1, weight_rule="explicit", matrices=([[1.0 + 1e-13]],))
+                ScheduleSpec(n_nodes=1, topology="explicit", matrices=([[1.0 + 1e-13]],))
             )
 
     def test_random_subgraph_is_deterministic(self):

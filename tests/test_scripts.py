@@ -31,10 +31,12 @@ def test_script_exits_zero(argv, tmp_path):
         (["residual_sweep.py", "--k-max", "1"], "k-max >= 2"),
         (["residual_sweep.py", "--k-max", "0"], "k-max >= 2"),
         (["residual_sweep.py", "--mus=0,nan"], "tilts must be finite, got nan"),
-        (["run_reference.py", "--trials", "0"], "--trials 0: n_trials must be an integer >= 1"),
-        (["run_reference.py", "--seed", "-1"], "--seed -1: master_seed must be an integer >= 0"),
+        # the error names the flag that failed, and only that flag
+        (["run_reference.py", "--trials", "0"], "error: --trials 0: n_trials must be an integer >= 1"),
+        (["run_reference.py", "--seed", "-1"], "error: --seed -1: master_seed must be an integer >= 0"),
         (["residual_sweep.py", "--scenario", "nope"], "invalid choice"),
         (["run_reference.py", "--scenario", "nope"], "invalid choice"),
+        (["run_reference.py", "--trials", "5", "--seed", "-1"], "error: --seed -1: master_seed must be an integer >= 0"),
     ],
     ids=[
         "sweep-k-max-1",
@@ -44,6 +46,7 @@ def test_script_exits_zero(argv, tmp_path):
         "reference-seed-neg",
         "sweep-scenario-unknown",
         "reference-scenario-unknown",
+        "reference-trials-5-seed-neg",
     ],
 )
 def test_script_rejects_bad_flag(argv, message, tmp_path):
