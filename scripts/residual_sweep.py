@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from cdlab.analysis import check_tilts, fold_worst_ratio, mixing_residual_curves, propagate_moments
-from cdlab.cli import residual_csv
+from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS, residual_csv
 from cdlab.config import scenario_from_file
 from cdlab.errors import ParameterError
 
@@ -46,8 +46,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", choices=sorted(p.stem for p in SCENARIOS.glob("*.json")), default="ref3",
                         help="run scenarios/SCENARIO.json")
-    parser.add_argument("--k-max", type=parse_k_max, default=500)
-    parser.add_argument("--mus", type=parse_mus, default="-1.0,-0.1,0.1,1.0")
+    parser.add_argument("--k-max", type=parse_k_max, default=RESIDUAL_HORIZON, help="last step (default: analyze's)")
+    parser.add_argument("--mus", type=parse_mus, default=RESIDUAL_MUS, help="comma-separated tilts (default: analyze's)")
     parser.add_argument("--out", default=None, help="optional CSV path for raw rows")
     args = parser.parse_args()
 

@@ -267,10 +267,12 @@ def _jump(innovation, s: WeightSchedule, k: int, mean, cov, periods: int) -> tup
 class ErrorCurve:
     """False-alarm, miss and Bayes error along a checkpoint grid.
 
-    Stored as log-probabilities so deep tails stay meaningful; the linear
-    ``alpha``/``beta``/``pe`` views underflow to 0.0 below 1e-300.  For
-    Monte Carlo curves the se_* arrays carry binomial standard errors and
-    a zero count yields log-probability -inf.
+    The Bayes error weighs the hypotheses equally, pe = (alpha + beta) / 2;
+    an exact curve has alpha = beta, so its pe is alpha.  Stored as
+    log-probabilities so deep tails stay meaningful; the linear
+    ``alpha``/``beta``/``pe`` views underflow to 0.0 below 1e-300.  For Monte
+    Carlo curves the se_* arrays carry binomial standard errors and a zero
+    count yields log-probability -inf.
     """
 
     node: str
@@ -278,7 +280,6 @@ class ErrorCurve:
     log_alpha: np.ndarray
     log_beta: np.ndarray
     log_pe: np.ndarray
-    priors: tuple
     source: str
     se_alpha: np.ndarray | None = None
     se_beta: np.ndarray | None = None
@@ -301,51 +302,29 @@ class ErrorCurve:
         return self.log_pe / math.log(10.0)
 
 
-def _combine_log_pe(log_alpha, log_beta, priors) -> np.ndarray:
-    p0, p1 = priors
-    with np.errstate(divide="ignore"):
-        return np.logaddexp(math.log(p0) + log_alpha, math.log(p1) + log_beta)
-
-
-def _check_priors(priors) -> tuple[float, float]:
-    """The priors rule: two positive numbers summing to 1 within 1e-12."""
-    pair = tuple(float(p) for p in priors)
-    if len(pair) != 2 or not (
-        pair[0] > 0.0 and pair[1] > 0.0 and abs(pair[0] + pair[1] - 1.0) <= 1e-12
-    ):
-        raise ParameterError(f"priors must be two positive numbers summing to 1, got {priors}")
-    return pair
-
-
-def _exact_curve(node: str, ks: np.ndarray, log_tail: np.ndarray, priors) -> ErrorCurve:
-    """An exact curve with alpha = beta: one log tail serves both."""
+def _exact_curve(node: str, ks: np.ndarray, log_tail: np.ndarray) -> ErrorCurve:
+    """An exact curve with alpha = beta = pe: one log tail serves all three."""
     return ErrorCurve(
         node=node,
         ks=ks.copy(),
         log_alpha=log_tail,
         log_beta=log_tail.copy(),
-        log_pe=_combine_log_pe(log_tail, log_tail, priors),
-        priors=priors,
+        log_pe=log_tail.copy(),
         source="exact",
     )
 
 
-def exact_error_curves(
-    model: GaussianHypothesisPair,
-    traj: MomentTrajectory,
-    priors=(0.5, 0.5),
-    ks=None,
-) -> list[ErrorCurve]:
+def exact_error_curves(model: GaussianHypothesisPair, traj: MomentTrajectory, ks=None) -> list[ErrorCurve]:
     """Per-node error curves from the exact Gaussian law of x_i(k).
 
     alpha_i(k) is the H0 probability of x_i(k) > 0 and beta_i(k) the H1
     probability of x_i(k) <= 0.  Since mu0 = -mu1 and the variance is
-    shared, both equal Phi(-mu1 / sd) exactly, so one tail serves both.
+    shared, both equal Phi(-mu1 / sd) exactly, so one tail serves both and
+    the Bayes error (alpha + beta) / 2 as well.
     ``ks`` selects checkpoints among the visited k, sorted and distinct (default: all).
     Raises DegenerateVariance when a per-node variance is not strictly
     positive.
     """
-    priors = _check_priors(priors)
     ks = np.asarray(_check_ks(traj.ks if ks is None else ks, "checkpoint"))
     means, variances = traj.moments_at(ks)
     curves = []
@@ -355,18 +334,15 @@ def exact_error_curves(
         if floor <= VARIANCE_FLOOR:
             raise DegenerateVariance(f"node {i + 1} variance {floor:.3e} is not positive")
         log_tail = log_q_function(means[:, i] / np.sqrt(var))
-        curves.append(_exact_curve(str(i + 1), ks, log_tail, priors))
+        curves.append(_exact_curve(str(i + 1), ks, log_tail))
     return curves
 
 
-def centralized_error_curve(
-    model: GaussianHypothesisPair, ks, priors=(0.5, 0.5)
-) -> ErrorCurve:
-    """Exact curve of the centralized running mean: alpha = beta = Q(sqrt(k) sigma / 2)."""
-    priors = _check_priors(priors)
+def centralized_error_curve(model: GaussianHypothesisPair, ks) -> ErrorCurve:
+    """Exact curve of the centralized running mean: alpha = beta = pe = Q(sqrt(k) sigma / 2)."""
     ks = np.asarray(_check_ks(ks, "checkpoint"))
     sigma = math.sqrt(model.llr_variance)
-    return _exact_curve("cen", ks, log_q_function(np.sqrt(ks) * sigma / 2.0), priors)
+    return _exact_curve("cen", ks, log_q_function(np.sqrt(ks) * sigma / 2.0))
 
 
 # ── the mixing residual ───────────────────────────────────────────────────

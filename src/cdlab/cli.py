@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain or acceptance failure, 2 config error,
 3 I/O error.  Every artifact is a deterministic function of the config
-file, streamed to disk, hashed as it is written and replaced atomically; a
-manifest records the config hash, tool version and those hashes.
+file and flags, not of the thread count (``simulate`` prints that), streamed
+to disk, hashed as it is written and replaced atomically; a manifest
+records the config hash, tool version and those hashes.
 """
 
 from __future__ import annotations
@@ -155,15 +156,15 @@ def cmd_analyze(args) -> int:
     config = scenario_from_file(args.config)
     model = config.build_model()
     schedule = config.build_schedule()
-    header = report_header(model, schedule, config.priors)
+    header = report_header(model, schedule)
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
 
     ks = config.checkpoints
     k_max = ks[-1]
     horizon = min(k_max, RESIDUAL_HORIZON)
     traj = propagate_moments(model, schedule, [*range(1, horizon + 1), *ks])
-    node_curves = exact_error_curves(model, traj, priors=config.priors, ks=ks)
-    cen_curve = centralized_error_curve(model, ks, priors=config.priors)
+    node_curves = exact_error_curves(model, traj, ks=ks)
+    cen_curve = centralized_error_curve(model, ks)
     ws.write("curves_exact.csv", _curves_csv([cen_curve] + node_curves))
 
     decay = check_geometric_decay(schedule, max_gap=min(200, max(k_max, 2)))
@@ -215,7 +216,7 @@ def cmd_simulate(args) -> int:
 
     agreement = report["agreement"]
     status = "waived" if agreement["waived"] else agreement["passed"]
-    ws.say(f"verdict={report['verdict']} agreement={status} -> exit {0 if accepted else 1}")
+    ws.say(f"verdict={report['verdict']} agreement={status} threads={result.threads} -> exit {0 if accepted else 1}")
     return 0 if accepted else 1
 
 

@@ -7,8 +7,9 @@ every value must have its JSON shape (a number, an integer, a list of
 [i, j] pairs, a matrix), and diagnostics carry the dotted key path.
 The domain of each field is checked once, by the rule that needs it:
 ``ScheduleSpec`` for the network, ``Thresholds`` for the acceptance
-thresholds, ``covariance_matrix`` for the covariance, the priors rule for
-the priors and the integer rule for the checkpoints, trial count and seed.
+thresholds, ``covariance_matrix`` for the covariance and the integer rule
+for the checkpoints, trial count and seed.  No key weights the hypotheses:
+every Bayes error is (alpha + beta) / 2.
 Their ParameterError or ShapeError becomes a ConfigError naming the
 section, so the CLI exits 2 for every bad value in a file.
 Content-level degeneracy (a singular covariance, a disconnected schedule)
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _check_priors
 from .errors import ConfigError, ParameterError, ShapeError
 from .experiment import ExperimentPlan, Thresholds
 from .model import GaussianHypothesisPair, build_model
@@ -165,7 +165,6 @@ class ScenarioConfig:
     m0: tuple
     m1: tuple
     covariance: np.ndarray
-    priors: tuple
     schedule_spec: ScheduleSpec
     checkpoints: tuple  # sorted and distinct, so analyze and simulate see one set
     n_trials: int
@@ -190,7 +189,6 @@ class ScenarioConfig:
             k_checkpoints=self.checkpoints,
             n_trials=self.n_trials if n_trials is None else n_trials,
             master_seed=self.master_seed if master_seed is None else master_seed,
-            priors=self.priors,
         )
 
 
@@ -203,7 +201,7 @@ def scenario_from_dict(data) -> ScenarioConfig:
         raise ConfigError(f"config.name: expected a [A-Za-z0-9_-] identifier, got {name!r}")
 
     model = _require_mapping(top["model"], "model")
-    _check_keys(model, "model", required=("m0", "m1", "covariance"), optional=("priors",))
+    _check_keys(model, "model", required=("m0", "m1", "covariance"), optional=())
     m0 = _vector(model["m0"], "model.m0")
     m1 = _vector(model["m1"], "model.m1")
     if len(m0) != len(m1):
@@ -212,8 +210,6 @@ def scenario_from_dict(data) -> ScenarioConfig:
     if not isinstance(cov, str):
         cov = _matrix(cov, "model.covariance")
     covariance = _construct("model.covariance", covariance_matrix, cov, len(m0))
-    raw_priors = _vector(model.get("priors", [0.5, 0.5]), "model.priors")
-    priors = _construct("model.priors", _check_priors, raw_priors)
 
     network = _require_mapping(top["network"], "network")
     topology = network.get("topology", "static")
@@ -260,7 +256,6 @@ def scenario_from_dict(data) -> ScenarioConfig:
         m0=m0,
         m1=m1,
         covariance=covariance,
-        priors=priors,
         schedule_spec=schedule_spec,
         checkpoints=checkpoints,
         n_trials=n_trials,

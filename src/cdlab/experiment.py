@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import (
     ErrorCurve,
     MomentTrajectory,
-    _check_priors,
     centralized_error_curve,
     chernoff_information,
     exact_error_curves,
@@ -76,7 +75,6 @@ class ExperimentPlan:
     k_checkpoints: tuple
     n_trials: int
     master_seed: int
-    priors: tuple = (0.5, 0.5)
 
     def __post_init__(self):
         if self.model.n_sensors != self.schedule.n_nodes:
@@ -87,7 +85,6 @@ class ExperimentPlan:
         object.__setattr__(self, "k_checkpoints", tuple(_check_ks(self.k_checkpoints, "checkpoint")))
         object.__setattr__(self, "n_trials", _check_integer(self.n_trials, "n_trials", 1))
         object.__setattr__(self, "master_seed", _check_integer(self.master_seed, "master_seed", 0))
-        object.__setattr__(self, "priors", _check_priors(self.priors))
 
 
 @dataclass(frozen=True)
@@ -178,24 +175,23 @@ def _run_chunk(plan: ExperimentPlan, hypothesis: Hypothesis, chunk: int, chunk_n
     return hypothesis, node_counts, cen_counts, gap
 
 
-def _binomial_curve(node, ks, fa, miss, n_trials, priors) -> ErrorCurve:
+def _binomial_curve(node, ks, fa, miss, n_trials) -> ErrorCurve:
     counts = np.stack([fa, miss])
     a_hat, b_hat = hats = counts / n_trials
     with np.errstate(divide="ignore"):
         log_alpha, log_beta = np.log(hats)
-        log_pe = np.log(priors[0] * a_hat + priors[1] * b_hat)
+        log_pe = np.log(0.5 * a_hat + 0.5 * b_hat)
     # rule of three stands in for the stderr at degenerate counts
     se_alpha, se_beta = np.where(
         (counts > 0) & (counts < n_trials), np.sqrt(hats * (1.0 - hats) / n_trials), 3.0 / n_trials
     )
-    se_pe = np.sqrt((priors[0] * se_alpha) ** 2 + (priors[1] * se_beta) ** 2)
+    se_pe = np.sqrt((0.5 * se_alpha) ** 2 + (0.5 * se_beta) ** 2)
     return ErrorCurve(
         node=str(node),
         ks=np.asarray(ks, dtype=int),
         log_alpha=log_alpha,
         log_beta=log_beta,
         log_pe=log_pe,
-        priors=priors,
         source="monte-carlo",
         se_alpha=se_alpha,
         se_beta=se_beta,
@@ -232,11 +228,8 @@ def run_monte_carlo(plan: ExperimentPlan, threads=None) -> MonteCarloResult:
             gap = max(gap, chunk_gap)
 
     ks = np.asarray(plan.k_checkpoints, dtype=int)
-    node_curves = tuple(
-        _binomial_curve(i + 1, ks, fa[:, i], miss[:, i], plan.n_trials, plan.priors)
-        for i in range(n)
-    )
-    cen_curve = _binomial_curve("cen", ks, cen_fa, cen_miss, plan.n_trials, plan.priors)
+    node_curves = tuple(_binomial_curve(i + 1, ks, fa[:, i], miss[:, i], plan.n_trials) for i in range(n))
+    cen_curve = _binomial_curve("cen", ks, cen_fa, cen_miss, plan.n_trials)
     return MonteCarloResult(
         ks=ks,
         node_curves=node_curves,
@@ -325,12 +318,14 @@ def _empirical_rate(curve: ErrorCurve) -> np.ndarray:
     return -curve.log_pe / curve.ks
 
 
-def report_header(model: GaussianHypothesisPair, schedule: WeightSchedule, priors) -> dict:
-    """Fields analysis.json and comparison.json share; validates the schedule once."""
+def report_header(model: GaussianHypothesisPair, schedule: WeightSchedule) -> dict:
+    """Fields analysis.json and comparison.json share; validates the schedule once.
+
+    No field weights the hypotheses: every Bayes error is (alpha + beta) / 2.
+    """
     envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
     return {
         "n_sensors": int(model.n_sensors),
-        "priors": [float(p) for p in priors],
         "chernoff_information": float(chernoff_information(model)),
         "contraction": {
             "min_weight": float(schedule.min_weight),
@@ -361,13 +356,13 @@ def compare_detectors(
     """
     k_early, k_late = thresholds.k_early, thresholds.k_late
     model = plan.model
-    header = report_header(model, plan.schedule, plan.priors)
+    header = report_header(model, plan.schedule)
     chernoff = header["chernoff_information"]
     ks = [k_early, k_late]
     if trajectory is None:
         trajectory = propagate_moments(model, plan.schedule, range(1, k_late + 1))
-    node_curves = exact_error_curves(model, trajectory, priors=plan.priors, ks=ks)
-    cen_curve = centralized_error_curve(model, ks, priors=plan.priors)
+    node_curves = exact_error_curves(model, trajectory, ks=ks)
+    cen_curve = centralized_error_curve(model, ks)
     cen_rate = _empirical_rate(cen_curve)
     tolerance = thresholds.gap_tolerance * chernoff
     nodes = []
@@ -425,9 +420,7 @@ def check_simulation(plan: ExperimentPlan, thresholds: Thresholds) -> tuple:
         model, plan.schedule, range(1, max(plan.k_checkpoints[-1], thresholds.k_late) + 1)
     )
     report = compare_detectors(plan, thresholds, trajectory=trajectory)
-    exact_curves = exact_error_curves(model, trajectory, priors=plan.priors, ks=result.ks) + [
-        centralized_error_curve(model, result.ks, priors=plan.priors)
-    ]
+    exact_curves = exact_error_curves(model, trajectory, ks=result.ks) + [centralized_error_curve(model, result.ks)]
     estimates = [*result.node_curves, result.centralized_curve]
     cells, passing, worst_pull = score_agreement(
         zip(exact_curves, estimates),
@@ -458,6 +451,5 @@ def check_simulation(plan: ExperimentPlan, thresholds: Thresholds) -> tuple:
     report["n_trials"] = plan.n_trials
     report["master_seed"] = plan.master_seed
     report["paired_gap"] = result.paired_gap
-    report["threads"] = result.threads
     accepted = report["verdict"] == "pass" and (waived or agreement["passed"])
     return result, exact_curves, report, accepted

@@ -20,7 +20,7 @@ corpus schedule.  Building a CSR factor is the one place cdlab imports scipy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -149,10 +149,12 @@ class ScheduleSpec:
       explicit           ``matrices`` taken verbatim, one per step
     Every topology but explicit takes Metropolis weights on each step's graph.
 
-    Construction checks the fields the topology reads: explicit
-    ``matrices`` nonempty and n_nodes x n_nodes (ShapeError otherwise), a
-    nonempty ``link_cycle``, a random-subgraph integer ``period`` >= 1 and
-    integer ``seed`` >= 0, ``keep_prob`` in [0, 1], and every edge through GraphSnapshot.
+    Construction refuses a field the topology does not read (see
+    ``TOPOLOGY_FIELDS``) unless it holds its default, and checks those it
+    reads: explicit ``matrices`` nonempty and n_nodes x n_nodes (ShapeError
+    otherwise), a nonempty ``link_cycle``, a random-subgraph integer
+    ``period`` >= 1 and integer ``seed`` >= 0, ``keep_prob`` in [0, 1], and
+    every edge through GraphSnapshot.
     """
 
     n_nodes: int
@@ -168,6 +170,14 @@ class ScheduleSpec:
         n = self.n_nodes
         if self.topology not in TOPOLOGIES:
             raise ParameterError(f"unknown topology {self.topology!r}")
+        read = ("n_nodes", "topology", *TOPOLOGY_FIELDS[self.topology])
+        unread = []
+        for f in fields(self):
+            value = getattr(self, f.name)  # by identity against None, by contents otherwise: edges may be an array
+            if f.name not in read and (value is not None if f.default is None else not np.array_equal(value, f.default)):
+                unread.append(f.name)
+        if unread:
+            raise ParameterError(f"topology {self.topology!r} does not read {', '.join(unread)}")
         if self.topology == "explicit":
             if not self.matrices:
                 raise ParameterError("explicit topology needs matrices")

@@ -566,12 +566,15 @@ class TestErrorCurves:
         for curve in exact_error_curves(model, propagate_moments(model, schedule, range(1, 31))):
             assert curve.log_alpha == pytest.approx(curve.log_beta, rel=1e-12)
 
-    def test_priors_weight_the_total(self):
-        model, schedule = alt3_scenario()
-        curves = exact_error_curves(model, propagate_moments(model, schedule, range(1, 11)), priors=(0.3, 0.7))
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_exact_pe_is_alpha_and_beta(self, name):
+        """alpha = beta, so the Bayes error (alpha + beta) / 2 is the same log tail, element for element."""
+        model, schedule, config = build_scenario(name)
+        ks = config.checkpoints
+        curves = exact_error_curves(model, propagate_moments(model, schedule, ks)) + [centralized_error_curve(model, ks)]
         for curve in curves:
-            combined = 0.3 * curve.alpha + 0.7 * curve.beta
-            assert curve.pe == pytest.approx(combined, rel=1e-12)
+            assert np.array_equal(curve.log_pe, curve.log_alpha)
+            assert np.array_equal(curve.log_pe, curve.log_beta)
 
     def test_deep_tail_stays_in_log_space(self):
         curve = centralized_error_curve(identity_pair(), [200_000])
@@ -601,10 +604,6 @@ class TestErrorCurves:
         curve = centralized_error_curve(m, [10_000])
         rate = -float(curve.log_pe[0]) / 10_000
         assert abs(rate - 0.25) <= 0.025
-
-    def test_bad_priors_rejected(self):
-        with pytest.raises(ParameterError):
-            centralized_error_curve(identity_pair(), [4], priors=(0.5, 0.6))
 
     def test_bad_checkpoints_rejected(self):
         with pytest.raises(ParameterError):

@@ -381,8 +381,21 @@ class TestSimulate:
         report = json.loads(digests[0][1])
         assert report["verdict"] == "pass"
         assert report["agreement"]["waived"] is False
-        assert report["threads"] == 1
         assert report["paired_gap"] <= 1e-9
+
+    def test_artifacts_do_not_depend_on_thread_count(self, tmp_path, monkeypatch, capsys):
+        """Every file is the same bytes at 1 and 2 threads; the count is printed, not written."""
+        config = write_config(tmp_path, ref3_dict(n_trials=5000, checkpoints=[1, 2, 4, 8]))
+        files = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CDL_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == f"verdict=pass agreement=True threads={threads} -> exit 0"
+            files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert sorted(files[0]) == ["ref3_comparison.json", "ref3_curves_mc.csv", "ref3_simulate_manifest.json"]
+        assert files[0] == files[1]
+        assert "threads" not in json.loads(files[0]["ref3_comparison.json"])
 
     def test_trials_override_waives_agreement(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -32,7 +32,6 @@ class TestDefaults:
     def test_minimal_config_fills_defaults(self):
         cfg = scenario_from_dict(minimal_dict())
         assert cfg.name == "demo"
-        assert cfg.priors == (0.5, 0.5)
         assert cfg.checkpoints == GEOMETRIC_CHECKPOINTS
         assert cfg.n_trials == 10_000
         assert cfg.master_seed == 0
@@ -100,10 +99,11 @@ class TestModelSection:
         with pytest.raises(ConfigError, match=r"model.m0\[1\]"):
             scenario_from_dict(d)
 
-    def test_bad_priors_rejected(self):
+    def test_priors_key_rejected(self):
+        """Every Bayes error weighs the hypotheses equally, so no key sets the weights."""
         d = minimal_dict()
-        d["model"]["priors"] = [0.5, 0.6]
-        with pytest.raises(ConfigError, match="model.priors"):
+        d["model"]["priors"] = [0.5, 0.5]
+        with pytest.raises(ConfigError, match=r"^model: unknown key\(s\) priors$"):
             scenario_from_dict(d)
 
 

@@ -70,7 +70,6 @@ def synthetic_curve(ks, log_pe):
         log_alpha=log_pe.copy(),
         log_beta=log_pe.copy(),
         log_pe=log_pe,
-        priors=(0.5, 0.5),
         source="synthetic",
     )
 
@@ -115,12 +114,6 @@ class TestExperimentPlan:
         plan = alt3_plan(n_trials=np.int64(300), master_seed=np.uint32(7), k_checkpoints=np.arange(1, 4))
         assert (plan.n_trials, plan.master_seed, plan.k_checkpoints) == (300, 7, (1, 2, 3))
         assert all(type(v) is int for v in (plan.n_trials, plan.master_seed, *plan.k_checkpoints))
-
-    def test_bad_priors_rejected(self):
-        with pytest.raises(ParameterError):
-            alt3_plan(priors=(0.5, 0.6))
-        with pytest.raises(ParameterError):
-            alt3_plan(priors=(0.0, 1.0))
 
     def test_size_mismatch_rejected(self):
         model = build_model([0.0, 0.0], [1.0, 1.0], np.eye(2))
@@ -569,7 +562,6 @@ def _curve(alpha, beta):
         log_alpha=log_alpha,
         log_beta=log_beta,
         log_pe=np.logaddexp(log_alpha, log_beta) - math.log(2.0),
-        priors=(0.5, 0.5),
         source="test",
     )
 

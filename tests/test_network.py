@@ -230,6 +230,21 @@ class TestBuildSchedule:
                 ScheduleSpec(n_nodes=3, topology="random-subgraph", edges=((1, 2), (2, 3)))
             )
 
+    @pytest.mark.parametrize(
+        "fields, unread",
+        [
+            (dict(edges=((1, 2),), matrices=(np.eye(2),)), "matrices"),
+            (dict(topology="explicit", edges=((1, 2),), link_cycle=(((1, 2),),), matrices=(np.eye(2),)), "edges, link_cycle"),
+            (dict(edges=((1, 2),), period=7, seed=3, keep_prob=0.1), "period, seed, keep_prob"),
+            (dict(topology="explicit", edges=np.array([[1, 2]]), matrices=(np.eye(2),)), "edges"),
+        ],
+        ids=["static-matrices", "explicit-edges-link_cycle", "static-period-seed-keep_prob", "explicit-edges-array"],
+    )
+    def test_fields_the_topology_does_not_read_rejected(self, fields, unread):
+        """A field outside TOPOLOGY_FIELDS[topology] is refused unless it holds its default."""
+        with pytest.raises(ParameterError, match=f"does not read {unread}$"):
+            ScheduleSpec(n_nodes=2, **fields)
+
     def test_unknown_topology_rejected(self):
         with pytest.raises(ParameterError):
             build_schedule(ScheduleSpec(n_nodes=2, topology="ring-of-fire"))

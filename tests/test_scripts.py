@@ -77,12 +77,11 @@ def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, cap
     assert "tilts must be finite, got nan" in capsys.readouterr().err
 
 
-def test_residual_sweep_csv_is_the_analyze_csv(tmp_path):
-    """One row format: the script's --out file has the bytes of analyze's residual diagnostic."""
+@pytest.mark.parametrize("flags", [[], ["--scenario", "ref3", "--k-max", "512"]], ids=["defaults", "explicit"])
+def test_residual_sweep_csv_is_the_analyze_csv(flags, tmp_path):
+    """One row format and one default: the script's --out file has the bytes of analyze's residual diagnostic."""
     sweep = tmp_path / "sweep.csv"
-    proc = run_script(
-        ["residual_sweep.py", "--scenario", "ref3", "--k-max", "512", "--out", str(sweep)], tmp_path
-    )
+    proc = run_script(["residual_sweep.py", *flags, "--out", str(sweep)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     out = tmp_path / "out"
     config = str(ROOT / "scenarios" / "ref3.json")
