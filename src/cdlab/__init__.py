@@ -31,20 +31,17 @@ from .model import (
     innovation_stats,
 )
 from .network import (
-    GraphSnapshot,
     ScheduleSpec,
     WeightSchedule,
     build_schedule,
     check_geometric_decay,
     contraction_bound,
-    metropolis_weights,
     validate_assumption,
 )
 
 __all__ = [
     "ExperimentPlan",
     "GaussianHypothesisPair",
-    "GraphSnapshot",
     "Hypothesis",
     "MonteCarloResult",
     "ScenarioConfig",
@@ -63,7 +60,6 @@ __all__ = [
     "exact_error_curves",
     "fit_exponent",
     "innovation_stats",
-    "metropolis_weights",
     "mixing_residual_curves",
     "propagate_moments",
     "run_monte_carlo",

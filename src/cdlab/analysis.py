@@ -125,6 +125,7 @@ class MomentTrajectory:
         return self.moments_at([k])[1][0]
 
     def cov_at(self, k: int) -> np.ndarray:
+        k = _check_integer(k, "k", 1)
         if k not in self.keep:
             raise ParameterError(f"covariance at k={k} was not kept (kept: {self.keep})")
         return self.covariances[self.keep.index(k)]

@@ -1,8 +1,9 @@
 """Scenario files: strict reading of JSON shapes, then object construction.
 
 A scenario is one JSON document with four sections (model, network,
-experiment, output).  Reading is strict: unknown keys anywhere are
-rejected, and so are network keys the chosen topology would not read;
+experiment, output).  Reading is strict: the file must be UTF-8, a key
+repeated within an object is refused rather than overwritten, unknown keys
+anywhere are rejected, and so are network keys the topology would not read;
 every value must have its JSON shape (a number, an integer, a list of
 [i, j] pairs, a matrix), and diagnostics carry the dotted key path.
 The domain of each field is checked once, by the rule that needs it:
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -36,6 +38,14 @@ GEOMETRIC_CHECKPOINTS = tuple(2**i for i in range(10))
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 _EXPONENTIAL_PATTERN = re.compile(r"^exponential\((?P<rho>[^)]*)\)$")
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refusing a key it holds twice (json.loads would keep the last)."""
+    repeated = sorted(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"duplicate key(s) {', '.join(repeated)}")
+    return dict(pairs)
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -172,10 +182,6 @@ class ScenarioConfig:
     thresholds: Thresholds
     out_dir: str
 
-    @property
-    def n_sensors(self) -> int:
-        return len(self.m0)
-
     def build_model(self) -> GaussianHypothesisPair:
         return build_model(self.m0, self.m1, self.covariance)
 
@@ -269,11 +275,11 @@ def scenario_from_file(path) -> ScenarioConfig:
     """Parse a scenario JSON file; all failures become ConfigError."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: cannot read config: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return scenario_from_dict(data)

@@ -203,8 +203,8 @@ def run_monte_carlo(plan: ExperimentPlan, threads=None) -> MonteCarloResult:
     """Run the paired simulation and return binomial error curves.
 
     Chunks are independent jobs; the thread pool size never changes the
-    counts because every chunk owns its generators.  ``threads`` overrides
-    the CDL_THREADS / cpu-count default.
+    counts because every chunk owns its generators.  ``threads`` defaults to
+    CDL_THREADS, else the cpu count; CDL_THREADS also caps an explicit count.
     """
     sizes = _chunk_sizes(plan.n_trials)
     jobs = [

@@ -5,7 +5,8 @@ matrices.  Validity means: every W(k) is symmetric, stochastic and
 nonnegative with strictly positive diagonal, and the union of the support
 graphs over every window of ``window`` consecutive steps is connected.
 ``min_weight`` is measured from the matrices as the smallest positive entry
-across one period.
+across one period.  A graph is its edge set, a frozenset of (i < j) pairs
+on nodes 1..n, and ``ScheduleSpec`` checks each edge list once.
 
 The backward product Phi(k, j) = W(k-1) ... W(j) governs how innovations
 entered at time j spread by time k.  Its disagreement part (Phi minus the
@@ -20,6 +21,7 @@ corpus schedule.  Building a CSR factor is the one place cdlab imports scipy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -27,13 +29,11 @@ import numpy as np
 from .errors import InvalidWeights, NoConnectedWindow, ParameterError, ShapeError
 
 __all__ = [
-    "GraphSnapshot",
     "ScheduleSpec",
     "WeightSchedule",
     "ContractionBound",
     "ValidationReport",
     "DecayReport",
-    "metropolis_weights",
     "build_schedule",
     "validate_assumption",
     "contraction_bound",
@@ -73,38 +73,20 @@ def _check_ks(values, name: str) -> list:
     return ks
 
 
-@dataclass(frozen=True)
-class GraphSnapshot:
-    """Undirected simple graph on nodes labeled 1..n_nodes."""
-
-    n_nodes: int
-    edges: frozenset
-
-    def __init__(self, n_nodes: int, edges):
-        _check_integer(n_nodes, "n_nodes", 1)
-        norm = set()
-        for e in edges:
-            pair = tuple(_check_integer(x, f"edge {e!r} endpoint", 1) for x in e)
-            if len(pair) != 2:
-                raise ParameterError(f"edge {e!r} is not a pair")
-            i, j = min(pair), max(pair)
-            if i == j:
-                raise ParameterError(f"self-loop on node {i}")
-            if j > n_nodes:
-                raise ParameterError(f"edge {e!r} outside nodes 1..{n_nodes}")
-            norm.add((i, j))
-        object.__setattr__(self, "n_nodes", int(n_nodes))
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes, dtype=int)
-        for i, j in self.edges:
-            d[i - 1] += 1
-            d[j - 1] += 1
-        return d
-
-    def is_connected(self) -> bool:
-        return _connected(self.n_nodes, self.edges)
+def _edge_set(n: int, edges) -> frozenset:
+    """The edge rule: pairs of distinct integer endpoints in 1..n, returned as (i < j)."""
+    out = set()
+    for e in edges:
+        pair = tuple(_check_integer(x, f"edge {e!r} endpoint", 1) for x in e)
+        if len(pair) != 2:
+            raise ParameterError(f"edge {e!r} is not a pair")
+        i, j = min(pair), max(pair)
+        if i == j:
+            raise ParameterError(f"self-loop on node {i}")
+        if j > n:
+            raise ParameterError(f"edge {e!r} outside nodes 1..{n}")
+        out.add((i, j))
+    return frozenset(out)
 
 
 def _connected(n: int, edges) -> bool:
@@ -126,13 +108,12 @@ def _connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def metropolis_weights(g: GraphSnapshot) -> np.ndarray:
-    """W_ij = 1/(1 + max(d_i, d_j)) on edges, diagonal takes the remainder."""
-    n = g.n_nodes
-    d = g.degrees()
+def _metropolis_weights(n: int, edges: frozenset) -> np.ndarray:
+    """W_ij = 1/(1 + max(d_i, d_j)) on checked edges, diagonal takes the remainder."""
+    d = Counter(node for edge in edges for node in edge)
     w = np.zeros((n, n))
-    for i, j in g.edges:
-        w[i - 1, j - 1] = w[j - 1, i - 1] = 1.0 / (1.0 + max(d[i - 1], d[j - 1]))
+    for i, j in edges:
+        w[i - 1, j - 1] = w[j - 1, i - 1] = 1.0 / (1.0 + max(d[i], d[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
@@ -150,11 +131,12 @@ class ScheduleSpec:
     Every topology but explicit takes Metropolis weights on each step's graph.
 
     Construction refuses a field the topology does not read (see
-    ``TOPOLOGY_FIELDS``) unless it holds its default, and checks those it
-    reads: explicit ``matrices`` nonempty and n_nodes x n_nodes (ShapeError
-    otherwise), a nonempty ``link_cycle``, a random-subgraph integer
-    ``period`` >= 1 and integer ``seed`` >= 0, ``keep_prob`` in [0, 1], and
-    every edge through GraphSnapshot.
+    ``TOPOLOGY_FIELDS``) unless it holds its default, then checks an integer
+    ``n_nodes`` >= 1 and the fields read: explicit ``matrices`` nonempty and
+    n_nodes x n_nodes (ShapeError otherwise), a nonempty ``link_cycle``, a
+    random-subgraph integer ``period`` >= 1 and ``seed`` >= 0, ``keep_prob``
+    in [0, 1], and each edge list by the edge rule, kept as a frozenset of
+    (i < j) pairs (``link_cycle`` as a tuple of them) that building trusts.
     """
 
     n_nodes: int
@@ -167,7 +149,6 @@ class ScheduleSpec:
     matrices: tuple | None = None
 
     def __post_init__(self):
-        n = self.n_nodes
         if self.topology not in TOPOLOGIES:
             raise ParameterError(f"unknown topology {self.topology!r}")
         read = ("n_nodes", "topology", *TOPOLOGY_FIELDS[self.topology])
@@ -178,41 +159,47 @@ class ScheduleSpec:
                 unread.append(f.name)
         if unread:
             raise ParameterError(f"topology {self.topology!r} does not read {', '.join(unread)}")
+        n = _check_integer(self.n_nodes, "n_nodes", 1)
+        object.__setattr__(self, "n_nodes", n)
+        if self.topology == "random-subgraph":
+            _check_integer(self.period, "random-subgraph period", 1)
+            _check_integer(self.seed, "random-subgraph seed", 0)
+            if not 0.0 <= self.keep_prob <= 1.0:
+                raise ParameterError(f"keep_prob must be in [0, 1], got {self.keep_prob}")
         if self.topology == "explicit":
             if not self.matrices:
                 raise ParameterError("explicit topology needs matrices")
             for k, w in enumerate(self.matrices, start=1):
                 if np.shape(w) != (n, n):
                     raise ShapeError(f"matrix {k} has shape {np.shape(w)}, expected ({n}, {n})")
-            return
-        if self.topology == "alternating-links" and not self.link_cycle:
-            raise ParameterError("alternating-links needs a nonempty link_cycle")
-        if self.topology == "random-subgraph":
-            _check_integer(self.period, "random-subgraph period", 1)
-            _check_integer(self.seed, "random-subgraph seed", 0)
-            if not 0.0 <= self.keep_prob <= 1.0:
-                raise ParameterError(f"keep_prob must be in [0, 1], got {self.keep_prob}")
-        for edges in self.link_cycle if self.topology == "alternating-links" else (self.edges,):
-            GraphSnapshot(n, edges)
+        elif self.topology == "alternating-links":
+            if not self.link_cycle:
+                raise ParameterError("alternating-links needs a nonempty link_cycle")
+            object.__setattr__(self, "link_cycle", tuple(_edge_set(n, step) for step in self.link_cycle))
+        else:
+            object.__setattr__(self, "edges", _edge_set(n, self.edges))
 
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Validated periodic schedule; W(k) = matrices[(k-1) % period]."""
+    """W(k) = matrices[(k-1) % period]; ``min_weight`` and ``window`` are claims to validate."""
 
-    n_nodes: int
-    period: int
     matrices: np.ndarray  # (period, n, n), read-only
     min_weight: float
     window: int
+
+    @property
+    def n_nodes(self) -> int:
+        return self.matrices.shape[1]
+
+    @property
+    def period(self) -> int:
+        return self.matrices.shape[0]
 
     def weight_at(self, k: int) -> np.ndarray:
         if k < 1:
             raise IndexError(f"time index must be >= 1, got {k}")
         return self.matrices[(k - 1) % self.period]
-
-    def edges_at(self, k: int) -> frozenset:
-        return _support_edges(self.weight_at(k))
 
     def operators(self) -> tuple:
         """W(1), ..., W(period) for ``@``: CSR when large and sparse, else dense."""
@@ -231,23 +218,20 @@ def _support_edges(w: np.ndarray) -> frozenset:
     return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
-def _step_graphs(spec: ScheduleSpec) -> list[GraphSnapshot]:
-    n = spec.n_nodes
+def _step_edges(spec: ScheduleSpec) -> list:
+    """The spec's checked edge set of each step of one period."""
     if spec.topology == "static":
-        return [GraphSnapshot(n, spec.edges)]
+        return [spec.edges]
     if spec.topology == "alternating-links":
-        return [GraphSnapshot(n, step) for step in spec.link_cycle]
-    base = sorted(GraphSnapshot(n, spec.edges).edges)
+        return list(spec.link_cycle)
+    base = sorted(spec.edges)
     rng = np.random.default_rng(spec.seed)
-    graphs = []
-    for _ in range(spec.period):
-        keep = rng.random(len(base)) < spec.keep_prob
-        graphs.append(GraphSnapshot(n, [e for e, m in zip(base, keep) if m]))
-    return graphs
+    keeps = (rng.random(len(base)) < spec.keep_prob for _ in range(spec.period))
+    return [frozenset(e for e, m in zip(base, keep) if m) for keep in keeps]
 
 
 def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
-    """Construct, validate and freeze the periodic matrix sequence.
+    """Weigh each step's checked edge set, or take explicit matrices; validate; freeze.
 
     Raises InvalidWeights on the first issue ``validate_assumption`` would
     report for the weights (structure or floor), and NoConnectedWindow when
@@ -257,7 +241,7 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     if spec.topology == "explicit":
         mats = [np.array(m, dtype=float) for m in spec.matrices]
     else:
-        mats = [metropolis_weights(g) for g in _step_graphs(spec)]
+        mats = [_metropolis_weights(spec.n_nodes, edges) for edges in _step_edges(spec)]
 
     stacked = np.array(mats)
     positive = stacked[stacked > 0.0]
@@ -268,13 +252,7 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
         raise InvalidWeights(f"{check}: {failure}")
     window = _find_window(stacked)
     stacked.flags.writeable = False
-    return WeightSchedule(
-        n_nodes=spec.n_nodes,
-        period=len(mats),
-        matrices=stacked,
-        min_weight=min_weight,
-        window=window,
-    )
+    return WeightSchedule(matrices=stacked, min_weight=min_weight, window=window)
 
 
 def _weight_issues(mats: np.ndarray, min_weight: float) -> list:

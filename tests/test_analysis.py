@@ -385,6 +385,7 @@ NON_INTEGER_K_CALLS = {
     "centralized_error_curve-bool": lambda m, s, traj: centralized_error_curve(m, [True]),
     "moments_at": lambda m, s, traj: traj.moments_at([4, 2.7]),
     "mean_at": lambda m, s, traj: traj.mean_at(3.9),
+    "cov_at": lambda m, s, traj: traj.cov_at(1.0),
     "ExperimentPlan": lambda m, s, traj: ExperimentPlan(m, s, (10, 2.7), 100, 0),
     "fit_exponent": lambda m, s, traj: fit_exponent(exact_error_curves(m, traj)[0], (1.5, 16.9)),
     "Thresholds-k_early": lambda m, s, traj: Thresholds(k_early=99.9),

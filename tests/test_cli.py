@@ -109,6 +109,19 @@ class TestValidate:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_repeated_key_exits_two(self, tmp_path, capsys):
+        text = (SCENARIO_DIR / "ref3.json").read_text().replace('"n_trials": 100000', '"n_trials": 0, "n_trials": 100000')
+        path = tmp_path / "ref3.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "duplicate key(s) n_trials" in capsys.readouterr().err
+
+    def test_file_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "ref3.json"
+        path.write_bytes(b"\xff\xfe" + (SCENARIO_DIR / "ref3.json").read_bytes())
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_identity_scenario_artifacts(self, tmp_path):

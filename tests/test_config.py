@@ -184,7 +184,7 @@ class TestNetworkSection:
         d = minimal_dict()
         d["network"] = {"topology": "alternating-links", "link_cycle": [[[1, 2]], [[1, 2]]]}
         cfg = scenario_from_dict(d)
-        assert cfg.schedule_spec.link_cycle == (((1, 2),), ((1, 2),))
+        assert cfg.schedule_spec.link_cycle == (frozenset({(1, 2)}), frozenset({(1, 2)}))
 
     @pytest.mark.parametrize(
         "network, ignored",
@@ -307,6 +307,29 @@ class TestFromFile:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             scenario_from_file(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('"network": {"edges": [[1, 2]]}, "experiment": {"n_trials": 0, "n_trials": 100000}', "n_trials"),
+            ('"network": {"topology": "static", "topology": "alternating-links", "edges": [[1, 2]]}', "topology"),
+            ('"network": {"edges": [[1, 2]]}, "name": "other"', "name"),
+        ],
+        ids=["experiment", "network", "top-level"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, text, key):
+        """A repeated key is refused, not parsed with its first value dropped."""
+        path = tmp_path / "repeated.json"
+        model = '"model": {"m0": [0, 0], "m1": [1, 1], "covariance": "identity"}'
+        path.write_text(f'{{"name": "demo", {model}, {text}}}')
+        with pytest.raises(ConfigError, match=rf"duplicate key\(s\) {key}$"):
+            scenario_from_file(path)
+
+    def test_file_not_utf8_is_config_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps(minimal_dict()).encode("utf-16"))  # starts with the BOM \xff\xfe
+        with pytest.raises(ConfigError, match="cannot read config: 'utf-8' codec"):
+            scenario_from_file(path)
 
 
 # section -> (library constructor of its values, placement of the same values in a 3-node file)

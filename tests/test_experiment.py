@@ -304,6 +304,7 @@ class TestRunMonteCarlo:
         monkeypatch.setenv("CDL_THREADS", "1")
         plan = alt3_plan(n_trials=CHUNK_TRIALS + 10)
         assert run_monte_carlo(plan).threads == 1
+        assert run_monte_carlo(plan, threads=2).threads == 1  # the cap holds for an explicit count too
         monkeypatch.setenv("CDL_THREADS", "zebra")
         with pytest.raises(ParameterError):
             run_monte_carlo(plan)

@@ -16,14 +16,15 @@ from scipy.sparse import csr_array
 from cdlab import network
 from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
 from cdlab.network import (
-    GraphSnapshot,
     ScheduleSpec,
     WeightSchedule,
     build_schedule,
     check_geometric_decay,
     contraction_bound,
-    metropolis_weights,
     validate_assumption,
+    _connected,
+    _edge_set,
+    _metropolis_weights,
     _support_edges,
 )
 from corpus import CORPUS, build_scenario
@@ -51,42 +52,61 @@ def connected_static_specs(draw):
 # ── graphs and metropolis weights ─────────────────────────────────────────
 
 
-class TestGraphSnapshot:
+# one spec per topology on nodes 1..size, valid at any integer size
+TOPOLOGY_SPECS = {
+    "static": lambda size: {},
+    "alternating-links": lambda size: {"link_cycle": ((),)},
+    "random-subgraph": lambda size: {"period": 1, "seed": 0},
+    "explicit": lambda size: {"matrices": (np.eye(size),)},
+}
+
+
+class TestEdgeSet:
     def test_normalizes_edge_order(self):
-        g = GraphSnapshot(3, [(2, 1), (3, 2)])
-        assert g.edges == frozenset({(1, 2), (2, 3)})
-        assert list(g.degrees()) == [1, 2, 1]
+        assert _edge_set(3, [(2, 1), (3, 2)]) == frozenset({(1, 2), (2, 3)})
 
     def test_rejects_self_loop_and_bad_labels(self):
         with pytest.raises(ParameterError):
-            GraphSnapshot(3, [(1, 1)])
+            _edge_set(3, [(1, 1)])
         with pytest.raises(ParameterError):
-            GraphSnapshot(3, [(0, 2)])
+            _edge_set(3, [(0, 2)])
         with pytest.raises(ParameterError):
-            GraphSnapshot(3, [(1, 4)])
+            _edge_set(3, [(1, 4)])
 
     @pytest.mark.parametrize(
-        "n_nodes, edges",
-        [(3, [(1.5, 2.9)]), (3, [(1.0, 2)]), (3, [(True, 2)]), (3.0, []), (True, [])],
+        "n_nodes, fields",
+        [
+            (3, {"edges": [(1.5, 2.9)]}),
+            (3, {"edges": [(1.0, 2)]}),
+            (3, {"edges": [(True, 2)]}),
+            *[(n, {"topology": t, **spec(int(n))}) for t, spec in TOPOLOGY_SPECS.items() for n in (3.0, True)],
+        ],
+        ids=[
+            "endpoint-float",
+            "endpoint-integral-float",
+            "endpoint-bool",
+            *[f"{t}-n_nodes-{kind}" for t in TOPOLOGY_SPECS for kind in ("float", "bool")],
+        ],
     )
-    def test_non_integers_rejected_not_truncated(self, n_nodes, edges):
-        with pytest.raises(ParameterError):
-            GraphSnapshot(n_nodes, edges)
+    def test_non_integers_rejected_not_truncated(self, n_nodes, fields):
+        """Every topology checks n_nodes by the integer rule, explicit included."""
+        with pytest.raises(ParameterError, match="must be an integer"):
+            ScheduleSpec(n_nodes=n_nodes, **fields)
 
     def test_numpy_integers_accepted(self):
-        g = GraphSnapshot(np.int64(3), np.array([[2, 1], [3, 2]]))
-        assert g.n_nodes == 3 and g.edges == frozenset({(1, 2), (2, 3)})
+        spec = ScheduleSpec(np.int64(3), edges=np.array([[2, 1], [3, 2]]))
+        assert type(spec.n_nodes) is int and spec.edges == frozenset({(1, 2), (2, 3)})
 
     def test_connectivity(self):
-        assert GraphSnapshot(1, []).is_connected()
-        assert GraphSnapshot(3, [(1, 2), (2, 3)]).is_connected()
-        assert not GraphSnapshot(4, [(1, 2), (3, 4)]).is_connected()
+        assert _connected(1, _edge_set(1, []))
+        assert _connected(3, _edge_set(3, [(1, 2), (2, 3)]))
+        assert not _connected(4, _edge_set(4, [(1, 2), (3, 4)]))
 
 
 class TestMetropolisWeights:
     def test_path_three_nodes_frozen(self):
         """Degrees (1,2,1): edge weight 1/(1+2) = 1/3, diagonals take the rest."""
-        w = metropolis_weights(GraphSnapshot(3, [(1, 2), (2, 3)]))
+        w = _metropolis_weights(3, _edge_set(3, [(1, 2), (2, 3)]))
         expect = np.array(
             [
                 [2 / 3, 1 / 3, 0.0],
@@ -97,18 +117,18 @@ class TestMetropolisWeights:
         assert w == pytest.approx(expect, rel=1e-15)
 
     def test_single_edge_pair_averages(self):
-        w = metropolis_weights(GraphSnapshot(2, [(1, 2)]))
+        w = _metropolis_weights(2, _edge_set(2, [(1, 2)]))
         assert w == pytest.approx(np.full((2, 2), 0.5), rel=1e-15)
 
     def test_isolated_node_keeps_own_value(self):
-        w = metropolis_weights(GraphSnapshot(3, [(1, 2)]))
+        w = _metropolis_weights(3, _edge_set(3, [(1, 2)]))
         assert w[2, 2] == 1.0
         assert w[2, 0] == w[2, 1] == 0.0
 
     @given(connected_static_specs())
     @settings(max_examples=40, deadline=None)
     def test_always_symmetric_stochastic_with_positive_diagonal(self, spec):
-        w = metropolis_weights(GraphSnapshot(spec.n_nodes, spec.edges))
+        w = _metropolis_weights(spec.n_nodes, spec.edges)
         assert np.abs(w - w.T).max() < 1e-14
         assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
         assert w.min() >= 0.0
@@ -139,8 +159,8 @@ class TestBuildSchedule:
 
     def test_edges_from_matrix_support(self):
         s = build_schedule(ALT3)
-        assert s.edges_at(1) == frozenset({(1, 2)})
-        assert s.edges_at(2) == frozenset({(2, 3)})
+        assert _support_edges(s.weight_at(1)) == frozenset({(1, 2)})
+        assert _support_edges(s.weight_at(2)) == frozenset({(2, 3)})
 
     def test_support_edges_match_pairwise_scan(self):
         """On every corpus schedule and a random sparse symmetric matrix."""
@@ -264,7 +284,7 @@ class TestValidateAssumption:
 
     def test_row_sum_failure_reports_offender(self):
         bad = np.array([[0.5, 0.4], [0.4, 0.5]])
-        s = WeightSchedule(n_nodes=2, period=1, matrices=np.array([bad]), min_weight=0.4, window=1)
+        s = WeightSchedule(matrices=np.array([bad]), min_weight=0.4, window=1)
         report = validate_assumption(s)
         item = report.items[0]
         assert not item.passed
@@ -272,7 +292,7 @@ class TestValidateAssumption:
 
     def test_non_finite_entries_flagged(self):
         nan = np.array([[[0.5, np.nan], [np.nan, 0.5]]])
-        s = WeightSchedule(n_nodes=2, period=1, matrices=nan, min_weight=0.5, window=1)
+        s = WeightSchedule(matrices=nan, min_weight=0.5, window=1)
         item = validate_assumption(s).items[0]
         assert not item.passed
         assert item.failures == ({"k": 1, "issue": "non-finite", "value": 2},)
@@ -418,7 +438,7 @@ class TestCheckGeometricDecay:
     def test_non_mixing_schedule_violates(self):
         """Identity matrices with an overclaimed floor must trip the bound."""
         eye = np.eye(2)[None, :, :]
-        s = WeightSchedule(n_nodes=2, period=1, matrices=eye, min_weight=0.9, window=1)
+        s = WeightSchedule(matrices=eye, min_weight=0.9, window=1)
         report = check_geometric_decay(s, max_gap=100)
         assert not report.passed
         assert report.worst_ratio > 1.0

@@ -10,7 +10,7 @@ from corpus import CORPUS, SCENARIO_DIR, build_scenario, scenario_config
 
 class TestCorpus:
     def test_expected_members_and_sizes(self):
-        sizes = {name: scenario_config(name).n_sensors for name in CORPUS}
+        sizes = {name: scenario_config(name).schedule_spec.n_nodes for name in CORPUS}
         assert sizes == {"n1": 1, "identity2": 2, "correlated2": 2, "ref3": 3, "rand5": 5, "n8": 8}
 
     @pytest.mark.parametrize("name", CORPUS)
