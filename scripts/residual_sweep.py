@@ -5,10 +5,11 @@ One exact moment propagation gives, for every tilt, node and step, the
 residual (the part of the scaled cumulant not explained by the drift
 term, read off the disagreement parts of the moments) and the geometric
 envelope derived from the schedule's contraction constants.  Each row is
-formed once, summarized as it goes by and optionally streamed to CSV in
-the same format as ``cdlab analyze``'s residual diagnostic, so memory is
-O(k-max N) whatever the number of tilts.  The residual is the H1 one; the
-H0 residual at a tilt is the H1 residual at its negation.
+formed once, summarized as it goes by and optionally streamed to CSV, one
+line per (tilt, k, node), so memory is O(k-max N) whatever the number of
+tilts.  Folded to max |value| per (tilt, k), first node on ties, that CSV
+is ``cdlab analyze``'s residual diagnostic.  The residual is the H1 one;
+the H0 residual at a tilt is the H1 residual at its negation.
 """
 
 import argparse
@@ -18,11 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from cdlab.analysis import check_tilts, fold_worst_ratio, mixing_residual_curves, propagate_moments
-from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS, residual_csv
+from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS
 from cdlab.config import scenario_from_file
 from cdlab.errors import ParameterError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+PER_NODE_HEADER = "mu,k,node,value,bound"
+
+
+def residual_csv(rows, n_nodes: int):
+    """Yield the per-node residual CSV: the header, then n_nodes lines per (mu, k, values, bound) row."""
+    yield PER_NODE_HEADER + "\n"
+    node_cells = [f"{node},%r" for node in range(1, n_nodes + 1)]
+    for mu, k, values, bound in rows:
+        head, tail = f"{mu!r},{k},", f",{bound!r}\n"
+        yield (head + (tail + head).join(node_cells) + tail) % tuple(values.tolist())
 
 
 def parse_mus(text: str) -> tuple:
@@ -59,11 +70,11 @@ def main() -> int:
     worst, scaled = {}, {}  # per mu: max |residual|/bound, max k|residual|
 
     def tracked(rows):
-        for mu, k, values, bound in rows:
-            scaled[mu] = np.maximum(scaled.get(mu, -np.inf), (k * np.abs(values)).max())
+        for mu, k, values, bound, _, peak in fold_worst_ratio(rows, worst):
+            scaled[mu] = np.maximum(scaled.get(mu, -np.inf), k * peak)
             yield mu, k, values, bound
 
-    rows = tracked(fold_worst_ratio(residual.rows(), worst))
+    rows = tracked(residual.rows())
     if args.out is None:
         collections.deque(rows, maxlen=0)
     else:

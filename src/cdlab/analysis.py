@@ -371,16 +371,19 @@ class ResidualCurves:
 
 
 def fold_worst_ratio(rows, worst: dict):
-    """Pass ``rows`` through, folding max |value| / bound over k and node into ``worst[mu]``.
+    """Pass each row on as (mu, k, values, bound, node, peak), folding peak / bound into ``worst[mu]``.
 
-    NaN propagates; a zero row reads 0, even under mu = 0's zero bound.
+    The peak is max |value|, first attained at the 1-based ``node``; NaN
+    propagates, and a zero row reads 0, even under mu = 0's zero bound.
     """
     for mu, k, values, bound in rows:
-        peak = np.abs(values).max()
+        magnitudes = np.abs(values)
+        index = int(magnitudes.argmax())  # the first NaN, else the first maximum
+        peak = magnitudes[index]
         with np.errstate(divide="ignore"):
             ratio = 0.0 if peak == 0.0 else peak / bound
         worst[mu] = np.maximum(worst.get(mu, -np.inf), ratio)
-        yield mu, k, values, bound
+        yield mu, k, values, bound, index + 1, float(peak)
 
 
 def check_tilts(mus) -> tuple:

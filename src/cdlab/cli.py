@@ -34,7 +34,7 @@ from .experiment import check_simulation, fit_exponent, report_header
 from .network import check_geometric_decay, validate_assumption
 
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
-RESIDUAL_HEADER = "mu,k,node,value,bound"
+RESIDUAL_HEADER = "mu,k,max_abs,node,bound"
 RESIDUAL_MUS = (-1.0, -0.1, 0.1, 1.0)
 # the residual diagnostic's last k: analyze visits every k up to here, and
 # then the checkpoints past it
@@ -72,13 +72,11 @@ def _curves_csv(curves):
         yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 
 
-def residual_csv(rows, n_nodes: int):
-    """Yield the residual CSV: the header, then n_nodes lines per row of ``ResidualCurves.rows()``."""
+def _residual_csv(rows):
+    """Yield the residual summary CSV: the header, then one line per row of ``fold_worst_ratio``."""
     yield RESIDUAL_HEADER + "\n"
-    node_cells = [f"{node},%r" for node in range(1, n_nodes + 1)]
-    for mu, k, values, bound in rows:
-        head, tail = f"{mu!r},{k},", f",{bound!r}\n"
-        yield (head + (tail + head).join(node_cells) + tail) % tuple(values.tolist())
+    for mu, k, _, bound, node, peak in rows:
+        yield f"{mu!r},{k},{peak!r},{node},{bound!r}\n"
 
 
 class _Workspace:
@@ -172,7 +170,7 @@ def cmd_analyze(args) -> int:
 
     worst = {}  # mu -> max over k and node of |value| / bound
     rows = mixing_residual_curves(model, schedule, traj, horizon, RESIDUAL_MUS).rows() if horizon >= 2 else ()
-    ws.write("residual_diagnostic.csv", residual_csv(fold_worst_ratio(rows, worst), model.n_sensors))
+    ws.write("residual_diagnostic.csv", _residual_csv(fold_worst_ratio(rows, worst)))
 
     window = (ks[max(len(ks) - 5, 0)], ks[-1])  # the last five checkpoints, or all of them
     fits = {curve.node: _safe_fit(curve, window) for curve in [cen_curve, *node_curves]}

@@ -163,7 +163,7 @@ def _run_chunk(plan: ExperimentPlan, hypothesis: Hypothesis, chunk: int, chunk_n
         eta += offset
         cen_sum += eta.sum(axis=0)
         if k > 1:
-            np.matmul(schedule.weight_at(k - 1), u, out=mixed)
+            np.matmul(schedule.matrices[(k - 2) % schedule.period], u, out=mixed)
             u, mixed = mixed, u
         u += eta
         if k == checkpoints[pos]:

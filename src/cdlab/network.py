@@ -77,7 +77,7 @@ def _edge_set(n: int, edges) -> frozenset:
     """The edge rule: pairs of distinct integer endpoints in 1..n, returned as (i < j)."""
     out = set()
     for e in edges:
-        pair = tuple(_check_integer(x, f"edge {e!r} endpoint", 1) for x in e)
+        pair = tuple(_check_integer(x, f"edge {e!r} endpoint", 1) for x in e) if np.iterable(e) else ()
         if len(pair) != 2:
             raise ParameterError(f"edge {e!r} is not a pair")
         i, j = min(pair), max(pair)
@@ -134,9 +134,9 @@ class ScheduleSpec:
     ``TOPOLOGY_FIELDS``) unless it holds its default, then checks an integer
     ``n_nodes`` >= 1 and the fields read: explicit ``matrices`` nonempty and
     n_nodes x n_nodes (ShapeError otherwise), a nonempty ``link_cycle``, a
-    random-subgraph integer ``period`` >= 1 and ``seed`` >= 0, ``keep_prob``
-    in [0, 1], and each edge list by the edge rule, kept as a frozenset of
-    (i < j) pairs (``link_cycle`` as a tuple of them) that building trusts.
+    random-subgraph integer ``period`` >= 1 and ``seed`` >= 0, ``keep_prob`` a
+    number in [0, 1], and each edge list by the edge rule, kept as a frozenset
+    of (i < j) pairs (``link_cycle`` as a tuple of them) that building trusts.
     """
 
     n_nodes: int
@@ -164,8 +164,8 @@ class ScheduleSpec:
         if self.topology == "random-subgraph":
             _check_integer(self.period, "random-subgraph period", 1)
             _check_integer(self.seed, "random-subgraph seed", 0)
-            if not 0.0 <= self.keep_prob <= 1.0:
-                raise ParameterError(f"keep_prob must be in [0, 1], got {self.keep_prob}")
+            if isinstance(self.keep_prob, bool) or not isinstance(self.keep_prob, (int, float, np.integer, np.floating)) or not 0.0 <= self.keep_prob <= 1.0:
+                raise ParameterError(f"keep_prob must be a number in [0, 1], got {self.keep_prob!r}")
         if self.topology == "explicit":
             if not self.matrices:
                 raise ParameterError("explicit topology needs matrices")
@@ -197,9 +197,7 @@ class WeightSchedule:
         return self.matrices.shape[0]
 
     def weight_at(self, k: int) -> np.ndarray:
-        if k < 1:
-            raise IndexError(f"time index must be >= 1, got {k}")
-        return self.matrices[(k - 1) % self.period]
+        return self.matrices[(_check_integer(k, "time index", 1) - 1) % self.period]
 
     def operators(self) -> tuple:
         """W(1), ..., W(period) for ``@``: CSR when large and sparse, else dense."""

@@ -1,5 +1,7 @@
 """Shared test fixtures."""
 
+import json
+
 import pytest
 
 from cdlab.network import ScheduleSpec
@@ -16,3 +18,25 @@ def two_matching_ring():
         return ScheduleSpec(n_nodes=n, topology="alternating-links", link_cycle=(odd, even))
 
     return spec
+
+
+@pytest.fixture
+def ring_config(tmp_path, two_matching_ring):
+    """Config file factory: the n-node two-matching ring, checkpoints doubling up to k_max."""
+
+    def write(n: int, k_max: int) -> str:
+        spec = two_matching_ring(n)
+        data = {
+            "name": f"ring{n}",
+            "model": {"m0": [0.0] * n, "m1": [0.3] * n, "covariance": "exponential(0.5)"},
+            "network": {
+                "topology": "alternating-links",
+                "link_cycle": [[list(edge) for edge in step] for step in spec.link_cycle],
+            },
+            "experiment": {"checkpoints": [2**j for j in range(k_max.bit_length()) if 2**j <= k_max]},
+        }
+        path = tmp_path / f"ring{n}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    return write

@@ -17,7 +17,9 @@ in its most literal form, something the package computes another way:
   ``analysis.mixing_residual_curves``;
 * the subexponential factor pe(k) exp(k C) of an error curve;
 * the whole (tilt, k, node) cube of the mixing residual, stacked from the
-  rows ``analysis.ResidualCurves`` forms one at a time.
+  rows ``analysis.ResidualCurves`` forms one at a time, its per-node CSV
+  written one cell at a time, and that CSV folded by max |value| per
+  (tilt, k), against ``analyze``'s summary from ``analysis.fold_worst_ratio``.
 
 ``MaximizerAtBoundary`` and ``ThresholdOutOfRange`` are raised only here.
 """
@@ -335,3 +337,27 @@ def residual_cube(model, schedule, trajectory, k_max, mus, hypothesis=Hypothesis
     residual = mixing_residual_curves(model, schedule, trajectory, k_max, [sign * mu for mu in mus])
     values = np.array([values for _, _, values, _ in residual.rows()])
     return residual.ks, values.reshape(len(residual.mus), *residual.lin.shape), residual.bounds
+
+
+def per_cell_residual_csv(mus, ks, values, bounds) -> str:
+    """The per-node residual CSV of ``residual_cube``'s arrays, one f-string per cell."""
+    rows = ["mu,k,node,value,bound"]
+    for mu, mu_values, mu_bounds in zip(mus, values, bounds):
+        for k, row, bound in zip(ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
+            rows.extend(f"{mu!r},{k},{node},{value!r},{bound!r}" for node, value in enumerate(row, 1))
+    return "\n".join(rows) + "\n"
+
+
+def fold_residual_csv(per_node: str) -> str:
+    """Per-node residual CSV text folded to one row per (mu, k): max |value|, the first node on ties."""
+    header, *lines = per_node.splitlines()
+    if header != "mu,k,node,value,bound":
+        raise ValueError(f"not a per-node residual CSV: {header!r}")
+    best = {}  # (mu, k) cells -> (max |value|, node, bound) cells, in file order
+    for line in lines:
+        mu, k, node, value, bound = line.split(",")
+        peak = abs(float(value))
+        if (mu, k) not in best or peak > best[mu, k][0]:
+            best[mu, k] = (peak, node, bound)
+    rows = [f"{mu},{k},{peak!r},{node},{bound}" for (mu, k), (peak, node, bound) in best.items()]
+    return "\n".join(["mu,k,max_abs,node,bound", *rows]) + "\n"

@@ -763,6 +763,11 @@ class TestMixingResidual:
             warnings.simplefilter("error")
             passed = list(fold_worst_ratio(rows, worst))
         assert len(passed) == len(rows) and all(out[2] is row[2] for out, row in zip(passed, rows))
+        # each row's peak and the 1-based node attaining it: the first NaN, else the first maximum
+        assert [out[4] for out in passed] == [1, 2, 1, 2, 1]
+        peaks = [out[5] for out in passed]
+        assert all(type(peak) is float for peak in peaks)
+        assert peaks[0] == 0.0 and math.isnan(peaks[1]) and peaks[2:] == [8.0, 1e-3, 1.0]
         assert worst[0.0] == 0.0
         assert math.isnan(worst[0.5])
         assert worst[1.0] == math.inf

@@ -5,16 +5,15 @@ import hashlib
 import json
 import math
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cdlab import cli
-from cdlab.analysis import mixing_residual_curves, propagate_moments
+from cdlab.analysis import propagate_moments
 from cdlab.cli import main
 from cdlab.config import scenario_from_file
-from oracles import residual_cube
+from oracles import fold_residual_csv, per_cell_residual_csv, residual_cube
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -29,30 +28,6 @@ def ref3_dict(**experiment):
     data = json.loads((SCENARIO_DIR / "ref3.json").read_text())
     data["experiment"].update(experiment)
     return data
-
-
-def ring_config(tmp_path, two_matching_ring, n, k_max):
-    """Config file for the n-node two-matching ring, checkpoints doubling up to k_max."""
-    spec = two_matching_ring(n)
-    data = {
-        "name": f"ring{n}",
-        "model": {"m0": [0.0] * n, "m1": [0.3] * n, "covariance": "exponential(0.5)"},
-        "network": {
-            "topology": "alternating-links",
-            "link_cycle": [[list(edge) for edge in step] for step in spec.link_cycle],
-        },
-        "experiment": {"checkpoints": [2**j for j in range(k_max.bit_length()) if 2**j <= k_max]},
-    }
-    return write_config(tmp_path, data, name=f"ring{n}.json")
-
-
-def per_cell_residual_csv(mus, ks, values, bounds) -> str:
-    """The residual CSV as the per-cell f-string formatter wrote it, one row at a time."""
-    rows = ["mu,k,node,value,bound"]
-    for mu, mu_values, mu_bounds in zip(mus, values, bounds):
-        for k, row, bound in zip(ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
-            rows.extend(f"{mu!r},{k},{node},{value!r},{bound!r}" for node, value in enumerate(row, 1))
-    return "\n".join(rows) + "\n"
 
 
 class TestValidate:
@@ -318,9 +293,10 @@ class TestArtifactWriter:
         assert ws.written == [(kept, hashlib.sha256(b"a,b\n1,2\n").hexdigest())]
 
     @pytest.mark.parametrize("scenario", ["ref3", "correlated2", "ring64"])
-    def test_residual_csv_matches_per_cell_formatter(self, scenario, tmp_path, two_matching_ring):
+    def test_residual_csv_matches_per_cell_formatter(self, scenario, tmp_path, ring_config):
+        """analyze's summary is the per-cell formatter's rows folded by max |value|, first node on ties."""
         if scenario == "ring64":
-            config_path = ring_config(tmp_path, two_matching_ring, 64, 64)
+            config_path = ring_config(64, 64)
         else:
             config_path = str(SCENARIO_DIR / f"{scenario}.json")
         out = tmp_path / "out"
@@ -331,48 +307,9 @@ class TestArtifactWriter:
         k_max = min(max(config.checkpoints), cli.RESIDUAL_HORIZON)
         traj = propagate_moments(model, schedule, range(1, k_max + 1))
         ks, values, bounds = residual_cube(model, schedule, traj, k_max, cli.RESIDUAL_MUS)
-        expected = per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds)
+        expected = fold_residual_csv(per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds))
         written = (out / f"{config.name}_residual_diagnostic.csv").read_bytes()
         assert written == expected.encode()
-
-    def test_analyze_peak_memory_below_residual_csv_size(self, tmp_path, two_matching_ring):
-        """The residual CSV is streamed: no copy of it, as rows or as one text, is held."""
-        import scipy.sparse  # noqa: F401  (the ring's CSR operators import it; keep that out of the trace)
-
-        config_path = ring_config(tmp_path, two_matching_ring, 64, 512)
-        out = tmp_path / "out"
-        tracemalloc.start()
-        try:
-            code = main(["analyze", "--quiet", "--config", config_path, "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        csv_size = (out / "ring64_residual_diagnostic.csv").stat().st_size
-        assert csv_size > 5_000_000
-        assert peak < csv_size, (peak, csv_size)
-
-    def test_residual_memory_does_not_grow_with_tilts(self, tmp_path, two_matching_ring):
-        """Building and streaming the residual holds O(K N), not O(len(mus) K N).
-
-        Going from 4 tilts to 32 on a 64-node ring to k = 512 may add less
-        than one K x N array (0.25 MiB) to the traced peak; a (len(mus), K, N)
-        cube would add 28 of them (7.1 MiB).
-        """
-        config = scenario_from_file(ring_config(tmp_path, two_matching_ring, 64, 512))
-        model, schedule = config.build_model(), config.build_schedule()
-        traj = propagate_moments(model, schedule, range(1, 513))
-        peaks = []
-        for mus in (cli.RESIDUAL_MUS, [i / 16 for i in range(-16, 16)]):
-            tracemalloc.start()
-            try:
-                residual = mixing_residual_curves(model, schedule, traj, 512, mus)
-                for _ in cli.residual_csv(residual.rows(), 64):
-                    pass
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 511 * 64 * 8, peaks
 
 
 class TestSimulate:

@@ -9,16 +9,20 @@ and ``n_points`` exact) and the false-alarm and miss counts of
 ``curves_mc.csv`` alpha and beta times 8192, rounded: the CSV holds
 exp(log(count / 8192)), within a few ulps of the count.
 
-``golden/<name>_residual.csv`` holds the rows of ``analyze``'s residual
-diagnostic at k = 2, 4, ..., 512, and ``golden/<name>.json`` also the
-``analysis.json`` ``residual`` summary.  A residual value is a difference
-of terms that carry the rounding of k propagation steps, so it is
+``golden/<name>_residual.csv`` holds the per-node rows of the mixing
+residual (``ResidualCurves.rows()``, in the format of ``residual_sweep.py
+--out``) at ``analyze``'s tilts and k = 2, 4, ..., 512, and
+``golden/<name>.json`` also the ``analysis.json`` ``residual`` summary.
+``analyze``'s residual diagnostic, one row per (tilt, k), is checked
+against those per-node rows folded by max |value|.  A residual value is a
+difference of terms that carry the rounding of k propagation steps, so it is
 compared at rel 1e-9 with an absolute floor, ``RESIDUAL_FLOOR`` = 1e-12.
 That floor lies above the largest rounding floor N k eps (|mu mean_i(k)| +
 (k/2) mu^2 var_i(k)) of any corpus value at k <= 512, 7.0e-13 on n8, and
 below every value that is not rounding noise (the smallest is 1.6e-6, on
 ref3).  On correlated2, identity2 and n1 every value is noise: there is no
-disagreement to measure, and the values lie within 2e-15 of 0.  A
+disagreement to measure, and the values lie within 2e-15 of 0, so the
+node attaining a maximum is checked only up to that tolerance.  A
 ``max_abs_over_bound`` is a value over its bound, so its floor is
 ``RESIDUAL_FLOOR`` over the smallest bound of its tilt.
 
@@ -36,8 +40,10 @@ from pathlib import Path
 
 import pytest
 
-from cdlab.cli import main
-from corpus import CORPUS
+from cdlab.analysis import propagate_moments
+from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS, main
+from corpus import CORPUS, build_scenario
+from oracles import per_cell_residual_csv, residual_cube
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -53,7 +59,7 @@ def _rows(text: str) -> list:
 
 
 def observed(name: str, out: Path) -> dict:
-    """Run analyze and simulate on a corpus scenario; return the golden files' text."""
+    """Run analyze and simulate on a corpus scenario into ``out``; return the golden files' text."""
     config = str(ROOT / "scenarios" / f"{name}.json")
     for command, extra in (("analyze", []), ("simulate", SIMULATE)):
         assert main([command, "--quiet", "--config", config, "--out", str(out), *extra]) == 0
@@ -70,7 +76,11 @@ def observed(name: str, out: Path) -> dict:
             assert abs(count - round(count)) < 1e-6, f"{name}: {column} {row[col[column]]} is not a count"
             entry[key].append(round(count))
     record = {"fits": fits, "residual": analysis["residual"], "simulate": {"argv": SIMULATE, "counts": counts}}
-    header, *rows = (out / f"{name}_residual_diagnostic.csv").read_text().splitlines(keepends=True)
+    model, schedule, config = build_scenario(name)
+    k_max = min(config.checkpoints[-1], RESIDUAL_HORIZON)
+    trajectory = propagate_moments(model, schedule, range(1, k_max + 1))
+    ks, values, bounds = residual_cube(model, schedule, trajectory, k_max, RESIDUAL_MUS)
+    header, *rows = per_cell_residual_csv(RESIDUAL_MUS, ks, values, bounds).splitlines(keepends=True)
     return {
         f"{name}_curves_exact.csv": (out / f"{name}_curves_exact.csv").read_text(),
         f"{name}_residual.csv": header + "".join(row for row in rows if int(row.split(",")[1]) % 2 == 0),
@@ -80,11 +90,13 @@ def observed(name: str, out: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
+    """run(name) -> (the golden files' text, the directory analyze and simulate wrote to)."""
     cache = {}
 
     def run(name):
         if name not in cache:
-            cache[name] = observed(name, tmp_path_factory.mktemp(name))
+            out = tmp_path_factory.mktemp(name)
+            cache[name] = observed(name, out), out
         return cache[name]
 
     return run
@@ -98,7 +110,7 @@ def _close(actual: float, expected: float) -> bool:
 def test_exact_curves_match_golden(name, runs):
     csv = f"{name}_curves_exact.csv"
     expected = _rows((GOLDEN / csv).read_text())
-    actual = _rows(runs(name)[csv])
+    actual = _rows(runs(name)[0][csv])
     assert actual[0] == expected[0]
     assert len(actual) == len(expected)
     for got, want in zip(actual[1:], expected[1:]):
@@ -110,7 +122,7 @@ def test_exact_curves_match_golden(name, runs):
 @pytest.mark.parametrize("name", CORPUS)
 def test_fits_and_counts_match_golden(name, runs):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
-    actual = json.loads(runs(name)[f"{name}.json"])
+    actual = json.loads(runs(name)[0][f"{name}.json"])
     assert actual["simulate"] == expected["simulate"]
     assert actual["fits"].keys() == expected["fits"].keys()
     for node, want in expected["fits"].items():
@@ -124,7 +136,7 @@ def test_fits_and_counts_match_golden(name, runs):
 def test_residual_matches_golden(name, runs):
     csv = f"{name}_residual.csv"
     expected = _rows((GOLDEN / csv).read_text())
-    actual = _rows(runs(name)[csv])
+    actual = _rows(runs(name)[0][csv])
     assert actual[0] == expected[0] == ["mu", "k", "node", "value", "bound"]
     assert len(actual) == len(expected) > 1
     smallest_bound = {}
@@ -135,9 +147,37 @@ def test_residual_matches_golden(name, runs):
         assert _close(float(got[4]), bound), f"{name} {want[:3]} bound"
         smallest_bound[want[0]] = min(bound, smallest_bound.get(want[0], math.inf))
     expected = json.loads((GOLDEN / f"{name}.json").read_text())["residual"]
-    actual = json.loads(runs(name)[f"{name}.json"])["residual"]
+    actual = json.loads(runs(name)[0][f"{name}.json"])["residual"]
     assert actual.keys() == expected.keys() == smallest_bound.keys()
     for mu, want in expected.items():
         got, want = actual[mu]["max_abs_over_bound"], want["max_abs_over_bound"]
         floor = RESIDUAL_FLOOR / smallest_bound[mu]
         assert math.isclose(got, want, rel_tol=REL, abs_tol=floor), f"{name} mu={mu}: {got} != {want}"
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_residual_summary_matches_golden(name, runs):
+    """analyze's row at each even (tilt, k) is the golden per-node rows' max |value|, its node and bound.
+
+    The node is exact where the golden maximum stands apart from the runner-up
+    by more than the tolerance; where it does not, as on every row of the
+    noise-only scenarios, any node whose golden |value| is within tolerance of
+    the maximum is accepted.
+    """
+    header, *rows = _rows((GOLDEN / f"{name}_residual.csv").read_text())
+    assert header == ["mu", "k", "node", "value", "bound"]
+    expected = {}  # (mu, k) -> ({node: |value|}, bound)
+    for mu, k, node, value, bound in rows:
+        expected.setdefault((mu, k), ({}, float(bound)))[0][node] = abs(float(value))
+    header, *rows = _rows((runs(name)[1] / f"{name}_residual_diagnostic.csv").read_text())
+    assert header == ["mu", "k", "max_abs", "node", "bound"]
+    assert len(rows) == len(RESIDUAL_MUS) * (RESIDUAL_HORIZON - 1)
+    actual = {(mu, k): row for mu, k, *row in rows if int(k) % 2 == 0}
+    assert actual.keys() == expected.keys()
+    for key, (magnitudes, bound) in expected.items():
+        max_abs, node, got_bound = actual[key]
+        peak = max(magnitudes.values())
+        accepted = [i for i, m in magnitudes.items() if math.isclose(m, peak, rel_tol=REL, abs_tol=RESIDUAL_FLOOR)]
+        assert math.isclose(float(max_abs), peak, rel_tol=REL, abs_tol=RESIDUAL_FLOOR), f"{name} {key} max_abs"
+        assert node in accepted, f"{name} {key}: node {node} not in {accepted}"
+        assert _close(float(got_bound), bound), f"{name} {key} bound"

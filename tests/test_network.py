@@ -93,6 +93,23 @@ class TestEdgeSet:
         with pytest.raises(ParameterError, match="must be an integer"):
             ScheduleSpec(n_nodes=n_nodes, **fields)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"edges": [5]}, "edge 5 is not a pair"),
+            ({"topology": "alternating-links", "link_cycle": [[5]]}, "edge 5 is not a pair"),
+            (
+                {"topology": "random-subgraph", "edges": [(1, 2), (2, 3)], "period": 2, "seed": 1, "keep_prob": "0.5"},
+                "keep_prob must be a number in \\[0, 1\\], got '0.5'",
+            ),
+        ],
+        ids=["edge-not-iterable", "link_cycle-edge-not-iterable", "keep_prob-string"],
+    )
+    def test_malformed_values_are_parameter_errors(self, fields, message):
+        """A value of the wrong kind is refused by the rule that checks it, not by a TypeError."""
+        with pytest.raises(ParameterError, match=message):
+            ScheduleSpec(n_nodes=3, **fields)
+
     def test_numpy_integers_accepted(self):
         spec = ScheduleSpec(np.int64(3), edges=np.array([[2, 1], [3, 2]]))
         assert type(spec.n_nodes) is int and spec.edges == frozenset({(1, 2), (2, 3)})
@@ -156,6 +173,11 @@ class TestBuildSchedule:
         assert s.weight_at(1) == pytest.approx(step1, rel=1e-15)
         assert s.weight_at(2) == pytest.approx(step2, rel=1e-15)
         assert s.weight_at(3) == pytest.approx(step1, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [True, 2.0, 1.5, 0], ids=["bool", "integral-float", "float", "zero"])
+    def test_weight_at_follows_the_integer_rule(self, k):
+        with pytest.raises(ParameterError, match="time index must be an integer >= 1"):
+            build_schedule(ALT3).weight_at(k)
 
     def test_edges_from_matrix_support(self):
         s = build_schedule(ALT3)

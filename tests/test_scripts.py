@@ -4,13 +4,26 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cdlab.cli import main
+from cdlab.analysis import mixing_residual_curves, propagate_moments
+from cdlab.cli import RESIDUAL_MUS, main
+from cdlab.config import scenario_from_file
+from corpus import build_scenario
+from oracles import fold_residual_csv, per_cell_residual_csv, residual_cube
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_sweep():
+    """scripts/residual_sweep.py as a module, to run in this process."""
+    spec = importlib.util.spec_from_file_location("residual_sweep", ROOT / "scripts" / "residual_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
 
 
 @pytest.mark.parametrize(
@@ -59,9 +72,7 @@ def test_script_rejects_bad_flag(argv, message, tmp_path):
 
 def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, capsys):
     """The tilts are checked as the flags are parsed, so no propagation runs for a bad one."""
-    spec = importlib.util.spec_from_file_location("residual_sweep", ROOT / "scripts" / "residual_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_sweep()
 
     def propagate_moments(*args, **kwargs):
         raise AssertionError("propagate_moments ran")
@@ -78,15 +89,61 @@ def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, cap
 
 
 @pytest.mark.parametrize("flags", [[], ["--scenario", "ref3", "--k-max", "512"]], ids=["defaults", "explicit"])
-def test_residual_sweep_csv_is_the_analyze_csv(flags, tmp_path):
-    """One row format and one default: the script's --out file has the bytes of analyze's residual diagnostic."""
+def test_residual_sweep_csv_folds_to_the_analyze_csv(flags, tmp_path):
+    """One default: the script's --out file is the per-cell formatter's rows, and folded by max
+    |value| per (tilt, k) it has the bytes of analyze's residual diagnostic."""
     sweep = tmp_path / "sweep.csv"
     proc = run_script(["residual_sweep.py", *flags, "--out", str(sweep)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    model, schedule, _ = build_scenario("ref3")
+    trajectory = propagate_moments(model, schedule, range(1, 513))
+    per_node = per_cell_residual_csv(RESIDUAL_MUS, *residual_cube(model, schedule, trajectory, 512, RESIDUAL_MUS))
+    assert sweep.read_bytes() == per_node.encode()
     out = tmp_path / "out"
     config = str(ROOT / "scenarios" / "ref3.json")
     assert main(["analyze", "--quiet", "--config", config, "--out", str(out)]) == 0
-    assert sweep.read_bytes() == (out / "ref3_residual_diagnostic.csv").read_bytes()
+    assert fold_residual_csv(per_node).encode() == (out / "ref3_residual_diagnostic.csv").read_bytes()
+
+
+def test_sweep_peak_memory_below_residual_csv_size(tmp_path, monkeypatch, capsys):
+    """The sweep's per-node CSV is streamed: no copy of it, as rows or as one text, is held."""
+    sweep = load_sweep()
+    csv = tmp_path / "n8.csv"
+    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--scenario", "n8", "--k-max", "4096", "--out", str(csv)])
+    tracemalloc.start()
+    try:
+        code = sweep.main()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    csv_size = csv.stat().st_size
+    assert csv_size > 5_000_000
+    assert peak < csv_size, (peak, csv_size)
+
+
+def test_residual_memory_does_not_grow_with_tilts(ring_config):
+    """Building and streaming the per-node residual holds O(K N), not O(len(mus) K N).
+
+    Going from 4 tilts to 32 on a 64-node ring to k = 512 may add less
+    than one K x N array (0.25 MiB) to the traced peak; a (len(mus), K, N)
+    cube would add 28 of them (7.1 MiB).
+    """
+    sweep = load_sweep()
+    config = scenario_from_file(ring_config(64, 512))
+    model, schedule = config.build_model(), config.build_schedule()
+    traj = propagate_moments(model, schedule, range(1, 513))
+    peaks = []
+    for mus in (RESIDUAL_MUS, [i / 16 for i in range(-16, 16)]):
+        tracemalloc.start()
+        try:
+            residual = mixing_residual_curves(model, schedule, traj, 512, mus)
+            for _ in sweep.residual_csv(residual.rows(), 64):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 511 * 64 * 8, peaks
 
 
 def run_script(argv, cwd):
