@@ -142,10 +142,10 @@ def propagate_moments(
     with m_eta the H1 innovation mean.  The sorted distinct ``ks`` are
     visited in order, each from the one before: the whole periods of a gap
     are jumped (see ``_jump``) where ``_squaring_pays``, and every other k
-    is stepped.  W(k) comes from ``s.operators()``, so a step costs
-    O(nnz N) on a sparse schedule and O(N^3) on a dense one, and only the
-    current N x N state is held between visits.  ``keep``, a subset of
-    ``ks``, lists the k at which the full covariance matrix is stored.
+    is stepped.  W(k) comes from ``s.operators()``, so a step costs O(d N^2)
+    on a padded factor with at most d nonzeros a row and O(N^3) on a dense
+    one, and only the current N x N state is held between visits.  ``keep``,
+    a subset of ``ks``, lists the k at which the full covariance is stored.
     """
     ks = _check_ks(ks, "visited k")
     keep = tuple(sorted({_check_integer(k, "a kept k", 1) for k in keep}))
@@ -232,8 +232,8 @@ def _squaring_pays(periods: int, period: int) -> bool:
 
     The jump costs dense N x N products: 3 per composition building the
     period map, 3 per squaring and 2 per power applied to the state.
-    Stepping costs ``periods * period`` steps, each at least as dear as a
-    dense product on a dense schedule and about as dear on a CSR one.
+    Stepping costs ``periods * period`` steps, each at least as dear as a dense
+    product on a dense schedule and about as dear on a padded one at N = 256.
     """
     products = 3 * (period - 1) + 3 * (periods.bit_length() - 1) + 2 * bin(periods).count("1")
     return periods > 0 and periods * period > products

@@ -14,9 +14,8 @@ averaging projector) contracts geometrically; ``contraction_bound`` gives
 the proven envelope amplitude * ratio**(k-j) and ``check_geometric_decay``
 measures actual products against it.
 
-``WeightSchedule.operators`` hands the exact path CSR factors (O(nnz N) a
-step) on large sparse schedules and dense BLAS ones otherwise, as for every
-corpus schedule.  Building a CSR factor is the one place cdlab imports scipy.
+``WeightSchedule.operators`` hands the exact path row-padded numpy factors on
+large sparse schedules and dense BLAS ones otherwise, as for every corpus schedule.
 """
 
 from __future__ import annotations
@@ -41,7 +40,9 @@ __all__ = [
 ]
 
 STOCHASTIC_ATOL = 1e-12
-# factors stored as CSR: below these sizes a CSR step measured slower than BLAS
+# factors with SPARSE_MIN_NODES nodes or more and at most SPARSE_DENSITY N nonzeros a row are
+# padded; a two-matching ring step (2-vCPU Xeon, 2 BLAS threads) took 42-59 us padded against
+# 36-41 us dense at N = 64, even at N = 80, and 0.64 ms against 1.46 ms at N = 256
 SPARSE_DENSITY = 1 / 16
 SPARSE_MIN_NODES = 64
 # the ScheduleSpec fields each topology reads
@@ -200,15 +201,34 @@ class WeightSchedule:
         return self.matrices[(_check_integer(k, "time index", 1) - 1) % self.period]
 
     def operators(self) -> tuple:
-        """W(1), ..., W(period) for ``@``: CSR when large and sparse, else dense."""
-        ops = []
-        for w in self.matrices:
-            if len(w) >= SPARSE_MIN_NODES and np.count_nonzero(w) <= SPARSE_DENSITY * w.size:
-                from scipy.sparse import csr_array
+        """W(1), ..., W(period) for ``@``: row-padded when large and no row holds
+        more than ``SPARSE_DENSITY`` N nonzeros (one hub row would make every
+        product pay N padded gathers), else dense."""
+        n = self.n_nodes
+        return tuple(_PaddedRows(w) if n >= SPARSE_MIN_NODES and np.count_nonzero(w, axis=1).max() <= SPARSE_DENSITY * n else w for w in self.matrices)
 
-                w = csr_array(w)
-            ops.append(w)
-        return tuple(ops)
+
+class _PaddedRows:
+    """W x = diag(W) x + sum over slots s of weights[s] x[cols[s]]; a row with fewer
+    nonzeros pads with its own column at weight 0, reading only what the diagonal
+    term reads.  The N x N gather target is made once: a fresh one faults in per product."""
+
+    def __init__(self, w: np.ndarray):
+        rows, cols = np.nonzero(w - np.diag(np.diag(w)))  # row-major: each row's slots are contiguous
+        slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        self.diag, self.gathered = np.diag(w), np.empty(w.shape)
+        self.cols = np.tile(np.arange(len(w)), (slots.max(initial=-1) + 1, 1))
+        self.weights = np.zeros(self.cols.shape)
+        self.cols[slots, rows], self.weights[slots, rows] = cols, w[rows, cols]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        column = (slice(None),) + (None,) * (x.ndim - 1)
+        out = self.diag[column] * x
+        for cols, weights in zip(self.cols, self.weights):
+            gathered = np.take(x, cols, axis=0, out=self.gathered if x.ndim == 2 else None, mode="clip")
+            gathered *= weights[column]
+            out += gathered
+        return out
 
 
 def _support_edges(w: np.ndarray) -> frozenset:
@@ -409,7 +429,7 @@ def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
     """Measure max |disagreement entry| over all gaps up to max_gap.
 
     Start times j range over one period; products accumulate incrementally
-    through ``s.operators()``, O(nnz N) per step on a sparse schedule.
+    through ``s.operators()``, O(d N^2) a step with at most d nonzeros a row.
     ``passed`` is False when any entry exceeds the envelope by more than a
     relative 1e-9; ``worst_witness`` locates the largest entry-to-envelope
     ratio.  The measured per-gap decay rate (slope of log max-entry) is

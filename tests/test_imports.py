@@ -1,4 +1,4 @@
-"""The entry point needs numpy alone: scipy is imported only for CSR operators.
+"""The commands need numpy alone: no cdlab command loads any scipy module.
 
 Each case runs in a fresh interpreter, because the test process itself has
 scipy loaded.
@@ -13,10 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REF3 = str(ROOT / "scenarios" / "ref3.json")
 
-# argv: "block" or "allow", then a JSON list of cdlab argvs.  Fails when
-# `import cdlab.cli` loads any scipy module; under "block" scipy cannot be
-# imported afterwards.  Prints the scipy modules loaded once every command
-# has exited 0.
+# argv: a JSON list of cdlab argvs.  Fails when `import cdlab.cli` loads any
+# scipy module; scipy cannot be imported afterwards.  Prints the scipy modules
+# loaded once every command has exited 0.
 PROBE = """
 import json, sys
 import cdlab.cli
@@ -27,9 +26,8 @@ def scipy_loaded():
 
 if scipy_loaded():
     sys.exit(f"import cdlab.cli loaded {sorted({'.'.join(m.split('.')[:2]) for m in scipy_loaded()})}")
-if sys.argv[1] == "block":
-    sys.modules["scipy"] = None
-for argv in json.loads(sys.argv[2]):
+sys.modules["scipy"] = None
+for argv in json.loads(sys.argv[1]):
     rc = cdlab.cli.main(argv)
     if rc != 0:
         sys.exit(f"{argv[0]} exited {rc}")
@@ -37,13 +35,13 @@ print(json.dumps(scipy_loaded()))
 """
 
 
-def run_probe(mode, argvs, cwd):
+def run_probe(argvs, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, mode, json.dumps(argvs)],
+        [sys.executable, "-c", PROBE, json.dumps(argvs)],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -61,21 +59,14 @@ def test_corpus_commands_run_without_scipy(tmp_path):
         ["analyze", "--quiet", "--config", REF3, "--out", out],
         ["simulate", "--quiet", "--config", REF3, "--out", out, "--trials", "2000"],
     ]
-    assert run_probe("block", argvs, tmp_path) == []
+    assert run_probe(argvs, tmp_path) == []
 
 
-def test_large_sparse_schedule_still_loads_scipy_sparse(tmp_path, two_matching_ring):
-    spec = two_matching_ring(64)
-    config = {
-        "name": "ring64",
-        "model": {"m0": [0.0] * 64, "m1": [0.3] * 64, "covariance": "exponential(0.5)"},
-        "network": {
-            "topology": "alternating-links",
-            "link_cycle": [[list(edge) for edge in step] for step in spec.link_cycle],
-        },
-        "experiment": {"checkpoints": [1, 2, 4, 8, 16, 32]},
-    }
-    path = tmp_path / "ring64.json"
-    path.write_text(json.dumps(config))
-    argvs = [["analyze", "--quiet", "--config", str(path), "--out", str(tmp_path / "out")]]
-    assert "scipy.sparse" in run_probe("allow", argvs, tmp_path)
+def test_large_sparse_schedule_runs_without_scipy(tmp_path, ring_config):
+    """A 64-node two-matching ring gets padded factors, built by numpy alone."""
+    config = ring_config(64, 32)
+    argvs = [
+        ["validate", "--quiet", "--config", config],
+        ["analyze", "--quiet", "--config", config, "--out", str(tmp_path / "out")],
+    ]
+    assert run_probe(argvs, tmp_path) == []

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
 
 from cdlab import network
 from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
@@ -25,6 +24,7 @@ from cdlab.network import (
     _connected,
     _edge_set,
     _metropolis_weights,
+    _PaddedRows,
     _support_edges,
 )
 from corpus import CORPUS, build_scenario
@@ -196,18 +196,48 @@ class TestBuildSchedule:
             )
             assert _support_edges(w) == scan
 
-    def test_operators_are_csr_only_on_large_sparse_schedules(self, two_matching_ring):
+    def test_operators_are_padded_only_on_large_schedules_sparse_in_every_row(self, two_matching_ring):
         """The corpus and a 32-node ring at density 1/16 stay dense (too few
-        nodes); a 64-node ring, 2 nonzeros per row, gets CSR factors."""
+        nodes), and so does a 64-node star, whose hub row holds all 64
+        entries although 190 of 4096 are nonzero; a 64-node ring, 2 nonzeros
+        per row, gets padded factors that reproduce each matrix bit for bit."""
+        star = build_schedule(ScheduleSpec(n_nodes=64, topology="static", edges=tuple((1, j) for j in range(2, 65))))
+        assert np.count_nonzero(star.matrices) <= network.SPARSE_DENSITY * star.matrices[0].size
         small = [build_scenario(name)[1] for name in CORPUS]
-        for schedule in small + [build_schedule(two_matching_ring(32))]:
+        for schedule in small + [build_schedule(two_matching_ring(32)), star]:
             ops = schedule.operators()
             assert all(type(w) is np.ndarray for w in ops), schedule.n_nodes
             assert np.array_equal(np.array(ops), schedule.matrices)
         ring = build_schedule(two_matching_ring(64))
-        ops = ring.operators()
-        assert all(isinstance(w, csr_array) for w in ops)
-        assert np.array_equal(np.array([w.toarray() for w in ops]), ring.matrices)
+        v = np.random.default_rng(5).standard_normal(64)
+        for w, op in zip(ring.matrices, ring.operators()):
+            assert type(op) is _PaddedRows
+            assert np.array_equal(op @ np.eye(64), w)
+            # two nonzero terms per row: their sum is exact in any order
+            assert np.array_equal(op @ v, (w * v).sum(axis=1))
+
+    def test_padded_factor_on_irregular_sparse_schedule(self):
+        """A 64-node ring with chords, edges kept at random: rows hold 1 to 4
+        nonzeros, so short rows are padded.  Products match dense W @ x within
+        1e-15 relative on nonnegative operands, and within 1e-15 of |W| @ |x|
+        on signed ones; a NaN in row j of the operand reaches exactly the
+        rows whose factor row has a nonzero in column j."""
+        edges = [(i, i % 64 + 1) for i in range(1, 65)] + [(i, i + 32) for i in range(1, 33)]
+        spec = ScheduleSpec(n_nodes=64, topology="random-subgraph", edges=tuple(edges), period=4, seed=3, keep_prob=0.6)
+        schedule = build_schedule(spec)
+        rng = np.random.default_rng(11)
+        for w, op in zip(schedule.matrices, schedule.operators()):
+            counts = np.count_nonzero(w, axis=1)
+            assert type(op) is _PaddedRows and counts.min() < counts.max() == len(op.cols) + 1
+            for x in (rng.random((64, 64)), rng.random(64)):
+                np.testing.assert_allclose(op @ x, w @ x, rtol=1e-15, atol=0.0)
+            for x in (rng.standard_normal((64, 64)), rng.standard_normal(64)):
+                assert np.all(np.abs(op @ x - w @ x) <= 1e-15 * (np.abs(w) @ np.abs(x)))
+            for j in range(64):
+                x = np.ones((64, 64))
+                x[j] = np.nan
+                assert np.array_equal(np.isnan(op @ x).any(axis=1), w[:, j] != 0.0)
+                assert np.array_equal(np.isnan(op @ x[:, 0]), w[:, j] != 0.0)
 
     def test_disconnected_static_rejected(self):
         with pytest.raises(NoConnectedWindow):
