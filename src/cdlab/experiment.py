@@ -319,9 +319,13 @@ def _empirical_rate(curve: ErrorCurve) -> np.ndarray:
 
 
 def report_header(model: GaussianHypothesisPair, schedule: WeightSchedule) -> dict:
-    """Fields analysis.json and comparison.json share; validates the schedule once.
+    """How every command states a scenario: the fields ``cdlab validate`` prints
+    and analysis.json and comparison.json share.
 
-    No field weights the hypotheses: every Bayes error is (alpha + beta) / 2.
+    ``contraction`` holds the schedule's measured ``min_weight`` and
+    ``window`` with the envelope they give, and ``assumption_check`` the
+    report of ``validate_assumption``, run once here.  No field weights the
+    hypotheses: every Bayes error is (alpha + beta) / 2.
     """
     envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
     return {

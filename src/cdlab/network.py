@@ -1,11 +1,12 @@
 """Deterministic time-varying consensus schedules and their mixing bounds.
 
 A schedule is a periodic sequence W(1), W(2), ... of symmetric stochastic
-matrices.  Validity means: every W(k) is symmetric, stochastic and
-nonnegative with strictly positive diagonal, and the union of the support
-graphs over every window of ``window`` consecutive steps is connected.
-``min_weight`` is measured from the matrices as the smallest positive entry
-across one period.  A graph is its edge set, a frozenset of (i < j) pairs
+matrices, and it is nothing else: ``min_weight`` (the smallest positive entry
+across one period) and ``window`` (the shortest B for which the union of the
+support graphs over every B consecutive steps is connected) are measured from
+the matrices.  Validity means: every W(k) is symmetric, stochastic and
+nonnegative with strictly positive diagonal, and the union support over one
+period is connected.  A graph is its edge set, a frozenset of (i < j) pairs
 on nodes 1..n, and ``ScheduleSpec`` checks each edge list once.
 
 The backward product Phi(k, j) = W(k-1) ... W(j) governs how innovations
@@ -21,7 +22,8 @@ large sparse schedules and dense BLAS ones otherwise, as for every corpus schedu
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -183,11 +185,30 @@ class ScheduleSpec:
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """W(k) = matrices[(k-1) % period]; ``min_weight`` and ``window`` are claims to validate."""
+    """W(k) = matrices[(k-1) % period]; every other figure is read from the matrices."""
 
     matrices: np.ndarray  # (period, n, n), read-only
-    min_weight: float
-    window: int
+
+    @cached_property
+    def min_weight(self) -> float:
+        """The smallest positive entry over one period, 0.0 if none is."""
+        positive = self.matrices[self.matrices > 0.0]
+        return float(positive.min()) if positive.size else 0.0
+
+    @cached_property
+    def window(self) -> int:
+        """Smallest B <= period with every B-step union support connected.
+
+        A window of length >= period covers every residue, so searching up
+        to the period is exhaustive; NoConnectedWindow when none is.
+        """
+        p, n = self.period, self.n_nodes
+        step_edges = [_support_edges(w) for w in self.matrices]
+        for b in range(1, p + 1):
+            unions = (frozenset().union(*(step_edges[l % p] for l in range(k, k + b))) for k in range(p))
+            if all(_connected(n, union) for union in unions):
+                return b
+        raise NoConnectedWindow(f"union support over a full period is disconnected (period {p})")
 
     @property
     def n_nodes(self) -> int:
@@ -249,7 +270,7 @@ def _step_edges(spec: ScheduleSpec) -> list:
 
 
 def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
-    """Weigh each step's checked edge set, or take explicit matrices; validate; freeze.
+    """Weigh each step's checked edge set, or take explicit matrices; freeze; validate.
 
     Raises InvalidWeights on the first issue ``validate_assumption`` would
     report for the weights (structure or floor), and NoConnectedWindow when
@@ -262,34 +283,30 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
         mats = [_metropolis_weights(spec.n_nodes, edges) for edges in _step_edges(spec)]
 
     stacked = np.array(mats)
-    positive = stacked[stacked > 0.0]
-    min_weight = float(positive.min()) if positive.size else 0.0
-    issues = _weight_issues(stacked, min_weight)
+    stacked.flags.writeable = False
+    schedule = WeightSchedule(matrices=stacked)
+    issues = _weight_issues(schedule)
     if issues:
         check, failure = issues[0]
         raise InvalidWeights(f"{check}: {failure}")
-    window = _find_window(stacked)
-    stacked.flags.writeable = False
-    return WeightSchedule(matrices=stacked, min_weight=min_weight, window=window)
+    schedule.window  # measured now: a disconnected schedule raises NoConnectedWindow here
+    return schedule
 
 
-def _weight_issues(mats: np.ndarray, min_weight: float) -> list:
+def _weight_issues(s: WeightSchedule) -> list:
     """Every violation of the weight assumption as (check name, failure) pairs.
 
     Per step k, under "symmetric-stochastic": non-finite entries (which end
     the step's checks), asymmetry, row sums off 1 and negative entries;
-    under "weight-floor": a nonpositive diagonal entry or one below
-    ``min_weight``, and a supported off-diagonal entry below it.  Last, a
+    under "weight-floor": a nonpositive diagonal entry.  Last, a measured
     ``min_weight`` outside (0, 1] is a "weight-floor" issue of its own.
     """
-    floor = min_weight - STOCHASTIC_ATOL
-    off_diagonal = ~np.eye(mats.shape[1], dtype=bool)
     issues = []
 
     def flag(check, k, issue, value):
         issues.append((check, {"k": k, "issue": issue, "value": value}))
 
-    for k, w in enumerate(mats, start=1):
+    for k, w in enumerate(s.matrices, start=1):
         bad = int(np.count_nonzero(~np.isfinite(w)))
         if bad:
             flag("symmetric-stochastic", k, "non-finite", bad)
@@ -304,43 +321,11 @@ def _weight_issues(mats: np.ndarray, min_weight: float) -> list:
         if neg < -STOCHASTIC_ATOL:
             flag("symmetric-stochastic", k, "negative-entry", neg)
         dmin = float(np.diag(w).min())
-        if dmin <= 0.0 or dmin < floor:
+        if dmin <= 0.0:
             flag("weight-floor", k, "diagonal-below-floor", dmin)
-        off = w[off_diagonal]
-        small = off[(off > 0.0) & (off < floor)]
-        if small.size:
-            flag("weight-floor", k, "edge-below-floor", float(small.min()))
-    if not 0.0 < min_weight <= 1.0:
-        issues.append(("weight-floor", {"issue": "min-weight-range", "value": min_weight}))
+    if not 0.0 < s.min_weight <= 1.0:
+        issues.append(("weight-floor", {"issue": "min-weight-range", "value": s.min_weight}))
     return issues
-
-
-def _disconnected_starts(n: int, step_edges: list, window: int):
-    """Yield each start k in 1..period whose ``window``-step union support
-    (of W(k), ..., W(k + window - 1)) is disconnected."""
-    p = len(step_edges)
-    for start in range(p):
-        union = set()
-        for l in range(start, start + window):
-            union |= step_edges[l % p]
-        if not _connected(n, union):
-            yield start + 1
-
-
-def _find_window(mats: np.ndarray) -> int:
-    """Smallest B <= period with all length-B union supports connected.
-
-    A window of length >= period covers every residue, so searching up to
-    the period is exhaustive.
-    """
-    p, n = mats.shape[0], mats.shape[1]
-    step_edges = [_support_edges(w) for w in mats]
-    for b in range(1, p + 1):
-        if next(_disconnected_starts(n, step_edges, b), None) is None:
-            return b
-    raise NoConnectedWindow(
-        f"union support over a full period is disconnected (period {p})"
-    )
 
 
 # ── validation report ─────────────────────────────────────────────────────
@@ -369,19 +354,20 @@ class ValidationReport:
 
 
 def validate_assumption(s: WeightSchedule) -> ValidationReport:
-    """Check the stored matrices against the schedule's own claims.
+    """Check the matrices against the paper's network assumptions.
 
     Three items: symmetric-stochastic structure, the positive-weight floor
-    (diagonal and supported off-diagonal entries >= min_weight), and
-    connectivity of every union window of the claimed length.
+    (a positive diagonal, and a measured ``min_weight`` in (0, 1]), and
+    connectivity of the union support over one period, which holds exactly
+    when some window of at most the period connects every union.  It
+    reports a schedule ``build_schedule`` would refuse; it does not raise.
     """
     failures = {"symmetric-stochastic": [], "weight-floor": []}
-    for check, failure in _weight_issues(s.matrices, s.min_weight):
+    for check, failure in _weight_issues(s):
         failures[check].append(failure)
-    step_edges = [_support_edges(w) for w in s.matrices]
-    failures["window-connectivity"] = [
-        {"start_k": start, "window": s.window, "issue": "disconnected-union"}
-        for start in _disconnected_starts(s.n_nodes, step_edges, s.window)
+    union = frozenset().union(*map(_support_edges, s.matrices))
+    failures["window-connectivity"] = [] if _connected(s.n_nodes, union) else [
+        {"window": s.period, "issue": "disconnected-union"}
     ]
     return ValidationReport(
         items=tuple(CheckResult(name, not found, tuple(found)) for name, found in failures.items())
@@ -414,15 +400,10 @@ class DecayReport:
     """Measured disagreement decay versus the proven envelope."""
 
     max_gap: int
-    amplitude: float
-    ratio: float
     worst_ratio: float
     worst_witness: dict
     measured_rate: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
@@ -463,8 +444,6 @@ def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
         measured_rate = float("inf")
     return DecayReport(
         max_gap=max_gap,
-        amplitude=bound.amplitude,
-        ratio=bound.ratio,
         worst_ratio=worst[0],
         worst_witness=worst[1],
         measured_rate=measured_rate,

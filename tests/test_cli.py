@@ -35,8 +35,19 @@ class TestValidate:
         code = main(["validate", "--config", str(SCENARIO_DIR / "ref3.json")])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["validation"]["passed"] is True
-        assert payload["window"] == 2
+        assert sorted(payload) == ["assumption_check", "chernoff_information", "contraction", "n_sensors", "period", "scenario"]
+        assert payload["assumption_check"]["passed"] is True
+        assert (payload["period"], payload["contraction"]["window"], payload["contraction"]["min_weight"]) == (2, 2, 0.5)
+
+    def test_prints_the_analysis_header(self, tmp_path, capsys):
+        """validate states the scenario with the header analysis.json carries."""
+        config = str(SCENARIO_DIR / "rand5.json")
+        assert main(["validate", "--config", config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("period") == 4
+        assert main(["analyze", "--quiet", "--config", config, "--out", str(tmp_path)]) == 0
+        analysis = json.loads((tmp_path / "rand5_analysis.json").read_text())
+        assert {key: analysis[key] for key in payload} == payload
 
     def test_quiet_suppresses_output(self, capsys):
         code = main(["validate", "--quiet", "--config", str(SCENARIO_DIR / "n8.json")])
@@ -112,17 +123,14 @@ class TestAnalyze:
             ]
         )
         assert code == 0
-        for suffix in (
-            "curves_exact.csv",
-            "decay_report.json",
-            "residual_diagnostic.csv",
-            "analysis.json",
-            "analyze_manifest.json",
-        ):
-            assert (out / f"identity2_{suffix}").is_file()
+        assert sorted(path.name for path in out.iterdir()) == [
+            f"identity2_{suffix}"
+            for suffix in ("analysis.json", "analyze_manifest.json", "curves_exact.csv", "residual_diagnostic.csv")
+        ]
         analysis = json.loads((out / "identity2_analysis.json").read_text())
         assert analysis["chernoff_information"] == 0.25
-        assert analysis["decay_passed"] is True
+        assert sorted(analysis["decay"]) == ["max_gap", "measured_rate", "passed", "worst_ratio", "worst_witness"]
+        assert analysis["decay"]["passed"] is True
         header = (out / "identity2_curves_exact.csv").read_text().splitlines()[0]
         assert header == "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
         manifest = json.loads((out / "identity2_analyze_manifest.json").read_text())
@@ -234,13 +242,13 @@ class TestAnalyze:
         code = main(["analyze", "--quiet", "--config", config, "--out", str(out)])
         assert code == 1
         assert "decay envelope exceeded" in capsys.readouterr().err
-        decay = json.loads((out / "identity2_decay_report.json").read_text())
+        decay = json.loads((out / "identity2_analysis.json").read_text())["decay"]
         assert decay["passed"] is False
         assert decay["worst_witness"]["value"] == 0.5
-        assert json.loads((out / "identity2_analysis.json").read_text())["decay_passed"] is False
         manifest = json.loads((out / "identity2_analyze_manifest.json").read_text())
-        assert "identity2_decay_report.json" in manifest["files"]
-        assert len(manifest["files"]) == 4
+        assert sorted(manifest["files"]) == [
+            f"identity2_{suffix}" for suffix in ("analysis.json", "curves_exact.csv", "residual_diagnostic.csv")
+        ]
 
     def test_unwritable_output_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -117,7 +117,7 @@ class TestDistributed:
         """W(k) = I (diagnostic only): x_i(k) = (N/k) sum_j eta_i(j)."""
         m, _ = alt3_scenario()
         frozen = np.eye(3)[None, :, :]
-        s = WeightSchedule(matrices=frozen, min_weight=1.0, window=1)
+        s = WeightSchedule(matrices=frozen)
         ys = np.random.default_rng(4).normal(size=(9, 3))
         state = distributed_init(m, ys[0])
         for y in ys[1:]:

@@ -10,6 +10,7 @@ import pytest
 from cdlab.analysis import ErrorCurve, propagate_moments, exact_error_curves
 from cdlab.errors import (
     InsufficientPoints,
+    NoConnectedWindow,
     ParameterError,
     ShapeError,
     ZeroProbabilityInWindow,
@@ -25,7 +26,7 @@ from cdlab.experiment import (
     score_agreement,
 )
 from cdlab.model import Hypothesis, build_model
-from cdlab.network import ScheduleSpec, build_schedule
+from cdlab.network import ScheduleSpec, WeightSchedule, build_schedule
 from corpus import scenario_config
 from oracles import (
     centralized_init,
@@ -507,11 +508,12 @@ class TestCompareDetectors:
         assert report["nodes"][0]["gap_shrinks"] is True
 
     def test_invalid_schedule_suppresses_verdict(self):
+        """Rows summing to 0.9, which build_schedule refuses, built by hand."""
         model, schedule = alt3_scenario()
-        overclaimed = dataclasses.replace(schedule, min_weight=0.9)
+        leaky = WeightSchedule(matrices=0.9 * schedule.matrices)
         plan = ExperimentPlan(
             model=model,
-            schedule=overclaimed,
+            schedule=leaky,
             k_checkpoints=(1,),
             n_trials=10,
             master_seed=0,
@@ -520,21 +522,26 @@ class TestCompareDetectors:
         assert report["verdict"] is None
         assert "suppressed" in report["verdict_note"]
         assert report["assumption_check"]["passed"] is False
+        structure = report["assumption_check"]["checks"][0]
+        assert structure["name"] == "symmetric-stochastic"
+        assert {f["issue"] for f in structure["failures"]} == {"row-sum"}
 
     def test_disconnected_matrices_flag_the_window_check(self):
-        """Identity mixing never connects: the report must say so and
-        withhold any optimality claim."""
+        """Identity mixing never connects: it has no window, so no envelope
+        and no report, and the error is the one build_schedule raises on
+        the same matrices."""
         model, schedule = alt3_scenario()
         frozen_eye = np.broadcast_to(np.eye(3), schedule.matrices.shape).copy()
         frozen_eye.setflags(write=False)
+        with pytest.raises(NoConnectedWindow) as built:
+            build_schedule(ScheduleSpec(n_nodes=3, topology="explicit", matrices=tuple(frozen_eye)))
         broken = dataclasses.replace(schedule, matrices=frozen_eye)
         plan = ExperimentPlan(
             model=model, schedule=broken, k_checkpoints=(1,), n_trials=10, master_seed=0
         )
-        report = compare_detectors(plan)
-        assert report["verdict"] is None
-        checks = {c["name"]: c["passed"] for c in report["assumption_check"]["checks"]}
-        assert checks["window-connectivity"] is False
+        with pytest.raises(NoConnectedWindow) as reported:
+            compare_detectors(plan)
+        assert str(reported.value) == str(built.value)
 
     def test_bad_checkpoint_order_rejected(self):
         with pytest.raises(ParameterError):

@@ -327,6 +327,56 @@ class TestBuildSchedule:
             s.matrices[0, 0, 0] = 2.0
 
 
+# the min_weight and window build_schedule stored before both were read from
+# the matrices, as float.hex: the corpus and the 256-node two-matching ring
+STORED_FLOOR_AND_WINDOW = {
+    "correlated2": ("0x1.0000000000000p-1", 1),
+    "identity2": ("0x1.0000000000000p-1", 1),
+    "n1": ("0x1.0000000000000p+0", 1),
+    "n8": ("0x1.0000000000000p-2", 1),
+    "rand5": ("0x1.0000000000000p-2", 2),
+    "ref3": ("0x1.0000000000000p-1", 2),
+    "ring256": ("0x1.0000000000000p-1", 2),
+}
+
+
+class TestMeasuredSchedule:
+    """A WeightSchedule is its matrices: ``min_weight`` and ``window`` are read from them."""
+
+    def test_matrices_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(WeightSchedule)] == ["matrices"]
+
+    @pytest.mark.parametrize("name", [*CORPUS, "ring256"])
+    def test_measured_values_equal_the_stored_ones(self, name, two_matching_ring):
+        built = build_schedule(two_matching_ring(256)) if name == "ring256" else build_scenario(name)[1]
+        s = WeightSchedule(matrices=built.matrices)
+        assert (s.min_weight.hex(), s.window) == STORED_FLOOR_AND_WINDOW[name]
+
+    def test_hand_built_disconnected_schedule(self):
+        """.window raises what build_schedule raises on the same matrices;
+        validate_assumption reports the failure and does not raise."""
+        split = _metropolis_weights(4, frozenset({(1, 2), (3, 4)}))
+        with pytest.raises(NoConnectedWindow) as built:
+            build_schedule(ScheduleSpec(n_nodes=4, topology="explicit", matrices=(split, split)))
+        s = WeightSchedule(matrices=np.array([split, split]))
+        with pytest.raises(NoConnectedWindow) as measured:
+            s.window
+        assert str(measured.value) == str(built.value) == "union support over a full period is disconnected (period 2)"
+        report = validate_assumption(s)
+        assert [(item.name, item.passed) for item in report.items] == [
+            ("symmetric-stochastic", True),
+            ("weight-floor", True),
+            ("window-connectivity", False),
+        ]
+        assert report.items[2].failures == ({"window": 2, "issue": "disconnected-union"},)
+        assert report.passed is False
+
+    def test_window_is_measured_once(self, monkeypatch):
+        s = build_schedule(ALT3)
+        monkeypatch.setattr(network, "_connected", None)
+        assert (s.window, s.min_weight) == (2, 0.5)
+
+
 class TestValidateAssumption:
     def test_valid_schedules_pass_all_items(self):
         for spec in (PATH3, ALT3):
@@ -336,7 +386,7 @@ class TestValidateAssumption:
 
     def test_row_sum_failure_reports_offender(self):
         bad = np.array([[0.5, 0.4], [0.4, 0.5]])
-        s = WeightSchedule(matrices=np.array([bad]), min_weight=0.4, window=1)
+        s = WeightSchedule(matrices=np.array([bad]))
         report = validate_assumption(s)
         item = report.items[0]
         assert not item.passed
@@ -344,24 +394,10 @@ class TestValidateAssumption:
 
     def test_non_finite_entries_flagged(self):
         nan = np.array([[[0.5, np.nan], [np.nan, 0.5]]])
-        s = WeightSchedule(matrices=nan, min_weight=0.5, window=1)
+        s = WeightSchedule(matrices=nan)
         item = validate_assumption(s).items[0]
         assert not item.passed
         assert item.failures == ({"k": 1, "issue": "non-finite", "value": 2},)
-
-    def test_overclaimed_floor_fails(self):
-        s = build_schedule(PATH3)
-        inflated = dataclasses.replace(s, min_weight=0.6)
-        report = validate_assumption(inflated)
-        assert not report.items[1].passed
-
-    def test_overclaimed_window_fails(self):
-        s = build_schedule(ALT3)
-        narrowed = dataclasses.replace(s, window=1)
-        report = validate_assumption(narrowed)
-        item = report.items[2]
-        assert not item.passed
-        assert item.failures[0]["issue"] == "disconnected-union"
 
     def test_report_serializes(self):
         d = validate_assumption(build_schedule(ALT3)).as_dict()
@@ -460,7 +496,7 @@ class TestCheckGeometricDecay:
         assert report.passed
         assert report.worst_ratio < 1.0
         # actual mixing is faster than the proven envelope
-        assert report.measured_rate > -np.log(report.ratio)
+        assert report.measured_rate > -np.log(contraction_bound(3, s.min_weight, s.window).ratio)
 
     def test_perfect_averaging_vanishes(self):
         """Single-edge pair: W = J exactly, products are identically zero."""
@@ -488,14 +524,14 @@ class TestCheckGeometricDecay:
         assert report.worst_ratio == pytest.approx(1.5, rel=1e-4)
 
     def test_non_mixing_schedule_violates(self):
-        """Identity matrices with an overclaimed floor must trip the bound."""
+        """Identity matrices never connect: there is no window, so no envelope
+        to judge against, and the error is the one build_schedule raises."""
         eye = np.eye(2)[None, :, :]
-        s = WeightSchedule(matrices=eye, min_weight=0.9, window=1)
-        report = check_geometric_decay(s, max_gap=100)
-        assert not report.passed
-        assert report.worst_ratio > 1.0
-        assert report.worst_witness["value"] == pytest.approx(0.5)
-        assert report.worst_witness["gap"] >= 1
+        with pytest.raises(NoConnectedWindow) as built:
+            build_schedule(ScheduleSpec(n_nodes=2, topology="explicit", matrices=tuple(eye)))
+        with pytest.raises(NoConnectedWindow) as checked:
+            check_geometric_decay(WeightSchedule(matrices=eye), max_gap=100)
+        assert str(checked.value) == str(built.value)
 
     @pytest.mark.parametrize("name", ["ring64", "ref3", "rand5", "n8"])
     def test_matches_dense_factor_loop(self, name, two_matching_ring):
@@ -535,6 +571,11 @@ class TestCheckGeometricDecay:
         assert report.measured_rate == pytest.approx(rate, rel=1e-12)
 
     def test_report_serializes(self):
-        d = check_geometric_decay(build_schedule(ALT3), max_gap=40).as_dict()
+        s = build_schedule(ALT3)
+        d = dataclasses.asdict(check_geometric_decay(s, max_gap=40))
+        assert sorted(d) == ["max_gap", "measured_rate", "passed", "worst_ratio", "worst_witness"]
         assert d["passed"] is True
         assert 0.0 <= d["worst_ratio"] < 1.0
+        bound = contraction_bound(3, s.min_weight, s.window)
+        witness = d["worst_witness"]
+        assert witness["bound"] == bound.amplitude * bound.ratio ** witness["gap"]
