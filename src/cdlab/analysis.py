@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateVariance, ParameterError
 from .model import GaussianHypothesisPair, innovation_stats
-from .network import WeightSchedule, _check_integer, _check_ks, contraction_bound
+from .network import WeightSchedule, _PaddedRows, _check_integer, _check_ks, contraction_bound
 
 __all__ = [
     "MomentTrajectory",
@@ -143,8 +143,8 @@ def propagate_moments(
     visited in order, each from the one before: the whole periods of a gap
     are jumped (see ``_jump``) where ``_squaring_pays``, and every other k
     is stepped.  W(k) comes from ``s.operators()``, so a step costs O(d N^2)
-    on a padded factor with at most d nonzeros a row and O(N^3) on a dense
-    one, and only the current N x N state is held between visits.  ``keep``,
+    on a padded factor with at most d nonzeros a row, which updates P in place
+    by its fused ``sandwich``, and O(N^3) on a dense one, and only the current N x N state is held between visits.  ``keep``,
     a subset of ``ks``, lists the k at which the full covariance is stored.
     """
     ks = _check_ks(ks, "visited k")
@@ -159,6 +159,9 @@ def propagate_moments(
     mu = n * m_eta
     p = n * n * s_eta
     ops = s.operators()
+    for op in ops:
+        if type(op) is _PaddedRows:
+            np.copyto(op.gather[0], s_eta)  # the fixed term of every padded sandwich
     wpt = np.empty((n, n))
     noise = np.empty((n, n))
 
@@ -167,15 +170,18 @@ def propagate_moments(
         w = ops[(k - 1) % s.period]
         shrink = k / (k + 1.0)
         gain = n / (k + 1.0)
-        # p = (q + q') / 2 with q = shrink^2 W p W' + gain^2 S_eta, formed as
-        # W (W p)' since W and p are symmetric; temporaries go into reused
-        # buffers, as fresh ones fault their pages in at every step
-        np.copyto(wpt, (w @ p).T)
-        wpw = w @ wpt
-        wpw *= shrink * shrink
-        wpw += np.multiply(s_eta, gain * gain, out=noise)
-        np.add(wpw, wpw.T, out=p)
-        p *= 0.5
+        if type(w) is _PaddedRows:
+            w.sandwich(p, shrink * shrink, gain * gain)
+        else:
+            # p = (q + q') / 2 with q = shrink^2 W p W' + gain^2 S_eta, formed as
+            # W (W p)' since W and p are symmetric; temporaries go into reused
+            # buffers, as fresh ones fault their pages in at every step
+            np.copyto(wpt, (w @ p).T)
+            wpw = w @ wpt
+            wpw *= shrink * shrink
+            wpw += np.multiply(s_eta, gain * gain, out=noise)
+            np.add(wpw, wpw.T, out=p)
+            p *= 0.5
         return shrink * (w @ mu) + gain * m_eta
 
     k = 1

@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .errors import (
     InsufficientPoints,
+    NoConnectedWindow,
     ParameterError,
     ShapeError,
     ZeroProbabilityInWindow,
@@ -323,19 +324,25 @@ def report_header(model: GaussianHypothesisPair, schedule: WeightSchedule) -> di
     and analysis.json and comparison.json share.
 
     ``contraction`` holds the schedule's measured ``min_weight`` and
-    ``window`` with the envelope they give, and ``assumption_check`` the
-    report of ``validate_assumption``, run once here.  No field weights the
+    ``window`` with the envelope they give, all but the floor None when no
+    window connects, and ``assumption_check`` the report of
+    ``validate_assumption``, run once here.  No field weights the
     hypotheses: every Bayes error is (alpha + beta) / 2.
     """
-    envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, schedule.window)
+    try:
+        window = schedule.window
+    except NoConnectedWindow:
+        window = envelope = None
+    else:
+        envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, window)
     return {
         "n_sensors": int(model.n_sensors),
         "chernoff_information": float(chernoff_information(model)),
         "contraction": {
             "min_weight": float(schedule.min_weight),
-            "window": int(schedule.window),
-            "amplitude": float(envelope.amplitude),
-            "ratio": float(envelope.ratio),
+            "window": window,
+            "amplitude": None if envelope is None else envelope.amplitude,
+            "ratio": None if envelope is None else envelope.ratio,
         },
         "assumption_check": validate_assumption(schedule).as_dict(),
     }

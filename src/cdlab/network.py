@@ -13,7 +13,8 @@ The backward product Phi(k, j) = W(k-1) ... W(j) governs how innovations
 entered at time j spread by time k.  Its disagreement part (Phi minus the
 averaging projector) contracts geometrically; ``contraction_bound`` gives
 the proven envelope amplitude * ratio**(k-j) and ``check_geometric_decay``
-measures actual products against it.
+judges every gap against it: measured products first, then the 2-norm of
+one period's product, which bounds every later gap.
 
 ``WeightSchedule.operators`` hands the exact path row-padded numpy factors on
 large sparse schedules and dense BLAS ones otherwise, as for every corpus schedule.
@@ -21,6 +22,7 @@ large sparse schedules and dense BLAS ones otherwise, as for every corpus schedu
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -43,8 +45,11 @@ __all__ = [
 
 STOCHASTIC_ATOL = 1e-12
 # factors with SPARSE_MIN_NODES nodes or more and at most SPARSE_DENSITY N nonzeros a row are
-# padded; a two-matching ring step (2-vCPU Xeon, 2 BLAS threads) took 42-59 us padded against
-# 36-41 us dense at N = 64, even at N = 80, and 0.64 ms against 1.46 ms at N = 256
+# padded; one covariance step on the two-matching ring (2-vCPU Xeon, OpenBLAS at 2 threads),
+# the fastest of 9 timings in us, padded sandwich against the dense step, in two runs:
+#   N        32       48       64       80       96       128       256
+#   padded   22-24    31-32    37-40    48-51    64       99-101    425-440
+#   dense    17-19    27-29    46-47    74       110-111  263-290   1968-2004
 SPARSE_DENSITY = 1 / 16
 SPARSE_MIN_NODES = 64
 # the ScheduleSpec fields each topology reads
@@ -224,32 +229,57 @@ class WeightSchedule:
     def operators(self) -> tuple:
         """W(1), ..., W(period) for ``@``: row-padded when large and no row holds
         more than ``SPARSE_DENSITY`` N nonzeros (one hub row would make every
-        product pay N padded gathers), else dense."""
+        product pay N padded gathers), else dense.  The padded factors share
+        one gather target and one transpose buffer, made here: a fresh one
+        faults its pages in at every product."""
         n = self.n_nodes
-        return tuple(_PaddedRows(w) if n >= SPARSE_MIN_NODES and np.count_nonzero(w, axis=1).max() <= SPARSE_DENSITY * n else w for w in self.matrices)
+        ops = [_PaddedRows(w) if n >= SPARSE_MIN_NODES and np.count_nonzero(w, axis=1).max() <= SPARSE_DENSITY * n else w for w in self.matrices]
+        padded = [op for op in ops if type(op) is _PaddedRows]
+        if padded:
+            gather = np.empty((1 + max(len(op.cols) for op in padded), n, n))
+            flip = np.empty((n, n))
+            for op in padded:
+                op.gather, op.flip = gather, flip
+        return tuple(ops)
 
 
 class _PaddedRows:
-    """W x = diag(W) x + sum over slots s of weights[s] x[cols[s]]; a row with fewer
-    nonzeros pads with its own column at weight 0, reading only what the diagonal
-    term reads.  The N x N gather target is made once: a fresh one faults in per product."""
+    """W x = sum over slots s of weights[s] x[cols[s]], slot 0 the diagonal; a row
+    with fewer nonzeros pads with its own column at weight 0, reading only what
+    the diagonal reads.  A product is one gather of x's rows into planes
+    1..slots of ``gather``, the target ``WeightSchedule.operators`` shares
+    with ``flip`` among a schedule's factors, and one weighted sum over the
+    slots; plane 0 holds the fixed term of ``sandwich``, set once by the caller."""
 
     def __init__(self, w: np.ndarray):
         rows, cols = np.nonzero(w - np.diag(np.diag(w)))  # row-major: each row's slots are contiguous
-        slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        self.diag, self.gathered = np.diag(w), np.empty(w.shape)
-        self.cols = np.tile(np.arange(len(w)), (slots.max(initial=-1) + 1, 1))
+        slots = 1 + np.arange(len(rows)) - np.searchsorted(rows, rows)
+        self.cols = np.tile(np.arange(len(w)), (slots.max(initial=0) + 1, 1))
         self.weights = np.zeros(self.cols.shape)
+        self.weights[0] = np.diag(w)
         self.cols[slots, rows], self.weights[slots, rows] = cols, w[rows, cols]
+        self.scaled = np.empty((len(self.cols) + 1, len(w)))  # sandwich's weights, the fixed term's first
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        planes = self.gather[1 : len(self.cols) + 1] if x.shape == self.flip.shape else None
+        return np.take(x, self.cols, axis=0, out=planes, mode="clip")
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        column = (slice(None),) + (None,) * (x.ndim - 1)
-        out = self.diag[column] * x
-        for cols, weights in zip(self.cols, self.weights):
-            gathered = np.take(x, cols, axis=0, out=self.gathered if x.ndim == 2 else None, mode="clip")
-            gathered *= weights[column]
-            out += gathered
-        return out
+        return np.einsum("sa,sa...->a...", self.weights, self._gather(x))
+
+    def sandwich(self, p: np.ndarray, scale: float, weight: float) -> None:
+        """p <- scale W p W' + weight F in place, F = ``gather[0]``, for a symmetric N x N p.
+
+        W (W p)' is formed as two products, the second summing the fixed term
+        with the gathered rows, so no pass scales, adds or symmetrizes; the
+        result is symmetric up to rounding.
+        """
+        np.einsum("sa,sam->am", self.weights, self._gather(p), out=p)
+        np.copyto(self.flip, p.T)
+        self._gather(self.flip)
+        self.scaled[0] = weight
+        np.multiply(self.weights, scale, out=self.scaled[1:])
+        np.einsum("sa,sam->am", self.scaled, self.gather[: len(self.scaled)], out=p)
 
 
 def _support_edges(w: np.ndarray) -> frozenset:
@@ -397,55 +427,88 @@ def contraction_bound(n: int, min_weight: float, window: int) -> ContractionBoun
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Measured disagreement decay versus the proven envelope."""
+    """Disagreement decay against the proven envelope, at every gap.
 
-    max_gap: int
+    Per start phase r, ``phases`` holds ``norm``, the 2-norm sigma_r of the
+    disagreement product over one period from r, the rate -log(sigma_r) / P it
+    proves, and ``tail_gap``, from which on sigma_r ** (gap // P) bounds every
+    entry under the envelope.  The gaps before it are measured, and
+    ``worst_ratio`` and ``worst_witness`` give their largest entry-to-envelope
+    ratio.  ``asymptotic_rate`` is -log(rho) / P, rho the spectral radius the
+    period products of every phase share, and ``envelope_rate`` is
+    -log(ratio) of the paper's envelope.  ``note`` says why a check without
+    an envelope or a closing tail fails.
+    """
+
     worst_ratio: float
     worst_witness: dict
-    measured_rate: float
+    phases: tuple
+    asymptotic_rate: float | None
+    envelope_rate: float | None
     passed: bool
+    note: str | None = None
 
 
-def check_geometric_decay(s: WeightSchedule, max_gap: int = 200) -> DecayReport:
-    """Measure max |disagreement entry| over all gaps up to max_gap.
+def _rate(norm: float, period: int) -> float:
+    """The per-step rate -log(norm) / P, infinite when the products vanish."""
+    return -math.log(norm) / period if norm > 0.0 else math.inf
 
-    Start times j range over one period; products accumulate incrementally
-    through ``s.operators()``, O(d N^2) a step with at most d nonzeros a row.
-    ``passed`` is False when any entry exceeds the envelope by more than a
-    relative 1e-9; ``worst_witness`` locates the largest entry-to-envelope
-    ratio.  The measured per-gap decay rate (slope of log max-entry) is
-    reported alongside; it is infinite when products vanish outright.
+
+def check_geometric_decay(s: WeightSchedule) -> DecayReport:
+    """Judge max |disagreement entry| against the envelope at every gap.
+
+    Each W(k) - J has 2-norm at most 1 on a schedule that passes
+    ``validate_assumption``, so an entry of the product over g steps from
+    phase r is at most sigma_r ** (g // P).  Products from each phase
+    accumulate through ``s.operators()``, O(d N^2) a step with at most d
+    nonzeros a row, and each is measured until that tail bound lies under
+    the envelope for one full period; as sigma_r <= ratio ** P, it then does
+    at every later gap too (Xiao and Boyd, Systems & Control Letters 53,
+    2004).  ``passed`` is False when a measured entry exceeds the envelope
+    by more than a relative 1e-9, when sigma_r > ratio ** P leaves the tail
+    unproven, and when no window connects: there is no contraction.
     """
-    max_gap = _check_integer(max_gap, "max_gap", 1)
-    bound = contraction_bound(s.n_nodes, s.min_weight, s.window)
+    try:
+        bound = contraction_bound(s.n_nodes, s.min_weight, s.window)
+    except NoConnectedWindow:
+        return DecayReport(0.0, {}, (), None, None, False, "no contraction: the union support over a period is disconnected")
+    n, period = s.n_nodes, s.period
+
+    def envelope(gap):
+        return bound.amplitude * bound.ratio**gap
+
+    def tail_closes(norm, gap):
+        """Whether norm ** (g // P) lies under the envelope at the P gaps after ``gap``."""
+        return all(norm ** (g // period) <= envelope(g) * (1.0 + 1e-9) for g in range(gap + 1, gap + period + 1))
+
     ops = s.operators()
-    gap_max = np.zeros(max_gap)
     worst = (0.0, {})
     passed = True
-    for j0 in range(1, s.period + 1):
-        prod = np.eye(s.n_nodes) - 1.0 / s.n_nodes
-        for gap in range(1, max_gap + 1):
+    phases = []
+    for j0 in range(1, period + 1):
+        prod = np.eye(n) - 1.0 / n
+        gap, norm = 0, None
+        while norm is None or (norm <= bound.ratio**period and not tail_closes(norm, gap)):
+            gap += 1
             # (I - J) W prod = (W - J) prod: W is doubly stochastic, prod's columns sum to 0
-            prod = ops[(j0 + gap - 2) % s.period] @ prod
+            prod = ops[(j0 + gap - 2) % period] @ prod
             prod -= prod.mean(axis=0)
-            value = float(np.abs(prod).max())
-            envelope = bound.amplitude * bound.ratio**gap
-            passed = passed and value <= envelope * (1.0 + 1e-9)
-            gap_max[gap - 1] = max(gap_max[gap - 1], value)
-            if envelope > 0 and value / envelope > worst[0]:
-                worst = (value / envelope, {"j": j0, "k": j0 + gap, "gap": gap, "value": value, "bound": envelope})
-
-    gaps = np.arange(1, max_gap + 1)
-    mask = gap_max > 1e-280
-    if mask.sum() >= 2:
-        slope = np.polyfit(gaps[mask], np.log(gap_max[mask]), 1)[0]
-        measured_rate = -float(slope)
-    else:
-        measured_rate = float("inf")
+            value, line = float(np.abs(prod).max()), envelope(gap)
+            passed = passed and value <= line * (1.0 + 1e-9)
+            if value / line > worst[0]:
+                worst = (value / line, {"j": j0, "k": j0 + gap, "gap": gap, "value": value, "bound": line})
+            if gap == period:
+                norm = float(np.linalg.norm(prod, 2))
+                if j0 == 1:  # the period products of all phases are cyclic shifts: one spectrum
+                    rho = float(np.abs(np.linalg.eigvals(prod)).max())
+        phases.append({"phase": j0, "norm": norm, "proven_rate": _rate(norm, period), "tail_gap": gap + 1})
+    unproven = [row["phase"] for row in phases if row["norm"] > bound.ratio**period]
     return DecayReport(
-        max_gap=max_gap,
         worst_ratio=worst[0],
         worst_witness=worst[1],
-        measured_rate=measured_rate,
-        passed=passed,
+        phases=tuple(phases),
+        asymptotic_rate=_rate(rho, period),
+        envelope_rate=-math.log(bound.ratio),
+        passed=passed and not unproven,
+        note=f"one period's norm does not prove the envelope's ratio from phases {unproven}" if unproven else None,
     )

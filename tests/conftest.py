@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cdlab.network import ScheduleSpec
+from cdlab.network import ScheduleSpec, build_schedule
 
 
 @pytest.fixture
@@ -18,6 +18,14 @@ def two_matching_ring():
         return ScheduleSpec(n_nodes=n, topology="alternating-links", link_cycle=(odd, even))
 
     return spec
+
+
+@pytest.fixture
+def irregular64():
+    """A 64-node ring with chords, edges kept at random per step (period 4):
+    rows hold 1 to 4 nonzeros, so its factors are padded and short rows pad."""
+    edges = [(i, i % 64 + 1) for i in range(1, 65)] + [(i, i + 32) for i in range(1, 33)]
+    return build_schedule(ScheduleSpec(n_nodes=64, topology="random-subgraph", edges=tuple(edges), period=4, seed=3, keep_prob=0.6))
 
 
 @pytest.fixture

@@ -106,12 +106,12 @@ def test_criterion_04_contraction_envelope():
     for name in CORPUS:
         _, schedule, _ = build_scenario(name)
         assert validate_assumption(schedule).passed
-        report = check_geometric_decay(schedule, max_gap=200)  # raises on any violation
+        report = check_geometric_decay(schedule)
         assert report.passed
         assert report.worst_ratio <= 1.0
         checked.append(f"{name}:{report.worst_ratio:.3f}")
-    print(f"[criterion 04] PASS: zero envelope violations over gaps 1..200; "
-          f"worst measured/bound ratios {', '.join(checked)}")
+    print(f"[criterion 04] PASS: zero envelope violations at every gap (measured gaps, then "
+          f"one period's norm); worst measured/bound ratios {', '.join(checked)}")
 
 
 def test_criterion_05_closed_form_equals_recursion():

@@ -129,8 +129,12 @@ class TestAnalyze:
         ]
         analysis = json.loads((out / "identity2_analysis.json").read_text())
         assert analysis["chernoff_information"] == 0.25
-        assert sorted(analysis["decay"]) == ["max_gap", "measured_rate", "passed", "worst_ratio", "worst_witness"]
-        assert analysis["decay"]["passed"] is True
+        decay = analysis["decay"]
+        assert sorted(decay) == ["asymptotic_rate", "envelope_rate", "note", "passed", "phases", "worst_ratio", "worst_witness"]
+        assert decay["passed"] is True and decay["note"] is None
+        # W = J: the products vanish, so both rates are infinite and written as null
+        assert decay["phases"] == [{"phase": 1, "norm": 0.0, "proven_rate": None, "tail_gap": 2}]
+        assert decay["asymptotic_rate"] is None
         header = (out / "identity2_curves_exact.csv").read_text().splitlines()[0]
         assert header == "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
         manifest = json.loads((out / "identity2_analyze_manifest.json").read_text())
@@ -230,11 +234,9 @@ class TestAnalyze:
     def test_decay_violation_leaves_report_and_exits_one(self, tmp_path, monkeypatch, capsys):
         real = cli.check_geometric_decay
 
-        def failing(schedule, max_gap):
+        def failing(schedule):
             witness = {"j": 1, "k": 2, "gap": 1, "value": 0.5, "bound": 0.25}
-            return dataclasses.replace(
-                real(schedule, max_gap), passed=False, worst_ratio=2.0, worst_witness=witness
-            )
+            return dataclasses.replace(real(schedule), passed=False, worst_ratio=2.0, worst_witness=witness)
 
         monkeypatch.setattr(cli, "check_geometric_decay", failing)
         out = tmp_path / "out"

@@ -527,21 +527,26 @@ class TestCompareDetectors:
         assert {f["issue"] for f in structure["failures"]} == {"row-sum"}
 
     def test_disconnected_matrices_flag_the_window_check(self):
-        """Identity mixing never connects: it has no window, so no envelope
-        and no report, and the error is the one build_schedule raises on
-        the same matrices."""
+        """Identity mixing never connects: build_schedule refuses the matrices,
+        and a schedule holding them is reported, not raised on.  There is no
+        window and so no envelope, the window-connectivity check fails, and
+        the verdict is suppressed with its note."""
         model, schedule = alt3_scenario()
         frozen_eye = np.broadcast_to(np.eye(3), schedule.matrices.shape).copy()
         frozen_eye.setflags(write=False)
-        with pytest.raises(NoConnectedWindow) as built:
+        with pytest.raises(NoConnectedWindow):
             build_schedule(ScheduleSpec(n_nodes=3, topology="explicit", matrices=tuple(frozen_eye)))
         broken = dataclasses.replace(schedule, matrices=frozen_eye)
         plan = ExperimentPlan(
             model=model, schedule=broken, k_checkpoints=(1,), n_trials=10, master_seed=0
         )
-        with pytest.raises(NoConnectedWindow) as reported:
-            compare_detectors(plan)
-        assert str(reported.value) == str(built.value)
+        report = compare_detectors(plan)
+        assert report["contraction"] == {"min_weight": 1.0, "window": None, "amplitude": None, "ratio": None}
+        assert report["verdict"] is None
+        assert "suppressed" in report["verdict_note"]
+        checks = {check["name"]: check for check in report["assumption_check"]["checks"]}
+        assert checks["window-connectivity"]["failures"] == [{"window": 2, "issue": "disconnected-union"}]
+        assert [name for name, check in checks.items() if not check["passed"]] == ["window-connectivity"]
 
     def test_bad_checkpoint_order_rejected(self):
         with pytest.raises(ParameterError):

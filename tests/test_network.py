@@ -216,19 +216,19 @@ class TestBuildSchedule:
             # two nonzero terms per row: their sum is exact in any order
             assert np.array_equal(op @ v, (w * v).sum(axis=1))
 
-    def test_padded_factor_on_irregular_sparse_schedule(self):
+    def test_padded_factor_on_irregular_sparse_schedule(self, irregular64):
         """A 64-node ring with chords, edges kept at random: rows hold 1 to 4
-        nonzeros, so short rows are padded.  Products match dense W @ x within
-        1e-15 relative on nonnegative operands, and within 1e-15 of |W| @ |x|
-        on signed ones; a NaN in row j of the operand reaches exactly the
-        rows whose factor row has a nonzero in column j."""
-        edges = [(i, i % 64 + 1) for i in range(1, 65)] + [(i, i + 32) for i in range(1, 33)]
-        spec = ScheduleSpec(n_nodes=64, topology="random-subgraph", edges=tuple(edges), period=4, seed=3, keep_prob=0.6)
-        schedule = build_schedule(spec)
+        nonzeros, so short rows are padded, and slot 0 is the diagonal.
+        Products match dense W @ x within 1e-15 relative on nonnegative
+        operands, and within 1e-15 of |W| @ |x| on signed ones; a NaN in row j
+        of the operand reaches exactly the rows whose factor row has a nonzero
+        in column j."""
+        schedule = irregular64
         rng = np.random.default_rng(11)
         for w, op in zip(schedule.matrices, schedule.operators()):
             counts = np.count_nonzero(w, axis=1)
-            assert type(op) is _PaddedRows and counts.min() < counts.max() == len(op.cols) + 1
+            assert type(op) is _PaddedRows and counts.min() < counts.max() == len(op.cols)
+            assert np.array_equal(op.cols[0], np.arange(64)) and np.array_equal(op.weights[0], np.diag(w))
             for x in (rng.random((64, 64)), rng.random(64)):
                 np.testing.assert_allclose(op @ x, w @ x, rtol=1e-15, atol=0.0)
             for x in (rng.standard_normal((64, 64)), rng.standard_normal(64)):
@@ -238,6 +238,33 @@ class TestBuildSchedule:
                 x[j] = np.nan
                 assert np.array_equal(np.isnan(op @ x).any(axis=1), w[:, j] != 0.0)
                 assert np.array_equal(np.isnan(op @ x[:, 0]), w[:, j] != 0.0)
+
+    def test_padded_sandwich_matches_the_dense_update(self, irregular64):
+        """One fused update p <- scale W p W' + weight S on each factor of the
+        irregular schedule (1 to 4 nonzeros a row) matches the dense formula
+        within 1e-15 of scale |W| |p| |W|' + weight |S| (seen: 4.4e-16), with S
+        the fixed plane every factor of the schedule shares; a NaN at (i, j)
+        and (j, i) of p reaches exactly the entries (a, b) with W[a, i] and
+        W[b, j], or W[a, j] and W[b, i], nonzero."""
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((2, 64, 64))
+        p0, fixed = a @ a.T, b @ b.T
+        ops = irregular64.operators()
+        np.copyto(ops[0].gather[0], fixed)
+        assert all(op.gather is ops[0].gather for op in ops)
+        for w, op in zip(irregular64.matrices, ops):
+            for scale, weight in ((0.81, 0.04), (1.0, 0.0), (0.25, 3.0)):
+                p = p0.copy()
+                op.sandwich(p, scale, weight)
+                scale_of = scale * (np.abs(w) @ np.abs(p0) @ np.abs(w).T) + weight * np.abs(fixed)
+                assert np.all(np.abs(p - (scale * (w @ p0 @ w.T) + weight * fixed)) <= 1e-15 * scale_of)
+            support = (w != 0.0).astype(float)
+            for i, j in [(0, 0), (5, 40), (17, 18), (63, 31), *rng.integers(0, 64, (6, 2)).tolist()]:
+                hit = np.zeros((64, 64))
+                hit[i, j] = hit[j, i] = 1.0
+                p = np.where(hit > 0.0, np.nan, p0)
+                op.sandwich(p, 0.5, 0.5)
+                assert np.array_equal(np.isnan(p), support @ hit @ support.T > 0.0)
 
     def test_disconnected_static_rejected(self):
         with pytest.raises(NoConnectedWindow):
@@ -492,24 +519,30 @@ class TestContractionBound:
 class TestCheckGeometricDecay:
     def test_alternation_respects_envelope(self):
         s = build_schedule(ALT3)
-        report = check_geometric_decay(s, max_gap=200)
-        assert report.passed
+        report = check_geometric_decay(s)
+        assert report.passed and report.note is None
         assert report.worst_ratio < 1.0
-        # actual mixing is faster than the proven envelope
-        assert report.measured_rate > -np.log(contraction_bound(3, s.min_weight, s.window).ratio)
+        # actual mixing is faster than the proven envelope, in the norm of one period and asymptotically
+        envelope_rate = -np.log(contraction_bound(3, s.min_weight, s.window).ratio)
+        assert report.envelope_rate == pytest.approx(envelope_rate, rel=1e-15)
+        assert min(row["proven_rate"] for row in report.phases) > envelope_rate
+        assert report.asymptotic_rate > envelope_rate
 
     def test_perfect_averaging_vanishes(self):
         """Single-edge pair: W = J exactly, products are identically zero."""
         s = build_schedule(ScheduleSpec(n_nodes=2, topology="static", edges=((1, 2),)))
-        report = check_geometric_decay(s, max_gap=50)
+        report = check_geometric_decay(s)
         assert report.passed
         assert report.worst_ratio == 0.0
-        assert report.measured_rate == np.inf
+        assert report.phases == ({"phase": 1, "norm": 0.0, "proven_rate": np.inf, "tail_gap": 2},)
+        assert report.asymptotic_rate == np.inf
 
     def test_pass_line_is_the_envelope(self, monkeypatch):
-        """ref3's largest entry-to-envelope ratio to gap 60 is 0.6528; with the
+        """ref3's largest entry-to-envelope ratio is 0.6528, at gap 1; with the
         amplitude scaled so that it reads 1.5, an entry between one and two
-        envelopes, the check fails."""
+        envelopes, the check fails.  The tail bound 0.5 ** (gap // 2) then
+        first lies under the lowered envelope over a full period from gap 4,
+        not 3: gap 3's 0.5 is above 0.435 times the old envelope."""
         real = network.contraction_bound
 
         def scaled(*args):
@@ -517,65 +550,134 @@ class TestCheckGeometricDecay:
             return dataclasses.replace(bound, amplitude=bound.amplitude * 0.6528 / 1.5)
 
         _, schedule, _ = build_scenario("ref3")
-        assert check_geometric_decay(schedule, max_gap=60).worst_ratio == pytest.approx(0.6528, rel=1e-4)
+        report = check_geometric_decay(schedule)
+        assert report.worst_ratio == pytest.approx(0.6528, rel=1e-4)
+        assert [row["tail_gap"] for row in report.phases] == [3, 3]
         monkeypatch.setattr(network, "contraction_bound", scaled)
-        report = check_geometric_decay(schedule, max_gap=60)
+        report = check_geometric_decay(schedule)
         assert report.passed is False
         assert report.worst_ratio == pytest.approx(1.5, rel=1e-4)
+        assert [row["tail_gap"] for row in report.phases] == [4, 4]
 
-    def test_non_mixing_schedule_violates(self):
-        """Identity matrices never connect: there is no window, so no envelope
-        to judge against, and the error is the one build_schedule raises."""
-        eye = np.eye(2)[None, :, :]
-        with pytest.raises(NoConnectedWindow) as built:
-            build_schedule(ScheduleSpec(n_nodes=2, topology="explicit", matrices=tuple(eye)))
-        with pytest.raises(NoConnectedWindow) as checked:
-            check_geometric_decay(WeightSchedule(matrices=eye), max_gap=100)
-        assert str(checked.value) == str(built.value)
+    def test_a_tail_that_cannot_close_fails(self, monkeypatch):
+        """With an envelope of ratio 0.6, ref3's one-period norm 0.5 exceeds
+        0.6 ** 2: the tail bound cannot be carried from period to period, so
+        later gaps are unproven and the check fails although every measured
+        entry lies far under the envelope's amplitude of 1e6."""
+        monkeypatch.setattr(network, "contraction_bound", lambda *args: network.ContractionBound(amplitude=1e6, ratio=0.6))
+        report = check_geometric_decay(build_scenario("ref3")[1])
+        assert report.worst_ratio < 1e-5
+        assert [row["tail_gap"] for row in report.phases] == [3, 3]
+        assert report.passed is False
+        assert report.note == "one period's norm does not prove the envelope's ratio from phases [1, 2]"
+
+    @pytest.mark.parametrize("matrices", [np.eye(2)[None], np.array([_metropolis_weights(4, frozenset({(1, 2), (3, 4)}))] * 2)], ids=["identity", "split"])
+    def test_disconnected_schedule_has_no_contraction(self, matrices):
+        """Identity mixing, and two pairs that never meet: no window connects,
+        so there is no envelope and no rate, and the report says so and fails;
+        build_schedule refuses the same matrices."""
+        with pytest.raises(NoConnectedWindow):
+            build_schedule(ScheduleSpec(n_nodes=len(matrices[0]), topology="explicit", matrices=tuple(matrices)))
+        report = check_geometric_decay(WeightSchedule(matrices=matrices))
+        assert report.passed is False
+        assert report.note.startswith("no contraction")
+        assert (report.phases, report.asymptotic_rate, report.envelope_rate, report.worst_witness) == ((), None, None, {})
 
     @pytest.mark.parametrize("name", ["ring64", "ref3", "rand5", "n8"])
     def test_matches_dense_factor_loop(self, name, two_matching_ring):
-        """The report equals a dense (W - J) product loop, on the CSR ring and
+        """The report equals a dense (W - J) product loop, on the padded ring and
         on the corpus schedules whose products do not vanish.
 
-        The loop's per-(j, gap) maxima match ``disagreement_product`` to
-        PRODUCT_AGREE_ATOL at sampled points; the verdict and witness must
-        be equal and the measured rate agree to 1e-12 relative (seen: 2e-16
-        or less).  On the corpus the maxima fall to 1e-33 to 1e-60, so the
-        rate also checks that rounding along the averaging direction is
-        removed at every step.
+        The loop's per-(j, gap) maxima to gap 200 match ``disagreement_product``
+        to PRODUCT_AGREE_ATOL at sampled points.  The gaps before each phase's
+        ``tail_gap`` are measured: the verdict and witness must be the loop's
+        over them.  Each phase's norm is the loop's one-period product's
+        within 1e-12 relative, and every later gap to 200 lies under its tail
+        bound, which lies under the envelope; the asymptotic rate is the
+        loop's spectral radius's within 1e-12 relative.  On the corpus the
+        maxima fall to 1e-33 to 1e-60 by gap 200, and the tail bound with them.
         """
         s = build_schedule(two_matching_ring(64)) if name == "ring64" else build_scenario(name)[1]
-        n, max_gap = s.n_nodes, 200
-        report = check_geometric_decay(s, max_gap=max_gap)
+        n, period, max_gap = s.n_nodes, s.period, 200
+        report = check_geometric_decay(s)
         jmat = np.full((n, n), 1.0 / n)
-        values = np.empty((s.period, max_gap))
-        for j in range(1, s.period + 1):
+        values = np.empty((period, max_gap))
+        for j in range(1, period + 1):
             prod = np.eye(n)
             for gap in range(1, max_gap + 1):
                 prod = (s.weight_at(j + gap - 1) - jmat) @ prod
                 values[j - 1, gap - 1] = np.abs(prod).max()
-        for j, gap in [(1, 1), (s.period, 1), (1, 37), (s.period, 100), (1, 200)]:
+                if gap == period:
+                    row = report.phases[j - 1]
+                    assert row["norm"] == pytest.approx(np.linalg.norm(prod, 2), rel=1e-12)
+                    if j == 1:
+                        rho = np.abs(np.linalg.eigvals(prod)).max()
+                        assert report.asymptotic_rate == pytest.approx(-np.log(rho) / period, rel=1e-12)
+        for j, gap in [(1, 1), (period, 1), (1, 37), (period, 100), (1, 200)]:
             oracle = float(np.abs(disagreement_product(s, j + gap, j)).max())
             assert abs(values[j - 1, gap - 1] - oracle) <= PRODUCT_AGREE_ATOL
         bound = contraction_bound(n, s.min_weight, s.window)
         gaps = np.arange(1, max_gap + 1)
         envelope = bound.amplitude * bound.ratio**gaps
-        assert report.passed == bool(np.all(values <= envelope * (1.0 + 1e-9)))
-        j, g = np.unravel_index(np.argmax(values / envelope), values.shape)
+        norms = np.array([[row["norm"]] for row in report.phases])
+        tails = np.array([[row["tail_gap"]] for row in report.phases])
+        assert np.all(tails <= 2 * period + 1)
+        tail_bound = norms ** (gaps // period)
+        assert np.all((gaps < tails) | (values <= tail_bound * (1.0 + 1e-12)) & (tail_bound <= envelope))
+        ratios = np.where(gaps < tails, values / envelope, 0.0)
+        assert report.passed == bool(np.all(ratios <= 1.0 + 1e-9))
+        j, g = np.unravel_index(np.argmax(ratios), ratios.shape)
+        assert report.worst_ratio == ratios[j, g]
         witness = report.worst_witness
         assert (witness["j"], witness["k"], witness["gap"]) == (j + 1, j + g + 2, g + 1)
-        gap_max = values.max(axis=0)
-        mask = gap_max > 1e-280
-        rate = -np.polyfit(gaps[mask], np.log(gap_max[mask]), 1)[0]
-        assert report.measured_rate == pytest.approx(rate, rel=1e-12)
+
+    def test_rounding_in_the_averaging_direction_is_removed(self):
+        """The 3-node path's matrix repeated 150 times as one period: every
+        phase's period product is (W - J)^150, whose 2-norm (2/3)^150 = 3.7e-27
+        lies far under the 1e-17 at which rounding along the averaging
+        direction (1/3 is inexact) would stall the products if they were not
+        projected at every step; each phase's norm reads it within 1e-12
+        relative."""
+        w = build_schedule(PATH3).matrices[0]
+        sigma = np.linalg.norm(w - 1.0 / 3, 2)
+        assert sigma == pytest.approx(2.0 / 3.0, rel=1e-15)
+        report = check_geometric_decay(WeightSchedule(matrices=np.array([w] * 150)))
+        assert report.passed and len(report.phases) == 150
+        for row in report.phases:
+            assert row["norm"] == pytest.approx(sigma**150, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name, fitted", [("ref3", 0.6931471805599453), ("rand5", 0.3747879174917935), ("n8", 0.38145944638799)])
+    def test_asymptotic_rate_is_the_fitted_slope(self, name, fitted):
+        """The asymptotic rate agrees within 1e-3 relative with the slope of
+        log max-entry over gaps 1..200 that the report fitted before it read
+        the spectral radius."""
+        assert check_geometric_decay(build_scenario(name)[1]).asymptotic_rate == pytest.approx(fitted, rel=1e-3)
+
+    def test_tail_bound_covers_a_slow_ring(self, two_matching_ring):
+        """On the 256-node two-matching ring one period's norm is 0.9997, so
+        sigma^100 > 0.97: the products are far from decayed at gap 200, where
+        measured gaps alone could not show the envelope held beyond.  The
+        tail bound holds from gap 3, and every product to gap 200 lies under it."""
+        s = build_schedule(two_matching_ring(256))
+        report = check_geometric_decay(s)
+        assert report.passed and [row["tail_gap"] for row in report.phases] == [3, 3]
+        ops = s.operators()
+        for row in report.phases:
+            assert row["norm"] ** 100 > 0.97
+            prod = np.eye(256) - 1.0 / 256
+            for gap in range(1, 201):
+                prod = ops[(row["phase"] + gap - 2) % 2] @ prod
+                prod -= prod.mean(axis=0)
+                assert np.abs(prod).max() <= row["norm"] ** (gap // 2) * (1.0 + 1e-12)
+            assert np.linalg.norm(prod, 2) <= row["norm"] ** 100 * (1.0 + 1e-12)
 
     def test_report_serializes(self):
         s = build_schedule(ALT3)
-        d = dataclasses.asdict(check_geometric_decay(s, max_gap=40))
-        assert sorted(d) == ["max_gap", "measured_rate", "passed", "worst_ratio", "worst_witness"]
+        d = dataclasses.asdict(check_geometric_decay(s))
+        assert sorted(d) == ["asymptotic_rate", "envelope_rate", "note", "passed", "phases", "worst_ratio", "worst_witness"]
         assert d["passed"] is True
         assert 0.0 <= d["worst_ratio"] < 1.0
+        assert [row["phase"] for row in d["phases"]] == [1, 2]
         bound = contraction_bound(3, s.min_weight, s.window)
         witness = d["worst_witness"]
         assert witness["bound"] == bound.amplitude * bound.ratio ** witness["gap"]

@@ -18,7 +18,7 @@ class TestCorpus:
         model, schedule, config = build_scenario(name)
         assert model.n_sensors == schedule.n_nodes
         assert validate_assumption(schedule).passed
-        assert check_geometric_decay(schedule, max_gap=60).passed
+        assert check_geometric_decay(schedule).passed
 
     def test_reference_scenario_shape(self):
         _, schedule, _ = build_scenario("ref3")
