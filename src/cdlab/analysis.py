@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, ParameterError
+from .errors import DegenerateVariance, NoConnectedWindow, ParameterError
 from .model import GaussianHypothesisPair, innovation_stats
 from .network import WeightSchedule, _PaddedRows, _check_integer, _check_ks, contraction_bound
 
@@ -360,18 +360,20 @@ class ResidualCurves:
     """The mixing residual at each tilt of ``mus`` and k of ``ks``, as two K x n parts.
 
     ``rows`` forms the row at (mu, k), (n/k) mu lin_k + n^2/(2k) mu^2 quad_cross_k.
+    ``bounds`` is None when no window connects: there is no envelope.
     """
 
     mus: tuple
     ks: np.ndarray  # (K,)
     lin: np.ndarray  # (K, n)
     quad_cross: np.ndarray  # (K, n)
-    bounds: np.ndarray  # (len(mus), K)
+    bounds: np.ndarray | None  # (len(mus), K)
 
     def rows(self):
         """Yield (mu, k, values, bound) for each tilt, then each k; values is a new n-vector."""
         n = self.lin.shape[1]
-        for mu, bounds in zip(self.mus, self.bounds):
+        table = np.full((len(self.mus), self.ks.size), None) if self.bounds is None else self.bounds
+        for mu, bounds in zip(self.mus, table):
             for k, bound, lin, quad_cross in zip(self.ks.tolist(), bounds.tolist(), self.lin, self.quad_cross):
                 yield mu, k, (n / k) * mu * lin + (n * n / (2.0 * k)) * mu * mu * quad_cross, bound
 
@@ -380,15 +382,17 @@ def fold_worst_ratio(rows, worst: dict):
     """Pass each row on as (mu, k, values, bound, node, peak), folding peak / bound into ``worst[mu]``.
 
     The peak is max |value|, first attained at the 1-based ``node``; NaN
-    propagates, and a zero row reads 0, even under mu = 0's zero bound.
+    propagates, and a zero row reads 0, even under mu = 0's zero bound.  A row
+    whose bound is None, there being no envelope, folds no ratio.
     """
     for mu, k, values, bound in rows:
         magnitudes = np.abs(values)
         index = int(magnitudes.argmax())  # the first NaN, else the first maximum
         peak = magnitudes[index]
-        with np.errstate(divide="ignore"):
-            ratio = 0.0 if peak == 0.0 else peak / bound
-        worst[mu] = np.maximum(worst.get(mu, -np.inf), ratio)
+        if bound is not None:
+            with np.errstate(divide="ignore"):
+                ratio = 0.0 if peak == 0.0 else peak / bound
+            worst[mu] = np.maximum(worst.get(mu, -np.inf), ratio)
         yield mu, k, values, bound, index + 1, float(peak)
 
 
@@ -420,7 +424,8 @@ def mixing_residual_curves(
       quad_cross = quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
     with m_eta the H1 innovation mean.  The H0 innovation mean is its
     negation and the covariance is shared, so the H0 residual at tilt mu is
-    the H1 residual at -mu.  The bound decays like 1/k and depends on |mu|.
+    the H1 residual at -mu.  The bound decays like 1/k and depends on |mu|;
+    with no connected window there is none, and ``bounds`` is None.
     """
     k_max = _check_integer(k_max, "k_max", 2)
     if not (k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
@@ -439,7 +444,10 @@ def mixing_residual_curves(
     quad_cross -= ideal * (s_eta.sum() / (n * n))
     m_bar, s_bar = float(np.abs(m_eta).max()), float(np.abs(s_eta).max())
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
-    env = contraction_bound(n, s.min_weight, s.window)
+    try:
+        env = contraction_bound(n, s.min_weight, s.window)
+    except NoConnectedWindow:
+        return ResidualCurves(mus, ks, lin, quad_cross, None)
     theta, beta = env.amplitude, env.ratio
     bounds = np.empty((len(mus), ks.size))  # a row at a time: its temporaries are K-vectors
     for row, mu in enumerate(map(abs, mus)):

@@ -5,6 +5,21 @@ import json
 import pytest
 
 from cdlab.network import ScheduleSpec, build_schedule
+from corpus import write_artifacts
+
+
+@pytest.fixture(scope="session")
+def corpus_run(tmp_path_factory):
+    """corpus_run(name) -> the directory ``corpus.write_artifacts`` filled for a corpus
+    scenario: its ``analyze`` and golden ``simulate`` artifacts, written once a session."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            cache[name] = write_artifacts(name, tmp_path_factory.mktemp(name))
+        return cache[name]
+
+    return run
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from cdlab.cli import RESIDUAL_MUS
 from cdlab.errors import DegenerateVariance, ParameterError
 from cdlab.experiment import ExperimentPlan, Thresholds, fit_exponent
 from cdlab.model import Hypothesis, build_model, innovation_stats
-from cdlab.network import ScheduleSpec, _PaddedRows, build_schedule, contraction_bound
+from cdlab.network import ScheduleSpec, WeightSchedule, _PaddedRows, build_schedule, contraction_bound
 from corpus import CORPUS, build_scenario
 from oracles import (
     MaximizerAtBoundary,
@@ -800,6 +800,22 @@ class TestMixingResidual:
         assert worst[0.0] == 0.0
         assert math.isnan(worst[0.5])
         assert worst[1.0] == math.inf
+
+    def test_disconnected_schedule_has_no_bound(self):
+        """With no connected window there is no envelope, as report_header and
+        check_geometric_decay report it: the bounds are None, and each row passes
+        the fold with its peak and node but folds no ratio."""
+        model, _ = alt3_scenario()
+        schedule = WeightSchedule(matrices=np.array([np.eye(3)] * 2))
+        traj = propagate_moments(model, schedule, range(1, 11))
+        residual = mixing_residual_curves(model, schedule, traj, 10, (0.0, 0.5))
+        assert residual.bounds is None
+        worst = {}
+        rows = list(fold_worst_ratio(residual.rows(), worst))
+        assert [(mu, k) for mu, k, *_ in rows] == [(mu, k) for mu in (0.0, 0.5) for k in range(2, 11)]
+        assert all(bound is None for _, _, _, bound, _, _ in rows)
+        assert [peak > 0.0 for mu, _, _, _, _, peak in rows] == [mu == 0.5 for mu, *_ in rows]
+        assert worst == {}
 
     def test_non_finite_tilt_rejected(self):
         model, schedule = alt3_scenario()

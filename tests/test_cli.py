@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import time
@@ -13,9 +14,11 @@ from cdlab import cli
 from cdlab.analysis import propagate_moments
 from cdlab.cli import main
 from cdlab.config import scenario_from_file
+from cdlab.network import _PaddedRows
+from corpus import CORPUS, SCENARIO_DIR, scenario_config
 from oracles import fold_residual_csv, per_cell_residual_csv, residual_cube
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -39,15 +42,20 @@ class TestValidate:
         assert payload["assumption_check"]["passed"] is True
         assert (payload["period"], payload["contraction"]["window"], payload["contraction"]["min_weight"]) == (2, 2, 0.5)
 
-    def test_prints_the_analysis_header(self, tmp_path, capsys):
-        """validate states the scenario with the header analysis.json carries."""
-        config = str(SCENARIO_DIR / "rand5.json")
-        assert main(["validate", "--config", config]) == 0
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_prints_the_analysis_header(self, name, corpus_run, capsys):
+        """validate states the scenario with the header analysis.json carries, whose
+        decay check passed, and analyze writes three artifacts besides its manifest."""
+        assert main(["validate", "--config", str(SCENARIO_DIR / f"{name}.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload.pop("period") == 4
-        assert main(["analyze", "--quiet", "--config", config, "--out", str(tmp_path)]) == 0
-        analysis = json.loads((tmp_path / "rand5_analysis.json").read_text())
+        assert sorted(payload) == ["assumption_check", "chernoff_information", "contraction", "n_sensors", "period", "scenario"]
+        assert payload.pop("period") == scenario_config(name).build_schedule().period
+        out = corpus_run(name)
+        analysis = json.loads((out / f"{name}_analysis.json").read_text())
         assert {key: analysis[key] for key in payload} == payload
+        assert analysis["decay"]["passed"] is True
+        manifest = json.loads((out / f"{name}_analyze_manifest.json").read_text())
+        assert sorted(manifest["files"]) == [f"{name}_{suffix}" for suffix in ("analysis.json", "curves_exact.csv", "residual_diagnostic.csv")]
 
     def test_quiet_suppresses_output(self, capsys):
         code = main(["validate", "--quiet", "--config", str(SCENARIO_DIR / "n8.json")])
@@ -107,6 +115,16 @@ class TestValidate:
         path.write_bytes(b"\xff\xfe" + (SCENARIO_DIR / "ref3.json").read_bytes())
         assert main(["validate", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_explicit_matrices_run(self, tmp_path):
+        data = {
+            "name": "explicit2",
+            "model": {"m0": [0, 0], "m1": [1, 1], "covariance": "identity"},
+            "network": {"topology": "explicit", "matrices": [[[0.5, 0.5], [0.5, 0.5]]]},
+        }
+        config = write_config(tmp_path, data)
+        assert main(["validate", "--quiet", "--config", config]) == 0
+        assert main(["analyze", "--quiet", "--config", config, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestAnalyze:
@@ -195,12 +213,12 @@ class TestAnalyze:
             assert a == b
 
     def test_billionth_checkpoint_is_jumped_to(self, tmp_path):
-        """ref3 with checkpoints 1..512 and 1e9: the deep row is finite and
-        every other row, and the residual CSV, is byte-identical to the run
-        without it."""
+        """ref3 with checkpoints 1..512, 512 again and 1e9: the deep row is
+        finite and every other row, written once, and the residual CSV, is
+        byte-identical to the run without them."""
         shallow = list(range(1, cli.RESIDUAL_HORIZON + 1))
         runs = {}
-        for name, checkpoints in (("shallow", shallow), ("deep", shallow + [10**9])):
+        for name, checkpoints in (("shallow", shallow), ("deep", shallow + [cli.RESIDUAL_HORIZON, 10**9])):
             config = write_config(tmp_path, ref3_dict(checkpoints=checkpoints), name=f"{name}.json")
             start = time.perf_counter()
             assert main(["analyze", "--quiet", "--config", config, "--out", str(tmp_path / name)]) == 0
@@ -251,6 +269,18 @@ class TestAnalyze:
         assert sorted(manifest["files"]) == [
             f"identity2_{suffix}" for suffix in ("analysis.json", "curves_exact.csv", "residual_diagnostic.csv")
         ]
+
+    def test_ring256_matches_the_benchmark_reference(self, tmp_path, monkeypatch):
+        """The benchmark's 256-node ring of two alternating matchings, written by
+        perfbench's own ``ring_config``, steps through row-padded factors, and its
+        exact curves match perfbench's reference within perfbench's tolerances."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        run, checks = importlib.import_module("run"), importlib.import_module("checks")
+        config = write_config(tmp_path, run.ring_config(), name="ring256.json")
+        assert all(type(op) is _PaddedRows for op in scenario_from_file(config).build_schedule().operators())
+        assert main(["analyze", "--quiet", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        curves = tmp_path / "out" / "ring256_curves_exact.csv"
+        assert checks.curve_mismatches(curves, checks.exact_reference_path("exact-ring256")) == []
 
     def test_unwritable_output_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -343,19 +373,24 @@ class TestSimulate:
         assert report["agreement"]["waived"] is False
         assert report["paired_gap"] <= 1e-9
 
-    def test_artifacts_do_not_depend_on_thread_count(self, tmp_path, monkeypatch, capsys):
-        """Every file is the same bytes at 1 and 2 threads; the count is printed, not written."""
-        config = write_config(tmp_path, ref3_dict(n_trials=5000, checkpoints=[1, 2, 4, 8]))
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_artifacts_do_not_depend_on_thread_count(self, name, tmp_path, monkeypatch, capsys):
+        """Every file is the same bytes at 1 and 2 threads, and the manifest holds their
+        digests; the count is printed, not written."""
+        config = str(SCENARIO_DIR / f"{name}.json")
         files = []
         for threads in ("1", "2"):
             monkeypatch.setenv("CDL_THREADS", threads)
             out = tmp_path / threads
-            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+            assert main(["simulate", "--trials", "4096", "--seed", "0", "--config", config, "--out", str(out)]) == 0
             assert capsys.readouterr().out.splitlines()[-1] == f"verdict=pass agreement=True threads={threads} -> exit 0"
             files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-        assert sorted(files[0]) == ["ref3_comparison.json", "ref3_curves_mc.csv", "ref3_simulate_manifest.json"]
+        manifest = f"{name}_simulate_manifest.json"
+        assert sorted(files[0]) == [f"{name}_comparison.json", f"{name}_curves_mc.csv", manifest]
         assert files[0] == files[1]
-        assert "threads" not in json.loads(files[0]["ref3_comparison.json"])
+        assert "threads" not in json.loads(files[0][f"{name}_comparison.json"])
+        digests = json.loads(files[0][manifest])["files"]
+        assert digests == {file: hashlib.sha256(data).hexdigest() for file, data in files[0].items() if file != manifest}
 
     def test_trials_override_waives_agreement(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -194,6 +194,7 @@ class TestNetworkSection:
             ({"topology": "explicit", "matrices": [[[1, 0], [0, 1]]], "edges": [[1, 2]]}, "edges"),
             # the weight rule is the topology's: explicit matrices are a topology of their own
             ({"topology": "static", "edges": [[1, 2]], "weight_rule": "metropolis"}, "weight_rule"),
+            ({"topology": "explicit", "matrices": [[[0.5, 0.5], [0.5, 0.5]]], "weight_rule": "explicit"}, "weight_rule"),
         ],
     )
     def test_keys_the_network_would_ignore_rejected(self, network, ignored):

@@ -29,7 +29,7 @@ node attaining a maximum is checked only up to that tolerance.  A
 Regenerate only after a change that is meant to move these values, from
 the repository root::
 
-    PYTHONPATH=src:tests python -c "import test_golden as g; [g.GOLDEN.joinpath(f).write_text(t) for n in g.CORPUS for f, t in g.observed(n, g.Path('out/golden')).items()]"
+    PYTHONPATH=src:tests python -c "import corpus, test_golden as g; [g.GOLDEN.joinpath(f).write_text(t) for n in g.CORPUS for f, t in g.observed(n, corpus.write_artifacts(n, g.Path('out/golden'))).items()]"
 
 and review the diff of ``tests/golden/`` before committing it.
 """
@@ -41,14 +41,11 @@ from pathlib import Path
 import pytest
 
 from cdlab.analysis import propagate_moments
-from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS, main
-from corpus import CORPUS, build_scenario
+from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS
+from corpus import CORPUS, GOLDEN_SIMULATE, GOLDEN_TRIALS, build_scenario
 from oracles import per_cell_residual_csv, residual_cube
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-TRIALS = 8192
-SIMULATE = ["--trials", str(TRIALS), "--seed", "3"]
 REL = 1e-9
 RESIDUAL_FLOOR = 1e-12
 FIT_KEYS = ("window", "rate", "intercept", "n_points")
@@ -59,10 +56,7 @@ def _rows(text: str) -> list:
 
 
 def observed(name: str, out: Path) -> dict:
-    """Run analyze and simulate on a corpus scenario into ``out``; return the golden files' text."""
-    config = str(ROOT / "scenarios" / f"{name}.json")
-    for command, extra in (("analyze", []), ("simulate", SIMULATE)):
-        assert main([command, "--quiet", "--config", config, "--out", str(out), *extra]) == 0
+    """The golden files' text, from the artifacts ``write_artifacts`` left in ``out``."""
     analysis = json.loads((out / f"{name}_analysis.json").read_text())
     fits = {node: {key: fit[key] for key in FIT_KEYS} for node, fit in analysis["fits"].items()}
     header, *rows = _rows((out / f"{name}_curves_mc.csv").read_text())
@@ -72,10 +66,10 @@ def observed(name: str, out: Path) -> dict:
         entry = counts.setdefault(row[col["node"]], {"ks": [], "false_alarm": [], "miss": []})
         entry["ks"].append(int(row[col["k"]]))
         for key, column in (("false_alarm", "alpha"), ("miss", "beta")):
-            count = float(row[col[column]]) * TRIALS
+            count = float(row[col[column]]) * GOLDEN_TRIALS
             assert abs(count - round(count)) < 1e-6, f"{name}: {column} {row[col[column]]} is not a count"
             entry[key].append(round(count))
-    record = {"fits": fits, "residual": analysis["residual"], "simulate": {"argv": SIMULATE, "counts": counts}}
+    record = {"fits": fits, "residual": analysis["residual"], "simulate": {"argv": GOLDEN_SIMULATE, "counts": counts}}
     model, schedule, config = build_scenario(name)
     k_max = min(config.checkpoints[-1], RESIDUAL_HORIZON)
     trajectory = propagate_moments(model, schedule, range(1, k_max + 1))
@@ -89,13 +83,13 @@ def observed(name: str, out: Path) -> dict:
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def runs(corpus_run):
     """run(name) -> (the golden files' text, the directory analyze and simulate wrote to)."""
     cache = {}
 
     def run(name):
         if name not in cache:
-            out = tmp_path_factory.mktemp(name)
+            out = corpus_run(name)
             cache[name] = observed(name, out), out
         return cache[name]
 

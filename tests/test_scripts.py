@@ -1,4 +1,4 @@
-"""Smoke tests: the scripts under scripts/ run to completion on ref3 and reject bad input."""
+"""The scripts under scripts/ run to completion, agree with analyze on every corpus scenario and reject bad input."""
 
 import importlib.util
 import os
@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from cdlab.analysis import mixing_residual_curves, propagate_moments
-from cdlab.cli import RESIDUAL_MUS, main
+from cdlab.cli import RESIDUAL_MUS
 from cdlab.config import scenario_from_file
-from corpus import build_scenario
+from corpus import CORPUS, build_scenario
 from oracles import fold_residual_csv, per_cell_residual_csv, residual_cube
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,21 +88,23 @@ def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, cap
     assert "tilts must be finite, got nan" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [[], ["--scenario", "ref3", "--k-max", "512"]], ids=["defaults", "explicit"])
-def test_residual_sweep_csv_folds_to_the_analyze_csv(flags, tmp_path):
+@pytest.mark.parametrize(
+    "name, flags",
+    [("ref3", []), *((name, ["--scenario", name, "--k-max", "512"]) for name in CORPUS)],
+    ids=["defaults", *CORPUS],
+)
+def test_residual_sweep_csv_folds_to_the_analyze_csv(name, flags, tmp_path, corpus_run):
     """One default: the script's --out file is the per-cell formatter's rows, and folded by max
-    |value| per (tilt, k) it has the bytes of analyze's residual diagnostic."""
+    |value| per (tilt, k), first node on ties, it has the bytes of analyze's residual diagnostic."""
     sweep = tmp_path / "sweep.csv"
     proc = run_script(["residual_sweep.py", *flags, "--out", str(sweep)], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    model, schedule, _ = build_scenario("ref3")
+    model, schedule, _ = build_scenario(name)
     trajectory = propagate_moments(model, schedule, range(1, 513))
     per_node = per_cell_residual_csv(RESIDUAL_MUS, *residual_cube(model, schedule, trajectory, 512, RESIDUAL_MUS))
     assert sweep.read_bytes() == per_node.encode()
-    out = tmp_path / "out"
-    config = str(ROOT / "scenarios" / "ref3.json")
-    assert main(["analyze", "--quiet", "--config", config, "--out", str(out)]) == 0
-    assert fold_residual_csv(per_node).encode() == (out / "ref3_residual_diagnostic.csv").read_bytes()
+    summary = corpus_run(name) / f"{name}_residual_diagnostic.csv"
+    assert fold_residual_csv(per_node).encode() == summary.read_bytes()
 
 
 def test_sweep_peak_memory_below_residual_csv_size(tmp_path, monkeypatch, capsys):
