@@ -21,7 +21,6 @@ from .experiment import (
     Thresholds,
     check_simulation,
     compare_detectors,
-    fit_exponent,
     run_monte_carlo,
 )
 from .model import (
@@ -58,7 +57,6 @@ __all__ = [
     "compare_detectors",
     "contraction_bound",
     "exact_error_curves",
-    "fit_exponent",
     "innovation_stats",
     "mixing_residual_curves",
     "propagate_moments",

@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .config import ScenarioConfig, scenario_from_file
 from .errors import ConfigError, ParameterError
-from .experiment import check_simulation, fit_exponent, report_header
+from .experiment import check_simulation, compare_detectors, report_header
 from .network import check_geometric_decay
 
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
@@ -124,14 +124,6 @@ class _Workspace:
         return self.write(f"{command}_manifest.json", _dump_json(manifest))
 
 
-def _safe_fit(curve, window):
-    try:
-        fit = fit_exponent(curve, window)
-    except ValueError as exc:
-        return {"window": list(window), "error": str(exc)}
-    return dataclasses.asdict(fit)
-
-
 def cmd_validate(args) -> int:
     config = scenario_from_file(args.config)
     model = config.build_model()
@@ -146,13 +138,13 @@ def cmd_analyze(args) -> int:
     config = scenario_from_file(args.config)
     model = config.build_model()
     schedule = config.build_schedule()
-    header = report_header(model, schedule)
+    thresholds = config.thresholds
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
 
     ks = config.checkpoints
-    k_max = ks[-1]
-    horizon = min(k_max, RESIDUAL_HORIZON)
-    traj = propagate_moments(model, schedule, [*range(1, horizon + 1), *ks])
+    horizon = min(ks[-1], RESIDUAL_HORIZON)
+    traj = propagate_moments(model, schedule, [*range(1, horizon + 1), *ks, thresholds.k_early, thresholds.k_late])
+    rate = compare_detectors(model, schedule, thresholds, traj)
     node_curves = exact_error_curves(model, traj, ks=ks)
     cen_curve = centralized_error_curve(model, ks)
     ws.write("curves_exact.csv", _curves_csv([cen_curve] + node_curves))
@@ -163,20 +155,18 @@ def cmd_analyze(args) -> int:
     rows = mixing_residual_curves(model, schedule, traj, horizon, RESIDUAL_MUS).rows() if horizon >= 2 else ()
     ws.write("residual_diagnostic.csv", _residual_csv(fold_worst_ratio(rows, worst)))
 
-    window = (ks[max(len(ks) - 5, 0)], ks[-1])  # the last five checkpoints, or all of them
-    fits = {curve.node: _safe_fit(curve, window) for curve in [cen_curve, *node_curves]}
     analysis = {
-        **header,
+        **rate,
         "scenario": config.name,
         "llr_variance": model.llr_variance,
         "decay": dataclasses.asdict(decay),
         "checkpoints": [int(k) for k in ks],
-        "fit_window": list(window),
-        "fits": fits,
         "residual": {repr(mu): {"max_abs_over_bound": float(w)} for mu, w in worst.items()},
     }
     ws.write("analysis.json", _dump_json(analysis))
     ws.write_manifest("analyze")
+    # the exit code is the decay check's alone: the rate verdict is reported, and a
+    # schedule that has not mixed by k_late fails it without being in error
     if not decay.passed:
         print(decay.note or f"decay envelope exceeded: {decay.worst_witness}", file=sys.stderr)
     return 0 if decay.passed else 1

@@ -33,7 +33,7 @@ from .experiment import ExperimentPlan, Thresholds
 from .model import GaussianHypothesisPair, build_model
 from .network import TOPOLOGIES, TOPOLOGY_FIELDS, ScheduleSpec, WeightSchedule, _check_integer, build_schedule
 
-# default checkpoint grid: log-spaced coverage for exponent fits
+# default checkpoint grid: the powers of two up to 512, log-spaced curve rows
 GEOMETRIC_CHECKPOINTS = tuple(2**i for i in range(10))
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")

@@ -29,13 +29,5 @@ class DegenerateVariance(ValueError):
     """A per-node variance is zero or negative beyond tolerance."""
 
 
-class InsufficientPoints(ValueError):
-    """Too few checkpoints inside the requested fit window."""
-
-
-class ZeroProbabilityInWindow(ValueError):
-    """Monte Carlo window left with too few nonzero error estimates."""
-
-
 class ConfigError(ValueError):
     """Scenario configuration failed to parse or validate."""

@@ -24,13 +24,7 @@ from .analysis import (
     exact_error_curves,
     propagate_moments,
 )
-from .errors import (
-    InsufficientPoints,
-    NoConnectedWindow,
-    ParameterError,
-    ShapeError,
-    ZeroProbabilityInWindow,
-)
+from .errors import NoConnectedWindow, ParameterError, ShapeError
 from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
 from .network import WeightSchedule, _check_integer, _check_ks, contraction_bound, validate_assumption
 
@@ -43,7 +37,8 @@ GAP_NOISE_FRACTION = 1e-12
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Acceptance thresholds a simulate run is judged against; construction checks each domain."""
+    """Acceptance thresholds: the rate comparison's, which both commands report, and the
+    agreement's, which simulate judges; construction checks each domain."""
 
     gap_tolerance: float = 0.02
     k_early: int = 100
@@ -246,53 +241,6 @@ def run_monte_carlo(plan: ExperimentPlan, threads=None) -> MonteCarloResult:
     )
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    """Least-squares decay fit of log pe over a checkpoint window."""
-
-    window: tuple
-    rate: float
-    intercept: float
-    residual: float
-    n_points: int
-
-
-def fit_exponent(curve: ErrorCurve, window) -> ExponentFit:
-    """Fit log pe(k) = intercept - rate * k on checkpoints inside ``window``.
-
-    Checkpoints whose estimate is exactly zero carry no slope information
-    and are dropped, not treated as zeros; the fit needs three surviving
-    points.  Raises InsufficientPoints when the window holds fewer than
-    three checkpoints and ZeroProbabilityInWindow when the drops leave
-    fewer than three.
-    """
-    lo, hi = (_check_integer(w, "a window end", 1) for w in window)
-    if hi <= lo:
-        raise ParameterError(f"window must satisfy 1 <= lo < hi, got {window!r}")
-    mask = (curve.ks >= lo) & (curve.ks <= hi)
-    if int(mask.sum()) < 3:
-        raise InsufficientPoints(
-            f"window [{lo}, {hi}] holds {int(mask.sum())} checkpoint(s), need 3"
-        )
-    ks = curve.ks[mask].astype(float)
-    log_pe = curve.log_pe[mask]
-    finite = np.isfinite(log_pe)
-    if int(finite.sum()) < 3:
-        raise ZeroProbabilityInWindow(
-            f"window [{lo}, {hi}] has {int(finite.sum())} nonzero estimate(s), need 3"
-        )
-    slope, intercept = np.polyfit(ks[finite], log_pe[finite], 1)
-    fitted = slope * ks[finite] + intercept
-    residual = float(np.sqrt(np.mean((fitted - log_pe[finite]) ** 2)))
-    return ExponentFit(
-        window=(lo, hi),
-        rate=float(-slope),
-        intercept=float(intercept),
-        residual=residual,
-        n_points=int(finite.sum()),
-    )
-
-
 def score_agreement(pairs, n_trials: int, min_prob: float, sigma: float) -> tuple:
     """Score (exact, estimate) curve pairs; return (cells, passing, worst_pull).
 
@@ -349,11 +297,15 @@ def report_header(model: GaussianHypothesisPair, schedule: WeightSchedule) -> di
 
 
 def compare_detectors(
-    plan: ExperimentPlan,
+    model: GaussianHypothesisPair,
+    schedule: WeightSchedule,
     thresholds: Thresholds = Thresholds(),
     trajectory: MomentTrajectory | None = None,
 ) -> dict:
     """Exact-analysis comparison of every node against the centralized rate.
+
+    The rate rule of both commands: ``analyze`` writes this report into
+    analysis.json and ``simulate`` adds its agreement block to it.
 
     The per-node figure is the finite-k exponent -log(pe)/k at
     ``thresholds.k_early`` and ``thresholds.k_late``; a node passes when its
@@ -362,16 +314,15 @@ def compare_detectors(
     shrunk since the early checkpoint (or is at most GAP_NOISE_FRACTION
     times the Chernoff information).  The verdict is suppressed (None) when
     the schedule fails its own structural validation, since the rate claim
-    is only meaningful under those assumptions.  A ``trajectory`` reaching
-    ``k_late`` is reused instead of propagating one.
+    is only meaningful under those assumptions.  A ``trajectory`` that
+    visited ``k_early`` and ``k_late`` is reused instead of propagating one.
     """
     k_early, k_late = thresholds.k_early, thresholds.k_late
-    model = plan.model
-    header = report_header(model, plan.schedule)
+    header = report_header(model, schedule)
     chernoff = header["chernoff_information"]
     ks = [k_early, k_late]
     if trajectory is None:
-        trajectory = propagate_moments(model, plan.schedule, range(1, k_late + 1))
+        trajectory = propagate_moments(model, schedule, range(1, k_late + 1))
     node_curves = exact_error_curves(model, trajectory, ks=ks)
     cen_curve = centralized_error_curve(model, ks)
     cen_rate = _empirical_rate(cen_curve)
@@ -430,7 +381,7 @@ def check_simulation(plan: ExperimentPlan, thresholds: Thresholds) -> tuple:
     trajectory = propagate_moments(
         model, plan.schedule, range(1, max(plan.k_checkpoints[-1], thresholds.k_late) + 1)
     )
-    report = compare_detectors(plan, thresholds, trajectory=trajectory)
+    report = compare_detectors(model, plan.schedule, thresholds, trajectory)
     exact_curves = exact_error_curves(model, trajectory, ks=result.ks) + [centralized_error_curve(model, result.ks)]
     estimates = [*result.node_curves, result.centralized_curve]
     cells, passing, worst_pull = score_agreement(

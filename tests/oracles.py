@@ -15,7 +15,8 @@ in its most literal form, something the package computes another way:
 * the literal products Phi(k, j) and Phi(k, j) - J, against the running
   products of ``network.check_geometric_decay`` and the moments behind
   ``analysis.mixing_residual_curves``;
-* the subexponential factor pe(k) exp(k C) of an error curve;
+* the subexponential factor pe(k) exp(k C) of an error curve, and the
+  least-squares decay rate of an error curve over a window of checkpoints;
 * the whole (tilt, k, node) cube of the mixing residual, stacked from the
   rows ``analysis.ResidualCurves`` forms one at a time, its per-node CSV
   written one cell at a time, and that CSV folded by max |value| per
@@ -323,6 +324,15 @@ def subexponential_factor(curve: ErrorCurve, chernoff: float) -> np.ndarray:
     if not (np.isfinite(chernoff) and chernoff > 0.0):
         raise ParameterError(f"chernoff must be positive and finite, got {chernoff}")
     return np.exp(curve.log_pe + curve.ks * chernoff)
+
+
+def fit_exponent(curve: ErrorCurve, window) -> float:
+    """The rate of the least-squares line log pe(k) = intercept - rate * k through
+    the checkpoints of ``curve`` in the closed ``window`` (lo, hi)."""
+    lo, hi = window
+    inside = (curve.ks >= lo) & (curve.ks <= hi)
+    slope, _ = np.polyfit(curve.ks[inside].astype(float), curve.log_pe[inside], 1)
+    return float(-slope)
 
 
 def residual_cube(model, schedule, trajectory, k_max, mus, hypothesis=Hypothesis.H1) -> tuple:

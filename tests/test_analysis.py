@@ -29,7 +29,7 @@ from cdlab.analysis import (
 )
 from cdlab.cli import RESIDUAL_MUS
 from cdlab.errors import DegenerateVariance, ParameterError
-from cdlab.experiment import ExperimentPlan, Thresholds, fit_exponent
+from cdlab.experiment import ExperimentPlan, Thresholds
 from cdlab.model import Hypothesis, build_model, innovation_stats
 from cdlab.network import ScheduleSpec, WeightSchedule, _PaddedRows, build_schedule, contraction_bound
 from corpus import CORPUS, build_scenario
@@ -396,7 +396,6 @@ NON_INTEGER_K_CALLS = {
     "mean_at": lambda m, s, traj: traj.mean_at(3.9),
     "cov_at": lambda m, s, traj: traj.cov_at(1.0),
     "ExperimentPlan": lambda m, s, traj: ExperimentPlan(m, s, (10, 2.7), 100, 0),
-    "fit_exponent": lambda m, s, traj: fit_exponent(exact_error_curves(m, traj)[0], (1.5, 16.9)),
     "Thresholds-k_early": lambda m, s, traj: Thresholds(k_early=99.9),
     "Thresholds-k_late": lambda m, s, traj: Thresholds(k_late=500.5),
     "Thresholds-mc_min_trials": lambda m, s, traj: Thresholds(mc_min_trials=True),

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from cdlab import cli
+from cdlab import cli, experiment, network
 from cdlab.analysis import propagate_moments
 from cdlab.cli import main
 from cdlab.config import scenario_from_file
+from cdlab.experiment import compare_detectors
 from cdlab.network import _PaddedRows
 from corpus import CORPUS, SCENARIO_DIR, scenario_config
 from oracles import fold_residual_csv, per_cell_residual_csv, residual_cube
@@ -238,7 +239,7 @@ class TestAnalyze:
 
     def test_repeated_checkpoint_is_written_once(self, tmp_path):
         """Checkpoints [8, 4, 4, 16, 2] analyze as the set 2, 4, 8, 16: one
-        row per curve and k, and four points in each fit."""
+        row per curve and k."""
         config = write_config(tmp_path, ref3_dict(checkpoints=[8, 4, 4, 16, 2]))
         out = tmp_path / "out"
         assert main(["analyze", "--quiet", "--config", config, "--out", str(out)]) == 0
@@ -247,7 +248,44 @@ class TestAnalyze:
             assert [k for name, k in rows if name == node] == ["2", "4", "8", "16"]
         analysis = json.loads((out / "ref3_analysis.json").read_text())
         assert analysis["checkpoints"] == [2, 4, 8, 16]
-        assert {fit["n_points"] for fit in analysis["fits"].values()} == {4}
+
+    def test_rate_block_past_the_last_checkpoint(self, tmp_path):
+        """Checkpoints [1, 2, 4, 8] still give the rate block at k_early = 100 and
+        k_late = 500, which analyze visits without writing curve rows there, and
+        its nodes are compare_detectors' on a trajectory stepped through every k,
+        which reaches 500 by other roundings: within 1e-12 relative, and within
+        1e-12 C absolute for a gap, a difference of two rates near C."""
+        config = write_config(tmp_path, ref3_dict(checkpoints=[1, 2, 4, 8]))
+        out = tmp_path / "out"
+        assert main(["analyze", "--quiet", "--config", config, "--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in (out / "ref3_curves_exact.csv").read_text().splitlines()[1:]]
+        for node in ("cen", "1", "2", "3"):
+            assert [k for name, k in rows if name == node] == ["1", "2", "4", "8"]
+        analysis = json.loads((out / "ref3_analysis.json").read_text())
+        parsed = scenario_from_file(config)
+        stepped = compare_detectors(parsed.build_model(), parsed.build_schedule(), parsed.thresholds)
+        assert (analysis["k_early"], analysis["k_late"], analysis["verdict"]) == (100, 500, "pass")
+        assert len(analysis["nodes"]) == len(stepped["nodes"]) == 3
+        for got, want in zip(analysis["nodes"], stepped["nodes"]):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, float):
+                    floor = 1e-12 * analysis["chernoff_information"] if key.startswith("gap") else 0.0
+                    assert math.isclose(got[key], value, rel_tol=1e-12, abs_tol=floor), (want["node"], key)
+                else:
+                    assert got[key] == value, (want["node"], key)
+
+    def test_failed_rate_verdict_is_reported_not_an_exit_code(self, tmp_path):
+        """ref3 at k_early = 100 and k_late = 101, where node 1's gap grows: the
+        verdict is fail, and analyze exits 0, as its decay check passed."""
+        data = ref3_dict()
+        data["experiment"]["thresholds"] = {"k_early": 100, "k_late": 101, "gap_tolerance": 0.05}
+        out = tmp_path / "out"
+        assert main(["analyze", "--quiet", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+        analysis = json.loads((out / "ref3_analysis.json").read_text())
+        assert analysis["decay"]["passed"] is True
+        assert analysis["verdict"] == "fail"
+        assert analysis["nodes"][0]["gap_shrinks"] is False
 
     def test_decay_violation_leaves_report_and_exits_one(self, tmp_path, monkeypatch, capsys):
         real = cli.check_geometric_decay
@@ -272,8 +310,9 @@ class TestAnalyze:
 
     def test_ring256_matches_the_benchmark_reference(self, tmp_path, monkeypatch):
         """The benchmark's 256-node ring of two alternating matchings, written by
-        perfbench's own ``ring_config``, steps through row-padded factors, and its
-        exact curves match perfbench's reference within perfbench's tolerances."""
+        perfbench's own ``ring_config``, steps through row-padded factors, its
+        exact curves match perfbench's reference within perfbench's tolerances,
+        and analyze exits 0 on it with a failed rate verdict."""
         monkeypatch.syspath_prepend(str(PERFBENCH))
         run, checks = importlib.import_module("run"), importlib.import_module("checks")
         config = write_config(tmp_path, run.ring_config(), name="ring256.json")
@@ -281,6 +320,10 @@ class TestAnalyze:
         assert main(["analyze", "--quiet", "--config", config, "--out", str(tmp_path / "out")]) == 0
         curves = tmp_path / "out" / "ring256_curves_exact.csv"
         assert checks.curve_mismatches(curves, checks.exact_reference_path("exact-ring256")) == []
+        # the ring has not mixed by k_late = 500: the rate verdict fails, and the
+        # exit code, the decay check's, stays 0
+        analysis = json.loads((tmp_path / "out" / "ring256_analysis.json").read_text())
+        assert (analysis["decay"]["passed"], analysis["verdict"]) == (True, "fail")
 
     def test_unwritable_output_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -332,13 +375,11 @@ class TestArtifactWriter:
         assert kept.read_text() == "a,b\n1,2\n"
         assert ws.written == [(kept, hashlib.sha256(b"a,b\n1,2\n").hexdigest())]
 
-    @pytest.mark.parametrize("scenario", ["ref3", "correlated2", "ring64"])
-    def test_residual_csv_matches_per_cell_formatter(self, scenario, tmp_path, ring_config):
-        """analyze's summary is the per-cell formatter's rows folded by max |value|, first node on ties."""
-        if scenario == "ring64":
-            config_path = ring_config(64, 64)
-        else:
-            config_path = str(SCENARIO_DIR / f"{scenario}.json")
+    def test_residual_csv_matches_per_cell_formatter(self, tmp_path, ring_config):
+        """On the padded path, at a size the corpus lacks (the 64-node ring),
+        analyze's summary is the per-cell formatter's rows folded by max |value|,
+        first node on ties; test_scripts checks the same fold on the corpus."""
+        config_path = ring_config(64, 64)
         out = tmp_path / "out"
         assert main(["analyze", "--quiet", "--config", config_path, "--out", str(out)]) == 0
 
@@ -350,6 +391,35 @@ class TestArtifactWriter:
         expected = fold_residual_csv(per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds))
         written = (out / f"{config.name}_residual_diagnostic.csv").read_bytes()
         assert written == expected.encode()
+
+
+class TestRateRule:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_analysis_and_comparison_agree(self, name, corpus_run):
+        """One rate rule in both commands: the artifacts share the header and the
+        rate block, and agree on every key they share."""
+        out = corpus_run(name)
+        analysis = json.loads((out / f"{name}_analysis.json").read_text())
+        comparison = json.loads((out / f"{name}_comparison.json").read_text())
+        shared = analysis.keys() & comparison.keys()
+        assert {"nodes", "verdict", "centralized", "k_early", "k_late", "gap_tolerance", "verdict_note"} <= shared
+        assert {key: analysis[key] for key in shared} == {key: comparison[key] for key in shared}
+        assert analysis["verdict"] == "pass"
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_assumption_is_validated_once(self, command, tmp_path, monkeypatch):
+        calls = []
+        real = experiment.validate_assumption
+
+        def counted(schedule):
+            calls.append(schedule)
+            return real(schedule)
+
+        for module in (experiment, network):
+            monkeypatch.setattr(module, "validate_assumption", counted)
+        argv = [command, "--quiet", "--config", str(SCENARIO_DIR / "ref3.json"), "--out", str(tmp_path)]
+        assert main(argv + (["--trials", "10"] if command == "simulate" else [])) == 0
+        assert len(calls) == 1
 
 
 class TestSimulate:

@@ -1,4 +1,4 @@
-"""Tests for the Monte Carlo engine, exponent fits and comparison reports."""
+"""Tests for the Monte Carlo engine and comparison reports."""
 
 import dataclasses
 import json
@@ -8,20 +8,13 @@ import numpy as np
 import pytest
 
 from cdlab.analysis import ErrorCurve, propagate_moments, exact_error_curves
-from cdlab.errors import (
-    InsufficientPoints,
-    NoConnectedWindow,
-    ParameterError,
-    ShapeError,
-    ZeroProbabilityInWindow,
-)
+from cdlab.errors import NoConnectedWindow, ParameterError, ShapeError
 from cdlab.experiment import (
     CHUNK_TRIALS,
     ExperimentPlan,
     Thresholds,
     _run_chunk,
     compare_detectors,
-    fit_exponent,
     run_monte_carlo,
     score_agreement,
 )
@@ -33,6 +26,7 @@ from oracles import (
     centralized_step,
     distributed_init,
     distributed_step,
+    fit_exponent,
     subexponential_factor,
 )
 
@@ -321,84 +315,6 @@ class TestRunMonteCarlo:
             run_monte_carlo(alt3_plan(n_trials=10), threads=threads)
 
 
-# ── exponent fits ─────────────────────────────────────────────────────────
-
-
-class TestFitExponent:
-    def test_exact_line_recovered(self):
-        ks = np.arange(10, 101, 10)
-        curve = synthetic_curve(ks, -0.3 * ks + 1.2)
-        fit = fit_exponent(curve, (10, 100))
-        assert fit.rate == pytest.approx(0.3, rel=1e-12)
-        assert fit.intercept == pytest.approx(1.2, rel=1e-12)
-        assert fit.residual <= 1e-12
-        assert fit.n_points == ks.size
-        assert fit.window == (10, 100)
-
-    def test_window_restricts_points(self):
-        ks = np.arange(1, 21)
-        log_pe = np.where(ks <= 10, -1.0 * ks, -2.0 * ks)
-        fit = fit_exponent(synthetic_curve(ks, log_pe), (11, 20))
-        assert fit.rate == pytest.approx(2.0, rel=1e-12)
-        assert fit.n_points == 10
-
-    def test_zero_estimates_are_dropped(self):
-        ks = np.arange(10, 61, 10)
-        log_pe = (-0.5 * ks).astype(float)
-        log_pe[2] = -np.inf
-        fit = fit_exponent(synthetic_curve(ks, log_pe), (10, 60))
-        assert fit.rate == pytest.approx(0.5, rel=1e-12)
-        assert fit.n_points == ks.size - 1
-
-    def test_every_finite_point_is_fitted(self):
-        """The first point lies off the line through the others, so a fit that
-        skipped it would report a different rate."""
-        ks = np.arange(10, 61, 10)
-        log_pe = (-0.5 * ks).astype(float)
-        log_pe[0] += 3.0
-        log_pe[3] = -np.inf
-        fit = fit_exponent(synthetic_curve(ks, log_pe), (10, 60))
-        finite = np.isfinite(log_pe)
-        slope, intercept = np.polyfit(ks[finite].astype(float), log_pe[finite], 1)
-        assert fit.rate == pytest.approx(-slope, rel=1e-12)
-        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
-        assert fit.rate != pytest.approx(0.5, rel=1e-3)
-        assert fit.n_points == 5
-
-    def test_too_few_checkpoints(self):
-        curve = synthetic_curve([5, 50, 70], [-1.0, -10.0, -14.0])
-        with pytest.raises(InsufficientPoints):
-            fit_exponent(curve, (1, 4))
-        with pytest.raises(InsufficientPoints):
-            fit_exponent(curve, (40, 60))
-        with pytest.raises(InsufficientPoints):
-            fit_exponent(curve, (40, 80))
-
-    def test_all_zero_window(self):
-        curve = synthetic_curve(
-            [5, 6, 7, 8], [-np.inf, -np.inf, -1.0, -2.0]
-        )
-        with pytest.raises(ZeroProbabilityInWindow):
-            fit_exponent(curve, (5, 8))
-
-    def test_bad_window_rejected(self):
-        curve = synthetic_curve([5, 6, 7], [-1.0, -2.0, -3.0])
-        with pytest.raises(ParameterError):
-            fit_exponent(curve, (0, 7))
-        with pytest.raises(ParameterError):
-            fit_exponent(curve, (7, 7))
-
-    def test_polynomial_prefactor_biases_rate_down(self):
-        """pe = k e^{-k/4}: the fitted rate undershoots 1/4 and recovers
-        as the window moves right."""
-        ks = np.arange(100, 4001)
-        curve = synthetic_curve(ks, np.log(ks) - 0.25 * ks)
-        near = fit_exponent(curve, (100, 500))
-        far = fit_exponent(curve, (2000, 4000))
-        assert 0.2 < near.rate < 0.25
-        assert near.rate < far.rate < 0.25
-
-
 class TestSubexponentialFactor:
     def test_pure_exponential_gives_unit_factor(self):
         ks = np.arange(1, 30)
@@ -431,12 +347,21 @@ class TestSubexponentialFactor:
                 subexponential_factor(curve, bad)
 
 
+def test_oracle_fit_reads_only_its_window():
+    """Criterion 08's least-squares rate: an exact line inside the window is
+    recovered, and the steeper points outside it are not fitted."""
+    ks = np.arange(1, 21)
+    curve = synthetic_curve(ks, np.where(ks <= 10, -1.0 * ks, -2.0 * ks + 3.0))
+    assert fit_exponent(curve, (11, 20)) == pytest.approx(2.0, rel=1e-12)
+    assert fit_exponent(curve, (1, 10)) == pytest.approx(1.0, rel=1e-12)
+
+
 # ── the comparison report ─────────────────────────────────────────────────
 
 
 class TestCompareDetectors:
     def test_reference_scenario_passes(self):
-        report = compare_detectors(alt3_plan())
+        report = compare_detectors(*alt3_scenario())
         assert report["verdict"] == "pass"
         assert report["verdict_note"] is None
         assert report["assumption_check"]["passed"] is True
@@ -451,14 +376,14 @@ class TestCompareDetectors:
         """n8's largest late gap is about 0.0186 C: a tolerance 1% below it
         fails and 1% above it passes, so the tolerance is applied as given."""
         config = scenario_config("n8")
-        plan = config.build_plan()
-        report = compare_detectors(plan, config.thresholds)
+        model, schedule = config.build_model(), config.build_schedule()
+        report = compare_detectors(model, schedule, config.thresholds)
         assert report["verdict"] == "pass"
         ratio = max(entry["gap_late"] for entry in report["nodes"]) / report["chernoff_information"]
         assert ratio == pytest.approx(0.0186, rel=1e-2)
         for factor, verdict in ((0.99, "fail"), (1.01, "pass")):
             thresholds = dataclasses.replace(config.thresholds, gap_tolerance=factor * ratio)
-            assert compare_detectors(plan, thresholds)["verdict"] == verdict
+            assert compare_detectors(model, schedule, thresholds)["verdict"] == verdict
 
     def test_a_growing_gap_fails(self):
         """ref3 at k_early = 100 and k_late = 101 with gap_tolerance 0.05
@@ -467,8 +392,8 @@ class TestCompareDetectors:
         lie in different phases of ref3's period-2 schedule; a shrink rule
         that compares checkpoints of one phase, as the ROADMAP's closed-form
         rate item proposes, may move this witness."""
-        plan = scenario_config("ref3").build_plan()
-        report = compare_detectors(plan, Thresholds(k_early=100, k_late=101, gap_tolerance=0.05))
+        config = scenario_config("ref3")
+        report = compare_detectors(config.build_model(), config.build_schedule(), Thresholds(k_early=100, k_late=101, gap_tolerance=0.05))
         assert all(entry["within_tolerance"] for entry in report["nodes"])
         node1 = report["nodes"][0]
         assert node1["node"] == "1"
@@ -477,13 +402,13 @@ class TestCompareDetectors:
         assert report["verdict"] == "fail"
 
     def test_report_is_json_serializable(self):
-        report = compare_detectors(alt3_plan(), Thresholds(k_early=20, k_late=80))
+        report = compare_detectors(*alt3_scenario(), Thresholds(k_early=20, k_late=80))
         text = json.dumps(report, sort_keys=True)
         assert "chernoff_information" in text
 
     def test_centralized_rate_approaches_chernoff_from_above(self):
         """Q(x) < exp(-x^2/2), so the finite-k exponent sits above C."""
-        report = compare_detectors(alt3_plan(), Thresholds(k_early=100, k_late=2000))
+        report = compare_detectors(*alt3_scenario(), Thresholds(k_early=100, k_late=2000))
         c = report["chernoff_information"]
         assert report["centralized"]["rate_early"] > c
         assert report["centralized"]["rate_late"] > c
@@ -492,10 +417,7 @@ class TestCompareDetectors:
     def test_single_node_gap_vanishes(self):
         model = build_model([0.0], [1.0], [[1.0]])
         schedule = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
-        plan = ExperimentPlan(
-            model=model, schedule=schedule, k_checkpoints=(1,), n_trials=10, master_seed=0
-        )
-        report = compare_detectors(plan)
+        report = compare_detectors(model, schedule)
         for entry in report["nodes"]:
             assert abs(entry["gap_early"]) <= 1e-14
             assert abs(entry["gap_late"]) <= 1e-14
@@ -503,7 +425,7 @@ class TestCompareDetectors:
     def test_single_node_scenario_passes(self):
         """n1's node is its own fusion centre: its gaps are rounding noise."""
         config = scenario_config("n1")
-        report = compare_detectors(config.build_plan(), config.thresholds)
+        report = compare_detectors(config.build_model(), config.build_schedule(), config.thresholds)
         assert report["verdict"] == "pass"
         assert report["nodes"][0]["gap_shrinks"] is True
 
@@ -511,14 +433,7 @@ class TestCompareDetectors:
         """Rows summing to 0.9, which build_schedule refuses, built by hand."""
         model, schedule = alt3_scenario()
         leaky = WeightSchedule(matrices=0.9 * schedule.matrices)
-        plan = ExperimentPlan(
-            model=model,
-            schedule=leaky,
-            k_checkpoints=(1,),
-            n_trials=10,
-            master_seed=0,
-        )
-        report = compare_detectors(plan)
+        report = compare_detectors(model, leaky)
         assert report["verdict"] is None
         assert "suppressed" in report["verdict_note"]
         assert report["assumption_check"]["passed"] is False
@@ -537,10 +452,7 @@ class TestCompareDetectors:
         with pytest.raises(NoConnectedWindow):
             build_schedule(ScheduleSpec(n_nodes=3, topology="explicit", matrices=tuple(frozen_eye)))
         broken = dataclasses.replace(schedule, matrices=frozen_eye)
-        plan = ExperimentPlan(
-            model=model, schedule=broken, k_checkpoints=(1,), n_trials=10, master_seed=0
-        )
-        report = compare_detectors(plan)
+        report = compare_detectors(model, broken)
         assert report["contraction"] == {"min_weight": 1.0, "window": None, "amplitude": None, "ratio": None}
         assert report["verdict"] is None
         assert "suppressed" in report["verdict_note"]
@@ -550,17 +462,30 @@ class TestCompareDetectors:
 
     def test_bad_checkpoint_order_rejected(self):
         with pytest.raises(ParameterError):
-            compare_detectors(alt3_plan(), Thresholds(k_early=500, k_late=100))
+            compare_detectors(*alt3_scenario(), Thresholds(k_early=500, k_late=100))
 
     def test_reuses_a_longer_trajectory(self):
-        plan = alt3_plan()
-        model, schedule = plan.model, plan.schedule
+        model, schedule = alt3_scenario()
         short = Thresholds(k_early=20, k_late=80)
-        own = compare_detectors(plan, short)
-        reused = compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, range(1, 301)))
+        own = compare_detectors(model, schedule, short)
+        reused = compare_detectors(model, schedule, short, propagate_moments(model, schedule, range(1, 301)))
         assert json.dumps(reused, sort_keys=True) == json.dumps(own, sort_keys=True)
         with pytest.raises(ParameterError):
-            compare_detectors(plan, short, trajectory=propagate_moments(model, schedule, range(1, 80)))
+            compare_detectors(model, schedule, short, propagate_moments(model, schedule, range(1, 80)))
+
+    def test_trajectory_must_visit_both_checkpoints(self):
+        """A trajectory that reaches k_late but skipped k_early is refused, not
+        read at a neighbouring k: `analyze` adds both to the k it visits."""
+        model, schedule = alt3_scenario()
+        short = Thresholds(k_early=20, k_late=80)
+        sparse = propagate_moments(model, schedule, [1, 2, 4, 8, 16, 32, 64, 80])
+        with pytest.raises(ParameterError, match="no moments at k=20"):
+            compare_detectors(model, schedule, short, sparse)
+        visited = propagate_moments(model, schedule, [1, 2, 4, 8, 16, 20, 32, 64, 80])
+        own, jumped = compare_detectors(model, schedule, short), compare_detectors(model, schedule, short, visited)
+        assert jumped["verdict"] == own["verdict"]
+        for key in ("rate_early", "rate_late"):
+            assert [node[key] for node in jumped["nodes"]] == pytest.approx([node[key] for node in own["nodes"]], rel=1e-12)
 
 
 # ── agreement scoring ─────────────────────────────────────────────────────

@@ -3,9 +3,9 @@
 For each corpus scenario, ``golden/<name>_curves_exact.csv`` is the
 ``analyze`` curves file, compared cell by cell at rel 1e-9 (the spread
 measured across BLAS thread counts), and ``golden/<name>.json`` holds the
-``analysis.json`` fits (``rate`` and ``intercept`` at rel 1e-9, ``window``
-and ``n_points`` exact) and the false-alarm and miss counts of
-``simulate --trials 8192 --seed 3``, compared exactly.  The counts are the
+``analysis.json`` finite-k exponents -log(pe)/k of every node and ``cen``
+(``rate_early`` and ``rate_late``, at rel 1e-9) and the false-alarm and
+miss counts of ``simulate --trials 8192 --seed 3``, compared exactly.  The counts are the
 ``curves_mc.csv`` alpha and beta times 8192, rounded: the CSV holds
 exp(log(count / 8192)), within a few ulps of the count.
 
@@ -48,7 +48,7 @@ from oracles import per_cell_residual_csv, residual_cube
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-9
 RESIDUAL_FLOOR = 1e-12
-FIT_KEYS = ("window", "rate", "intercept", "n_points")
+RATE_KEYS = ("rate_early", "rate_late")
 
 
 def _rows(text: str) -> list:
@@ -58,7 +58,8 @@ def _rows(text: str) -> list:
 def observed(name: str, out: Path) -> dict:
     """The golden files' text, from the artifacts ``write_artifacts`` left in ``out``."""
     analysis = json.loads((out / f"{name}_analysis.json").read_text())
-    fits = {node: {key: fit[key] for key in FIT_KEYS} for node, fit in analysis["fits"].items()}
+    rate = {entry["node"]: {key: entry[key] for key in RATE_KEYS} for entry in analysis["nodes"]}
+    rate["cen"] = {key: analysis["centralized"][key] for key in RATE_KEYS}
     header, *rows = _rows((out / f"{name}_curves_mc.csv").read_text())
     col = {key: header.index(key) for key in ("node", "k", "alpha", "beta")}
     counts = {}
@@ -69,7 +70,7 @@ def observed(name: str, out: Path) -> dict:
             count = float(row[col[column]]) * GOLDEN_TRIALS
             assert abs(count - round(count)) < 1e-6, f"{name}: {column} {row[col[column]]} is not a count"
             entry[key].append(round(count))
-    record = {"fits": fits, "residual": analysis["residual"], "simulate": {"argv": GOLDEN_SIMULATE, "counts": counts}}
+    record = {"rate": rate, "residual": analysis["residual"], "simulate": {"argv": GOLDEN_SIMULATE, "counts": counts}}
     model, schedule, config = build_scenario(name)
     k_max = min(config.checkpoints[-1], RESIDUAL_HORIZON)
     trajectory = propagate_moments(model, schedule, range(1, k_max + 1))
@@ -114,16 +115,14 @@ def test_exact_curves_match_golden(name, runs):
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_fits_and_counts_match_golden(name, runs):
+def test_rates_and_counts_match_golden(name, runs):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     actual = json.loads(runs(name)[0][f"{name}.json"])
     assert actual["simulate"] == expected["simulate"]
-    assert actual["fits"].keys() == expected["fits"].keys()
-    for node, want in expected["fits"].items():
-        got = actual["fits"][node]
-        assert (got["window"], got["n_points"]) == (want["window"], want["n_points"]), node
-        assert _close(got["rate"], want["rate"]), f"{name} node {node} rate"
-        assert _close(got["intercept"], want["intercept"]), f"{name} node {node} intercept"
+    assert actual["rate"].keys() == expected["rate"].keys()
+    for node, want in expected["rate"].items():
+        for key in RATE_KEYS:
+            assert _close(actual["rate"][node][key], want[key]), f"{name} node {node} {key}"
 
 
 @pytest.mark.parametrize("name", CORPUS)
