@@ -16,12 +16,13 @@ import argparse
 import collections
 from pathlib import Path
 
-import numpy as np
-
+# cdlab before numpy, so that the script runs OpenBLAS on one thread as the CLI does
 from cdlab.analysis import check_tilts, fold_worst_ratio, mixing_residual_curves, propagate_moments
 from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS
 from cdlab.config import scenario_from_file
 from cdlab.errors import ParameterError
+
+import numpy as np
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PER_NODE_HEADER = "mu,k,node,value,bound"
