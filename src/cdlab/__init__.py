@@ -39,7 +39,6 @@ from .network import (
     WeightSchedule,
     build_schedule,
     check_geometric_decay,
-    contraction_bound,
     validate_assumption,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "check_simulation",
     "chernoff_information",
     "compare_detectors",
-    "contraction_bound",
     "exact_error_curves",
     "innovation_stats",
     "mixing_residual_curves",

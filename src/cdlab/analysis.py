@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, NoConnectedWindow, ParameterError
+from .errors import DegenerateVariance, ParameterError
 from .model import GaussianHypothesisPair, innovation_stats
-from .network import WeightSchedule, _PaddedRows, _check_integer, _check_ks, contraction_bound
+from .network import WeightSchedule, _PaddedRows, _check_integer, _check_ks
 
 __all__ = [
     "MomentTrajectory",
@@ -360,7 +360,7 @@ class ResidualCurves:
     """The mixing residual at each tilt of ``mus`` and k of ``ks``, as two K x n parts.
 
     ``rows`` forms the row at (mu, k), (n/k) mu lin_k + n^2/(2k) mu^2 quad_cross_k.
-    ``bounds`` is None when no window connects: there is no envelope.
+    ``bounds`` is None when the schedule has no envelope.
     """
 
     mus: tuple
@@ -425,7 +425,7 @@ def mixing_residual_curves(
     with m_eta the H1 innovation mean.  The H0 innovation mean is its
     negation and the covariance is shared, so the H0 residual at tilt mu is
     the H1 residual at -mu.  The bound decays like 1/k and depends on |mu|;
-    with no connected window there is none, and ``bounds`` is None.
+    on a schedule with no ``envelope`` there is none, and ``bounds`` is None.
     """
     k_max = _check_integer(k_max, "k_max", 2)
     if not (k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
@@ -444,9 +444,8 @@ def mixing_residual_curves(
     quad_cross -= ideal * (s_eta.sum() / (n * n))
     m_bar, s_bar = float(np.abs(m_eta).max()), float(np.abs(s_eta).max())
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
-    try:
-        env = contraction_bound(n, s.min_weight, s.window)
-    except NoConnectedWindow:
+    env = s.envelope
+    if env is None:
         return ResidualCurves(mus, ks, lin, quad_cross, None)
     theta, beta = env.amplitude, env.ratio
     bounds = np.empty((len(mus), ks.size))  # a row at a time: its temporaries are K-vectors

@@ -24,9 +24,9 @@ from .analysis import (
     exact_error_curves,
     propagate_moments,
 )
-from .errors import NoConnectedWindow, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .model import GaussianHypothesisPair, Hypothesis, innovation_stats
-from .network import WeightSchedule, _check_integer, _check_ks, contraction_bound, validate_assumption
+from .network import WeightSchedule, _check_integer, _check_ks, validate_assumption
 
 CHUNK_TRIALS = 4096
 THREADS_ENV = "CDL_THREADS"
@@ -271,24 +271,19 @@ def report_header(model: GaussianHypothesisPair, schedule: WeightSchedule) -> di
     """How every command states a scenario: the fields ``cdlab validate`` prints
     and analysis.json and comparison.json share.
 
-    ``contraction`` holds the schedule's measured ``min_weight`` and
-    ``window`` with the envelope they give, all but the floor None when no
-    window connects, and ``assumption_check`` the report of
-    ``validate_assumption``, run once here.  No field weights the
-    hypotheses: every Bayes error is (alpha + beta) / 2.
+    ``contraction`` holds the schedule's measured ``min_weight``, ``window``
+    and ``envelope``, the window None when none connects and the envelope's
+    ``amplitude`` and ``ratio`` None unless ``assumption_check``, the report
+    of ``validate_assumption``, passes.  No field weights the hypotheses:
+    every Bayes error is (alpha + beta) / 2.
     """
-    try:
-        window = schedule.window
-    except NoConnectedWindow:
-        window = envelope = None
-    else:
-        envelope = contraction_bound(schedule.n_nodes, schedule.min_weight, window)
+    envelope = schedule.envelope
     return {
         "n_sensors": int(model.n_sensors),
         "chernoff_information": float(chernoff_information(model)),
         "contraction": {
             "min_weight": float(schedule.min_weight),
-            "window": window,
+            "window": schedule.window,
             "amplitude": None if envelope is None else envelope.amplitude,
             "ratio": None if envelope is None else envelope.ratio,
         },

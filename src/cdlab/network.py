@@ -2,17 +2,18 @@
 
 A schedule is a periodic sequence W(1), W(2), ... of symmetric stochastic
 matrices, and it is nothing else: ``min_weight`` (the smallest positive entry
-across one period) and ``window`` (the shortest B for which the union of the
-support graphs over every B consecutive steps is connected) are measured from
-the matrices.  Validity means: every W(k) is symmetric, stochastic and
-nonnegative with strictly positive diagonal, and the union support over one
-period is connected.  A graph is its edge set, a frozenset of (i < j) pairs
-on nodes 1..n, and ``ScheduleSpec`` checks each edge list once.
+across one period), ``window`` (the shortest B for which the union of the
+support graphs over every B consecutive steps is connected, None if none is),
+the assumption check and the envelope are measured from the matrices, once.
+Validity means: every W(k) is symmetric, stochastic and nonnegative with
+strictly positive diagonal, and the union support over one period is
+connected.  A graph is its edge set, a frozenset of (i < j) pairs on nodes
+1..n, and ``ScheduleSpec`` checks each edge list once.
 
 The backward product Phi(k, j) = W(k-1) ... W(j) governs how innovations
 entered at time j spread by time k.  Its disagreement part (Phi minus the
-averaging projector) contracts geometrically; ``contraction_bound`` gives
-the proven envelope amplitude * ratio**(k-j) and ``check_geometric_decay``
+averaging projector) contracts geometrically on a valid schedule, under the
+proven ``envelope`` amplitude * ratio**(k-j); ``check_geometric_decay``
 judges every gap against it: measured products first, then the 2-norm of
 one period's product, which bounds every later gap.
 
@@ -39,17 +40,17 @@ __all__ = [
     "DecayReport",
     "build_schedule",
     "validate_assumption",
-    "contraction_bound",
     "check_geometric_decay",
 ]
 
 STOCHASTIC_ATOL = 1e-12
 # factors with SPARSE_MIN_NODES nodes or more and at most SPARSE_DENSITY N nonzeros a row are
-# padded; one covariance step on the two-matching ring (2-vCPU Xeon, OpenBLAS at 2 threads),
+# padded; one covariance step on the two-matching ring (2-vCPU host, OpenBLAS at 1 thread),
 # the fastest of 9 timings in us, padded sandwich against the dense step, in two runs:
 #   N        32       48       64       80       96       128       256
-#   padded   22-24    31-32    37-40    48-51    64       99-101    425-440
-#   dense    17-19    27-29    46-47    74       110-111  263-290   1968-2004
+#   padded   14       19       25       33-44    42-57    74        303-333
+#   dense    12       20-21    37-44    59-86    93       221-222   1424-1473
+# padded first wins at N = 48; no corpus or benchmark schedule has N in 9..255
 SPARSE_DENSITY = 1 / 16
 SPARSE_MIN_NODES = 64
 # the ScheduleSpec fields each topology reads
@@ -190,7 +191,7 @@ class ScheduleSpec:
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """W(k) = matrices[(k-1) % period]; every other figure is read from the matrices."""
+    """W(k) = matrices[(k-1) % period]; every other figure is measured from the matrices, once."""
 
     matrices: np.ndarray  # (period, n, n), read-only
 
@@ -201,11 +202,11 @@ class WeightSchedule:
         return float(positive.min()) if positive.size else 0.0
 
     @cached_property
-    def window(self) -> int:
+    def window(self) -> int | None:
         """Smallest B <= period with every B-step union support connected.
 
         A window of length >= period covers every residue, so searching up
-        to the period is exhaustive; NoConnectedWindow when none is.
+        to the period is exhaustive; None when none is.
         """
         p, n = self.period, self.n_nodes
         step_edges = [_support_edges(w) for w in self.matrices]
@@ -213,7 +214,31 @@ class WeightSchedule:
             unions = (frozenset().union(*(step_edges[l % p] for l in range(k, k + b))) for k in range(p))
             if all(_connected(n, union) for union in unions):
                 return b
-        raise NoConnectedWindow(f"union support over a full period is disconnected (period {p})")
+        return None
+
+    @cached_property
+    def assumption_check(self) -> ValidationReport:
+        """The matrices against the paper's network assumptions, in three items:
+        symmetric-stochastic structure and the positive-weight floor, with the
+        failures ``_weight_issues`` lists, and connectivity of the union support
+        over one period, which fails exactly when ``window`` is None."""
+        failures = {"symmetric-stochastic": [], "weight-floor": []}
+        for check, failure in _weight_issues(self):
+            failures[check].append(failure)
+        failures["window-connectivity"] = [{"window": self.period, "issue": "disconnected-union"}] if self.window is None else []
+        return ValidationReport(
+            items=tuple(CheckResult(name, not found, tuple(found)) for name, found in failures.items())
+        )
+
+    @cached_property
+    def envelope(self) -> ContractionBound | None:
+        """The geometric envelope from network size, weight floor and window, proven
+        under the paper's assumptions only: None unless ``assumption_check`` passes."""
+        if not self.assumption_check.passed:
+            return None
+        n = self.n_nodes
+        base = 1.0 - self.min_weight / (4.0 * n * n)
+        return ContractionBound(amplitude=base**-2, ratio=base ** (1.0 / self.window))
 
     @property
     def n_nodes(self) -> int:
@@ -302,10 +327,10 @@ def _step_edges(spec: ScheduleSpec) -> list:
 def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     """Weigh each step's checked edge set, or take explicit matrices; freeze; validate.
 
-    Raises InvalidWeights on the first issue ``validate_assumption`` would
-    report for the weights (structure or floor), and NoConnectedWindow when
-    no window length up to the period has connected union support; the
-    returned schedule therefore passes ``validate_assumption``.
+    The one place a failed assumption check raises: InvalidWeights on the
+    first weight issue in step order (structure or floor), else
+    NoConnectedWindow when no window length up to the period has connected
+    union support; the returned schedule therefore passes its check.
     """
     if spec.topology == "explicit":
         mats = [np.array(m, dtype=float) for m in spec.matrices]
@@ -315,11 +340,14 @@ def build_schedule(spec: ScheduleSpec) -> WeightSchedule:
     stacked = np.array(mats)
     stacked.flags.writeable = False
     schedule = WeightSchedule(matrices=stacked)
-    issues = _weight_issues(schedule)
+    *weights, connectivity = schedule.assumption_check.items
+    # _weight_issues's order: by step, structure before floor, and a failure with no step last
+    issues = [(failure.get("k", math.inf), item.name, failure) for item in weights for failure in item.failures]
     if issues:
-        check, failure = issues[0]
+        _, check, failure = min(issues, key=lambda issue: issue[0])
         raise InvalidWeights(f"{check}: {failure}")
-    schedule.window  # measured now: a disconnected schedule raises NoConnectedWindow here
+    if not connectivity.passed:
+        raise NoConnectedWindow(f"union support over a full period is disconnected (period {schedule.period})")
     return schedule
 
 
@@ -384,24 +412,8 @@ class ValidationReport:
 
 
 def validate_assumption(s: WeightSchedule) -> ValidationReport:
-    """Check the matrices against the paper's network assumptions.
-
-    Three items: symmetric-stochastic structure, the positive-weight floor
-    (a positive diagonal, and a measured ``min_weight`` in (0, 1]), and
-    connectivity of the union support over one period, which holds exactly
-    when some window of at most the period connects every union.  It
-    reports a schedule ``build_schedule`` would refuse; it does not raise.
-    """
-    failures = {"symmetric-stochastic": [], "weight-floor": []}
-    for check, failure in _weight_issues(s):
-        failures[check].append(failure)
-    union = frozenset().union(*map(_support_edges, s.matrices))
-    failures["window-connectivity"] = [] if _connected(s.n_nodes, union) else [
-        {"window": s.period, "issue": "disconnected-union"}
-    ]
-    return ValidationReport(
-        items=tuple(CheckResult(name, not found, tuple(found)) for name, found in failures.items())
-    )
+    """The schedule's ``assumption_check``, which reports a failure and does not raise."""
+    return s.assumption_check
 
 
 # ── contraction ───────────────────────────────────────────────────────────
@@ -413,16 +425,6 @@ class ContractionBound:
 
     amplitude: float
     ratio: float
-
-
-def contraction_bound(n: int, min_weight: float, window: int) -> ContractionBound:
-    """Geometric envelope constants from network size, weight floor, window."""
-    _check_integer(n, "n", 1)
-    if not 0.0 < min_weight <= 1.0:
-        raise ParameterError(f"min_weight must be in (0, 1], got {min_weight}")
-    _check_integer(window, "window", 1)
-    base = 1.0 - min_weight / (4.0 * n * n)
-    return ContractionBound(amplitude=base**-2, ratio=base ** (1.0 / window))
 
 
 @dataclass(frozen=True)
@@ -466,12 +468,12 @@ def check_geometric_decay(s: WeightSchedule) -> DecayReport:
     at every later gap too (Xiao and Boyd, Systems & Control Letters 53,
     2004).  ``passed`` is False when a measured entry exceeds the envelope
     by more than a relative 1e-9, when sigma_r > ratio ** P leaves the tail
-    unproven, and when no window connects: there is no contraction.
+    unproven, and when the schedule has no envelope: there is no contraction.
     """
-    try:
-        bound = contraction_bound(s.n_nodes, s.min_weight, s.window)
-    except NoConnectedWindow:
-        return DecayReport(0.0, {}, (), None, None, False, "no contraction: the union support over a period is disconnected")
+    bound = s.envelope
+    if bound is None:
+        note = "no contraction: the weights fail the assumption check or the union support over a period is disconnected"
+        return DecayReport(0.0, {}, (), None, None, False, note)
     n, period = s.n_nodes, s.period
 
     def envelope(gap):

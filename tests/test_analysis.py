@@ -31,7 +31,7 @@ from cdlab.cli import RESIDUAL_MUS
 from cdlab.errors import DegenerateVariance, ParameterError
 from cdlab.experiment import ExperimentPlan, Thresholds
 from cdlab.model import Hypothesis, build_model, innovation_stats
-from cdlab.network import ScheduleSpec, WeightSchedule, _PaddedRows, build_schedule, contraction_bound
+from cdlab.network import ScheduleSpec, WeightSchedule, _PaddedRows, build_schedule
 from corpus import CORPUS, build_scenario
 from oracles import (
     MaximizerAtBoundary,
@@ -689,7 +689,7 @@ def reference_residual(model, schedule, k_max, mu, hypothesis):
     m_bar = float(np.abs(m_eta).max())
     s_bar = float(np.abs(s_eta).max())
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
-    env = contraction_bound(n, schedule.min_weight, schedule.window)
+    env = schedule.envelope
     theta, beta = env.amplitude, env.ratio
     a = abs(mu)
     a1, a2, a3 = np.zeros(n), np.zeros((n, n)), np.zeros(n)

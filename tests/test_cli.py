@@ -406,20 +406,26 @@ class TestRateRule:
         assert {key: analysis[key] for key in shared} == {key: comparison[key] for key in shared}
         assert analysis["verdict"] == "pass"
 
-    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("command", ["validate", "analyze", "simulate"])
     def test_assumption_is_validated_once(self, command, tmp_path, monkeypatch):
-        calls = []
-        real = experiment.validate_assumption
+        """One report a command, and the weight checks behind it run once:
+        build_schedule measures them and every later reader takes its report."""
+        calls = {"validate_assumption": [], "_weight_issues": []}
 
-        def counted(schedule):
-            calls.append(schedule)
-            return real(schedule)
+        def counted(name, real):
+            def count(schedule):
+                calls[name].append(schedule)
+                return real(schedule)
+            return count
 
+        validate = counted("validate_assumption", experiment.validate_assumption)
         for module in (experiment, network):
-            monkeypatch.setattr(module, "validate_assumption", counted)
-        argv = [command, "--quiet", "--config", str(SCENARIO_DIR / "ref3.json"), "--out", str(tmp_path)]
-        assert main(argv + (["--trials", "10"] if command == "simulate" else [])) == 0
-        assert len(calls) == 1
+            monkeypatch.setattr(module, "validate_assumption", validate)
+        monkeypatch.setattr(network, "_weight_issues", counted("_weight_issues", network._weight_issues))
+        argv = [command, "--quiet", "--config", str(SCENARIO_DIR / "ref3.json")]
+        extra = {"validate": [], "analyze": ["--out", str(tmp_path)], "simulate": ["--out", str(tmp_path), "--trials", "10"]}
+        assert main(argv + extra[command]) == 0
+        assert {name: len(found) for name, found in calls.items()} == {"validate_assumption": 1, "_weight_issues": 1}
 
 
 class TestSimulate:

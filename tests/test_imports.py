@@ -1,7 +1,8 @@
-"""The commands need numpy alone: no cdlab command loads any scipy module.
+"""The commands need the package and numpy alone: no cdlab command loads any
+scipy module, and none loads the test helpers.
 
 Each case runs in a fresh interpreter, because the test process itself has
-scipy loaded.
+scipy and the helpers loaded.
 """
 
 import json
@@ -13,12 +14,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REF3 = str(ROOT / "scenarios" / "ref3.json")
 
-# argv: a JSON list of cdlab argvs.  Fails when `import cdlab.cli` loads any
-# scipy module; scipy cannot be imported afterwards.  Prints the scipy modules
-# loaded once every command has exited 0.
+# argv: a JSON list of cdlab argvs, then the src directory.  Fails when cdlab
+# loads from elsewhere or `import cdlab.cli` loads any scipy module; scipy
+# cannot be imported afterwards.  Once every command has exited 0, fails when
+# a test helper (tests, oracles, corpus, conftest) was loaded, and prints the
+# scipy modules loaded.
 PROBE = """
 import json, sys
+from pathlib import Path
 import cdlab.cli
+
+if Path(cdlab.cli.__file__).resolve().parent.parent != Path(sys.argv[2]):
+    sys.exit(f"cdlab loaded from {cdlab.cli.__file__}, not from {sys.argv[2]}")
 
 def scipy_loaded():
     return sorted(m for m, mod in list(sys.modules.items())
@@ -31,6 +38,10 @@ for argv in json.loads(sys.argv[1]):
     rc = cdlab.cli.main(argv)
     if rc != 0:
         sys.exit(f"{argv[0]} exited {rc}")
+helpers = sorted(m for m, mod in list(sys.modules.items())
+                 if mod is not None and m.split(".")[0] in ("tests", "oracles", "corpus", "conftest"))
+if helpers:
+    sys.exit(f"the commands loaded {helpers}")
 print(json.dumps(scipy_loaded()))
 """
 
@@ -41,7 +52,7 @@ def run_probe(argvs, cwd):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", PROBE, json.dumps(argvs), str(ROOT / "src")],
         cwd=cwd,
         env=env,
         capture_output=True,

@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlab import network
+from cdlab.analysis import mixing_residual_curves, propagate_moments
 from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
+from cdlab.experiment import report_header
 from cdlab.network import (
     ScheduleSpec,
     WeightSchedule,
     build_schedule,
     check_geometric_decay,
-    contraction_bound,
     validate_assumption,
     _connected,
     _edge_set,
@@ -308,6 +309,18 @@ class TestBuildSchedule:
                 ScheduleSpec(n_nodes=1, topology="explicit", matrices=([[1.0 + 1e-13]],))
             )
 
+    def test_first_weight_issue_in_step_order_is_raised(self):
+        """Step 1's zero diagonal comes before step 2's asymmetry, and step 2's
+        asymmetry before its own floor failure."""
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        skew = np.array([[0.0, 0.6], [0.4, 0.6]])
+        with pytest.raises(InvalidWeights) as first:
+            build_schedule(ScheduleSpec(n_nodes=2, topology="explicit", matrices=(swap, skew)))
+        with pytest.raises(InvalidWeights) as second:
+            build_schedule(ScheduleSpec(n_nodes=2, topology="explicit", matrices=(np.eye(2), skew)))
+        assert str(first.value) == "weight-floor: {'k': 1, 'issue': 'diagonal-below-floor', 'value': 0.0}"
+        assert str(second.value).startswith("symmetric-stochastic: {'k': 2, 'issue': 'asymmetric'")
+
     def test_random_subgraph_is_deterministic(self):
         spec = ScheduleSpec(
             n_nodes=5,
@@ -380,15 +393,14 @@ class TestMeasuredSchedule:
         assert (s.min_weight.hex(), s.window) == STORED_FLOOR_AND_WINDOW[name]
 
     def test_hand_built_disconnected_schedule(self):
-        """.window raises what build_schedule raises on the same matrices;
+        """.window is None where build_schedule raises on the same matrices;
         validate_assumption reports the failure and does not raise."""
         split = _metropolis_weights(4, frozenset({(1, 2), (3, 4)}))
         with pytest.raises(NoConnectedWindow) as built:
             build_schedule(ScheduleSpec(n_nodes=4, topology="explicit", matrices=(split, split)))
+        assert str(built.value) == "union support over a full period is disconnected (period 2)"
         s = WeightSchedule(matrices=np.array([split, split]))
-        with pytest.raises(NoConnectedWindow) as measured:
-            s.window
-        assert str(measured.value) == str(built.value) == "union support over a full period is disconnected (period 2)"
+        assert s.window is None
         report = validate_assumption(s)
         assert [(item.name, item.passed) for item in report.items] == [
             ("symmetric-stochastic", True),
@@ -492,28 +504,73 @@ class TestDisagreementProduct:
 # ── contraction envelope ──────────────────────────────────────────────────
 
 
-class TestContractionBound:
+HALF2 = np.full((2, 2), 0.5)
+# schedules that fail the paper's assumptions: (corpus scenario whose model fits,
+# matrices from that scenario's, the failures of each failed check)
+UNPROVEN = {
+    "ref3-scaled": ("ref3", lambda m: m * 0.9, {"symmetric-stochastic": [
+        {"k": 1, "issue": "row-sum", "value": 0.09999999999999998},
+        {"k": 2, "issue": "row-sum", "value": 0.09999999999999998},
+    ]}),
+    "asymmetric": ("ref3", lambda m: np.array([[[0.6, 0.4, 0.0], [0.2, 0.6, 0.2], [0.0, 0.4, 0.6]]]), {
+        "symmetric-stochastic": [{"k": 1, "issue": "asymmetric", "value": 0.2}],
+    }),
+    "floor-1.5": ("identity2", lambda m: np.full((1, 2, 2), 1.5), {
+        "symmetric-stochastic": [{"k": 1, "issue": "row-sum", "value": 2.0}],
+        "weight-floor": [{"issue": "min-weight-range", "value": 1.5}],
+    }),
+    "identity": ("ref3", lambda m: np.array([np.eye(3)] * 2), {
+        "window-connectivity": [{"window": 2, "issue": "disconnected-union"}],
+    }),
+    "zero": ("identity2", lambda m: np.zeros((1, 2, 2)), {
+        "symmetric-stochastic": [{"k": 1, "issue": "row-sum", "value": 1.0}],
+        "weight-floor": [{"k": 1, "issue": "diagonal-below-floor", "value": 0.0}, {"issue": "min-weight-range", "value": 0.0}],
+        "window-connectivity": [{"window": 1, "issue": "disconnected-union"}],
+    }),
+}
+
+
+class TestEnvelope:
     def test_frozen_fraction_values(self):
         """n=2, floor 1/2, window 1: base = 31/32 by hand."""
-        b = contraction_bound(2, 0.5, 1)
-        assert b.ratio == pytest.approx(31 / 32, rel=1e-15)
-        assert b.amplitude == pytest.approx(1024 / 961, rel=1e-14)
+        s = WeightSchedule(matrices=HALF2[None])
+        assert (s.n_nodes, s.min_weight, s.window) == (2, 0.5, 1)
+        assert s.envelope.ratio == pytest.approx(31 / 32, rel=1e-15)
+        assert s.envelope.amplitude == pytest.approx(1024 / 961, rel=1e-14)
 
     def test_window_slows_the_ratio(self):
-        fast = contraction_bound(3, 0.5, 1)
-        slow = contraction_bound(3, 0.5, 2)
-        assert slow.ratio == pytest.approx(np.sqrt(fast.ratio), rel=1e-14)
-        assert fast.ratio < slow.ratio < 1.0
+        """Averaging every other step, with the identity between, doubles the window
+        at the same size and floor: the ratio is the square root of window 1's."""
+        fast = WeightSchedule(matrices=HALF2[None])
+        slow = WeightSchedule(matrices=np.array([HALF2, np.eye(2)]))
+        assert (slow.n_nodes, slow.min_weight, slow.window) == (2, 0.5, 2)
+        assert slow.envelope.ratio == pytest.approx(np.sqrt(fast.envelope.ratio), rel=1e-14)
+        assert slow.envelope.amplitude == fast.envelope.amplitude
+        assert fast.envelope.ratio < slow.envelope.ratio < 1.0
 
-    def test_domain_checks(self):
-        with pytest.raises(ParameterError):
-            contraction_bound(0, 0.5, 1)
-        with pytest.raises(ParameterError):
-            contraction_bound(2, 0.0, 1)
-        with pytest.raises(ParameterError):
-            contraction_bound(2, 1.5, 1)
-        with pytest.raises(ParameterError):
-            contraction_bound(2, 0.5, 0)
+    @pytest.mark.parametrize("case", UNPROVEN)
+    def test_no_envelope_without_the_assumptions(self, case):
+        """The paper proves the envelope only for symmetric doubly stochastic
+        weights with a floor in (0, 1] and a connected window.  A schedule that
+        fails its assumption check, on its weights or its window, has none: the
+        header's amplitude and ratio are null, the decay check fails with no
+        contraction and the residual has no bounds, where none raises, and the
+        check's report is what it was."""
+        name, matrices_of, failures = UNPROVEN[case]
+        model, built, _ = build_scenario(name)
+        s = WeightSchedule(matrices=matrices_of(built.matrices))
+        assert s.envelope is None
+        header = report_header(model, s)
+        assert (header["contraction"]["amplitude"], header["contraction"]["ratio"]) == (None, None)
+        decay = check_geometric_decay(s)
+        assert decay.passed is False and decay.note.startswith("no contraction")
+        trajectory = propagate_moments(model, s, range(1, 9))
+        assert mixing_residual_curves(model, s, trajectory, 8, (0.5,)).bounds is None
+        names = ["symmetric-stochastic", "weight-floor", "window-connectivity"]
+        assert header["assumption_check"] == {
+            "passed": False,
+            "checks": [{"name": n, "passed": n not in failures, "failures": failures.get(n, [])} for n in names],
+        }
 
 
 class TestCheckGeometricDecay:
@@ -523,7 +580,7 @@ class TestCheckGeometricDecay:
         assert report.passed and report.note is None
         assert report.worst_ratio < 1.0
         # actual mixing is faster than the proven envelope, in the norm of one period and asymptotically
-        envelope_rate = -np.log(contraction_bound(3, s.min_weight, s.window).ratio)
+        envelope_rate = -np.log(s.envelope.ratio)
         assert report.envelope_rate == pytest.approx(envelope_rate, rel=1e-15)
         assert min(row["proven_rate"] for row in report.phases) > envelope_rate
         assert report.asymptotic_rate > envelope_rate
@@ -543,17 +600,17 @@ class TestCheckGeometricDecay:
         envelopes, the check fails.  The tail bound 0.5 ** (gap // 2) then
         first lies under the lowered envelope over a full period from gap 4,
         not 3: gap 3's 0.5 is above 0.435 times the old envelope."""
-        real = network.contraction_bound
+        real = WeightSchedule.envelope.func
 
-        def scaled(*args):
-            bound = real(*args)
+        def scaled(schedule):
+            bound = real(schedule)
             return dataclasses.replace(bound, amplitude=bound.amplitude * 0.6528 / 1.5)
 
         _, schedule, _ = build_scenario("ref3")
         report = check_geometric_decay(schedule)
         assert report.worst_ratio == pytest.approx(0.6528, rel=1e-4)
         assert [row["tail_gap"] for row in report.phases] == [3, 3]
-        monkeypatch.setattr(network, "contraction_bound", scaled)
+        monkeypatch.setattr(WeightSchedule, "envelope", property(scaled))
         report = check_geometric_decay(schedule)
         assert report.passed is False
         assert report.worst_ratio == pytest.approx(1.5, rel=1e-4)
@@ -564,7 +621,7 @@ class TestCheckGeometricDecay:
         0.6 ** 2: the tail bound cannot be carried from period to period, so
         later gaps are unproven and the check fails although every measured
         entry lies far under the envelope's amplitude of 1e6."""
-        monkeypatch.setattr(network, "contraction_bound", lambda *args: network.ContractionBound(amplitude=1e6, ratio=0.6))
+        monkeypatch.setattr(WeightSchedule, "envelope", property(lambda s: network.ContractionBound(amplitude=1e6, ratio=0.6)))
         report = check_geometric_decay(build_scenario("ref3")[1])
         assert report.worst_ratio < 1e-5
         assert [row["tail_gap"] for row in report.phases] == [3, 3]
@@ -616,7 +673,7 @@ class TestCheckGeometricDecay:
         for j, gap in [(1, 1), (period, 1), (1, 37), (period, 100), (1, 200)]:
             oracle = float(np.abs(disagreement_product(s, j + gap, j)).max())
             assert abs(values[j - 1, gap - 1] - oracle) <= PRODUCT_AGREE_ATOL
-        bound = contraction_bound(n, s.min_weight, s.window)
+        bound = s.envelope
         gaps = np.arange(1, max_gap + 1)
         envelope = bound.amplitude * bound.ratio**gaps
         norms = np.array([[row["norm"]] for row in report.phases])
@@ -678,6 +735,7 @@ class TestCheckGeometricDecay:
         assert d["passed"] is True
         assert 0.0 <= d["worst_ratio"] < 1.0
         assert [row["phase"] for row in d["phases"]] == [1, 2]
-        bound = contraction_bound(3, s.min_weight, s.window)
+        bound = s.envelope
         witness = d["worst_witness"]
         assert witness["bound"] == bound.amplitude * bound.ratio ** witness["gap"]
+
