@@ -16,11 +16,11 @@ compose by repeated squaring, so a gap of g steps costs O(N^3 log g) where
 that beats stepping, and k = 1e9 is as cheap as k = 1e3.  Shorter gaps are
 stepped.
 
-``mixing_residual_curves`` reads off the same trajectory how far the finite-k
-scaled cumulant of a node variable is from its value under perfect per-step
-averaging: two K x N parts, from which rows are formed one (tilt, k) at a time
-in O(K N) memory.  Its proven bound decays like 1/k (contraction envelope), the
-mechanism behind every node matching the centralized error exponent.  Its
+``mixing_residual_curves`` reads off the same trajectory, at any K visited k,
+how far the finite-k scaled cumulant of a node variable is from its value
+under perfect per-step averaging: two K x N parts, from which rows are formed
+one (tilt, k) at a time in O(K N) memory.  Its proven bound decays like 1/k,
+the mechanism behind every node matching the centralized error exponent.  Its
 rows are H1's (H0's at mu are H1's at -mu); ``fold_worst_ratio`` summarizes them.
 """
 
@@ -408,44 +408,41 @@ def mixing_residual_curves(
     model: GaussianHypothesisPair,
     s: WeightSchedule,
     trajectory: MomentTrajectory,
-    k_max: int,
+    ks,
     mus,
 ) -> ResidualCurves:
-    """The H1 residual and its bound for every finite tilt, node and k in 2..k_max.
+    """The H1 residual and its bound for every finite tilt, node and k of ``ks``.
 
     The residual is built from the disagreement products
     tPhi(k, j) = Phi(k, j) - J, J = 11'/N, summed over j < k:
     lin = sum tPhi m_eta, quad = diag(sum tPhi S_eta tPhi') and
     cross = sum tPhi S_eta 1.  These are the disagreement parts of the
     moments of the running sum U(k) = k x(k) / N = sum_{j<=k} Phi(k, j) eta(j),
-    so they are read off ``trajectory``, which must have visited every k
-    up to k_max, into two K x N arrays built in place:
+    so they are read off ``trajectory`` at each k of ``ks``, all >= 2 and
+    visited (else ParameterError), into two K x N arrays built in place:
       lin = E U(k) - (k - 1) J m_eta - m_eta
       quad_cross = quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
-    with m_eta the H1 innovation mean.  The H0 innovation mean is its
-    negation and the covariance is shared, so the H0 residual at tilt mu is
-    the H1 residual at -mu.  The bound decays like 1/k and depends on |mu|;
-    on a schedule with no ``envelope`` there is none, and ``bounds`` is None.
+    with m_eta the H1 innovation mean; the O(k) consensus part they cancel costs
+    digits at deep k.  H0's innovation mean is the negation and the covariance
+    is shared, so the H0 residual at tilt mu is the H1 residual at -mu.  The
+    bound decays like 1/k and depends on |mu|; with no ``s.envelope``, ``bounds`` is None.
     """
-    k_max = _check_integer(k_max, "k_max", 2)
-    if not (k_max <= trajectory.ks.size and trajectory.ks[k_max - 1] == k_max):
-        raise ParameterError(f"k_max must have every k up to it visited, got {k_max}")
+    ks = np.asarray(_check_ks(ks, "residual k", minimum=2))
     mus = check_tilts(mus)
+    lin, quad_cross = trajectory.moments_at(ks)  # fresh copies, turned into the parts in place
     m_eta, s_eta = innovation_stats(model)
     n = s.n_nodes
-    ks = np.arange(2, k_max + 1)
     col = ks[:, None]
     ideal = col - 1.0
-    lin = np.multiply(col / n, trajectory.means[1:k_max])
+    lin *= col / n
     lin -= m_eta
     lin -= ideal * m_eta.mean()
-    quad_cross = np.multiply(col * col / (n * n), trajectory.variances[1:k_max])
+    quad_cross *= col * col / (n * n)
     quad_cross -= np.diag(s_eta)
     quad_cross -= ideal * (s_eta.sum() / (n * n))
     m_bar, s_bar = float(np.abs(m_eta).max()), float(np.abs(s_eta).max())
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
-    env = s.envelope
-    if env is None:
+    if (env := s.envelope) is None:
         return ResidualCurves(mus, ks, lin, quad_cross, None)
     theta, beta = env.amplitude, env.ratio
     bounds = np.empty((len(mus), ks.size))  # a row at a time: its temporaries are K-vectors

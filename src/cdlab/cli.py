@@ -36,8 +36,8 @@ from .network import check_geometric_decay
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
 RESIDUAL_HEADER = "mu,k,max_abs,node,bound"
 RESIDUAL_MUS = (-1.0, -0.1, 0.1, 1.0)
-# the residual diagnostic's last k: analyze visits every k up to here, and
-# then the checkpoints past it
+# analyze writes residual rows at its checkpoints in 2..here: a row cancels an O(k) consensus
+# part of the moments, so it loses digits deeper, until that part is carried on its own
 RESIDUAL_HORIZON = 512
 
 
@@ -138,21 +138,18 @@ def cmd_analyze(args) -> int:
     config = scenario_from_file(args.config)
     model = config.build_model()
     schedule = config.build_schedule()
-    thresholds = config.thresholds
     ws = _Workspace(Path(args.config), config, args.out, args.quiet)
 
     ks = config.checkpoints
-    horizon = min(ks[-1], RESIDUAL_HORIZON)
-    traj = propagate_moments(model, schedule, [*range(1, horizon + 1), *ks, thresholds.k_early, thresholds.k_late])
-    rate = compare_detectors(model, schedule, thresholds, traj)
-    node_curves = exact_error_curves(model, traj, ks=ks)
-    cen_curve = centralized_error_curve(model, ks)
-    ws.write("curves_exact.csv", _curves_csv([cen_curve] + node_curves))
+    traj = propagate_moments(model, schedule, config.thresholds.visits(ks))
+    rate = compare_detectors(model, schedule, config.thresholds, traj)
+    ws.write("curves_exact.csv", _curves_csv([centralized_error_curve(model, ks), *exact_error_curves(model, traj, ks=ks)]))
 
     decay = check_geometric_decay(schedule)
 
-    worst = {}  # mu -> max over k and node of |value| / bound
-    rows = mixing_residual_curves(model, schedule, traj, horizon, RESIDUAL_MUS).rows() if horizon >= 2 else ()
+    worst = {}  # mu -> max over the residual's k and node of |value| / bound
+    residual_ks = [k for k in ks if 2 <= k <= RESIDUAL_HORIZON]
+    rows = mixing_residual_curves(model, schedule, traj, residual_ks, RESIDUAL_MUS).rows() if residual_ks else ()
     ws.write("residual_diagnostic.csv", _residual_csv(fold_worst_ratio(rows, worst)))
 
     analysis = {

@@ -61,6 +61,10 @@ class Thresholds:
             if not ok:
                 raise ParameterError(f"{name} must be {domain}, got {getattr(self, name)}")
 
+    def visits(self, checkpoints=()) -> list:
+        """The one visit rule of every exact trajectory: the checkpoints, k_early and k_late, sorted."""
+        return sorted({*checkpoints, self.k_early, self.k_late})
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -310,14 +314,14 @@ def compare_detectors(
     times the Chernoff information).  The verdict is suppressed (None) when
     the schedule fails its own structural validation, since the rate claim
     is only meaningful under those assumptions.  A ``trajectory`` that
-    visited ``k_early`` and ``k_late`` is reused instead of propagating one.
+    visited ``k_early`` and ``k_late`` is reused instead of one over ``visits()``.
     """
     k_early, k_late = thresholds.k_early, thresholds.k_late
     header = report_header(model, schedule)
     chernoff = header["chernoff_information"]
     ks = [k_early, k_late]
     if trajectory is None:
-        trajectory = propagate_moments(model, schedule, range(1, k_late + 1))
+        trajectory = propagate_moments(model, schedule, thresholds.visits())
     node_curves = exact_error_curves(model, trajectory, ks=ks)
     cen_curve = centralized_error_curve(model, ks)
     cen_rate = _empirical_rate(cen_curve)
@@ -373,9 +377,7 @@ def check_simulation(plan: ExperimentPlan, thresholds: Thresholds) -> tuple:
     """
     model = plan.model
     result = run_monte_carlo(plan)
-    trajectory = propagate_moments(
-        model, plan.schedule, range(1, max(plan.k_checkpoints[-1], thresholds.k_late) + 1)
-    )
+    trajectory = propagate_moments(model, plan.schedule, thresholds.visits(plan.k_checkpoints))
     report = compare_detectors(model, plan.schedule, thresholds, trajectory)
     exact_curves = exact_error_curves(model, trajectory, ks=result.ks) + [centralized_error_curve(model, result.ks)]
     estimates = [*result.node_curves, result.centralized_curve]

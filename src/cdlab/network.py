@@ -74,9 +74,9 @@ def _check_integer(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _check_ks(values, name: str) -> list:
-    """The k-set rule: a nonempty set of integers >= 1, each by the integer rule, sorted."""
-    ks = sorted({_check_integer(k, name, 1) for k in values})
+def _check_ks(values, name: str, minimum: int = 1) -> list:
+    """The k-set rule: a nonempty set of integers >= ``minimum``, each by the integer rule, sorted."""
+    ks = sorted({_check_integer(k, name, minimum) for k in values})
     if not ks:
         raise ParameterError(f"need at least one {name}, got none")
     return ks
@@ -194,6 +194,10 @@ class WeightSchedule:
     """W(k) = matrices[(k-1) % period]; every other figure is measured from the matrices, once."""
 
     matrices: np.ndarray  # (period, n, n), read-only
+
+    def __post_init__(self):
+        if len(shape := np.shape(self.matrices)) != 3 or shape[1] != shape[2] or 0 in shape:
+            raise ShapeError(f"matrices must be (period, n, n) with period, n >= 1, got shape {shape}")
 
     @cached_property
     def min_weight(self) -> float:

@@ -20,7 +20,9 @@ in its most literal form, something the package computes another way:
 * the whole (tilt, k, node) cube of the mixing residual, stacked from the
   rows ``analysis.ResidualCurves`` forms one at a time, its per-node CSV
   written one cell at a time, and that CSV folded by max |value| per
-  (tilt, k), against ``analyze``'s summary from ``analysis.fold_worst_ratio``.
+  (tilt, k), against ``analyze``'s summary from ``analysis.fold_worst_ratio``,
+  byte for byte or, where the two read different trajectories, within a
+  tolerance.
 
 ``MaximizerAtBoundary`` and ``ThresholdOutOfRange`` are raised only here.
 """
@@ -335,8 +337,8 @@ def fit_exponent(curve: ErrorCurve, window) -> float:
     return float(-slope)
 
 
-def residual_cube(model, schedule, trajectory, k_max, mus, hypothesis=Hypothesis.H1) -> tuple:
-    """The residual under ``hypothesis`` as (ks, values, bounds) arrays.
+def residual_cube(model, schedule, trajectory, ks, mus, hypothesis=Hypothesis.H1) -> tuple:
+    """The residual under ``hypothesis`` at the k of ``ks`` as (ks, values, bounds) arrays.
 
     The H0 residual at tilt mu is the H1 residual at -mu, so H0 reads the
     shipped H1 rows at the negated tilts.  ``values``, (len(mus), K, n), is
@@ -344,7 +346,7 @@ def residual_cube(model, schedule, trajectory, k_max, mus, hypothesis=Hypothesis
     commands write; ``bounds`` is (len(mus), K).
     """
     sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0
-    residual = mixing_residual_curves(model, schedule, trajectory, k_max, [sign * mu for mu in mus])
+    residual = mixing_residual_curves(model, schedule, trajectory, ks, [sign * mu for mu in mus])
     values = np.array([values for _, _, values, _ in residual.rows()])
     return residual.ks, values.reshape(len(residual.mus), *residual.lin.shape), residual.bounds
 
@@ -371,3 +373,39 @@ def fold_residual_csv(per_node: str) -> str:
             best[mu, k] = (peak, node, bound)
     rows = [f"{mu},{k},{peak!r},{node},{bound}" for (mu, k), (peak, node, bound) in best.items()]
     return "\n".join(["mu,k,max_abs,node,bound", *rows]) + "\n"
+
+
+def fold_mismatches(per_node: str, summary: str, rel: float, floor: float) -> list:
+    """Where the residual ``summary`` CSV is not the ``per_node`` CSV's rows at its (mu, k) folded
+    by max |value|: one message per row that differs, [] when every row agrees.
+
+    ``max_abs`` must lie within ``rel`` and the absolute ``floor`` of the maximum, and ``bound``
+    within ``rel``.  ``node`` must be one whose |value| is that close to the maximum, so a near
+    tie, which rounding may break either way, accepts every node in it.
+    """
+    header, *lines = per_node.splitlines()
+    if header != "mu,k,node,value,bound":
+        raise ValueError(f"not a per-node residual CSV: {header!r}")
+    cells = {}  # (mu, k) -> ({node: |value|}, bound)
+    for line in lines:
+        mu, k, node, value, bound = line.split(",")
+        cells.setdefault((mu, k), ({}, float(bound)))[0][node] = abs(float(value))
+    header, *lines = summary.splitlines()
+    if header != "mu,k,max_abs,node,bound":
+        raise ValueError(f"not a residual summary CSV: {header!r}")
+    found = []
+    for line in lines:
+        mu, k, max_abs, node, bound = line.split(",")
+        if (mu, k) not in cells:
+            found.append(f"mu={mu} k={k}: no per-node rows")
+            continue
+        magnitudes, want_bound = cells[mu, k]
+        peak = max(magnitudes.values())
+        near = [i for i, m in magnitudes.items() if math.isclose(m, peak, rel_tol=rel, abs_tol=floor)]
+        if not math.isclose(float(max_abs), peak, rel_tol=rel, abs_tol=floor):
+            found.append(f"mu={mu} k={k}: max_abs {max_abs} != {peak!r}")
+        if node not in near:
+            found.append(f"mu={mu} k={k}: node {node} not in {near}")
+        if not math.isclose(float(bound), want_bound, rel_tol=rel, abs_tol=0.0):
+            found.append(f"mu={mu} k={k}: bound {bound} != {want_bound!r}")
+    return found

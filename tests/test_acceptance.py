@@ -205,7 +205,7 @@ def test_criterion_09_residual_bound_and_cumulant_limit():
     traj = propagate_moments(model, schedule, range(1, 1001))
     worst_ratio = 0.0
     for hyp in (H0, H1):
-        ks, values, bounds = residual_cube(model, schedule, traj, 500, mus, hypothesis=hyp)
+        ks, values, bounds = residual_cube(model, schedule, traj, range(2, 501), mus, hypothesis=hyp)
         for mu, mu_values, mu_bounds in zip(mus, values, bounds):
             assert np.all(np.abs(mu_values) <= mu_bounds[:, None]), f"mu={mu} hyp={int(hyp)}"
             worst_ratio = max(worst_ratio, float((np.abs(mu_values) / mu_bounds[:, None]).max()))

@@ -399,7 +399,7 @@ NON_INTEGER_K_CALLS = {
     "Thresholds-k_early": lambda m, s, traj: Thresholds(k_early=99.9),
     "Thresholds-k_late": lambda m, s, traj: Thresholds(k_late=500.5),
     "Thresholds-mc_min_trials": lambda m, s, traj: Thresholds(mc_min_trials=True),
-    "mixing_residual_curves": lambda m, s, traj: mixing_residual_curves(m, s, traj, 10.0, (0.5,)),
+    "mixing_residual_curves": lambda m, s, traj: mixing_residual_curves(m, s, traj, [10.0], (0.5,)),
 }
 
 
@@ -732,7 +732,7 @@ class TestMixingResidual:
         """W = J leaves no disagreement: the residual is zero up to its rounding floor."""
         model, schedule = pair_scenario()
         traj = propagate_moments(model, schedule, range(1, 41))
-        ks, values, bounds = residual_cube(model, schedule, traj, 40, (0.8,))
+        ks, values, bounds = residual_cube(model, schedule, traj, range(2, 41), (0.8,))
         assert np.all(np.abs(values[0]) <= rounding_floor(traj, ks, 0.8))
         assert np.all(bounds > 0.0)
 
@@ -742,7 +742,7 @@ class TestMixingResidual:
         traj = propagate_moments(model, schedule, range(1, 61))
         mus = (-1.0, 0.3, 1.0)
         for h in (H0, H1):
-            _, values, _ = residual_cube(model, schedule, traj, 60, mus, hypothesis=h)
+            _, values, _ = residual_cube(model, schedule, traj, range(2, 61), mus, hypothesis=h)
             for k in (2, 3, 9, 60):
                 for m, mu in enumerate(mus):
                     for node in (1, 2, 3):
@@ -753,9 +753,7 @@ class TestMixingResidual:
     def test_bound_holds_on_alternating_schedule(self):
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 201))
-        ks, values, bounds = residual_cube(
-            model, schedule, traj, 200, (-1.0, -0.1, 0.1, 1.0)
-        )
+        ks, values, bounds = residual_cube(model, schedule, traj, range(2, 201), (-1.0, -0.1, 0.1, 1.0))
         assert values.shape == (4, ks.size, 3)
         assert bounds.shape == (4, ks.size)
         assert np.all(np.abs(values) <= bounds[:, :, None])
@@ -764,7 +762,7 @@ class TestMixingResidual:
         """k * |value| must not grow: the bound is O(1/k)."""
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 501))
-        ks, values, bounds = residual_cube(model, schedule, traj, 500, (0.5,))
+        ks, values, bounds = residual_cube(model, schedule, traj, range(2, 501), (0.5,))
         scaled = np.abs(values[0]) * ks[:, None]
         assert scaled[200:].max() <= scaled.max() + 1e-12
         assert np.isfinite(scaled).all()
@@ -773,7 +771,7 @@ class TestMixingResidual:
         """The shipped H1 rows at -0.6 are the H0 product sums at 0.6."""
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 34))
-        ks, values, _ = residual_cube(model, schedule, traj, 33, (-0.6,))
+        ks, values, _ = residual_cube(model, schedule, traj, range(2, 34), (-0.6,))
         value, _ = reference_residual(model, schedule, 33, 0.6, H0)
         assert np.all(np.abs(values[0] - value) <= rounding_floor(traj, ks, 0.6))
 
@@ -807,7 +805,7 @@ class TestMixingResidual:
         model, _ = alt3_scenario()
         schedule = WeightSchedule(matrices=np.array([np.eye(3)] * 2))
         traj = propagate_moments(model, schedule, range(1, 11))
-        residual = mixing_residual_curves(model, schedule, traj, 10, (0.0, 0.5))
+        residual = mixing_residual_curves(model, schedule, traj, range(2, 11), (0.0, 0.5))
         assert residual.bounds is None
         worst = {}
         rows = list(fold_worst_ratio(residual.rows(), worst))
@@ -820,25 +818,28 @@ class TestMixingResidual:
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 11))
         with pytest.raises(ParameterError, match="tilts must be finite, got nan, inf"):
-            mixing_residual_curves(model, schedule, traj, 10, (0.0, math.nan, 1.0, math.inf))
+            mixing_residual_curves(model, schedule, traj, range(2, 11), (0.0, math.nan, 1.0, math.inf))
 
-    def test_short_horizon_rejected(self):
+    def test_k_below_two_or_none_rejected(self):
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 11))
-        for k_max in (1, 0, 11):
-            with pytest.raises(ParameterError):
-                mixing_residual_curves(model, schedule, traj, k_max, (0.5,))
+        for ks, message in (([1, 5], "residual k must be an integer >= 2, got 1"), ([0], ">= 2, got 0"), ([], "need at least one")):
+            with pytest.raises(ParameterError, match=message):
+                mixing_residual_curves(model, schedule, traj, ks, (0.5,))
 
-    def test_residual_needs_every_k_visited(self):
-        """Row i holds k = i + 1 only when every k up to k_max was visited."""
+    def test_residual_reads_only_visited_k(self):
+        """A row needs the moments at its own k alone: any visited k serves, in any
+        order, and a k the trajectory did not visit is refused by ``moments_at``."""
         model, schedule = alt3_scenario()
-        for ks, k_max in (([*range(1, 11), 20], 11), (range(2, 13), 10), ([1, 3, 5, 7], 4)):
-            traj = propagate_moments(model, schedule, ks)
-            with pytest.raises(ParameterError):
-                mixing_residual_curves(model, schedule, traj, k_max, (0.5,))
-        traj = propagate_moments(model, schedule, [*range(1, 11), 20])
-        ks, _, _ = residual_cube(model, schedule, traj, 10, (0.5,))
-        assert ks.tolist() == list(range(2, 11))
+        stepped = propagate_moments(model, schedule, range(1, 21))
+        _, every, _ = residual_cube(model, schedule, stepped, range(2, 21), (0.5,))
+        ks, values, _ = residual_cube(model, schedule, stepped, [20, 3, 7, 3], (0.5,))
+        assert ks.tolist() == [3, 7, 20]
+        assert np.array_equal(values[0], every[0][[1, 5, 18]])
+        sparse = propagate_moments(model, schedule, [1, 3, 5, 7, 20])
+        for ks in ([2, 3], [3, 11], [21]):
+            with pytest.raises(ParameterError, match="no moments at k="):
+                mixing_residual_curves(model, schedule, sparse, ks, (0.5,))
 
     def test_curves_match_single_calls(self):
         """Values match the scalar disagreement-product loop to rounding; bounds bit for bit."""
@@ -846,7 +847,7 @@ class TestMixingResidual:
         mus = (-1.0, -0.1, 0.1, 1.0)
         traj = propagate_moments(model, schedule, range(1, 13))
         for h in (H0, H1):
-            ks, values, bounds = residual_cube(model, schedule, traj, 12, mus, hypothesis=h)
+            ks, values, bounds = residual_cube(model, schedule, traj, range(2, 13), mus, hypothesis=h)
             assert ks.tolist() == list(range(2, 13))
             for m, mu in enumerate(mus):
                 value, bound = reference_residual(model, schedule, 12, mu, h)
@@ -859,9 +860,7 @@ class TestMixingResidual:
         model, schedule, _ = build_scenario(name)
         traj = propagate_moments(model, schedule, range(1, 513))
         for h in (H0, H1):
-            ks, values, bounds = residual_cube(
-                model, schedule, traj, 512, RESIDUAL_MUS, hypothesis=h
-            )
+            ks, values, bounds = residual_cube(model, schedule, traj, range(2, 513), RESIDUAL_MUS, hypothesis=h)
             for m, mu in enumerate(RESIDUAL_MUS):
                 value, bound = reference_residual(model, schedule, 512, mu, h)
                 assert np.all(np.abs(values[m] - value) <= rounding_floor(traj, ks, mu)), (h, mu)

@@ -377,17 +377,17 @@ class TestArtifactWriter:
 
     def test_residual_csv_matches_per_cell_formatter(self, tmp_path, ring_config):
         """On the padded path, at a size the corpus lacks (the 64-node ring),
-        analyze's summary is the per-cell formatter's rows folded by max |value|,
-        first node on ties; test_scripts checks the same fold on the corpus."""
+        analyze's summary is the per-cell formatter's rows at its checkpoints,
+        read off a trajectory over its visit set, folded by max |value|, first
+        node on ties; test_scripts checks the fold on the corpus."""
         config_path = ring_config(64, 64)
         out = tmp_path / "out"
         assert main(["analyze", "--quiet", "--config", config_path, "--out", str(out)]) == 0
 
         config = scenario_from_file(config_path)
         model, schedule = config.build_model(), config.build_schedule()
-        k_max = min(max(config.checkpoints), cli.RESIDUAL_HORIZON)
-        traj = propagate_moments(model, schedule, range(1, k_max + 1))
-        ks, values, bounds = residual_cube(model, schedule, traj, k_max, cli.RESIDUAL_MUS)
+        traj = propagate_moments(model, schedule, config.thresholds.visits(config.checkpoints))
+        ks, values, bounds = residual_cube(model, schedule, traj, config.checkpoints[1:], cli.RESIDUAL_MUS)  # 2, 4, ..., 64
         expected = fold_residual_csv(per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds))
         written = (out / f"{config.name}_residual_diagnostic.csv").read_bytes()
         assert written == expected.encode()
@@ -405,6 +405,28 @@ class TestRateRule:
         assert {"nodes", "verdict", "centralized", "k_early", "k_late", "gap_tolerance", "verdict_note"} <= shared
         assert {key: analysis[key] for key in shared} == {key: comparison[key] for key in shared}
         assert analysis["verdict"] == "pass"
+
+    def test_both_commands_visit_one_set_of_k(self, tmp_path, monkeypatch, ring_config):
+        """The visit rule: each command propagates once, over its checkpoints,
+        k_early and k_late and no other k, so analyze and simulate jump and step
+        alike and read one set of moments."""
+        visits = []
+
+        def recorded(model, schedule, ks, *args, **kwargs):
+            visits.append(list(ks))
+            return propagate_moments(model, schedule, ks, *args, **kwargs)
+
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "propagate_moments", recorded)
+        ref3, ring = str(SCENARIO_DIR / "ref3.json"), ring_config(64, 1024)
+        runs = (["analyze", "--config", ref3], ["simulate", "--config", ref3, "--trials", "10"], ["analyze", "--config", ring])
+        for argv in runs:
+            assert main([*argv, "--quiet", "--out", str(tmp_path)]) == 0
+        expected = []
+        for config in (scenario_from_file(ref3), scenario_from_file(ring)):
+            expected.append(sorted({*config.checkpoints, config.thresholds.k_early, config.thresholds.k_late}))
+        assert visits == [expected[0], expected[0], expected[1]]
+        assert expected[1] == [1, 2, 4, 8, 16, 32, 64, 100, 128, 256, 500, 512, 1024]
 
     @pytest.mark.parametrize("command", ["validate", "analyze", "simulate"])
     def test_assumption_is_validated_once(self, command, tmp_path, monkeypatch):

@@ -465,10 +465,12 @@ class TestCompareDetectors:
             compare_detectors(*alt3_scenario(), Thresholds(k_early=500, k_late=100))
 
     def test_reuses_a_longer_trajectory(self):
+        """A trajectory over the visit rule's k and past them is read, bit for bit,
+        as the one compare_detectors would propagate over ``visits()``."""
         model, schedule = alt3_scenario()
         short = Thresholds(k_early=20, k_late=80)
         own = compare_detectors(model, schedule, short)
-        reused = compare_detectors(model, schedule, short, propagate_moments(model, schedule, range(1, 301)))
+        reused = compare_detectors(model, schedule, short, propagate_moments(model, schedule, [*short.visits(), 300]))
         assert json.dumps(reused, sort_keys=True) == json.dumps(own, sort_keys=True)
         with pytest.raises(ParameterError):
             compare_detectors(model, schedule, short, propagate_moments(model, schedule, range(1, 80)))

@@ -11,11 +11,13 @@ exp(log(count / 8192)), within a few ulps of the count.
 
 ``golden/<name>_residual.csv`` holds the per-node rows of the mixing
 residual (``ResidualCurves.rows()``, in the format of ``residual_sweep.py
---out``) at ``analyze``'s tilts and k = 2, 4, ..., 512, and
-``golden/<name>.json`` also the ``analysis.json`` ``residual`` summary.
-``analyze``'s residual diagnostic, one row per (tilt, k), is checked
-against those per-node rows folded by max |value|.  A residual value is a
-difference of terms that carry the rounding of k propagation steps, so it is
+--out``) at ``analyze``'s tilts and k = 2, 4, ..., 512, from a trajectory
+that steps through every k.  ``analyze`` forms rows only at its checkpoints
+in 2..512, so its residual diagnostic, one row per (tilt, k), is checked
+against those per-node rows at the checkpoints folded by max |value|, and the
+``analysis.json`` ``residual`` summary against their |value| / bound folded
+over the same k.  A residual value is a difference of terms that carry the
+rounding of k propagation steps (or of a jump), so it is
 compared at rel 1e-9 with an absolute floor, ``RESIDUAL_FLOOR`` = 1e-12.
 That floor lies above the largest rounding floor N k eps (|mu mean_i(k)| +
 (k/2) mu^2 var_i(k)) of any corpus value at k <= 512, 7.0e-13 on n8, and
@@ -42,8 +44,8 @@ import pytest
 
 from cdlab.analysis import propagate_moments
 from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS
-from corpus import CORPUS, GOLDEN_SIMULATE, GOLDEN_TRIALS, build_scenario
-from oracles import per_cell_residual_csv, residual_cube
+from corpus import CORPUS, GOLDEN_SIMULATE, GOLDEN_TRIALS, build_scenario, scenario_config
+from oracles import fold_mismatches, per_cell_residual_csv, residual_cube
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-9
@@ -70,11 +72,11 @@ def observed(name: str, out: Path) -> dict:
             count = float(row[col[column]]) * GOLDEN_TRIALS
             assert abs(count - round(count)) < 1e-6, f"{name}: {column} {row[col[column]]} is not a count"
             entry[key].append(round(count))
-    record = {"rate": rate, "residual": analysis["residual"], "simulate": {"argv": GOLDEN_SIMULATE, "counts": counts}}
+    record = {"rate": rate, "simulate": {"argv": GOLDEN_SIMULATE, "counts": counts}}
     model, schedule, config = build_scenario(name)
     k_max = min(config.checkpoints[-1], RESIDUAL_HORIZON)
     trajectory = propagate_moments(model, schedule, range(1, k_max + 1))
-    ks, values, bounds = residual_cube(model, schedule, trajectory, k_max, RESIDUAL_MUS)
+    ks, values, bounds = residual_cube(model, schedule, trajectory, range(2, k_max + 1), RESIDUAL_MUS)
     header, *rows = per_cell_residual_csv(RESIDUAL_MUS, ks, values, bounds).splitlines(keepends=True)
     return {
         f"{name}_curves_exact.csv": (out / f"{name}_curves_exact.csv").read_text(),
@@ -127,50 +129,43 @@ def test_rates_and_counts_match_golden(name, runs):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_residual_matches_golden(name, runs):
+    """The per-node rows at every even k, from the library on a stepped trajectory."""
     csv = f"{name}_residual.csv"
     expected = _rows((GOLDEN / csv).read_text())
     actual = _rows(runs(name)[0][csv])
     assert actual[0] == expected[0] == ["mu", "k", "node", "value", "bound"]
     assert len(actual) == len(expected) > 1
-    smallest_bound = {}
     for got, want in zip(actual[1:], expected[1:]):
         assert got[:3] == want[:3]
-        value, bound = float(want[3]), float(want[4])
-        assert math.isclose(float(got[3]), value, rel_tol=REL, abs_tol=RESIDUAL_FLOOR), f"{name} {want[:3]} value"
-        assert _close(float(got[4]), bound), f"{name} {want[:3]} bound"
-        smallest_bound[want[0]] = min(bound, smallest_bound.get(want[0], math.inf))
-    expected = json.loads((GOLDEN / f"{name}.json").read_text())["residual"]
-    actual = json.loads(runs(name)[0][f"{name}.json"])["residual"]
-    assert actual.keys() == expected.keys() == smallest_bound.keys()
-    for mu, want in expected.items():
-        got, want = actual[mu]["max_abs_over_bound"], want["max_abs_over_bound"]
-        floor = RESIDUAL_FLOOR / smallest_bound[mu]
-        assert math.isclose(got, want, rel_tol=REL, abs_tol=floor), f"{name} mu={mu}: {got} != {want}"
+        assert math.isclose(float(got[3]), float(want[3]), rel_tol=REL, abs_tol=RESIDUAL_FLOOR), f"{name} {want[:3]} value"
+        assert _close(float(got[4]), float(want[4])), f"{name} {want[:3]} bound"
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_residual_summary_matches_golden(name, runs):
-    """analyze's row at each even (tilt, k) is the golden per-node rows' max |value|, its node and bound.
+    """analyze's row at each (tilt, checkpoint) in 2..512 is the golden per-node rows' max
+    |value|, its node and bound, and its max_abs_over_bound per tilt is their |value| / bound
+    folded over those checkpoints.
 
     The node is exact where the golden maximum stands apart from the runner-up
     by more than the tolerance; where it does not, as on every row of the
     noise-only scenarios, any node whose golden |value| is within tolerance of
-    the maximum is accepted.
+    the maximum is accepted (``oracles.fold_mismatches``).
     """
-    header, *rows = _rows((GOLDEN / f"{name}_residual.csv").read_text())
-    assert header == ["mu", "k", "node", "value", "bound"]
-    expected = {}  # (mu, k) -> ({node: |value|}, bound)
-    for mu, k, node, value, bound in rows:
-        expected.setdefault((mu, k), ({}, float(bound)))[0][node] = abs(float(value))
-    header, *rows = _rows((runs(name)[1] / f"{name}_residual_diagnostic.csv").read_text())
-    assert header == ["mu", "k", "max_abs", "node", "bound"]
-    assert len(rows) == len(RESIDUAL_MUS) * (RESIDUAL_HORIZON - 1)
-    actual = {(mu, k): row for mu, k, *row in rows if int(k) % 2 == 0}
-    assert actual.keys() == expected.keys()
-    for key, (magnitudes, bound) in expected.items():
-        max_abs, node, got_bound = actual[key]
-        peak = max(magnitudes.values())
-        accepted = [i for i, m in magnitudes.items() if math.isclose(m, peak, rel_tol=REL, abs_tol=RESIDUAL_FLOOR)]
-        assert math.isclose(float(max_abs), peak, rel_tol=REL, abs_tol=RESIDUAL_FLOOR), f"{name} {key} max_abs"
-        assert node in accepted, f"{name} {key}: node {node} not in {accepted}"
-        assert _close(float(got_bound), bound), f"{name} {key} bound"
+    checkpoints = {k for k in scenario_config(name).checkpoints if 2 <= k <= RESIDUAL_HORIZON}
+    golden = (GOLDEN / f"{name}_residual.csv").read_text()
+    summary = (runs(name)[1] / f"{name}_residual_diagnostic.csv").read_text()
+    assert fold_mismatches(golden, summary, REL, RESIDUAL_FLOOR) == []
+    _, *rows = _rows(summary)
+    assert sorted((mu, int(k)) for mu, k, *_ in rows) == sorted((repr(mu), k) for mu in RESIDUAL_MUS for k in checkpoints)
+    worst, smallest_bound = {}, {}  # per mu, over the golden rows at the checkpoints
+    for mu, k, _, value, bound in _rows(golden)[1:]:
+        if int(k) in checkpoints:
+            worst[mu] = max(abs(float(value)) / float(bound), worst.get(mu, 0.0))
+            smallest_bound[mu] = min(float(bound), smallest_bound.get(mu, math.inf))
+    summary = json.loads((runs(name)[1] / f"{name}_analysis.json").read_text())["residual"]
+    assert summary.keys() == worst.keys()
+    for mu, want in worst.items():
+        got = summary[mu]["max_abs_over_bound"]
+        floor = RESIDUAL_FLOOR / smallest_bound[mu]
+        assert math.isclose(got, want, rel_tol=REL, abs_tol=floor), f"{name} mu={mu}: {got} != {want}"

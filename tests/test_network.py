@@ -6,6 +6,7 @@ for the envelope constants.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from cdlab import network
 from cdlab.analysis import mixing_residual_curves, propagate_moments
-from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError
+from cdlab.errors import InvalidWeights, NoConnectedWindow, ParameterError, ShapeError
 from cdlab.experiment import report_header
 from cdlab.network import (
     ScheduleSpec,
@@ -410,6 +411,17 @@ class TestMeasuredSchedule:
         assert report.items[2].failures == ({"window": 2, "issue": "disconnected-union"},)
         assert report.passed is False
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 0, 0), (0, 2, 2), (2, 3), (1, 2, 3), (2, 2, 2, 2)],
+        ids=["no-nodes", "no-steps", "one-matrix", "not-square", "four-axes"],
+    )
+    def test_malformed_matrices_refused_at_construction(self, shape):
+        """Only a (P, N, N) array with P, N >= 1 is a schedule: another shape raises
+        ShapeError here, not a numpy error or a window failure later."""
+        with pytest.raises(ShapeError, match=rf"must be \(period, n, n\).*got shape {re.escape(str(shape))}"):
+            WeightSchedule(matrices=np.zeros(shape))
+
     def test_window_is_measured_once(self, monkeypatch):
         s = build_schedule(ALT3)
         monkeypatch.setattr(network, "_connected", None)
@@ -565,7 +577,7 @@ class TestEnvelope:
         decay = check_geometric_decay(s)
         assert decay.passed is False and decay.note.startswith("no contraction")
         trajectory = propagate_moments(model, s, range(1, 9))
-        assert mixing_residual_curves(model, s, trajectory, 8, (0.5,)).bounds is None
+        assert mixing_residual_curves(model, s, trajectory, range(2, 9), (0.5,)).bounds is None
         names = ["symmetric-stochastic", "weight-floor", "window-connectivity"]
         assert header["assumption_check"] == {
             "passed": False,

@@ -13,7 +13,8 @@ from cdlab.analysis import mixing_residual_curves, propagate_moments
 from cdlab.cli import RESIDUAL_MUS
 from cdlab.config import scenario_from_file
 from corpus import CORPUS, build_scenario
-from oracles import fold_residual_csv, per_cell_residual_csv, residual_cube
+from test_golden import REL, RESIDUAL_FLOOR
+from oracles import fold_mismatches, per_cell_residual_csv, residual_cube
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,17 +95,21 @@ def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, cap
     ids=["defaults", *CORPUS],
 )
 def test_residual_sweep_csv_folds_to_the_analyze_csv(name, flags, tmp_path, corpus_run):
-    """One default: the script's --out file is the per-cell formatter's rows, and folded by max
-    |value| per (tilt, k), first node on ties, it has the bytes of analyze's residual diagnostic."""
+    """One default: the script's --out file is the per-cell formatter's rows at every k, and
+    folded by max |value| per (tilt, k), it is analyze's residual diagnostic at analyze's
+    checkpoints, within the golden tolerances: analyze may jump to a checkpoint that the
+    sweep steps to."""
     sweep = tmp_path / "sweep.csv"
     proc = run_script(["residual_sweep.py", *flags, "--out", str(sweep)], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    model, schedule, _ = build_scenario(name)
+    model, schedule, config = build_scenario(name)
     trajectory = propagate_moments(model, schedule, range(1, 513))
-    per_node = per_cell_residual_csv(RESIDUAL_MUS, *residual_cube(model, schedule, trajectory, 512, RESIDUAL_MUS))
+    per_node = per_cell_residual_csv(RESIDUAL_MUS, *residual_cube(model, schedule, trajectory, range(2, 513), RESIDUAL_MUS))
     assert sweep.read_bytes() == per_node.encode()
-    summary = corpus_run(name) / f"{name}_residual_diagnostic.csv"
-    assert fold_residual_csv(per_node).encode() == summary.read_bytes()
+    summary = (corpus_run(name) / f"{name}_residual_diagnostic.csv").read_text()
+    assert fold_mismatches(per_node, summary, REL, RESIDUAL_FLOOR) == []
+    rows = summary.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [str(k) for _ in RESIDUAL_MUS for k in config.checkpoints if k >= 2]
 
 
 def test_sweep_peak_memory_below_residual_csv_size(tmp_path, monkeypatch, capsys):
@@ -139,7 +144,7 @@ def test_residual_memory_does_not_grow_with_tilts(ring_config):
     for mus in (RESIDUAL_MUS, [i / 16 for i in range(-16, 16)]):
         tracemalloc.start()
         try:
-            residual = mixing_residual_curves(model, schedule, traj, 512, mus)
+            residual = mixing_residual_curves(model, schedule, traj, range(2, 513), mus)
             for _ in sweep.residual_csv(residual.rows(), 64):
                 pass
             peaks.append(tracemalloc.get_traced_memory()[1])
