@@ -8,13 +8,15 @@ direct propagation.  Error curves therefore come from normal tail
 probabilities, not simulation, and stay meaningful far below 1e-300
 because curves store log-probabilities internally.
 
-``propagate_moments`` visits a sorted set of k in order, each from the one
-before, keeping the per-node mean and variance at each and holding only
-the current state in between.  In running-sum coordinates U(k) = k x(k) / N
+``propagate_moments`` visits a sorted set of k in order, keeping the
+per-node mean and variance at each and holding only the current state and
+one squaring chain in between.  In running-sum coordinates U(k) = k x(k) / N
 one period of the recursion is an affine Gaussian map and n periods
 compose by repeated squaring, so a gap of g steps costs O(N^3 log g) where
 that beats stepping, and k = 1e9 is as cheap as k = 1e3.  Shorter gaps are
-stepped.
+stepped.  Since U(0) = 0, the phase-0 period map squared i times carries
+U(2^i P) itself in its noise part: that chain, climbed once, serves every
+doubling checkpoint and starts any jump it makes cheaper.
 
 ``mixing_residual_curves`` reads off the same trajectory, at any K visited k,
 how far the finite-k scaled cumulant of a node variable is from its value
@@ -48,7 +50,6 @@ __all__ = [
     "fold_worst_ratio",
 ]
 
-VARIANCE_FLOOR = 1e-300
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -140,12 +141,19 @@ def propagate_moments(
     mu(k+1) = (k/(k+1)) W(k) mu(k) + (N/(k+1)) m_eta and
     P(k+1) = (k/(k+1))^2 W(k) P(k) W(k)' + (N/(k+1))^2 S_eta,
     with m_eta the H1 innovation mean.  The sorted distinct ``ks`` are
-    visited in order, each from the one before: the whole periods of a gap
-    are jumped (see ``_jump``) where ``_squaring_pays``, and every other k
-    is stepped.  W(k) comes from ``s.operators()``, so a step costs O(d N^2)
-    on a padded factor with at most d nonzeros a row, which updates P in place
-    by its fused ``sandwich``, and O(N^3) on a dense one, and only the current N x N state is held between visits.  ``keep``,
-    a subset of ``ks``, lists the k at which the full covariance is stored.
+    visited in order.  A gap that ``_route`` would step is stepped from the
+    visit before.  A gap it would jump starts from whichever costs fewer
+    dense products, ties going to the second: the visit before, or the
+    spine, the phase-0 period map squared ``level`` times, climbed at 3
+    products a level to the largest 2^i P <= the target.  Its noise part is
+    the state of U(2^i P), and the map that starts it is not counted.  From
+    either start the whole periods left are jumped (see ``_jump``) where
+    that pays, and the rest is stepped.  W(k) comes from ``s.operators()``,
+    so a step costs O(d N^2) on a padded factor with at most d nonzeros a
+    row, which updates P in place by its fused ``sandwich``, and O(N^3) on
+    a dense one.  Between visits only the current N x N state and the
+    spine's two N x N matrices are held.  ``keep``, a subset of ``ks``,
+    lists the k at which the full covariance is stored.
     """
     ks = _check_ks(ks, "visited k")
     keep = tuple(sorted({_check_integer(k, "a kept k", 1) for k in keep}))
@@ -185,12 +193,26 @@ def propagate_moments(
         return shrink * (w @ mu) + gain * m_eta
 
     k = 1
+    spine, level = None, 0  # the phase-0 period map squared level times: U(0) -> U(2^level P)
     for row, target in enumerate(ks):
-        periods = (target - k) // s.period
-        if _squaring_pays(periods, s.period):
-            mu, jumped = _jump(innovation, s, k, mu, p, periods)
-            np.copyto(p, jumped)
-            k += periods * s.period
+        periods, products = _route(target - k, s.period)
+        if periods:
+            top = (target // s.period).bit_length() - 1  # the largest 2^top P <= target
+            rest, rest_products = _route(target - (s.period << top), s.period)
+            if 3 * (top - level) + rest_products <= products:
+                if spine is None:
+                    spine = _period_map(innovation, s, s.period)
+                for _ in range(top - level):
+                    spine = _compose(spine, spine)
+                level, k, periods = top, s.period << top, rest
+                state = (None, *spine[1:])
+            else:
+                state = (None, (k / n) * mu, (k / n) ** 2 * p)
+            if periods:
+                state = _jump(innovation, s, k, state, periods)
+                k += periods * s.period
+            mu = (n / k) * state[1]
+            np.multiply(state[2], (n / k) ** 2, out=p)
         for k in range(k, target):
             mu = step(k, mu, p)
         k = target
@@ -213,8 +235,12 @@ def _compose(first, second) -> tuple:
     """The map ``second`` after ``first``: (A2 A1, A2 b1 + b2, A2 Q1 A2' + Q2)."""
     a1, b1, q1 = first
     a2, b2, q2 = second
-    q = a2 @ q1 @ a2.T + q2
-    return None if a1 is None else a2 @ a1, a2 @ b1 + b2, (q + q.T) / 2.0
+    out = a2 @ q1
+    q = out @ a2.T
+    q += q2
+    np.add(q, q.T, out=out)  # the symmetrized Q reuses A2 Q1's buffer
+    out *= 0.5
+    return None if a1 is None else a2 @ a1, a2 @ b1 + b2, out
 
 
 def _period_map(innovation, s: WeightSchedule, start: int) -> tuple:
@@ -233,38 +259,38 @@ def _period_map(innovation, s: WeightSchedule, start: int) -> tuple:
     return out
 
 
-def _squaring_pays(periods: int, period: int) -> bool:
-    """Whether ``_jump`` over ``periods`` whole periods costs less than stepping them.
+def _route(steps: int, period: int) -> tuple:
+    """(periods, products): how ``propagate_moments`` crosses a gap of ``steps`` steps.
 
-    The jump costs dense N x N products: 3 per composition building the
-    period map, 3 per squaring and 2 per power applied to the state.
-    Stepping costs ``periods * period`` steps, each at least as dear as a dense
-    product on a dense schedule and about as dear on a padded one at N = 256.
+    ``periods`` is the number of whole periods ``_jump`` takes, 0 where
+    stepping is cheaper, and ``products`` what the gap then costs in dense
+    N x N products.  The jump costs 3 per composition building the period
+    map, 3 per squaring and 2 per power applied to the state.  A step costs
+    one: at least as dear as a dense product on a dense schedule and about
+    as dear on a padded one at N = 256.
     """
-    products = 3 * (period - 1) + 3 * (periods.bit_length() - 1) + 2 * bin(periods).count("1")
-    return periods > 0 and periods * period > products
+    periods = steps // period
+    jump = 3 * (period - 1) + 3 * (periods.bit_length() - 1) + 2 * bin(periods).count("1")
+    if periods > 0 and periods * period > jump:
+        return periods, jump + steps - periods * period
+    return 0, steps
 
 
-def _jump(innovation, s: WeightSchedule, k: int, mean, cov, periods: int) -> tuple:
-    """x(k + periods P)'s H1 mean and covariance from x(k)'s.
+def _jump(innovation, s: WeightSchedule, k: int, state, periods: int) -> tuple:
+    """The state of U(k + periods P) from the state of U(k).
 
     The period map is squared once per binary digit of ``periods`` and
     each square whose digit is set is applied to the state, so only the
     state and the current square are held.
     """
-    n = len(mean)
-    end = k + periods * s.period
-    state = (None, (k / n) * mean, (k / n) ** 2 * cov)
     power = _period_map(innovation, s, k)
     while True:
         if periods & 1:
             state = _compose(state, power)
         periods >>= 1
         if not periods:
-            break
+            return state
         power = _compose(power, power)
-    _, u_mean, u_cov = state
-    return (n / end) * u_mean, (n / end) ** 2 * u_cov
 
 
 # ── error curves ──────────────────────────────────────────────────────────
@@ -275,7 +301,8 @@ class ErrorCurve:
     """False-alarm, miss and Bayes error along a checkpoint grid.
 
     The Bayes error weighs the hypotheses equally, pe = (alpha + beta) / 2;
-    an exact curve has alpha = beta, so its pe is alpha.  Stored as
+    an exact curve has alpha = beta, so its pe is alpha, except where a
+    node's variance is 0.  Stored as
     log-probabilities so deep tails stay meaningful; the linear
     ``alpha``/``beta``/``pe`` views underflow to 0.0 below 1e-300.  For Monte
     Carlo curves the se_* arrays carry binomial standard errors and a zero
@@ -327,21 +354,29 @@ def exact_error_curves(model: GaussianHypothesisPair, traj: MomentTrajectory, ks
     alpha_i(k) is the H0 probability of x_i(k) > 0 and beta_i(k) the H1
     probability of x_i(k) <= 0.  Since mu0 = -mu1 and the variance is
     shared, both equal Phi(-mu1 / sd) exactly, so one tail serves both and
-    the Bayes error (alpha + beta) / 2 as well.
+    the Bayes error (alpha + beta) / 2 as well.  At variance 0, a sensor
+    with no likelihood weight that mixing has not reached, the statistic is
+    its mean and ties decide the null: alpha = 1{-mu1 > 0} and
+    beta = 1{mu1 <= 0}, which differ, so the curve stores both.
     ``ks`` selects checkpoints among the visited k, sorted and distinct (default: all).
-    Raises DegenerateVariance when a per-node variance is not strictly
-    positive.
+    Raises DegenerateVariance when a per-node variance is negative or not finite.
     """
     ks = np.asarray(_check_ks(traj.ks if ks is None else ks, "checkpoint"))
     means, variances = traj.moments_at(ks)
     curves = []
     for i in range(model.n_sensors):
-        var = variances[:, i]
-        floor = float(var.min())
-        if floor <= VARIANCE_FLOOR:
-            raise DegenerateVariance(f"node {i + 1} variance {floor:.3e} is not positive")
-        log_tail = log_q_function(means[:, i] / np.sqrt(var))
-        curves.append(_exact_curve(str(i + 1), ks, log_tail))
+        mean, var = means[:, i], variances[:, i]
+        valid = np.isfinite(var) & (var >= 0.0)
+        if not valid.all():
+            raise DegenerateVariance(f"node {i + 1} variance {var[~valid][0]:.3e} is not finite and non-negative")
+        certain = var == 0.0
+        curve = _exact_curve(str(i + 1), ks, log_q_function(mean / np.sqrt(np.where(certain, 1.0, var))))
+        if certain.any():
+            alpha, beta = (-mean > 0.0).astype(float), (mean <= 0.0).astype(float)
+            with np.errstate(divide="ignore"):
+                for log, prob in zip((curve.log_alpha, curve.log_beta, curve.log_pe), (alpha, beta, (alpha + beta) / 2.0)):
+                    log[certain] = np.log(prob[certain])
+        curves.append(curve)
     return curves
 
 

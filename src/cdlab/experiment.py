@@ -251,6 +251,8 @@ def score_agreement(pairs, n_trials: int, min_prob: float, sigma: float) -> tupl
     Every false-alarm and miss cell whose exact probability p is at least
     ``min_prob`` is judged; it passes when the estimate lies within
     ``sigma`` binomial standard errors sqrt(p (1 - p) / n_trials) of p.
+    A certain cell, p = 1, has no spread: it passes only at a count of
+    exactly n_trials, its pull then 0 and otherwise infinite.
     ``worst_pull`` is the largest |estimate - p| in standard errors.
     """
     cells = passing = 0
@@ -263,7 +265,9 @@ def score_agreement(pairs, n_trials: int, min_prob: float, sigma: float) -> tupl
             dev = np.abs(p_hat - p)
             cells += int(judged.sum())
             passing += int((dev <= sigma * se).sum())
-            worst_pull = max(worst_pull, float((dev / se).max(initial=0.0)))
+            with np.errstate(divide="ignore"):
+                pulls = np.divide(dev, se, out=np.zeros_like(dev), where=dev > 0.0)
+            worst_pull = max(worst_pull, float(pulls.max(initial=0.0)))
     return cells, passing, worst_pull
 
 

@@ -14,7 +14,8 @@ in its most literal form, something the package computes another way:
   cumulant of a node variable, for the large-deviations checks;
 * the literal products Phi(k, j) and Phi(k, j) - J, against the running
   products of ``network.check_geometric_decay`` and the moments behind
-  ``analysis.mixing_residual_curves``;
+  ``analysis.mixing_residual_curves``, and from them each node's limiting
+  error exponent on any schedule whose period product converges;
 * the subexponential factor pe(k) exp(k C) of an error curve, and the
   least-squares decay rate of an error curve over a window of checkpoints;
 * the whole (tilt, k, node) cube of the mixing residual, stacked from the
@@ -36,7 +37,7 @@ import numpy as np
 
 from cdlab.analysis import ErrorCurve, MomentTrajectory, mixing_residual_curves, propagate_moments
 from cdlab.errors import ParameterError, ShapeError
-from cdlab.model import GaussianHypothesisPair, Hypothesis
+from cdlab.model import GaussianHypothesisPair, Hypothesis, innovation_stats
 from cdlab.network import WeightSchedule
 
 FL_DEFAULT_INTERVAL = (-50.0, 50.0)
@@ -316,6 +317,30 @@ def disagreement_product(s: WeightSchedule, k: int, j: int) -> np.ndarray:
             f"disagreement product mismatch {gap:.3e} at (k={k}, j={j})"
         )
     return tilde
+
+
+def limiting_rate(model: GaussianHypothesisPair, s: WeightSchedule, squarings: int = 64) -> np.ndarray:
+    """R_i, the exponent node i's Bayes error reaches as k -> infinity, in closed form.
+
+    It holds whether or not the schedule meets the paper's assumptions, as
+    long as its period product converges.  At k a multiple of the period P,
+    eta(j) enters U(k) = k x(k) / N through Phi(k, j).  For j = t modulo P,
+    t in 1..P, its rows tend to those of pi_t = L Phi(2P, P + t), with L the
+    limit of the period product Phi(2P, P)^n.  So x_i(k) tends to a Gaussian
+    of mean N a_i and variance N^2 b_i / k, where a and b average
+    pi_t m_eta and diag(pi_t S_eta pi_t') over the P phases, and
+    R_i = a_i^2 / (2 b_i).  A valid schedule has L = 11'/N, which makes R the
+    Chernoff information; any other limit gives less.
+    """
+    m_eta, s_eta = innovation_stats(model)
+    p = s.period
+    limit = forward_product(s, 2 * p, p)
+    for _ in range(squarings):
+        limit = limit @ limit
+    rows = [limit @ (np.eye(s.n_nodes) if t == p else forward_product(s, 2 * p, p + t)) for t in range(1, p + 1)]
+    a = sum(row @ m_eta for row in rows) / p
+    b = sum(np.einsum("ij,jk,ik->i", row, s_eta, row) for row in rows) / p
+    return a * a / (2.0 * b)
 
 
 # ── error curves ──────────────────────────────────────────────────────────

@@ -1,5 +1,6 @@
-"""Acceptance suite: ten quantitative criteria, one test (and one
-pass/fail line under -v) per criterion.
+"""Acceptance suite: quantitative criteria 01 to 10 and 12, one test (and
+one pass/fail line under -v) per criterion.  Number 11 is kept for the
+closed-form limits of ROADMAP item 4.
 
 Each test prints a summary line with the measured margins so a tee'd run
 documents not just pass/fail but how much headroom each criterion had.
@@ -11,13 +12,15 @@ recursion on observations from the oracle sampler, and 05 compares one
 oracle with another (the step recursion against its closed form).  The
 others exercise shipped code: 06 compares ``propagate_moments`` with an
 inline simulation, 08 fits the oracle ``fit_exponent`` to the shipped
-centralized curve, and 09's cumulant limit reads the oracle
-``scaled_cumulant`` off a shipped moment trajectory.
+centralized curve, 09's cumulant limit reads the oracle
+``scaled_cumulant`` off a shipped moment trajectory, and 12 holds the
+shipped exact rates on invalid schedules to the oracle ``limiting_rate``.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from cdlab.analysis import (
     centralized_error_curve,
@@ -33,7 +36,7 @@ from cdlab.experiment import (
     score_agreement,
 )
 from cdlab.model import Hypothesis
-from cdlab.network import check_geometric_decay, validate_assumption
+from cdlab.network import WeightSchedule, check_geometric_decay, validate_assumption
 from corpus import CORPUS, build_scenario
 from oracles import (
     distributed_closed_form,
@@ -41,6 +44,7 @@ from oracles import (
     distributed_step,
     fenchel_legendre,
     fit_exponent,
+    limiting_rate,
     local_innovations,
     log_mgf,
     rate_function,
@@ -53,6 +57,22 @@ H0, H1 = Hypothesis.H0, Hypothesis.H1
 
 # scenarios with network sizes 1, 2, 3, 5, 8 for the consensus identity
 CONSENSUS_SCENARIOS = ("n1", "identity2", "ref3", "rand5", "n8")
+
+# Schedules that break the paper's assumptions, for ref3's model, each of period 2 so
+# that the doubling checkpoints come off the phase-0 squaring chain of propagate_moments.
+ASYMMETRIC_W = np.array([[0.6, 0.4, 0.0], [0.2, 0.6, 0.2], [0.0, 0.4, 0.6]])
+NEGATIVE_CONTROLS = {
+    # ref3's link cycle with its (2, 3) link cut: {1, 2} averaged, node 3 alone
+    "disconnected union": (
+        np.array([[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], np.eye(3)]),
+        [0.057857, 0.057857, 0.045],
+    ),
+    # row-stochastic, not doubly: left Perron vector (1/4, 1/2, 1/4)
+    "asymmetric W": (np.array([ASYMMETRIC_W, ASYMMETRIC_W]), [0.073636] * 3),
+}
+DEEP_K = 10**6
+# c in |rate(k) - R| <= c / k at k = DEEP_K; measured 6.62 to 6.84 on both schedules
+LIMIT_SLACK = 8.0
 
 
 def test_criterion_01_chernoff_closed_form():
@@ -269,3 +289,26 @@ def test_criterion_10_monte_carlo_agreement():
     assert fraction >= 0.99, f"agreement fraction {fraction:.4f} < 0.99 ({per_scenario})"
     print(f"[criterion 10] PASS: {passing}/{cells} cells within 3 binomial se "
           f"({fraction:.2%} >= 99%; per scenario: {', '.join(per_scenario)})")
+
+
+def test_criterion_12_negative_controls_reach_their_limiting_rate():
+    """A schedule that breaks the paper's assumptions misses the Chernoff rate
+    by a closed-form amount: each node's exact rate -log(pe)/k at k = 1e6
+    lies within LIMIT_SLACK / k of the oracle's limit R_i, and R_i < C."""
+    model, schedule, config = build_scenario("ref3")
+    c = chernoff_information(model)
+    assert limiting_rate(model, schedule) == pytest.approx([c] * 3, rel=1e-12)
+    visits = [*config.thresholds.visits(config.checkpoints), DEEP_K]
+    lines = []
+    for name, (matrices, pinned) in NEGATIVE_CONTROLS.items():
+        s = WeightSchedule(matrices=matrices)
+        assert not validate_assumption(s).passed, name
+        limit = limiting_rate(model, s)
+        assert limit == pytest.approx(pinned, abs=1e-6), name
+        assert np.all(limit < c), name
+        curves = exact_error_curves(model, propagate_moments(model, s, visits), ks=[DEEP_K])
+        rates = np.array([-curve.log_pe[0] / DEEP_K for curve in curves])
+        slack = (rates - limit) * DEEP_K
+        assert np.all(np.abs(slack) <= LIMIT_SLACK), f"{name}: (rate - R) k = {slack}"
+        lines.append(f"{name} R {np.round(limit, 6).tolist()} < C {c}, (rate - R) k <= {np.abs(slack).max():.2f}")
+    print(f"[criterion 12] PASS: {'; '.join(lines)} (c = {LIMIT_SLACK} at k = {DEEP_K})")

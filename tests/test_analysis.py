@@ -507,22 +507,51 @@ class TestJumpPastTheHorizon:
         assert jumps == [90, 499649]
 
     def test_memory_past_the_horizon_does_not_grow_with_checkpoints(self, two_matching_ring):
-        """Past the horizon only the current N x N state is held: 1524
-        checkpoints on the 64-node ring peak within 32 N x N matrices
-        (32 kB each) of what the returned moments hold, where a covariance
-        per checkpoint would take 50 MB.  The padded factors and their gather
-        targets are built inside the traced call, so they count too."""
+        """Between visits only the current N x N state and the squaring chain
+        are held: 1524 stepped checkpoints past the horizon, and 200 jumped
+        ones (100, 200, ..., 20000), on the 64-node ring each peak within
+        32 N x N matrices (32 kB each) of what the returned moments hold.  A
+        covariance per checkpoint would take 50 MB for the first, and a
+        jump state per pending visit about 7 MB for the second.  The padded
+        factors and their gather targets are built inside the traced call,
+        so they count too."""
         model, schedule = ring64(two_matching_ring)
-        checkpoints = [*range(513, 1537), *range(1600, 4096, 5)]
-        tracemalloc.start()
-        try:
-            traj = propagate_moments(model, schedule, past_horizon(*checkpoints))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = traj.ks.nbytes + traj.means.nbytes + traj.variances.nbytes
-        assert traj.ks.tolist() == past_horizon(*checkpoints)
-        assert peak < held + 32 * 64 * 64 * 8
+        for visits in (past_horizon(*range(513, 1537), *range(1600, 4096, 5)), list(range(100, 20001, 100))):
+            tracemalloc.start()
+            try:
+                traj = propagate_moments(model, schedule, visits)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = traj.ks.nbytes + traj.means.nbytes + traj.variances.nbytes
+            assert traj.ks.tolist() == visits
+            assert peak < held + 32 * 64 * 64 * 8, f"{len(visits)} visits up to {visits[-1]}"
+
+    GEOMETRIC = sorted({*[2**i for i in range(11)], 100, 500})
+
+    @pytest.mark.parametrize(
+        "visits, compositions",
+        [
+            (GEOMETRIC, 29),  # 55 when every jump built its own squares
+            ([1, 10**6], 30),
+            (past_horizon(520, 700, 701, 10**6), 42),
+            ([*GEOMETRIC, 10**9], 71),  # was 97
+            (list(range(100, 20001, 100)), 1800),
+        ],
+        ids=["geometric", "lone-deep", "past-horizon", "geometric-deep", "linear"],
+    )
+    def test_compositions_guard_the_plan(self, visits, compositions, two_matching_ring, monkeypatch):
+        """The plan of propagate_moments, counted in dense N x N compositions on
+        the 64-node ring (period 2), not timed.  The doubling checkpoints come
+        off the squaring chain at one composition each, 100 and 500 jump from
+        64 and 256, and a set the chain does not serve costs what it did when
+        every jump built its own squares."""
+        calls = []
+        real = analysis._compose
+        monkeypatch.setattr(analysis, "_compose", lambda *a: calls.append(1) or real(*a))
+        model, schedule = ring64(two_matching_ring)
+        propagate_moments(model, schedule, visits)
+        assert len(calls) <= compositions
 
     def test_scaled_cumulant_reads_jumped_moments(self):
         model, schedule, _ = build_scenario("ref3")
@@ -620,12 +649,33 @@ class TestErrorCurves:
             np.testing.assert_allclose(curve.log10_pe, np.log10(curve.pe), rtol=1e-12, atol=0.0)
 
     def test_degenerate_variance_rejected(self):
+        """A negative or non-finite variance is an error; 0 is not (below)."""
         m = identity_pair()
-        flat = MomentTrajectory(
-            ks=np.arange(1, 4), means=np.zeros((3, 2)), variances=np.zeros((3, 2)), covariances=np.zeros((0, 2, 2))
-        )
-        with pytest.raises(DegenerateVariance):
-            exact_error_curves(m, flat)
+        for bad in (-1e-300, np.nan, np.inf):
+            variances = np.zeros((3, 2))
+            variances[1, 1] = bad
+            flat = MomentTrajectory(
+                ks=np.arange(1, 4), means=np.zeros((3, 2)), variances=variances, covariances=np.zeros((0, 2, 2))
+            )
+            with pytest.raises(DegenerateVariance, match="node 2"):
+                exact_error_curves(m, flat)
+
+    def test_zero_variance_is_its_mean(self):
+        """At variance 0 the statistic is its H1 mean mu, -mu under H0, and ties
+        decide the null: alpha = 1{-mu > 0}, beta = 1{mu <= 0}.  Rows at
+        positive variance keep the Gaussian tail."""
+        m = identity_pair()
+        means = np.array([[1.0, 0.0], [-2.0, 0.5], [0.3, 1.0]])
+        variances = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 4.0]])
+        traj = MomentTrajectory(ks=np.arange(1, 4), means=means, variances=variances, covariances=np.zeros((0, 2, 2)))
+        first, second = exact_error_curves(m, traj)
+        np.testing.assert_array_equal(first.alpha, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(first.beta, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(first.pe, [0.0, 1.0, 0.0])
+        assert (second.alpha[0], second.beta[0], second.pe[0]) == (0.0, 1.0, 0.5)
+        tail = norm.logsf([0.5, 0.5])
+        for log in (second.log_alpha, second.log_beta, second.log_pe):
+            np.testing.assert_allclose(log[1:], tail, rtol=1e-14)
 
     def test_exponent_of_exact_curve_near_chernoff(self):
         """-(1/k) log pe at k = 1e4 within 10% of the Chernoff information."""

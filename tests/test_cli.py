@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
+import csv
 import dataclasses
 import hashlib
 import importlib
@@ -566,3 +567,39 @@ class TestSimulate:
         assert report["agreement"]["waived"] is False
         assert report["agreement"]["passed"] is False
         assert report["agreement"]["worst_pull"] > 0.0
+
+
+class TestSensorWithoutLikelihoodWeight:
+    """A sensor with innovation weight w_i = (C^-1 (m1 - m0))_i = 0 has eta_i = 0, so
+    until mixing reaches it its statistic is its mean, 0, at variance 0.  Ties decide
+    the null: alpha = 0 and beta = 1 there, which the Monte Carlo counts give exactly."""
+
+    @pytest.mark.parametrize(
+        "name, m1, certain",
+        [
+            ("correlated2", [1.0, 0.5], {("2", "1")}),  # w = (1, 0)
+            ("ref3", [1.5, 1.5, 0.75], {("3", "1"), ("3", "2")}),  # w = (1, 1, 0); W(1) leaves node 3 alone
+        ],
+    )
+    def test_both_commands_report_it(self, name, m1, certain, tmp_path, monkeypatch):
+        monkeypatch.setenv("CDL_THREADS", "1")
+        data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        data["model"]["m1"] = m1
+        config, out = write_config(tmp_path, data), str(tmp_path)
+        assert main(["analyze", "--quiet", "--config", config, "--out", out]) == 0
+        # simulate's exit code is its agreement rule's on the other cells; that it wrote
+        # its artifacts shows the certain cells raised nothing
+        main(["simulate", "--quiet", "--config", config, "--out", out, "--trials", "4096"])
+        rows = {}
+        for source in ("exact", "mc"):
+            for row in csv.DictReader(open(tmp_path / f"{name}_curves_{source}.csv")):
+                rows.setdefault((row["node"], row["k"]), {})[source] = row
+        split = {key for key, both in rows.items() if both["exact"]["alpha"] != both["exact"]["beta"]}
+        assert split == certain
+        for key in certain:
+            exact, mc = rows[key]["exact"], rows[key]["mc"]
+            assert (exact["alpha"], exact["beta"], exact["pe"]) == ("0.0", "1.0", "0.5")
+            assert (mc["alpha"], mc["beta"], mc["pe"]) == ("0.0", "1.0", "0.5")
+        report = json.loads((tmp_path / f"{name}_comparison.json").read_text())
+        assert report["verdict"] == "pass"
+        assert math.isfinite(report["agreement"]["worst_pull"])  # a certain cell off by one count reads inf

@@ -21,12 +21,14 @@ from cdlab.experiment import (
 from cdlab.model import Hypothesis, build_model
 from cdlab.network import ScheduleSpec, WeightSchedule, build_schedule
 from corpus import scenario_config
+from test_acceptance import ASYMMETRIC_W
 from oracles import (
     centralized_init,
     centralized_step,
     distributed_init,
     distributed_step,
     fit_exponent,
+    limiting_rate,
     subexponential_factor,
 )
 
@@ -441,6 +443,25 @@ class TestCompareDetectors:
         assert structure["name"] == "symmetric-stochastic"
         assert {f["issue"] for f in structure["failures"]} == {"row-sum"}
 
+    def test_asymmetric_schedule_is_kept_from_pass_only_by_the_suppression(self):
+        """ref3's model on the row-stochastic W of rows (.6, .4, 0), (.2, .6, .2),
+        (0, .4, .6): every node's limiting rate is 0.073636, 1.8% below C = 0.075.
+        Yet node 2 passes on its own figures: its late gap 0.00145 is within
+        the 0.0015 tolerance and has shrunk.  The suppression on the failed
+        assumption check is all that keeps it from a pass."""
+        config = scenario_config("ref3")
+        model = config.build_model()
+        asymmetric = WeightSchedule(matrices=ASYMMETRIC_W[None])
+        assert limiting_rate(model, asymmetric) == pytest.approx([0.073636] * 3, abs=1e-6)
+        report = compare_detectors(model, asymmetric, config.thresholds)
+        assert report["verdict"] is None
+        assert "suppressed" in report["verdict_note"]
+        assert report["gap_tolerance"] == pytest.approx(0.0015, rel=1e-12)
+        node = report["nodes"][1]
+        assert node["gap_late"] == pytest.approx(0.00145, abs=1e-5)
+        assert node["gap_early"] == pytest.approx(0.00179, abs=1e-5)
+        assert node["within_tolerance"] and node["gap_shrinks"]
+
     def test_disconnected_matrices_flag_the_window_check(self):
         """Identity mixing never connects: build_schedule refuses the matrices,
         and a schedule holding them is reported, not raised on.  There is no
@@ -495,7 +516,8 @@ class TestCompareDetectors:
 
 def _curve(alpha, beta):
     ks = np.arange(1, len(alpha) + 1)
-    log_alpha, log_beta = np.log(alpha), np.log(beta)
+    with np.errstate(divide="ignore"):
+        log_alpha, log_beta = np.log(alpha), np.log(beta)
     return ErrorCurve(
         node="1",
         ks=ks,
@@ -514,6 +536,15 @@ class TestScoreAgreement:
         cells, passing, worst_pull = score_agreement([(exact, estimate)], 10_000, 1e-3, 3.0)
         assert (cells, passing) == (4, 3)
         assert worst_pull == pytest.approx(4.0, rel=1e-9)
+
+    def test_certain_cell_passes_only_at_its_exact_count(self):
+        """A cell of exact probability 1, a node at variance 0, has no spread:
+        n = 10000 errors pass with pull 0, which hides no other cell's pull
+        (2.0 here), and one fewer fails with an infinite pull."""
+        exact = _curve([0.0, 0.1], [1.0, 0.1])
+        assert score_agreement([(exact, _curve([0.0, 0.1], [1.0, 0.106]))], 10_000, 1e-3, 3.0) == (3, 3, pytest.approx(2.0))
+        cells, passing, worst_pull = score_agreement([(exact, _curve([0.0, 0.1], [0.9999, 0.1]))], 10_000, 1e-3, 3.0)
+        assert (cells, passing, worst_pull) == (3, 2, math.inf)
 
     def test_no_judged_cells(self):
         exact = _curve([1e-5], [1e-5])
