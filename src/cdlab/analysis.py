@@ -9,14 +9,16 @@ probabilities, not simulation, and stay meaningful far below 1e-300
 because curves store log-probabilities internally.
 
 ``propagate_moments`` visits a sorted set of k in order, keeping the
-per-node mean and variance at each and holding only the current state and
-one squaring chain in between.  In running-sum coordinates U(k) = k x(k) / N
-one period of the recursion is an affine Gaussian map and n periods
-compose by repeated squaring, so a gap of g steps costs O(N^3 log g) where
-that beats stepping, and k = 1e9 is as cheap as k = 1e3.  Shorter gaps are
-stepped.  Since U(0) = 0, the phase-0 period map squared i times carries
-U(2^i P) itself in its noise part: that chain, climbed once, serves every
-doubling checkpoint and starts any jump it makes cheaper.
+per-node mean and variance at each and holding only the current state, one
+squaring chain and at most two pending states in between.  In running-sum
+coordinates U(k) = k x(k) / N one period of the recursion is an affine
+Gaussian map and n periods compose by repeated squaring, so a gap of g steps
+costs O(N^3 log g) where that beats stepping, and k = 1e9 is as cheap as
+k = 1e3.  Shorter gaps are stepped.  Since U(0) = 0, the phase-0 period map
+squared i times carries U(2^i P) itself in its noise part.  That chain is
+climbed once: it serves every doubling checkpoint, and a visit planned onto
+it folds in the levels at the binary digits of its periods past its largest
+2^i P as the climb passes them, so it builds no square of its own.
 
 ``mixing_residual_curves`` reads off the same trajectory, at any K visited k,
 how far the finite-k scaled cumulant of a node variable is from its value
@@ -141,19 +143,25 @@ def propagate_moments(
     mu(k+1) = (k/(k+1)) W(k) mu(k) + (N/(k+1)) m_eta and
     P(k+1) = (k/(k+1))^2 W(k) P(k) W(k)' + (N/(k+1))^2 S_eta,
     with m_eta the H1 innovation mean.  The sorted distinct ``ks`` are
-    visited in order.  A gap that ``_route`` would step is stepped from the
-    visit before.  A gap it would jump starts from whichever costs fewer
-    dense products, ties going to the second: the visit before, or the
-    spine, the phase-0 period map squared ``level`` times, climbed at 3
-    products a level to the largest 2^i P <= the target.  Its noise part is
-    the state of U(2^i P), and the map that starts it is not counted.  From
-    either start the whole periods left are jumped (see ``_jump``) where
-    that pays, and the rest is stepped.  W(k) comes from ``s.operators()``,
+    visited in order, each by a route planned from the visits at or before
+    it, so adding later visits never changes an earlier one's bits.  A
+    visit is stepped from the visit before, jumped from it where ``_route``
+    says that pays (see ``_jump``), or read off the spine, the phase-0
+    period map squared i times, whose noise part is the state of U(2^i P).
+    With 2^top P the largest such k <= the target and r the whole periods
+    past it, the spine's levels at r's set bits are folded into a pending
+    state as the climb passes them, and the visit then takes level top and
+    steps the rest of a period.  The climb costs 3 dense products a level,
+    not counting the map that starts it, and each fold 2, the first
+    excepted.  Of the routes the one with fewer dense products wins, ties
+    going to the spine, which is offered to a gap that ``_route`` would
+    jump and, once planned, to every gap.  W(k) comes from ``s.operators()``,
     so a step costs O(d N^2) on a padded factor with at most d nonzeros a
     row, which updates P in place by its fused ``sandwich``, and O(N^3) on
-    a dense one.  Between visits only the current N x N state and the
-    spine's two N x N matrices are held.  ``keep``, a subset of ``ks``,
-    lists the k at which the full covariance is stored.
+    a dense one.  Between visits only the current N x N state, the spine's
+    two N x N matrices and at most two pending states are held, and no
+    pending state across a jump.  ``keep``, a subset of ``ks``, lists the k
+    at which the full covariance is stored.
     """
     ks = _check_ks(ks, "visited k")
     keep = tuple(sorted({_check_integer(k, "a kept k", 1) for k in keep}))
@@ -192,25 +200,47 @@ def propagate_moments(
             p *= 0.5
         return shrink * (w @ mu) + gain * m_eta
 
+    # Every visit's route is planned before moving, each from the visits at or before it.
+    # plan[row] is (top, digits, 0) off the spine or (None, 0, periods) jumped from the visit
+    # before; a visit not in it is stepped.  rises[i] is the row whose climb makes level i.  A
+    # pending state is held from the climb past its lowest digit to its own visit: at most two
+    # at once and none across a jump, whose square takes their place; ends holds the rows at
+    # which the last two such pairs of N x N matrices are freed, a jump filling both.
+    plan = {}
+    rises, ends = [], [-1, -1]
     k = 1
-    spine, level = None, 0  # the phase-0 period map squared level times: U(0) -> U(2^level P)
     for row, target in enumerate(ks):
         periods, products = _route(target - k, s.period)
-        if periods:
+        if periods or rises:
             top = (target // s.period).bit_length() - 1  # the largest 2^top P <= target
-            rest, rest_products = _route(target - (s.period << top), s.period)
-            if 3 * (top - level) + rest_products <= products:
-                if spine is None:
-                    spine = _period_map(innovation, s, s.period)
-                for _ in range(top - level):
-                    spine = _compose(spine, spine)
-                level, k, periods = top, s.period << top, rest
-                state = (None, *spine[1:])
-            else:
-                state = (None, (k / n) * mu, (k / n) ** 2 * p)
-            if periods:
-                state = _jump(innovation, s, k, state, periods)
-                k += periods * s.period
+            digits = target // s.period - (1 << top)
+            low = (digits & -digits).bit_length() - 1  # its lowest set bit, -1 for none
+            start = rises[low] if 0 <= low < len(rises) else row  # where its pending state opens
+            cost = 3 * (top - max(len(rises) - 1, 0)) + 2 * bin(digits).count("1") + target % s.period
+            if cost <= products and (not digits or ends[0] < start):
+                plan[row], periods = (top, digits, 0), 0
+                rises += [row] * (top + 1 - len(rises))
+                ends = [ends[1], row] if digits else ends
+        if periods:
+            plan[row], ends = (None, 0, periods), [row, row]
+        k = target
+
+    k = 1
+    spine, level, pending = None, -1, {}  # the phase-0 period map squared level times: U(0) -> U(2^level P)
+    for row, target in enumerate(ks):
+        top, digits, periods = plan.get(row, (None, 0, 0))
+        if top is not None:
+            for level in range(level + 1, top + 1):
+                spine = _compose(spine, spine) if level else _period_map(innovation, s, s.period)
+                for later, (_, bits, _) in plan.items():
+                    if bits >> level & 1:
+                        pending[later] = _compose(pending[later], spine) if later in pending else (None, *spine[1:])
+            state = _compose(pending.pop(row), spine) if digits else (None, *spine[1:])
+            k = target - target % s.period
+        elif periods:
+            state = _jump(innovation, s, k, (None, (k / n) * mu, (k / n) ** 2 * p), periods)
+            k += periods * s.period
+        if top is not None or periods:
             mu = (n / k) * state[1]
             np.multiply(state[2], (n / k) ** 2, out=p)
         for k in range(k, target):
@@ -363,19 +393,20 @@ def exact_error_curves(model: GaussianHypothesisPair, traj: MomentTrajectory, ks
     """
     ks = np.asarray(_check_ks(traj.ks if ks is None else ks, "checkpoint"))
     means, variances = traj.moments_at(ks)
+    invalid = ~(np.isfinite(variances) & (variances >= 0.0))
+    if invalid.any():
+        i = int(invalid.any(axis=0).argmax())  # the first node with a bad variance, and its first
+        raise DegenerateVariance(f"node {i + 1} variance {variances[invalid[:, i], i][0]:.3e} is not finite and non-negative")
+    certain = variances == 0.0
+    tails = log_q_function(means / np.sqrt(np.where(certain, 1.0, variances)))  # one pass over the (K, N) table
     curves = []
-    for i in range(model.n_sensors):
-        mean, var = means[:, i], variances[:, i]
-        valid = np.isfinite(var) & (var >= 0.0)
-        if not valid.all():
-            raise DegenerateVariance(f"node {i + 1} variance {var[~valid][0]:.3e} is not finite and non-negative")
-        certain = var == 0.0
-        curve = _exact_curve(str(i + 1), ks, log_q_function(mean / np.sqrt(np.where(certain, 1.0, var))))
-        if certain.any():
+    for i, (mean, tail, sure) in enumerate(zip(means.T, tails.T, certain.T)):
+        curve = _exact_curve(str(i + 1), ks, tail.copy())
+        if sure.any():
             alpha, beta = (-mean > 0.0).astype(float), (mean <= 0.0).astype(float)
             with np.errstate(divide="ignore"):
                 for log, prob in zip((curve.log_alpha, curve.log_beta, curve.log_pe), (alpha, beta, (alpha + beta) / 2.0)):
-                    log[certain] = np.log(prob[certain])
+                    log[sure] = np.log(prob[sure])
         curves.append(curve)
     return curves
 

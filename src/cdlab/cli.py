@@ -66,8 +66,12 @@ def _curves_csv(curves):
     yield CURVE_HEADER + "\n"
     for curve in curves:
         n = len(curve.ks)
-        views = (curve.alpha, curve.beta, curve.pe, curve.log10_pe, curve.se_alpha, curve.se_beta, curve.se_pe)
-        columns = [[curve.node] * n, [str(int(k)) for k in curve.ks], [curve.source] * n]
+        alpha = [*map(repr, curve.alpha.tolist())]
+        # an exact curve's alpha, beta and pe are one tail, formatted once
+        one_tail = np.array_equal(curve.log_beta, curve.log_alpha) and np.array_equal(curve.log_pe, curve.log_alpha)
+        views = (curve.log10_pe, curve.se_alpha, curve.se_beta, curve.se_pe)
+        columns = [[curve.node] * n, [str(int(k)) for k in curve.ks], [curve.source] * n, alpha]
+        columns += [alpha, alpha] if one_tail else [map(repr, curve.beta.tolist()), map(repr, curve.pe.tolist())]
         columns += [[""] * n if view is None else map(repr, view.tolist()) for view in views]
         yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 

@@ -502,21 +502,28 @@ class TestJumpPastTheHorizon:
         means, variances = grid.moments_at(ks)
         assert np.array_equal(means, stepped.means[ks - 1])
         assert np.array_equal(variances, stepped.variances[ks - 1])
-        # gaps of 8, 180, 1 and 999299 steps: only the second and last pay
-        propagate_moments(model, schedule, past_horizon(520, 700, 701, 10**6))
-        assert jumps == [90, 499649]
+        # gaps of 8, 180, 1 and 999299 steps: the second pays as a jump, and the
+        # last comes off the chain, with the same bits as when it is visited alone
+        deep = propagate_moments(model, schedule, past_horizon(520, 700, 701, 10**6))
+        assert jumps == [90]
+        alone = propagate_moments(model, schedule, [10**6])
+        assert jumps == [90]
+        assert np.array_equal(deep.mean_at(10**6), alone.mean_at(10**6))
+        assert np.array_equal(deep.variance_at(10**6), alone.variance_at(10**6))
 
     def test_memory_past_the_horizon_does_not_grow_with_checkpoints(self, two_matching_ring):
-        """Between visits only the current N x N state and the squaring chain
-        are held: 1524 stepped checkpoints past the horizon, and 200 jumped
-        ones (100, 200, ..., 20000), on the 64-node ring each peak within
-        32 N x N matrices (32 kB each) of what the returned moments hold.  A
-        covariance per checkpoint would take 50 MB for the first, and a
-        jump state per pending visit about 7 MB for the second.  The padded
-        factors and their gather targets are built inside the traced call,
-        so they count too."""
+        """Between visits only the current N x N state, the squaring chain and
+        at most two pending states are held: 1524 stepped checkpoints past the
+        horizon, 200 jumped ones (100, 200, ..., 20000) and the doubling
+        checkpoints with 100 and 500, folded from the chain, on the 64-node
+        ring each peak within 32 N x N matrices (32 kB each) of what the
+        returned moments hold.  A covariance per checkpoint would take 50 MB
+        for the first, and a state per pending visit about 7 MB for the
+        second.  The padded factors and their gather targets are built inside
+        the traced call, so they count too."""
         model, schedule = ring64(two_matching_ring)
-        for visits in (past_horizon(*range(513, 1537), *range(1600, 4096, 5)), list(range(100, 20001, 100))):
+        visit_sets = (past_horizon(*range(513, 1537), *range(1600, 4096, 5)), list(range(100, 20001, 100)), self.GEOMETRIC)
+        for visits in visit_sets:
             tracemalloc.start()
             try:
                 traj = propagate_moments(model, schedule, visits)
@@ -530,28 +537,41 @@ class TestJumpPastTheHorizon:
     GEOMETRIC = sorted({*[2**i for i in range(11)], 100, 500})
 
     @pytest.mark.parametrize(
-        "visits, compositions",
+        "visits, compositions, products",
         [
-            (GEOMETRIC, 29),  # 55 when every jump built its own squares
-            ([1, 10**6], 30),
-            (past_horizon(520, 700, 701, 10**6), 42),
-            ([*GEOMETRIC, 10**9], 71),  # was 97
-            (list(range(100, 20001, 100)), 1800),
+            (GEOMETRIC, 17, 44),  # 29 and 80 when the jumps to 100 and 500 rebuilt the chain's squares
+            ([1, 10**6], 25, 69),  # 30 and 79
+            (past_horizon(520, 700, 701, 10**6), 36, 98),  # 42 and 110
+            ([*GEOMETRIC, 10**9], 48, 125),  # 71 and 193
+            (list(range(100, 20001, 100)), 1791, 4776),  # 1800 and 4800
         ],
         ids=["geometric", "lone-deep", "past-horizon", "geometric-deep", "linear"],
     )
-    def test_compositions_guard_the_plan(self, visits, compositions, two_matching_ring, monkeypatch):
+    def test_compositions_guard_the_plan(self, visits, compositions, products, two_matching_ring, monkeypatch):
         """The plan of propagate_moments, counted in dense N x N compositions on
-        the 64-node ring (period 2), not timed.  The doubling checkpoints come
-        off the squaring chain at one composition each, 100 and 500 jump from
-        64 and 256, and a set the chain does not serve costs what it did when
-        every jump built its own squares."""
+        the 64-node ring (period 2), not timed, and in dense products: 3 for a
+        map after a map, 2 for a map after a state.  The doubling checkpoints
+        come off the squaring chain at one composition each, 100 and 500 fold
+        the chain's levels at their binary digits and then take its top, and a
+        set the chain does not serve costs at most what it did when every jump
+        built its own squares."""
         calls = []
         real = analysis._compose
-        monkeypatch.setattr(analysis, "_compose", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(analysis, "_compose", lambda *a: calls.append(2 if a[0][0] is None else 3) or real(*a))
         model, schedule = ring64(two_matching_ring)
         propagate_moments(model, schedule, visits)
         assert len(calls) <= compositions
+        assert sum(calls) <= products
+
+    @pytest.mark.parametrize("later", [[10**9], [700, 3000, 10**6]], ids=["deep", "mixed"])
+    def test_later_visits_leave_earlier_bits_alone(self, later, two_matching_ring):
+        """Each visit's route is planned from the visits at or before it, so
+        adding later visits leaves every earlier one the same bits."""
+        model, schedule = ring64(two_matching_ring)
+        alone = propagate_moments(model, schedule, self.GEOMETRIC)
+        more = propagate_moments(model, schedule, [*self.GEOMETRIC, *later])
+        assert np.array_equal(more.moments_at(self.GEOMETRIC)[0], alone.means)
+        assert np.array_equal(more.moments_at(self.GEOMETRIC)[1], alone.variances)
 
     def test_scaled_cumulant_reads_jumped_moments(self):
         model, schedule, _ = build_scenario("ref3")

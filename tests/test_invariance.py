@@ -3,11 +3,11 @@
 * **Jumped and stepped.**  ``analyze`` and ``simulate`` visit only their
   checkpoints, ``k_early`` and ``k_late`` (``Thresholds.visits``), and so jump
   over the whole periods of long gaps.  A trajectory over that set and one
-  that steps through every k must agree at each checkpoint: the moments
-  within ``REL``, and the mixing residual rows, differences that carry the
-  rounding of k steps, within ``REL`` and ``RESIDUAL_FLOOR``.  Checked on the
-  corpus and on the benchmark's 256-node ring, which steps through
-  row-padded factors.
+  that steps through every k must agree: the moments at each visit within
+  ``REL``, and the mixing residual rows at each checkpoint, differences
+  that carry the rounding of k steps, within ``REL`` and ``RESIDUAL_FLOOR``.
+  Checked on the corpus and on the benchmark's 256-node ring, which steps
+  through row-padded factors.
 * **Period unrolling.**  The schedule [W1, ..., WP] repeated twice is the
   same schedule.  The exact curves take another path through the jump (a
   period map of 2P steps, half as many periods), so they agree within
@@ -69,7 +69,7 @@ def test_jumped_and_stepped_trajectories_agree(name, scenario):
     visits = config.thresholds.visits(config.checkpoints)
     jumped = propagate_moments(model, schedule, visits)
     stepped = propagate_moments(model, schedule, range(1, visits[-1] + 1))
-    for got, want in zip(jumped.moments_at(config.checkpoints), stepped.moments_at(config.checkpoints)):
+    for got, want in zip(jumped.moments_at(visits), stepped.moments_at(visits)):
         np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
     ks = [k for k in config.checkpoints if 2 <= k <= RESIDUAL_HORIZON]
     rows = [mixing_residual_curves(model, schedule, traj, ks, RESIDUAL_MUS).rows() for traj in (jumped, stepped)]
