@@ -99,8 +99,8 @@ class MomentTrajectory:
     covariance does not depend on the hypothesis, so one pass serves both:
     mu0(k) = -mu1(k) and P0(k) = P1(k), bit for bit.  Row i of ``means`` and
     ``variances`` holds the H1 mean and per-node variances at ``ks[i]``
-    (H0's mean is ``-mean_at(k)``); full covariances are held only at the
-    k of ``keep``.
+    (H0's mean is its negation), and ``covariances[j]`` the full covariance
+    at ``keep[j]``, the only k at which one is held.
     """
 
     ks: np.ndarray  # visited k, (len(ks),)
@@ -120,18 +120,6 @@ class MomentTrajectory:
                 f"in {int(self.ks[0])}..{int(self.ks[-1])}"
             )
         return self.means[rows], self.variances[rows]
-
-    def mean_at(self, k: int) -> np.ndarray:
-        return self.moments_at([k])[0][0]
-
-    def variance_at(self, k: int) -> np.ndarray:
-        return self.moments_at([k])[1][0]
-
-    def cov_at(self, k: int) -> np.ndarray:
-        k = _check_integer(k, "k", 1)
-        if k not in self.keep:
-            raise ParameterError(f"covariance at k={k} was not kept (kept: {self.keep})")
-        return self.covariances[self.keep.index(k)]
 
 
 def propagate_moments(
@@ -378,7 +366,7 @@ def _exact_curve(node: str, ks: np.ndarray, log_tail: np.ndarray) -> ErrorCurve:
     )
 
 
-def exact_error_curves(model: GaussianHypothesisPair, traj: MomentTrajectory, ks=None) -> list[ErrorCurve]:
+def exact_error_curves(traj: MomentTrajectory, ks=None) -> list[ErrorCurve]:
     """Per-node error curves from the exact Gaussian law of x_i(k).
 
     alpha_i(k) is the H0 probability of x_i(k) > 0 and beta_i(k) the H1

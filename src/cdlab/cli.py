@@ -147,7 +147,7 @@ def cmd_analyze(args) -> int:
     ks = config.checkpoints
     traj = propagate_moments(model, schedule, config.thresholds.visits(ks))
     rate = compare_detectors(model, schedule, config.thresholds, traj)
-    ws.write("curves_exact.csv", _curves_csv([centralized_error_curve(model, ks), *exact_error_curves(model, traj, ks=ks)]))
+    ws.write("curves_exact.csv", _curves_csv([centralized_error_curve(model, ks), *exact_error_curves(traj, ks=ks)]))
 
     decay = check_geometric_decay(schedule)
 

@@ -326,7 +326,7 @@ def compare_detectors(
     ks = [k_early, k_late]
     if trajectory is None:
         trajectory = propagate_moments(model, schedule, thresholds.visits())
-    node_curves = exact_error_curves(model, trajectory, ks=ks)
+    node_curves = exact_error_curves(trajectory, ks=ks)
     cen_curve = centralized_error_curve(model, ks)
     cen_rate = _empirical_rate(cen_curve)
     tolerance = thresholds.gap_tolerance * chernoff
@@ -383,7 +383,7 @@ def check_simulation(plan: ExperimentPlan, thresholds: Thresholds) -> tuple:
     result = run_monte_carlo(plan)
     trajectory = propagate_moments(model, plan.schedule, thresholds.visits(plan.k_checkpoints))
     report = compare_detectors(model, plan.schedule, thresholds, trajectory)
-    exact_curves = exact_error_curves(model, trajectory, ks=result.ks) + [centralized_error_curve(model, result.ks)]
+    exact_curves = exact_error_curves(trajectory, ks=result.ks) + [centralized_error_curve(model, result.ks)]
     estimates = [*result.node_curves, result.centralized_curve]
     cells, passing, worst_pull = score_agreement(
         zip(exact_curves, estimates),

@@ -252,9 +252,6 @@ class WeightSchedule:
     def period(self) -> int:
         return self.matrices.shape[0]
 
-    def weight_at(self, k: int) -> np.ndarray:
-        return self.matrices[(_check_integer(k, "time index", 1) - 1) % self.period]
-
     def operators(self) -> tuple:
         """W(1), ..., W(period) for ``@``: row-padded when large and no row holds
         more than ``SPARSE_DENSITY`` N nonzeros (one hub row would make every

@@ -25,6 +25,9 @@ in its most literal form, something the package computes another way:
   byte for byte or, where the two read different trajectories, within a
   tolerance.
 
+* one-k readers: W(k) of a schedule, and the moments or kept covariance of
+  a trajectory at one k, which the package reads only for a set of k.
+
 ``MaximizerAtBoundary`` and ``ThresholdOutOfRange`` are raised only here.
 """
 
@@ -149,7 +152,7 @@ def distributed_step(
             f"got {state.x.shape} and {eta_next.shape}"
         )
     k = state.k
-    x_next = (k / (k + 1)) * (s.weight_at(k) @ state.x) + (n / (k + 1)) * eta_next
+    x_next = (k / (k + 1)) * (weight_at(s, k) @ state.x) + (n / (k + 1)) * eta_next
     return DistributedState(k=k + 1, x=x_next)
 
 
@@ -173,7 +176,7 @@ def distributed_closed_form(
     prod = np.eye(n)
     for j in range(k - 1, 0, -1):
         # prod becomes Phi(k, j) = Phi(k, j+1) @ W(j)
-        prod = prod @ s.weight_at(j)
+        prod = prod @ weight_at(s, j)
         total += prod @ etas[j - 1]
     return (n / k) * total
 
@@ -278,9 +281,32 @@ def scaled_cumulant(
         trajectory = propagate_moments(model, s, range(1, k + 1))
     mu = float(mu)
     i = node - 1
-    mean_i = float(trajectory.mean_at(k)[i]) * (1.0 if l == Hypothesis.H1 else -1.0)
-    var_i = float(trajectory.variance_at(k)[i])
-    return mu * mean_i + (k / 2.0) * mu * mu * var_i
+    mean, var = moments_at_k(trajectory, k)
+    mean_i = float(mean[i]) * (1.0 if l == Hypothesis.H1 else -1.0)
+    return mu * mean_i + (k / 2.0) * mu * mu * float(var[i])
+
+
+# ── one-k readers ─────────────────────────────────────────────────────────
+
+
+def weight_at(s: WeightSchedule, k: int) -> np.ndarray:
+    """W(k) for k >= 1: ``s.matrices[(k - 1) % s.period]``, the package's indexing."""
+    if k < 1:
+        raise IndexError(f"need k >= 1, got k={k}")
+    return s.matrices[(k - 1) % s.period]
+
+
+def moments_at_k(trajectory: MomentTrajectory, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The H1 mean and per-node variances at one visited k, each an n-vector."""
+    means, variances = trajectory.moments_at([k])
+    return means[0], variances[0]
+
+
+def kept_covariance(trajectory: MomentTrajectory, k: int) -> np.ndarray:
+    """The full covariance at k; ParameterError unless k is in ``trajectory.keep``."""
+    if k not in trajectory.keep:
+        raise ParameterError(f"covariance at k={k} was not kept (kept: {trajectory.keep})")
+    return trajectory.covariances[trajectory.keep.index(k)]
 
 
 # ── products ──────────────────────────────────────────────────────────────
@@ -292,7 +318,7 @@ def forward_product(s: WeightSchedule, k: int, j: int) -> np.ndarray:
         raise IndexError(f"need k > j >= 1, got k={k}, j={j}")
     out = np.eye(s.n_nodes)
     for l in range(j, k):
-        out = s.weight_at(l) @ out
+        out = weight_at(s, l) @ out
     return out
 
 
@@ -309,7 +335,7 @@ def disagreement_product(s: WeightSchedule, k: int, j: int) -> np.ndarray:
     jmat = np.full((s.n_nodes, s.n_nodes), 1.0 / s.n_nodes)
     tilde = np.eye(s.n_nodes)
     for l in range(j, k):
-        tilde = (s.weight_at(l) - jmat) @ tilde
+        tilde = (weight_at(s, l) - jmat) @ tilde
     direct = forward_product(s, k, j) - jmat
     gap = float(np.abs(tilde - direct).max())
     if gap > PRODUCT_AGREE_ATOL:

@@ -44,13 +44,16 @@ from oracles import (
     distributed_step,
     fenchel_legendre,
     fit_exponent,
+    kept_covariance,
     limiting_rate,
     local_innovations,
     log_mgf,
+    moments_at_k,
     rate_function,
     residual_cube,
     sample_observations,
     scaled_cumulant,
+    weight_at,
 )
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -113,7 +116,7 @@ def test_criterion_03_mean_consensus_identity():
                 x = n * etas
                 d = score
             else:
-                x = ((k - 1) / k) * (x @ schedule.weight_at(k - 1).T) + (n / k) * etas
+                x = ((k - 1) / k) * (x @ weight_at(schedule, k - 1).T) + (n / k) * etas
                 d = ((k - 1) * d + score) / k
             gap = np.abs(x.mean(axis=1) - d) / np.maximum(1.0, np.abs(d))
             worst = max(worst, float(gap.max()))
@@ -164,9 +167,9 @@ def test_criterion_06_moments_match_monte_carlo():
         if k == 1:
             x = 3.0 * etas
         else:
-            x = ((k - 1) / k) * (x @ schedule.weight_at(k - 1).T) + (3.0 / k) * etas
+            x = ((k - 1) / k) * (x @ weight_at(schedule, k - 1).T) + (3.0 / k) * etas
         if k in checkpoints:
-            mu, p = traj.mean_at(k), traj.cov_at(k)
+            mu, p = moments_at_k(traj, k)[0], kept_covariance(traj, k)
             emp_mu = x.mean(axis=0)
             emp_p = np.cov(x.T)
             for i in range(3):
@@ -263,7 +266,7 @@ def test_criterion_10_monte_carlo_agreement():
         )
         result = run_monte_carlo(plan)
         k_max = int(result.ks.max())
-        exact_nodes = exact_error_curves(model, propagate_moments(model, schedule, range(1, k_max + 1)), ks=result.ks)
+        exact_nodes = exact_error_curves(propagate_moments(model, schedule, range(1, k_max + 1)), ks=result.ks)
         exact_cen = centralized_error_curve(model, result.ks)
         local_cells = local_passing = 0
         pairs = list(zip(exact_nodes, result.node_curves))
@@ -306,7 +309,7 @@ def test_criterion_12_negative_controls_reach_their_limiting_rate():
         limit = limiting_rate(model, s)
         assert limit == pytest.approx(pinned, abs=1e-6), name
         assert np.all(limit < c), name
-        curves = exact_error_curves(model, propagate_moments(model, s, visits), ks=[DEEP_K])
+        curves = exact_error_curves(propagate_moments(model, s, visits), ks=[DEEP_K])
         rates = np.array([-curve.log_pe[0] / DEEP_K for curve in curves])
         slack = (rates - limit) * DEEP_K
         assert np.all(np.abs(slack) <= LIMIT_SLACK), f"{name}: (rate - R) k = {slack}"

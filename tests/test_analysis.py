@@ -38,13 +38,16 @@ from oracles import (
     ThresholdOutOfRange,
     fenchel_legendre,
     fixed_threshold_rates,
+    kept_covariance,
     llr,
     local_innovations,
     log_mgf,
+    moments_at_k,
     rate_function,
     residual_cube,
     sample_observations,
     scaled_cumulant,
+    weight_at,
 )
 
 H0, H1 = Hypothesis.H0, Hypothesis.H1
@@ -252,7 +255,7 @@ def reference_moments_h0(model, schedule, k_max):
     p = n * n * s_eta
     means, covs = [mu], [p]
     for k in range(1, k_max):
-        w = schedule.weight_at(k)
+        w = weight_at(schedule, k)
         shrink = k / (k + 1.0)
         gain = n / (k + 1.0)
         mu = shrink * (w @ mu) + gain * m_eta
@@ -269,9 +272,9 @@ class TestPropagateMoments:
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
         traj = propagate_moments(m, s, range(1, 41), keep=(1, 2, 7, 40))
         for k in (1, 2, 7, 40):
-            assert traj.mean_at(k)[0] == pytest.approx(m.llr_variance / 2.0, rel=1e-12)
-            assert traj.cov_at(k)[0, 0] == pytest.approx(m.llr_variance / k, rel=1e-12)
-            assert traj.variances[k - 1, 0] == traj.cov_at(k)[0, 0]
+            assert moments_at_k(traj, k)[0][0] == pytest.approx(m.llr_variance / 2.0, rel=1e-12)
+            assert kept_covariance(traj, k)[0, 0] == pytest.approx(m.llr_variance / k, rel=1e-12)
+            assert traj.variances[k - 1, 0] == kept_covariance(traj, k)[0, 0]
 
     def test_consensus_moment_identities(self):
         """Node-average H0 mean stays the H0 llr mean -sigma2/2, grand covariance sum sigma2/k."""
@@ -279,10 +282,10 @@ class TestPropagateMoments:
         ks = (1, 2, 3, 10, 50, 200)
         traj = propagate_moments(model, schedule, range(1, 201), keep=ks)
         for k in ks:
-            avg = float((-traj.mean_at(k)).mean())
+            avg = float((-moments_at_k(traj, k)[0]).mean())
             llr_mean0 = -model.llr_variance / 2.0
             assert abs(avg - llr_mean0) <= 1e-10 * max(1.0, abs(llr_mean0))
-            total = float(traj.cov_at(k).sum()) / 9.0
+            total = float(kept_covariance(traj, k).sum()) / 9.0
             assert total == pytest.approx(model.llr_variance / k, rel=1e-10)
 
     def test_hypothesis_symmetry_is_exact(self, two_matching_ring):
@@ -310,7 +313,7 @@ class TestPropagateMoments:
             traj = propagate_moments(model, schedule, range(1, k_max + 1), keep=keep)
             means0, covs = reference_moments_h0(model, schedule, k_max)
             assert np.array_equal(-traj.means, means0)
-            assert np.array_equal(-traj.mean_at(7), means0[6])
+            assert np.array_equal(-moments_at_k(traj, 7)[0], means0[6])
             kept = covs[[k - 1 for k in keep]]
             if type(schedule.operators()[0]) is _PaddedRows:
                 np.testing.assert_allclose(traj.variances, np.diagonal(covs, axis1=1, axis2=2), rtol=4e-15, atol=0.0)
@@ -324,9 +327,8 @@ class TestPropagateMoments:
         traj = propagate_moments(model, schedule, range(1, 31), keep=(30, 4, 4))
         assert traj.keep == (4, 30)
         assert traj.covariances.shape == (2, 3, 3)
+        assert np.array_equal(np.diagonal(traj.covariances, axis1=1, axis2=2), traj.variances[[3, 29]])
         assert propagate_moments(model, schedule, range(1, 31)).covariances.shape == (0, 3, 3)
-        with pytest.raises(ParameterError):
-            traj.cov_at(5)
         for keep in ((0,), (31,)):
             with pytest.raises(ParameterError):
                 propagate_moments(model, schedule, range(1, 31), keep=keep)
@@ -336,14 +338,14 @@ class TestPropagateMoments:
         traj = propagate_moments(model, schedule, range(1, 31))
         for k in (0, -1, 31):
             with pytest.raises(ParameterError):
-                traj.mean_at(k)
+                traj.moments_at([k])
 
     def test_covariances_stay_psd(self):
         model, schedule = alt3_scenario()
         ks = (1, 5, 25, 100)
         traj = propagate_moments(model, schedule, range(1, 101), keep=ks)
         for k in ks:
-            eigs = np.linalg.eigvalsh(traj.cov_at(k))
+            eigs = np.linalg.eigvalsh(kept_covariance(traj, k))
             assert eigs.min() >= -1e-12
 
     def test_monte_carlo_moment_oracle(self):
@@ -358,9 +360,9 @@ class TestPropagateMoments:
             if x is None:
                 x = 3.0 * etas
             else:
-                x = ((k - 1) / k) * (x @ schedule.weight_at(k - 1)) + (3.0 / k) * etas
+                x = ((k - 1) / k) * (x @ weight_at(schedule, k - 1)) + (3.0 / k) * etas
         traj = propagate_moments(model, schedule, range(1, k_stop + 1), keep=(k_stop,))
-        mu, p = traj.mean_at(k_stop), traj.cov_at(k_stop)
+        mu, p = moments_at_k(traj, k_stop)[0], kept_covariance(traj, k_stop)
         emp_mu = x.mean(axis=0)
         emp_p = np.cov(x.T)
         for i in range(3):
@@ -389,12 +391,10 @@ class TestPropagateMoments:
 # Every entry point that takes a k, a set of k or a count refuses a
 # non-integer: 2.7 is not read as 2, nor True as 1, nor left to fail deeper in.
 NON_INTEGER_K_CALLS = {
-    "exact_error_curves": lambda m, s, traj: exact_error_curves(m, traj, ks=[2.7]),
+    "exact_error_curves": lambda m, s, traj: exact_error_curves(traj, ks=[2.7]),
     "centralized_error_curve": lambda m, s, traj: centralized_error_curve(m, [2.7]),
     "centralized_error_curve-bool": lambda m, s, traj: centralized_error_curve(m, [True]),
     "moments_at": lambda m, s, traj: traj.moments_at([4, 2.7]),
-    "mean_at": lambda m, s, traj: traj.mean_at(3.9),
-    "cov_at": lambda m, s, traj: traj.cov_at(1.0),
     "ExperimentPlan": lambda m, s, traj: ExperimentPlan(m, s, (10, 2.7), 100, 0),
     "Thresholds-k_early": lambda m, s, traj: Thresholds(k_early=99.9),
     "Thresholds-k_late": lambda m, s, traj: Thresholds(k_late=500.5),
@@ -414,7 +414,7 @@ def test_non_integer_k_refused_at_every_entry_point(call):
 def test_curves_come_back_at_sorted_distinct_k():
     model, schedule = alt3_scenario()
     traj = propagate_moments(model, schedule, range(1, 21))
-    assert exact_error_curves(model, traj, ks=[9, 3, 9])[0].ks.tolist() == [3, 9]
+    assert exact_error_curves(traj, ks=[9, 3, 9])[0].ks.tolist() == [3, 9]
     assert centralized_error_curve(model, [9, 3, 9]).ks.tolist() == [3, 9]
     means, _ = traj.moments_at([9, 3, 9])
     assert np.array_equal(means, traj.means[[2, 8]])
@@ -426,7 +426,7 @@ JUMP_REL_TOL = 1e-12
 
 
 def log_tails(model, traj, ks):
-    return np.array([curve.log_alpha for curve in exact_error_curves(model, traj, ks=ks)])
+    return np.array([curve.log_alpha for curve in exact_error_curves(traj, ks=ks)])
 
 
 def ring64(two_matching_ring):
@@ -486,7 +486,7 @@ class TestJumpPastTheHorizon:
         on ring64 and 2.2 eps on the irregular schedule, 1 to 4 nonzeros a row)."""
         model, ring = ring64(two_matching_ring)
         for schedule in (ring, irregular64):
-            p = propagate_moments(model, schedule, range(1, 1025), keep=(1024,)).cov_at(1024)
+            p = propagate_moments(model, schedule, range(1, 1025), keep=(1024,)).covariances[0]
             assert np.abs(p - p.T).max() <= 8 * np.finfo(float).eps * np.abs(p).max()
 
     def test_dense_grid_past_the_horizon_is_stepped(self, two_matching_ring, monkeypatch):
@@ -508,8 +508,8 @@ class TestJumpPastTheHorizon:
         assert jumps == [90]
         alone = propagate_moments(model, schedule, [10**6])
         assert jumps == [90]
-        assert np.array_equal(deep.mean_at(10**6), alone.mean_at(10**6))
-        assert np.array_equal(deep.variance_at(10**6), alone.variance_at(10**6))
+        assert np.array_equal(deep.moments_at([10**6])[0], alone.means)
+        assert np.array_equal(deep.moments_at([10**6])[1], alone.variances)
 
     def test_memory_past_the_horizon_does_not_grow_with_checkpoints(self, two_matching_ring):
         """Between visits only the current N x N state, the squaring chain and
@@ -602,21 +602,20 @@ class TestJumpPastTheHorizon:
         stepped = propagate_moments(model, schedule, range(1, 101))
         traj = propagate_moments(model, schedule, [*range(1, 31), 5, 33, 100])
         assert traj.ks.tolist() == [*range(1, 31), 33, 100]
-        for k in (33, 100):
-            np.testing.assert_allclose(traj.mean_at(k), stepped.mean_at(k), rtol=1e-13)
-            np.testing.assert_allclose(traj.variance_at(k), stepped.variance_at(k), rtol=1e-13)
-        assert [int(k) for k in exact_error_curves(model, traj)[0].ks] == [*range(1, 31), 33, 100]
+        for got, want in zip(traj.moments_at([33, 100]), stepped.moments_at([33, 100])):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+        assert [int(k) for k in exact_error_curves(traj)[0].ks] == [*range(1, 31), 33, 100]
         for k in (31, 34, 101):
             with pytest.raises(ParameterError):
-                traj.mean_at(k)
+                traj.moments_at([k])
             with pytest.raises(ParameterError):
-                exact_error_curves(model, traj, ks=[30, k])
+                exact_error_curves(traj, ks=[30, k])
 
     def test_billionth_step_is_finite(self):
         """ref3 at k = 1e9: log10 pe about -3.26e7, through the series branch of log Q."""
         model, schedule, _ = build_scenario("ref3")
         traj = propagate_moments(model, schedule, past_horizon(10**6, 10**9))
-        for curve in exact_error_curves(model, traj, ks=[10**6, 10**9]):
+        for curve in exact_error_curves(traj, ks=[10**6, 10**9]):
             assert np.all(np.isfinite(curve.log_pe))
             assert curve.log10_pe[1] == pytest.approx(-3.26e7, rel=2e-3)
             assert curve.log10_pe[0] == pytest.approx(-3.26e4, rel=2e-3)
@@ -630,7 +629,7 @@ class TestErrorCurves:
         """alpha(4) = Q(1) for the unit one-sensor model (scipy oracle)."""
         m = build_model([0.0], [1.0], [[1.0]])
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
-        (curve,) = exact_error_curves(m, propagate_moments(m, s, range(1, 5)), ks=[4])
+        (curve,) = exact_error_curves(propagate_moments(m, s, range(1, 5)), ks=[4])
         assert curve.alpha[0] == pytest.approx(norm.sf(1.0), rel=1e-12)
         assert curve.beta[0] == pytest.approx(norm.sf(1.0), rel=1e-12)
 
@@ -641,7 +640,7 @@ class TestErrorCurves:
 
     def test_symmetric_hypotheses_balance_errors(self):
         model, schedule = alt3_scenario()
-        for curve in exact_error_curves(model, propagate_moments(model, schedule, range(1, 31))):
+        for curve in exact_error_curves(propagate_moments(model, schedule, range(1, 31))):
             assert curve.log_alpha == pytest.approx(curve.log_beta, rel=1e-12)
 
     @pytest.mark.parametrize("name", CORPUS)
@@ -649,7 +648,7 @@ class TestErrorCurves:
         """alpha = beta, so the Bayes error (alpha + beta) / 2 is the same log tail, element for element."""
         model, schedule, config = build_scenario(name)
         ks = config.checkpoints
-        curves = exact_error_curves(model, propagate_moments(model, schedule, ks)) + [centralized_error_curve(model, ks)]
+        curves = exact_error_curves(propagate_moments(model, schedule, ks)) + [centralized_error_curve(model, ks)]
         for curve in curves:
             assert np.array_equal(curve.log_pe, curve.log_alpha)
             assert np.array_equal(curve.log_pe, curve.log_beta)
@@ -664,7 +663,7 @@ class TestErrorCurves:
         """On ref3's checkpoints, where pe stays above 1e-300, log10_pe is log10(pe)."""
         model, schedule, config = build_scenario("ref3")
         ks = config.checkpoints
-        for curve in exact_error_curves(model, propagate_moments(model, schedule, ks), ks=ks):
+        for curve in exact_error_curves(propagate_moments(model, schedule, ks), ks=ks):
             assert np.all(curve.pe > 1e-300)
             np.testing.assert_allclose(curve.log10_pe, np.log10(curve.pe), rtol=1e-12, atol=0.0)
 
@@ -678,7 +677,7 @@ class TestErrorCurves:
                 ks=np.arange(1, 4), means=np.zeros((3, 2)), variances=variances, covariances=np.zeros((0, 2, 2))
             )
             with pytest.raises(DegenerateVariance, match="node 2"):
-                exact_error_curves(m, flat)
+                exact_error_curves(flat)
 
     def test_zero_variance_is_its_mean(self):
         """At variance 0 the statistic is its H1 mean mu, -mu under H0, and ties
@@ -688,7 +687,7 @@ class TestErrorCurves:
         means = np.array([[1.0, 0.0], [-2.0, 0.5], [0.3, 1.0]])
         variances = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 4.0]])
         traj = MomentTrajectory(ks=np.arange(1, 4), means=means, variances=variances, covariances=np.zeros((0, 2, 2)))
-        first, second = exact_error_curves(m, traj)
+        first, second = exact_error_curves(traj)
         np.testing.assert_array_equal(first.alpha, [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(first.beta, [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(first.pe, [0.0, 1.0, 0.0])
@@ -765,7 +764,7 @@ def reference_residual(model, schedule, k_max, mu, hypothesis):
     a1, a2, a3 = np.zeros(n), np.zeros((n, n)), np.zeros(n)
     values, bounds = [], []
     for j in range(1, k_max):
-        tw = schedule.weight_at(j) - jmat
+        tw = weight_at(schedule, j) - jmat
         a1 = tw @ (a1 + m_eta)
         a3 = tw @ (a3 + s_eta @ np.ones(n))
         a2 = tw @ (a2 + s_eta) @ tw.T

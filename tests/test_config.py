@@ -16,6 +16,7 @@ from cdlab.config import (
 )
 from cdlab.errors import ConfigError, DegenerateCovariance, ParameterError, ShapeError
 from cdlab.network import ScheduleSpec
+from oracles import weight_at
 
 
 def minimal_dict(**overrides):
@@ -227,7 +228,7 @@ class TestNetworkSection:
         cfg = scenario_from_dict(d)
         schedule = cfg.build_schedule()
         assert schedule.period == 1
-        assert np.allclose(schedule.weight_at(1), 0.5)
+        assert np.allclose(weight_at(schedule, 1), 0.5)
 
 
 class TestExperimentSection:

@@ -21,6 +21,7 @@ from oracles import (
     distributed_step,
     llr,
     local_innovations,
+    weight_at,
 )
 
 
@@ -161,7 +162,7 @@ class TestClosedForm:
         m, s = alt3_scenario()
         ys = np.random.default_rng(7).normal(size=(2, 3))
         eta1, eta2 = (local_innovations(m, y) for y in ys)
-        expect = 3.0 / 2.0 * (s.weight_at(1) @ eta1 + eta2)
+        expect = 3.0 / 2.0 * (weight_at(s, 1) @ eta1 + eta2)
         assert distributed_closed_form(m, s, ys) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_recursion_after_fifty_steps(self):

@@ -263,7 +263,7 @@ class TestRunMonteCarlo:
             master_seed=11,
         )
         result = run_monte_carlo(plan)
-        exact = exact_error_curves(model, propagate_moments(model, schedule, range(1, 26)), ks=[5, 25])
+        exact = exact_error_curves(propagate_moments(model, schedule, range(1, 26)), ks=[5, 25])
         for i, curve in enumerate(exact):
             mc = result.node_curves[i]
             for pos in range(2):

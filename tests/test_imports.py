@@ -1,10 +1,14 @@
-"""The commands need the package and numpy alone: no cdlab command loads any
-scipy module, and none loads the test helpers.
+"""The package's shape: the commands need the package and numpy alone, and
+no function takes a parameter it ignores.
 
-Each case runs in a fresh interpreter, because the test process itself has
-scipy and the helpers loaded.
+No cdlab command loads any scipy module, and none loads the test helpers.
+Each such case runs in a fresh interpreter, because the test process itself
+has scipy and the helpers loaded.  The parameter rule is read off the source
+tree: every parameter of every function and lambda under ``src/cdlab``, bar
+``self``, is read somewhere in its body.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -12,6 +16,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cdlab"
 REF3 = str(ROOT / "scenarios" / "ref3.json")
 
 # argv: a JSON list of cdlab argvs, then the src directory.  Fails when cdlab
@@ -81,3 +86,31 @@ def test_large_sparse_schedule_runs_without_scipy(tmp_path, ring_config):
         ["analyze", "--quiet", "--config", config, "--out", str(tmp_path / "out")],
     ]
     assert run_probe(argvs, tmp_path) == []
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) for each parameter, bar ``self``, that its function's body never reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for param in params:
+                if param != "self" and param not in read:
+                    yield node.lineno, getattr(node, "name", "<lambda>"), param
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.name}:{line} {name}({param})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name, param in unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert unread == []
+
+
+def test_unread_parameters_are_found():
+    """The scan sees a parameter left unread by a def and by a lambda, and not one that is read."""
+    tree = ast.parse("def f(self, a, *, b, **c):\n    return a\ng = lambda x, y: y")
+    assert [(name, param) for _, name, param in unread_parameters(tree)] == [("f", "b"), ("f", "c"), ("<lambda>", "x")]

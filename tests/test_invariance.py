@@ -20,9 +20,11 @@
   innovations, so every exact figure stays.
 The last two run at the default visits plus 1e6, where the squaring chain
 serves the doubling checkpoints and the jump reaches 1e6, and at 1e9 and
-1e12.  Past 1e6 a relabelled rand5 drifts from itself linearly in k:
-rounding in running-sum coordinates compounds along the consensus
-direction (ROADMAP item 10).  Those depths are strict expected failures.
+1e12.  Besides the corpus and the 64-node ring they run on rand32, a seeded
+random 32-node model that steps on dense factors.  A relabelled model
+drifts from itself linearly in k: rounding in running-sum coordinates
+compounds along the consensus direction (ROADMAP item 10).  The depths
+where that drift passes ``REL`` are strict expected failures.
 """
 
 import importlib
@@ -44,20 +46,44 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN_SEED = 3
 
 
+# A 32-node ring with chords (i, i + 16) and, from every third node, (i, i + 7 mod 32),
+# each edge kept with probability 0.5 per step over a period of 3 (window 2); at 32
+# nodes every factor is dense.  H1 means drawn once, rounded to 3 decimals.
+RAND32 = {
+    "name": "rand32",
+    "model": {
+        "m0": [0.0] * 32,
+        "m1": np.round(np.random.default_rng(7).uniform(0.2, 0.6, 32), 3).tolist(),
+        "covariance": "exponential(0.4)",
+    },
+    "network": {
+        "topology": "random-subgraph",
+        "edges": [[i, i % 32 + 1] for i in range(1, 33)]
+        + [[i, i + 16] for i in range(1, 17)]
+        + [[i, (i + 6) % 32 + 1] for i in range(1, 32, 3)],
+        "period": 3,
+        "seed": 11,
+        "keep_prob": 0.5,
+    },
+}
+
+
 @pytest.fixture
 def scenario(monkeypatch, ring_config):
     """scenario(name) -> (model, schedule, config) for a corpus name, "ring64", the
-    two-matching ring with checkpoints doubling to 1024, or "ring256", the ring
-    built by perfbench's own ``ring_config()``."""
+    two-matching ring with checkpoints doubling to 1024, "rand32", the model of
+    ``RAND32``, or "ring256", the ring built by perfbench's own ``ring_config()``."""
 
     def build(name):
+        if name in CORPUS:
+            return build_scenario(name)
         if name == "ring64":
             config = scenario_from_file(ring_config(64, 1024))
-            return config.build_model(), config.build_schedule(), config
-        if name != "ring256":
-            return build_scenario(name)
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        config = scenario_from_dict(importlib.import_module("run").ring_config())
+        elif name == "rand32":
+            config = scenario_from_dict(RAND32)
+        else:
+            monkeypatch.syspath_prepend(str(PERFBENCH))
+            config = scenario_from_dict(importlib.import_module("run").ring_config())
         return config.build_model(), config.build_schedule(), config
 
     return build
@@ -83,7 +109,7 @@ def unrolled(schedule: WeightSchedule) -> WeightSchedule:
     return WeightSchedule(matrices=np.concatenate([schedule.matrices, schedule.matrices]))
 
 
-@pytest.mark.parametrize("name", ["ref3", "rand5", "n8", "ring256"])
+@pytest.mark.parametrize("name", ["ref3", "rand5", "n8", "rand32", "ring256"])
 def test_unrolled_period_gives_the_same_exact_curves(name, scenario):
     model, schedule, config = scenario(name)
     twice = unrolled(schedule)
@@ -91,7 +117,7 @@ def test_unrolled_period_gives_the_same_exact_curves(name, scenario):
     curves = []
     for s in (schedule, twice):
         trajectory = propagate_moments(model, s, config.thresholds.visits(config.checkpoints))
-        curves.append(exact_error_curves(model, trajectory, ks=config.checkpoints))
+        curves.append(exact_error_curves(trajectory, ks=config.checkpoints))
     for got, want in zip(*curves, strict=True):
         assert got.node == want.node
         np.testing.assert_allclose(got.log_pe, want.log_pe, rtol=REL, atol=0.0, err_msg=f"{name} node {got.node}")
@@ -124,15 +150,16 @@ def affine(model, schedule, a=3.0, b=-1.25):
 
 
 RELATIONS = {"relabelled": rotated, "affine": affine}
-RELATION_SCENARIOS = ("ref3", "rand5", "n8", "ring64")
-# depths past REL under a relation: the drift of ROADMAP item 10 (4.8e-9 at 1e9, 4.8e-6 at 1e12)
-DRIFTS = {("rand5", "relabelled", 10**9), ("rand5", "relabelled", 10**12)}
+RELATION_SCENARIOS = ("ref3", "rand5", "n8", "ring64", "rand32")
+# depths past REL under a relation, the drift of ROADMAP item 10: on rand5 4.8e-9 at 1e9 and
+# 4.8e-6 at 1e12; on rand32 7.5e-10 at 1e9, inside REL, and 7.5e-7 at 1e12
+DRIFTS = {("rand5", "relabelled", 10**9), ("rand5", "relabelled", 10**12), ("rand32", "relabelled", 10**12)}
 
 
 def node_figures(model, schedule, visits):
     """The node moments and exact log pe at ``visits``, each (len(visits), N)."""
     trajectory = propagate_moments(model, schedule, visits)
-    log_pe = np.array([curve.log_pe for curve in exact_error_curves(model, trajectory)]).T
+    log_pe = np.array([curve.log_pe for curve in exact_error_curves(trajectory)]).T
     return trajectory, {"mean": trajectory.means, "variance": trajectory.variances, "log_pe": log_pe}
 
 

@@ -30,7 +30,7 @@ from cdlab.network import (
     _support_edges,
 )
 from corpus import CORPUS, build_scenario
-from oracles import PRODUCT_AGREE_ATOL, disagreement_product, forward_product
+from oracles import PRODUCT_AGREE_ATOL, disagreement_product, forward_product, weight_at
 
 PATH3 = ScheduleSpec(n_nodes=3, topology="static", edges=((1, 2), (2, 3)))
 ALT3 = ScheduleSpec(
@@ -172,19 +172,12 @@ class TestBuildSchedule:
         assert s.min_weight == pytest.approx(0.5, rel=1e-15)
         step1 = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         step2 = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
-        assert s.weight_at(1) == pytest.approx(step1, rel=1e-15)
-        assert s.weight_at(2) == pytest.approx(step2, rel=1e-15)
-        assert s.weight_at(3) == pytest.approx(step1, rel=1e-15)
-
-    @pytest.mark.parametrize("k", [True, 2.0, 1.5, 0], ids=["bool", "integral-float", "float", "zero"])
-    def test_weight_at_follows_the_integer_rule(self, k):
-        with pytest.raises(ParameterError, match="time index must be an integer >= 1"):
-            build_schedule(ALT3).weight_at(k)
+        assert s.matrices == pytest.approx(np.array([step1, step2]), rel=1e-15)
 
     def test_edges_from_matrix_support(self):
         s = build_schedule(ALT3)
-        assert _support_edges(s.weight_at(1)) == frozenset({(1, 2)})
-        assert _support_edges(s.weight_at(2)) == frozenset({(2, 3)})
+        assert _support_edges(weight_at(s, 1)) == frozenset({(1, 2)})
+        assert _support_edges(weight_at(s, 2)) == frozenset({(2, 3)})
 
     def test_support_edges_match_pairwise_scan(self):
         """On every corpus schedule and a random sparse symmetric matrix."""
@@ -277,7 +270,7 @@ class TestBuildSchedule:
     def test_single_node_trivial_schedule(self):
         s = build_schedule(ScheduleSpec(n_nodes=1, topology="static", edges=()))
         assert s.window == 1
-        assert s.weight_at(1) == pytest.approx(np.ones((1, 1)))
+        assert weight_at(s, 1) == pytest.approx(np.ones((1, 1)))
         assert s.min_weight == 1.0
 
     def test_explicit_matrices_accepted(self):
@@ -467,12 +460,12 @@ class TestForwardProduct:
     def test_direct_multiplication_oracle(self):
         """Phi(3,1) = W(2) @ W(1), multiplied literally here."""
         s = build_schedule(ALT3)
-        expect = s.weight_at(2) @ s.weight_at(1)
+        expect = weight_at(s, 2) @ weight_at(s, 1)
         assert forward_product(s, 3, 1) == pytest.approx(expect, rel=1e-15)
 
     def test_single_factor(self):
         s = build_schedule(ALT3)
-        assert forward_product(s, 2, 1) == pytest.approx(s.weight_at(1))
+        assert forward_product(s, 2, 1) == pytest.approx(weight_at(s, 1))
 
     def test_bad_indices_raise(self):
         s = build_schedule(ALT3)
@@ -674,7 +667,7 @@ class TestCheckGeometricDecay:
         for j in range(1, period + 1):
             prod = np.eye(n)
             for gap in range(1, max_gap + 1):
-                prod = (s.weight_at(j + gap - 1) - jmat) @ prod
+                prod = (weight_at(s, j + gap - 1) - jmat) @ prod
                 values[j - 1, gap - 1] = np.abs(prod).max()
                 if gap == period:
                     row = report.phases[j - 1]
