@@ -22,10 +22,11 @@ it folds in the levels at the binary digits of its periods past its largest
 
 ``mixing_residual_curves`` reads off the same trajectory, at any K visited k,
 how far the finite-k scaled cumulant of a node variable is from its value
-under perfect per-step averaging: two K x N parts, from which rows are formed
-one (tilt, k) at a time in O(K N) memory.  Its proven bound decays like 1/k,
-the mechanism behind every node matching the centralized error exponent.  Its
-rows are H1's (H0's at mu are H1's at -mu); ``fold_worst_ratio`` summarizes them.
+under perfect per-step averaging.  At tilt mu that residual is mu a + mu^2 b,
+so two K x N vectors hold it at every tilt, and its proven bound
+|mu| c1 + mu^2 c2 decays like 1/k, the mechanism behind every node matching
+the centralized error exponent.  ``ResidualCurves.supremum`` gives the worst
+ratio over every tilt 0 < |mu| <= 1 in closed form.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "exact_error_curves",
     "centralized_error_curve",
     "mixing_residual_curves",
-    "fold_worst_ratio",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -408,54 +408,63 @@ def centralized_error_curve(model: GaussianHypothesisPair, ks) -> ErrorCurve:
 
 # ── the mixing residual ───────────────────────────────────────────────────
 
+# A node within this relative distance of a maximum ties with it, and the lowest such node is
+# named, so the name does not follow the rounding of the route that reached the moments.
+TIE = 1e-12
+
+
+def _lowest_near_max(values: np.ndarray) -> tuple:
+    """(max, index) of a non-negative vector: the first entry within a relative ``TIE`` of its max, or its first NaN."""
+    peak = values.max()
+    near = np.isnan(values) if np.isnan(peak) else values >= peak * (1.0 - TIE)
+    return float(peak), int(near.argmax())
+
 
 @dataclass(frozen=True)
 class ResidualCurves:
-    """The mixing residual at each tilt of ``mus`` and k of ``ks``, as two K x n parts.
+    """The H1 mixing residual at each k of ``ks`` as two K x n vectors, and its bound's two terms.
 
-    ``rows`` forms the row at (mu, k), (n/k) mu lin_k + n^2/(2k) mu^2 quad_cross_k.
-    ``bounds`` is None when the schedule has no envelope.
+    At tilt mu the residual of node i at k is mu a[k, i] + mu^2 b[k, i], and H0's
+    is H1's at -mu.  Its bound is |mu| c1[k] + mu^2 c2[k], with c1 and c2 positive,
+    or None when the schedule has no envelope.
     """
 
-    mus: tuple
     ks: np.ndarray  # (K,)
-    lin: np.ndarray  # (K, n)
-    quad_cross: np.ndarray  # (K, n)
-    bounds: np.ndarray | None  # (len(mus), K)
+    a: np.ndarray  # (K, n)
+    b: np.ndarray  # (K, n)
+    c1: np.ndarray | None  # (K,)
+    c2: np.ndarray | None  # (K,)
 
-    def rows(self):
-        """Yield (mu, k, values, bound) for each tilt, then each k; values is a new n-vector."""
-        n = self.lin.shape[1]
-        table = np.full((len(self.mus), self.ks.size), None) if self.bounds is None else self.bounds
-        for mu, bounds in zip(self.mus, table):
-            for k, bound, lin, quad_cross in zip(self.ks.tolist(), bounds.tolist(), self.lin, self.quad_cross):
-                yield mu, k, (n / k) * mu * lin + (n * n / (2.0 * k)) * mu * mu * quad_cross, bound
+    def peaks(self):
+        """Yield (k, max |a|, node, c1, max |b|, node, c2) for each k.
 
+        Each node is 1-based: the lowest within a relative ``TIE`` of the
+        maximum, or the first NaN.  c1 and c2 are None without an envelope.
+        """
+        bounds = zip(self.c1.tolist(), self.c2.tolist()) if self.c1 is not None else [(None, None)] * self.ks.size
+        for k, a, b, (c1, c2) in zip(self.ks.tolist(), np.abs(self.a), np.abs(self.b), bounds):
+            (peak_a, i), (peak_b, j) = _lowest_near_max(a), _lowest_near_max(b)
+            yield k, peak_a, i + 1, c1, peak_b, j + 1, c2
 
-def fold_worst_ratio(rows, worst: dict):
-    """Pass each row on as (mu, k, values, bound, node, peak), folding peak / bound into ``worst[mu]``.
+    def supremum(self) -> dict | None:
+        """``sup_abs_over_bound``, the sup of |residual| / bound over every tilt 0 < |mu| <= 1, node and k, and its witness.
 
-    The peak is max |value|, first attained at the 1-based ``node``; NaN
-    propagates, and a zero row reads 0, even under mu = 0's zero bound.  A row
-    whose bound is None, there being no envelope, folds no ratio.
-    """
-    for mu, k, values, bound in rows:
-        magnitudes = np.abs(values)
-        index = int(magnitudes.argmax())  # the first NaN, else the first maximum
-        peak = magnitudes[index]
-        if bound is not None:
-            with np.errstate(divide="ignore"):
-                ratio = 0.0 if peak == 0.0 else peak / bound
-            worst[mu] = np.maximum(worst.get(mu, -np.inf), ratio)
-        yield mu, k, values, bound, index + 1, float(peak)
-
-
-def check_tilts(mus) -> tuple:
-    """The tilt rule: each tilt finite; ``mus`` as a tuple of floats, or a ParameterError naming each bad one."""
-    mus = tuple(float(mu) for mu in mus)
-    if bad := [repr(mu) for mu in mus if not math.isfinite(mu)]:
-        raise ParameterError(f"tilts must be finite, got {', '.join(bad)}")
-    return mus
+        For t = |mu| the ratio is |+-a + t b| / (c1 + t c2), the absolute value
+        of a function monotone in t, so it peaks as t -> 0, at |a| / c1, or at
+        t = 1, at (|a| + |b|) / (c1 + c2), mu being the sign of a b (1 where a b = 0).
+        The witness is the lowest ``node`` (1-based), then the earliest ``k``,
+        within a relative ``TIE`` of the sup, and its ``tilt``: 1 or -1, or 0 for
+        the limit mu -> 0.  None without an envelope.
+        """
+        if self.c1 is None:
+            return None
+        a, b = np.abs(self.a), np.abs(self.b)
+        limit = a / self.c1[:, None]
+        edge = (a + b) / (self.c1 + self.c2)[:, None]
+        ratio, index = _lowest_near_max(np.maximum(limit, edge).T.ravel())
+        node, row = divmod(index, self.ks.size)
+        tilt = 0.0 if limit[row, node] >= edge[row, node] else (-1.0 if self.a[row, node] * self.b[row, node] < 0.0 else 1.0)
+        return {"sup_abs_over_bound": ratio, "node": node + 1, "k": int(self.ks[row]), "tilt": tilt}
 
 
 def mixing_residual_curves(
@@ -463,45 +472,34 @@ def mixing_residual_curves(
     s: WeightSchedule,
     trajectory: MomentTrajectory,
     ks,
-    mus,
 ) -> ResidualCurves:
-    """The H1 residual and its bound for every finite tilt, node and k of ``ks``.
+    """The H1 residual's two vectors and its bound's two terms at every node and k of ``ks``.
 
-    The residual is built from the disagreement products
-    tPhi(k, j) = Phi(k, j) - J, J = 11'/N, summed over j < k:
-    lin = sum tPhi m_eta, quad = diag(sum tPhi S_eta tPhi') and
-    cross = sum tPhi S_eta 1.  These are the disagreement parts of the
-    moments of the running sum U(k) = k x(k) / N = sum_{j<=k} Phi(k, j) eta(j),
-    so they are read off ``trajectory`` at each k of ``ks``, all >= 2 and
-    visited (else ParameterError), into two K x N arrays built in place:
-      lin = E U(k) - (k - 1) J m_eta - m_eta
-      quad_cross = quad + (2/N) cross = var U(k) - (k - 1) 1'S_eta 1 / N^2 - diag(S_eta)
-    with m_eta the H1 innovation mean; the O(k) consensus part they cancel costs
-    digits at deep k.  H0's innovation mean is the negation and the covariance
-    is shared, so the H0 residual at tilt mu is the H1 residual at -mu.  The
-    bound decays like 1/k and depends on |mu|; with no ``s.envelope``, ``bounds`` is None.
+    With the disagreement products tPhi(k, j) = Phi(k, j) - J, J = 11'/N,
+    summed over j < k, a = (N/k) sum tPhi m_eta and b = (N^2/2k)
+    (diag(sum tPhi S_eta tPhi') + (2/N) sum tPhi S_eta 1).  These are the
+    disagreement parts of the moments of the running sum U(k) = k x(k) / N, so
+    they are read off ``trajectory`` at each k of ``ks``, all >= 2 and visited
+    (else ParameterError), as
+      a = E x(k) - (N/k) ((k - 1) J m_eta + m_eta)
+      b = (k/2) var x(k) - ((k - 1) 1'S_eta 1 + N^2 diag(S_eta)) / 2k
+    with m_eta the H1 innovation mean; the consensus part they cancel is about
+    k times their size, which costs digits at deep k.  The bound terms decay
+    like 1/k; with no ``s.envelope`` they are None.
     """
     ks = np.asarray(_check_ks(ks, "residual k", minimum=2))
-    mus = check_tilts(mus)
-    lin, quad_cross = trajectory.moments_at(ks)  # fresh copies, turned into the parts in place
+    a, b = trajectory.moments_at(ks)  # fresh copies, turned into the two vectors in place
     m_eta, s_eta = innovation_stats(model)
     n = s.n_nodes
     col = ks[:, None]
-    ideal = col - 1.0
-    lin *= col / n
-    lin -= m_eta
-    lin -= ideal * m_eta.mean()
-    quad_cross *= col * col / (n * n)
-    quad_cross -= np.diag(s_eta)
-    quad_cross -= ideal * (s_eta.sum() / (n * n))
+    a -= (n / col) * (m_eta + (col - 1.0) * m_eta.mean())
+    b *= col / 2.0
+    b -= ((col - 1.0) * s_eta.sum() + (n * n) * np.diag(s_eta)) / (2.0 * col)
+    if (env := s.envelope) is None:
+        return ResidualCurves(ks, a, b, None, None)
+    theta, beta = env.amplitude, env.ratio
     m_bar, s_bar = float(np.abs(m_eta).max()), float(np.abs(s_eta).max())
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
-    if (env := s.envelope) is None:
-        return ResidualCurves(mus, ks, lin, quad_cross, None)
-    theta, beta = env.amplitude, env.ratio
-    bounds = np.empty((len(mus), ks.size))  # a row at a time: its temporaries are K-vectors
-    for row, mu in enumerate(map(abs, mus)):
-        first = (theta / ks) * (n**2 * m_bar * mu + n**3 * mu * mu * b_bar) / (1.0 - beta)
-        second = (theta * theta / ks) * (n**4 / 2.0) * mu * mu * s_bar / (1.0 - beta * beta)
-        bounds[row] = first + second
-    return ResidualCurves(mus, ks, lin, quad_cross, bounds)
+    c1 = (theta / ks) * n**2 * m_bar / (1.0 - beta)
+    c2 = (theta / ks) * n**3 * b_bar / (1.0 - beta) + (theta * theta / ks) * (n**4 / 2.0) * s_bar / (1.0 - beta * beta)
+    return ResidualCurves(ks, a, b, c1, c2)

@@ -24,7 +24,6 @@ from . import __version__
 from .analysis import (
     centralized_error_curve,
     exact_error_curves,
-    fold_worst_ratio,
     mixing_residual_curves,
     propagate_moments,
 )
@@ -34,10 +33,9 @@ from .experiment import check_simulation, compare_detectors, report_header
 from .network import check_geometric_decay
 
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
-RESIDUAL_HEADER = "mu,k,max_abs,node,bound"
-RESIDUAL_MUS = (-1.0, -0.1, 0.1, 1.0)
-# analyze writes residual rows at its checkpoints in 2..here: a row cancels an O(k) consensus
-# part of the moments, so it loses digits deeper, until that part is carried on its own
+RESIDUAL_HEADER = "k,max_abs_a,node_a,c1,max_abs_b,node_b,c2"
+# analyze reads the residual at its checkpoints in 2..here: it cancels a consensus part about k
+# times its size from the moments, so it loses digits deeper, until that part is carried on its own
 RESIDUAL_HORIZON = 512
 
 
@@ -76,11 +74,11 @@ def _curves_csv(curves):
         yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 
 
-def _residual_csv(rows):
-    """Yield the residual summary CSV: the header, then one line per row of ``fold_worst_ratio``."""
+def _residual_csv(peaks):
+    """Yield the residual summary CSV: the header, then one line per row of ``ResidualCurves.peaks``."""
     yield RESIDUAL_HEADER + "\n"
-    for mu, k, _, bound, node, peak in rows:
-        yield f"{mu!r},{k},{peak!r},{node},{bound!r}\n"
+    for k, peak_a, node_a, c1, peak_b, node_b, c2 in peaks:
+        yield f"{k},{peak_a!r},{node_a},{c1!r},{peak_b!r},{node_b},{c2!r}\n"
 
 
 class _Workspace:
@@ -151,10 +149,9 @@ def cmd_analyze(args) -> int:
 
     decay = check_geometric_decay(schedule)
 
-    worst = {}  # mu -> max over the residual's k and node of |value| / bound
     residual_ks = [k for k in ks if 2 <= k <= RESIDUAL_HORIZON]
-    rows = mixing_residual_curves(model, schedule, traj, residual_ks, RESIDUAL_MUS).rows() if residual_ks else ()
-    ws.write("residual_diagnostic.csv", _residual_csv(fold_worst_ratio(rows, worst)))
+    residual = mixing_residual_curves(model, schedule, traj, residual_ks) if residual_ks else None
+    ws.write("residual_diagnostic.csv", _residual_csv(residual.peaks() if residual else ()))
 
     analysis = {
         **rate,
@@ -162,7 +159,7 @@ def cmd_analyze(args) -> int:
         "llr_variance": model.llr_variance,
         "decay": dataclasses.asdict(decay),
         "checkpoints": [int(k) for k in ks],
-        "residual": {repr(mu): {"max_abs_over_bound": float(w)} for mu, w in worst.items()},
+        "residual": residual.supremum() if residual else None,
     }
     ws.write("analysis.json", _dump_json(analysis))
     ws.write_manifest("analyze")

@@ -18,12 +18,11 @@ in its most literal form, something the package computes another way:
   error exponent on any schedule whose period product converges;
 * the subexponential factor pe(k) exp(k C) of an error curve, and the
   least-squares decay rate of an error curve over a window of checkpoints;
-* the whole (tilt, k, node) cube of the mixing residual, stacked from the
-  rows ``analysis.ResidualCurves`` forms one at a time, its per-node CSV
-  written one cell at a time, and that CSV folded by max |value| per
-  (tilt, k), against ``analyze``'s summary from ``analysis.fold_worst_ratio``,
-  byte for byte or, where the two read different trajectories, within a
-  tolerance.
+* the (tilt, k, node) cube of the mixing residual, formed from its two
+  vectors at any tilts, its per-node CSV written one cell at a time, and
+  that CSV folded by max |a| and max |b| per k, lowest node on ties, against
+  ``analyze``'s summary from ``analysis.ResidualCurves.peaks``, byte for byte
+  or, where the two read different trajectories, within a tolerance.
 
 * one-k readers: W(k) of a schedule, and the moments or kept covariance of
   a trajectory at one k, which the package reads only for a set of k.
@@ -389,74 +388,82 @@ def fit_exponent(curve: ErrorCurve, window) -> float:
 
 
 def residual_cube(model, schedule, trajectory, ks, mus, hypothesis=Hypothesis.H1) -> tuple:
-    """The residual under ``hypothesis`` at the k of ``ks`` as (ks, values, bounds) arrays.
+    """The residual under ``hypothesis`` at each tilt of ``mus`` and k of ``ks`` as (ks, values, bounds) arrays.
 
-    The H0 residual at tilt mu is the H1 residual at -mu, so H0 reads the
-    shipped H1 rows at the negated tilts.  ``values``, (len(mus), K, n), is
-    stacked from ``ResidualCurves.rows()``, so it holds the rows the
-    commands write; ``bounds`` is (len(mus), K).
+    The row at (mu, k) is mu a + mu^2 b against |mu| c1 + mu^2 c2, from the
+    shipped two vectors and bound terms.  The H0 residual at tilt mu is the
+    H1 residual at -mu.  ``values`` is (len(mus), K, n) and ``bounds``
+    (len(mus), K).
     """
     sign = 1.0 if hypothesis == Hypothesis.H1 else -1.0
-    residual = mixing_residual_curves(model, schedule, trajectory, ks, [sign * mu for mu in mus])
-    values = np.array([values for _, _, values, _ in residual.rows()])
-    return residual.ks, values.reshape(len(residual.mus), *residual.lin.shape), residual.bounds
+    residual = mixing_residual_curves(model, schedule, trajectory, ks)
+    values = np.array([sign * mu * residual.a + mu * mu * residual.b for mu in mus])
+    bounds = np.array([abs(mu) * residual.c1 + mu * mu * residual.c2 for mu in mus])
+    return residual.ks, values, bounds
 
 
-def per_cell_residual_csv(mus, ks, values, bounds) -> str:
-    """The per-node residual CSV of ``residual_cube``'s arrays, one f-string per cell."""
-    rows = ["mu,k,node,value,bound"]
-    for mu, mu_values, mu_bounds in zip(mus, values, bounds):
-        for k, row, bound in zip(ks.tolist(), mu_values.tolist(), mu_bounds.tolist()):
-            rows.extend(f"{mu!r},{k},{node},{value!r},{bound!r}" for node, value in enumerate(row, 1))
+def per_cell_residual_csv(residual) -> str:
+    """The per-node residual CSV of a ``ResidualCurves``, ``k,node,a,b,c1,c2``, one f-string per cell."""
+    rows = ["k,node,a,b,c1,c2"]
+    for k, a, b, c1, c2 in zip(*(array.tolist() for array in (residual.ks, residual.a, residual.b, residual.c1, residual.c2))):
+        rows.extend(f"{k},{node},{x!r},{y!r},{c1!r},{c2!r}" for node, (x, y) in enumerate(zip(a, b), 1))
     return "\n".join(rows) + "\n"
 
 
-def fold_residual_csv(per_node: str) -> str:
-    """Per-node residual CSV text folded to one row per (mu, k): max |value|, the first node on ties."""
+def _per_node_cells(per_node: str) -> dict:
+    """k cell -> ({node: |a|}, {node: |b|}, c1 cell, c2 cell) from per-node residual CSV text, in file order."""
     header, *lines = per_node.splitlines()
-    if header != "mu,k,node,value,bound":
+    if header != "k,node,a,b,c1,c2":
         raise ValueError(f"not a per-node residual CSV: {header!r}")
-    best = {}  # (mu, k) cells -> (max |value|, node, bound) cells, in file order
+    cells = {}
     for line in lines:
-        mu, k, node, value, bound = line.split(",")
-        peak = abs(float(value))
-        if (mu, k) not in best or peak > best[mu, k][0]:
-            best[mu, k] = (peak, node, bound)
-    rows = [f"{mu},{k},{peak!r},{node},{bound}" for (mu, k), (peak, node, bound) in best.items()]
-    return "\n".join(["mu,k,max_abs,node,bound", *rows]) + "\n"
+        k, node, a, b, c1, c2 = line.split(",")
+        magnitudes_a, magnitudes_b, _, _ = cells.setdefault(k, ({}, {}, c1, c2))
+        magnitudes_a[node], magnitudes_b[node] = abs(float(a)), abs(float(b))
+    return cells
+
+
+def fold_residual_csv(per_node: str) -> str:
+    """Per-node residual CSV text folded to one row per k: max |a|, its node and c1, then max |b|, its
+    node and c2, each node the lowest whose magnitude lies within a relative 1e-12 of the maximum."""
+    rows = ["k,max_abs_a,node_a,c1,max_abs_b,node_b,c2"]
+    for k, (magnitudes_a, magnitudes_b, c1, c2) in _per_node_cells(per_node).items():
+        folded = []
+        for magnitudes in (magnitudes_a, magnitudes_b):
+            peak = max(magnitudes.values())
+            folded.append((peak, next(node for node, m in magnitudes.items() if m >= peak * (1.0 - 1e-12))))
+        (peak_a, node_a), (peak_b, node_b) = folded
+        rows.append(f"{k},{peak_a!r},{node_a},{c1},{peak_b!r},{node_b},{c2}")
+    return "\n".join(rows) + "\n"
 
 
 def fold_mismatches(per_node: str, summary: str, rel: float, floor: float) -> list:
-    """Where the residual ``summary`` CSV is not the ``per_node`` CSV's rows at its (mu, k) folded
-    by max |value|: one message per row that differs, [] when every row agrees.
+    """Where the residual ``summary`` CSV is not the ``per_node`` CSV's rows at its k folded by max |a|
+    and max |b|: one message per column that differs, [] when every row agrees.
 
-    ``max_abs`` must lie within ``rel`` and the absolute ``floor`` of the maximum, and ``bound``
-    within ``rel``.  ``node`` must be one whose |value| is that close to the maximum, so a near
-    tie, which rounding may break either way, accepts every node in it.
+    Each maximum must lie within ``rel`` and the absolute ``floor`` of the per-node one, and c1
+    and c2 within ``rel``.  Each node must be one whose magnitude is that close to the maximum,
+    so a near tie, which rounding may break either way, accepts every node in it.
     """
-    header, *lines = per_node.splitlines()
-    if header != "mu,k,node,value,bound":
-        raise ValueError(f"not a per-node residual CSV: {header!r}")
-    cells = {}  # (mu, k) -> ({node: |value|}, bound)
-    for line in lines:
-        mu, k, node, value, bound = line.split(",")
-        cells.setdefault((mu, k), ({}, float(bound)))[0][node] = abs(float(value))
+    cells = _per_node_cells(per_node)
     header, *lines = summary.splitlines()
-    if header != "mu,k,max_abs,node,bound":
+    if header != "k,max_abs_a,node_a,c1,max_abs_b,node_b,c2":
         raise ValueError(f"not a residual summary CSV: {header!r}")
     found = []
     for line in lines:
-        mu, k, max_abs, node, bound = line.split(",")
-        if (mu, k) not in cells:
-            found.append(f"mu={mu} k={k}: no per-node rows")
+        k, max_abs_a, node_a, c1, max_abs_b, node_b, c2 = line.split(",")
+        if k not in cells:
+            found.append(f"k={k}: no per-node rows")
             continue
-        magnitudes, want_bound = cells[mu, k]
-        peak = max(magnitudes.values())
-        near = [i for i, m in magnitudes.items() if math.isclose(m, peak, rel_tol=rel, abs_tol=floor)]
-        if not math.isclose(float(max_abs), peak, rel_tol=rel, abs_tol=floor):
-            found.append(f"mu={mu} k={k}: max_abs {max_abs} != {peak!r}")
-        if node not in near:
-            found.append(f"mu={mu} k={k}: node {node} not in {near}")
-        if not math.isclose(float(bound), want_bound, rel_tol=rel, abs_tol=0.0):
-            found.append(f"mu={mu} k={k}: bound {bound} != {want_bound!r}")
+        magnitudes_a, magnitudes_b, want_c1, want_c2 = cells[k]
+        for name, magnitudes, max_abs, node in (("a", magnitudes_a, max_abs_a, node_a), ("b", magnitudes_b, max_abs_b, node_b)):
+            peak = max(magnitudes.values())
+            near = [i for i, m in magnitudes.items() if math.isclose(m, peak, rel_tol=rel, abs_tol=floor)]
+            if not math.isclose(float(max_abs), peak, rel_tol=rel, abs_tol=floor):
+                found.append(f"k={k}: max |{name}| {max_abs} != {peak!r}")
+            if node not in near:
+                found.append(f"k={k}: node_{name} {node} not in {near}")
+        for name, got, want in (("c1", c1, want_c1), ("c2", c2, want_c2)):
+            if not math.isclose(float(got), float(want), rel_tol=rel, abs_tol=0.0):
+                found.append(f"k={k}: {name} {got} != {want}")
     return found

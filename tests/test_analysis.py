@@ -22,12 +22,11 @@ from cdlab.analysis import (
     centralized_error_curve,
     chernoff_information,
     exact_error_curves,
-    fold_worst_ratio,
     log_q_function,
     mixing_residual_curves,
     propagate_moments,
+    ResidualCurves,
 )
-from cdlab.cli import RESIDUAL_MUS
 from cdlab.errors import DegenerateVariance, ParameterError
 from cdlab.experiment import ExperimentPlan, Thresholds
 from cdlab.model import Hypothesis, build_model, innovation_stats
@@ -399,7 +398,7 @@ NON_INTEGER_K_CALLS = {
     "Thresholds-k_early": lambda m, s, traj: Thresholds(k_early=99.9),
     "Thresholds-k_late": lambda m, s, traj: Thresholds(k_late=500.5),
     "Thresholds-mc_min_trials": lambda m, s, traj: Thresholds(mc_min_trials=True),
-    "mixing_residual_curves": lambda m, s, traj: mixing_residual_curves(m, s, traj, [10.0], (0.5,)),
+    "mixing_residual_curves": lambda m, s, traj: mixing_residual_curves(m, s, traj, [10.0]),
 }
 
 
@@ -746,7 +745,8 @@ def full_drift(model, k, mu, node, hypothesis):
 
 
 def reference_residual(model, schedule, k_max, mu, hypothesis):
-    """Residual values (k_max - 1, n) and bounds (k_max - 1,) for k = 2..k_max.
+    """Residual values (k_max - 1, n) at tilt mu, and the bound's terms c1 and c2, each
+    (k_max - 1,), of |mu| and mu^2, for k = 2..k_max.
 
     The independent definition: the disagreement products tPhi(k, j), the
     backward products minus J, summed one step at a time.
@@ -760,9 +760,8 @@ def reference_residual(model, schedule, k_max, mu, hypothesis):
     b_bar = float(np.abs(s_eta @ np.ones(n)).max()) / n
     env = schedule.envelope
     theta, beta = env.amplitude, env.ratio
-    a = abs(mu)
     a1, a2, a3 = np.zeros(n), np.zeros((n, n)), np.zeros(n)
-    values, bounds = [], []
+    values, c1, c2 = [], [], []
     for j in range(1, k_max):
         tw = weight_at(schedule, j) - jmat
         a1 = tw @ (a1 + m_eta)
@@ -773,10 +772,9 @@ def reference_residual(model, schedule, k_max, mu, hypothesis):
         quadratic = (n * n / (2.0 * k)) * mu * mu * np.diag(a2)
         crossed = (n / k) * mu * mu * a3
         values.append(linear + quadratic + crossed)
-        first = (theta / k) * (n**2 * m_bar * a + n**3 * a * a * b_bar) / (1.0 - beta)
-        second = (theta * theta / k) * (n**4 / 2.0) * a * a * s_bar / (1.0 - beta * beta)
-        bounds.append(first + second)
-    return np.array(values), np.array(bounds)
+        c1.append((theta / k) * n**2 * m_bar / (1.0 - beta))
+        c2.append((theta / k) * n**3 * b_bar / (1.0 - beta) + (theta * theta / k) * (n**4 / 2.0) * s_bar / (1.0 - beta * beta))
+    return np.array(values), np.array(c1), np.array(c2)
 
 
 # The residual is read off the moment trajectory by subtracting the
@@ -784,7 +782,7 @@ def reference_residual(model, schedule, k_max, mu, hypothesis):
 # and (k/2) mu^2 var_i(k).  Those carry the rounding of k propagation steps,
 # each with N-term inner products, so the floor is N * k * eps times the size
 # of the two terms.  Against the disagreement-product loop up to k = 512 (both
-# hypotheses, every RESIDUAL_MUS) the largest fraction of the floor used is
+# hypotheses, every TILTS) the largest fraction of the floor used is
 # 0.15 on the corpus (ref3) and 0.07 on the 256-node benchmark ring.
 
 
@@ -794,6 +792,10 @@ def rounding_floor(traj, ks, mu):
     col = ks[:, None]
     size = np.abs(mu * traj.means[ks - 1]) + (col / 2.0) * mu * mu * traj.variances[ks - 1]
     return traj.means.shape[1] * col * np.finfo(float).eps * size
+
+
+# the tilts that residual tests sample, beside the closed form over every tilt
+TILTS = (-1.0, -0.1, 0.1, 1.0)
 
 
 class TestMixingResidual:
@@ -822,7 +824,7 @@ class TestMixingResidual:
     def test_bound_holds_on_alternating_schedule(self):
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 201))
-        ks, values, bounds = residual_cube(model, schedule, traj, range(2, 201), (-1.0, -0.1, 0.1, 1.0))
+        ks, values, bounds = residual_cube(model, schedule, traj, range(2, 201), TILTS)
         assert values.shape == (4, ks.size, 3)
         assert bounds.shape == (4, ks.size)
         assert np.all(np.abs(values) <= bounds[:, :, None])
@@ -841,60 +843,56 @@ class TestMixingResidual:
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 34))
         ks, values, _ = residual_cube(model, schedule, traj, range(2, 34), (-0.6,))
-        value, _ = reference_residual(model, schedule, 33, 0.6, H0)
+        value, _, _ = reference_residual(model, schedule, 33, 0.6, H0)
         assert np.all(np.abs(values[0] - value) <= rounding_floor(traj, ks, 0.6))
 
-    def test_fold_worst_ratio_rule(self):
-        """The one summary rule: mu = 0 reads 0, a NaN survives, a zero bound under a nonzero row reads inf."""
-        rows = [
-            (0.0, 2, np.zeros(3), 0.0),
-            (0.5, 2, np.array([1.0, np.nan, 2.0]), 4.0),
-            (0.5, 3, np.array([8.0, 0.0, 0.0]), 4.0),
-            (1.0, 2, np.array([0.0, 1e-3, 0.0]), 0.0),
-            (1.0, 3, np.array([1.0, 1.0, 1.0]), 2.0),
-        ]
-        worst = {}
+    def test_tie_rule(self):
+        """The one summary rule: each node is the lowest within a relative 1e-12 of the maximum, or
+        the first NaN; the supremum's witness is the lowest node, then the earliest k, and its tilt
+        0 where |a| / c1 wins, else the sign of a b, 1 where a b = 0."""
+        ks = np.array([2, 3, 4])
+        a = np.array([[1.0, -(1.0 + 5e-13), 0.5], [0.0, np.nan, np.nan], [0.0, 0.0, 0.0]])
+        b = np.array([[0.0, 2.0, -2.0 * (1.0 + 2e-12)], [3.0, 3.0, 1.0], [0.0, 0.0, -0.0]])
+        c1, c2 = np.array([4.0, 2.0, 1.0]), np.array([4.0, 2.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            passed = list(fold_worst_ratio(rows, worst))
-        assert len(passed) == len(rows) and all(out[2] is row[2] for out, row in zip(passed, rows))
-        # each row's peak and the 1-based node attaining it: the first NaN, else the first maximum
-        assert [out[4] for out in passed] == [1, 2, 1, 2, 1]
-        peaks = [out[5] for out in passed]
-        assert all(type(peak) is float for peak in peaks)
-        assert peaks[0] == 0.0 and math.isnan(peaks[1]) and peaks[2:] == [8.0, 1e-3, 1.0]
-        assert worst[0.0] == 0.0
-        assert math.isnan(worst[0.5])
-        assert worst[1.0] == math.inf
+            peaks = list(ResidualCurves(ks, a, b, c1, c2).peaks())
+        assert [(k, node_a, node_b) for k, _, node_a, _, _, node_b, _ in peaks] == [(2, 1, 3), (3, 2, 1), (4, 1, 1)]
+        k, peak_a, _, c1_2, peak_b, _, c2_2 = peaks[0]
+        assert (peak_a, peak_b, c1_2, c2_2) == (1.0 + 5e-13, 2.0 * (1.0 + 2e-12), 4.0, 4.0)
+        assert type(peak_a) is float and type(peak_b) is float and math.isnan(peaks[1][1])
+        # ratios (|a| + |b|) / (c1 + c2) at k = 2: 1/8, (3 + 5e-13)/8, (2.5 + 4e-12)/8; at k = 4 all 0
+        sup = ResidualCurves(ks[[0, 2]], a[[0, 2]], b[[0, 2]], c1[[0, 2]], c2[[0, 2]]).supremum()
+        assert sup == {"sup_abs_over_bound": (1.0 + 5e-13 + 2.0) / 8.0, "node": 2, "k": 2, "tilt": -1.0}
+        sup = ResidualCurves(ks[[0, 2]], a[[0, 2]] * 100.0, np.zeros((2, 3)), c1[[0, 2]], c2[[0, 2]]).supremum()
+        assert sup == {"sup_abs_over_bound": 100.0 * (1.0 + 5e-13) / 4.0, "node": 1, "k": 2, "tilt": 0.0}
+        sup = ResidualCurves(ks[[2]], a[[2]], b[[2]], c1[[2]], c2[[2]]).supremum()
+        assert sup == {"sup_abs_over_bound": 0.0, "node": 1, "k": 4, "tilt": 0.0}
+        sup = ResidualCurves(ks[[0]], np.zeros((1, 3)), -b[[0]], c1[[0]], c2[[0]]).supremum()
+        assert sup["node"] == 3 and sup["tilt"] == 1.0
+        assert math.isnan(ResidualCurves(ks, a, b, c1, c2).supremum()["sup_abs_over_bound"])
 
     def test_disconnected_schedule_has_no_bound(self):
         """With no connected window there is no envelope, as report_header and
-        check_geometric_decay report it: the bounds are None, and each row passes
-        the fold with its peak and node but folds no ratio."""
+        check_geometric_decay report it: the bound terms are None, each k still
+        has its peaks and nodes, and there is no supremum."""
         model, _ = alt3_scenario()
         schedule = WeightSchedule(matrices=np.array([np.eye(3)] * 2))
         traj = propagate_moments(model, schedule, range(1, 11))
-        residual = mixing_residual_curves(model, schedule, traj, range(2, 11), (0.0, 0.5))
-        assert residual.bounds is None
-        worst = {}
-        rows = list(fold_worst_ratio(residual.rows(), worst))
-        assert [(mu, k) for mu, k, *_ in rows] == [(mu, k) for mu in (0.0, 0.5) for k in range(2, 11)]
-        assert all(bound is None for _, _, _, bound, _, _ in rows)
-        assert [peak > 0.0 for mu, _, _, _, _, peak in rows] == [mu == 0.5 for mu, *_ in rows]
-        assert worst == {}
-
-    def test_non_finite_tilt_rejected(self):
-        model, schedule = alt3_scenario()
-        traj = propagate_moments(model, schedule, range(1, 11))
-        with pytest.raises(ParameterError, match="tilts must be finite, got nan, inf"):
-            mixing_residual_curves(model, schedule, traj, range(2, 11), (0.0, math.nan, 1.0, math.inf))
+        residual = mixing_residual_curves(model, schedule, traj, range(2, 11))
+        assert residual.c1 is None and residual.c2 is None
+        peaks = list(residual.peaks())
+        assert [k for k, *_ in peaks] == list(range(2, 11))
+        assert all(c1 is None and c2 is None for _, _, _, c1, _, _, c2 in peaks)
+        assert all(peak_a > 0.0 and peak_b > 0.0 for _, peak_a, _, _, peak_b, _, _ in peaks)
+        assert residual.supremum() is None
 
     def test_k_below_two_or_none_rejected(self):
         model, schedule = alt3_scenario()
         traj = propagate_moments(model, schedule, range(1, 11))
         for ks, message in (([1, 5], "residual k must be an integer >= 2, got 1"), ([0], ">= 2, got 0"), ([], "need at least one")):
             with pytest.raises(ParameterError, match=message):
-                mixing_residual_curves(model, schedule, traj, ks, (0.5,))
+                mixing_residual_curves(model, schedule, traj, ks)
 
     def test_residual_reads_only_visited_k(self):
         """A row needs the moments at its own k alone: any visited k serves, in any
@@ -908,29 +906,49 @@ class TestMixingResidual:
         sparse = propagate_moments(model, schedule, [1, 3, 5, 7, 20])
         for ks in ([2, 3], [3, 11], [21]):
             with pytest.raises(ParameterError, match="no moments at k="):
-                mixing_residual_curves(model, schedule, sparse, ks, (0.5,))
+                mixing_residual_curves(model, schedule, sparse, ks)
 
     def test_curves_match_single_calls(self):
-        """Values match the scalar disagreement-product loop to rounding; bounds bit for bit."""
+        """Values match the scalar disagreement-product loop to rounding; bound terms bit for bit."""
         model, schedule = alt3_scenario()
-        mus = (-1.0, -0.1, 0.1, 1.0)
         traj = propagate_moments(model, schedule, range(1, 13))
+        residual = mixing_residual_curves(model, schedule, traj, range(2, 13))
         for h in (H0, H1):
-            ks, values, bounds = residual_cube(model, schedule, traj, range(2, 13), mus, hypothesis=h)
+            ks, values, _ = residual_cube(model, schedule, traj, range(2, 13), TILTS, hypothesis=h)
             assert ks.tolist() == list(range(2, 13))
-            for m, mu in enumerate(mus):
-                value, bound = reference_residual(model, schedule, 12, mu, h)
+            for m, mu in enumerate(TILTS):
+                value, c1, c2 = reference_residual(model, schedule, 12, mu, h)
                 assert np.all(np.abs(values[m] - value) <= rounding_floor(traj, ks, mu))
-                assert np.array_equal(bounds[m], bound)
+                assert np.array_equal(residual.c1, c1) and np.array_equal(residual.c2, c2)
 
     @pytest.mark.parametrize("name", ["ref3", "rand5", "n8", "correlated2", "n1"])
     def test_matches_disagreement_products_on_corpus(self, name):
         """The residual derived from the trajectory equals the product sums on every schedule."""
         model, schedule, _ = build_scenario(name)
         traj = propagate_moments(model, schedule, range(1, 513))
+        residual = mixing_residual_curves(model, schedule, traj, range(2, 513))
         for h in (H0, H1):
-            ks, values, bounds = residual_cube(model, schedule, traj, range(2, 513), RESIDUAL_MUS, hypothesis=h)
-            for m, mu in enumerate(RESIDUAL_MUS):
-                value, bound = reference_residual(model, schedule, 512, mu, h)
+            ks, values, _ = residual_cube(model, schedule, traj, range(2, 513), TILTS, hypothesis=h)
+            for m, mu in enumerate(TILTS):
+                value, c1, c2 = reference_residual(model, schedule, 512, mu, h)
                 assert np.all(np.abs(values[m] - value) <= rounding_floor(traj, ks, mu)), (h, mu)
-                assert np.array_equal(bounds[m], bound)
+                assert np.array_equal(residual.c1, c1) and np.array_equal(residual.c2, c2)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_supremum_bounds_every_sampled_tilt(self, name):
+        """analyze's supremum, on its own trajectory and checkpoints in 2..512, is at least
+        |residual| / bound at each of 4001 tilts spread evenly over [-1, 1] (mu = 0, where both
+        are 0, excepted), and its witness attains it within the tie rule's relative 1e-12."""
+        model, schedule, config = build_scenario(name)
+        traj = propagate_moments(model, schedule, config.thresholds.visits(config.checkpoints))
+        residual = mixing_residual_curves(model, schedule, traj, [k for k in config.checkpoints if 2 <= k <= 512])
+        sup = residual.supremum()
+        tilts = np.linspace(-1.0, 1.0, 4001)
+        tilts = tilts[tilts != 0.0][:, None, None]
+        ratios = np.abs(tilts * residual.a + tilts**2 * residual.b) / (np.abs(tilts) * residual.c1[:, None] + tilts**2 * residual.c2[:, None])
+        assert ratios.max() <= sup["sup_abs_over_bound"]
+        row, node = residual.ks.tolist().index(sup["k"]), sup["node"] - 1
+        a, b, c1, c2 = residual.a[row, node], residual.b[row, node], residual.c1[row], residual.c2[row]
+        mu = sup["tilt"]
+        attained = abs(a) / c1 if mu == 0.0 else abs(mu * a + b) / (c1 + c2)
+        assert sup["sup_abs_over_bound"] * (1.0 - 1e-12) <= attained <= sup["sup_abs_over_bound"]

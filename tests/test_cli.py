@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from cdlab import cli, experiment, network
-from cdlab.analysis import propagate_moments
+from cdlab.analysis import mixing_residual_curves, propagate_moments
 from cdlab.cli import main
 from cdlab.config import scenario_from_file
 from cdlab.experiment import compare_detectors
 from cdlab.network import _PaddedRows
 from corpus import CORPUS, SCENARIO_DIR, scenario_config
-from oracles import fold_residual_csv, per_cell_residual_csv, residual_cube
+from oracles import fold_residual_csv, per_cell_residual_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -186,10 +186,9 @@ class TestAnalyze:
         )
         assert code == 0
         residual = json.loads((out / "correlated2_analysis.json").read_text())["residual"]
-        assert len(residual) == len(cli.RESIDUAL_MUS)
-        for summary in residual.values():
-            ratio = summary["max_abs_over_bound"]
-            assert isinstance(ratio, float) and math.isfinite(ratio) and ratio <= 1e-12
+        assert residual.keys() == {"sup_abs_over_bound", "node", "k", "tilt"}
+        ratio = residual["sup_abs_over_bound"]
+        assert isinstance(ratio, float) and math.isfinite(ratio) and ratio <= 1e-12
 
     def test_outputs_are_deterministic(self, tmp_path):
         outs = []
@@ -379,8 +378,8 @@ class TestArtifactWriter:
     def test_residual_csv_matches_per_cell_formatter(self, tmp_path, ring_config):
         """On the padded path, at a size the corpus lacks (the 64-node ring),
         analyze's summary is the per-cell formatter's rows at its checkpoints,
-        read off a trajectory over its visit set, folded by max |value|, first
-        node on ties; test_scripts checks the fold on the corpus."""
+        read off a trajectory over its visit set, folded by max |a| and max |b|,
+        lowest node on ties; test_scripts checks the fold on the corpus."""
         config_path = ring_config(64, 64)
         out = tmp_path / "out"
         assert main(["analyze", "--quiet", "--config", config_path, "--out", str(out)]) == 0
@@ -388,8 +387,8 @@ class TestArtifactWriter:
         config = scenario_from_file(config_path)
         model, schedule = config.build_model(), config.build_schedule()
         traj = propagate_moments(model, schedule, config.thresholds.visits(config.checkpoints))
-        ks, values, bounds = residual_cube(model, schedule, traj, config.checkpoints[1:], cli.RESIDUAL_MUS)  # 2, 4, ..., 64
-        expected = fold_residual_csv(per_cell_residual_csv(cli.RESIDUAL_MUS, ks, values, bounds))
+        residual = mixing_residual_curves(model, schedule, traj, config.checkpoints[1:])  # 2, 4, ..., 64
+        expected = fold_residual_csv(per_cell_residual_csv(residual))
         written = (out / f"{config.name}_residual_diagnostic.csv").read_bytes()
         assert written == expected.encode()
 

@@ -4,8 +4,8 @@ no function takes a parameter it ignores.
 No cdlab command loads any scipy module, and none loads the test helpers.
 Each such case runs in a fresh interpreter, because the test process itself
 has scipy and the helpers loaded.  The parameter rule is read off the source
-tree: every parameter of every function and lambda under ``src/cdlab``, bar
-``self``, is read somewhere in its body.
+tree: every parameter of every function and lambda under ``src/cdlab`` and
+``scripts``, bar ``self``, is read somewhere in its body.
 """
 
 import ast
@@ -17,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cdlab"
+SCRIPTS = ROOT / "scripts"
 REF3 = str(ROOT / "scenarios" / "ref3.json")
 
 # argv: a JSON list of cdlab argvs, then the src directory.  Fails when cdlab
@@ -104,7 +105,7 @@ def unread_parameters(tree):
 def test_every_parameter_is_read():
     unread = [
         f"{path.name}:{line} {name}({param})"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]
         for line, name, param in unread_parameters(ast.parse(path.read_text()))
     ]
     assert unread == []

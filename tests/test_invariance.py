@@ -4,18 +4,21 @@
   checkpoints, ``k_early`` and ``k_late`` (``Thresholds.visits``), and so jump
   over the whole periods of long gaps.  A trajectory over that set and one
   that steps through every k must agree: the moments at each visit within
-  ``REL``, and the mixing residual rows at each checkpoint, differences
-  that carry the rounding of k steps, within ``REL`` and ``RESIDUAL_FLOOR``.
-  Checked on the corpus and on the benchmark's 256-node ring, which steps
-  through row-padded factors.
+  ``REL``, and the mixing residual's two vectors at each checkpoint,
+  differences that carry the rounding of k steps, within ``REL`` and
+  ``RESIDUAL_FLOOR``.  Checked on the corpus and on the benchmark's 256-node
+  ring, which steps through row-padded factors.  On the two-matching rings,
+  where nodes tie in exact arithmetic, the residual summary names the same
+  nodes from either trajectory.
 * **Period unrolling.**  The schedule [W1, ..., WP] repeated twice is the
   same schedule.  The exact curves take another path through the jump (a
   period map of 2P steps, half as many periods), so they agree within
   ``REL``; the Monte Carlo kernel reads W(k) by the same index modulo the
   period, so its counts are bit-identical.
 * **Node relabelling.**  Permuting m0, m1, C and every W(k) together
-  permutes the node moments, curves and rates, and leaves the centralized
-  curve, the decay verdict and the rate verdict alone.
+  permutes the node moments, curves, rates and residual vectors, and leaves
+  the centralized curve, the decay verdict, the rate verdict and the
+  residual's supremum alone.
 * **Affine model change.**  (a m0 + b, a m1 + b, a^2 C) has the same
   innovations, so every exact figure stays.
 The last two run at the default visits plus 1e6, where the squaring chain
@@ -34,7 +37,7 @@ import numpy as np
 import pytest
 
 from cdlab.analysis import centralized_error_curve, exact_error_curves, mixing_residual_curves, propagate_moments
-from cdlab.cli import RESIDUAL_HORIZON, RESIDUAL_MUS
+from cdlab.cli import RESIDUAL_HORIZON
 from cdlab.config import scenario_from_dict, scenario_from_file
 from cdlab.experiment import ExperimentPlan, compare_detectors, run_monte_carlo
 from cdlab.model import build_model
@@ -98,10 +101,26 @@ def test_jumped_and_stepped_trajectories_agree(name, scenario):
     for got, want in zip(jumped.moments_at(visits), stepped.moments_at(visits)):
         np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
     ks = [k for k in config.checkpoints if 2 <= k <= RESIDUAL_HORIZON]
-    rows = [mixing_residual_curves(model, schedule, traj, ks, RESIDUAL_MUS).rows() for traj in (jumped, stepped)]
-    for (mu, k, got, bound), (_, _, want, want_bound) in zip(*rows, strict=True):
-        np.testing.assert_allclose(got, want, rtol=REL, atol=RESIDUAL_FLOOR, err_msg=f"{name} mu={mu} k={k}")
-        assert bound == want_bound
+    got, want = (mixing_residual_curves(model, schedule, traj, ks) for traj in (jumped, stepped))
+    for vector in ("a", "b"):
+        np.testing.assert_allclose(getattr(got, vector), getattr(want, vector), rtol=REL, atol=RESIDUAL_FLOOR, err_msg=f"{name} {vector}")
+    assert np.array_equal(got.c1, want.c1) and np.array_equal(got.c2, want.c2)
+
+
+@pytest.mark.parametrize("name", ["ring64", "ring256"])
+def test_jumped_and_stepped_summaries_name_the_same_nodes(name, scenario):
+    """On a two-matching ring nodes tie in exact arithmetic, and which one rounding puts
+    first depends on the route to a visit; the summary names the lowest node of a tie, so
+    the max |a| and max |b| of each checkpoint and the supremum name the same nodes."""
+    model, schedule, config = scenario(name)
+    visits = config.thresholds.visits(config.checkpoints)
+    ks = [k for k in config.checkpoints if 2 <= k <= RESIDUAL_HORIZON]
+    summaries = []
+    for trajectory in (propagate_moments(model, schedule, visits), propagate_moments(model, schedule, range(1, ks[-1] + 1))):
+        residual = mixing_residual_curves(model, schedule, trajectory, ks)
+        sup = residual.supremum()
+        summaries.append(([(k, node_a, node_b) for k, _, node_a, _, _, node_b, _ in residual.peaks()], (sup["node"], sup["k"], sup["tilt"])))
+    assert summaries[0] == summaries[1]
 
 
 def unrolled(schedule: WeightSchedule) -> WeightSchedule:
@@ -166,11 +185,13 @@ def node_figures(model, schedule, visits):
 @pytest.mark.parametrize("relation", RELATIONS)
 @pytest.mark.parametrize("name", RELATION_SCENARIOS)
 def test_relation_keeps_every_exact_figure(name, relation, scenario):
-    """At the default visits plus 1e6: node moments, curves and rates move with
-    the nodes; the centralized curve and rates, the decay verdict and the rate
-    verdict stay, all within ``REL``."""
+    """At the default visits plus 1e6: node moments, curves, rates and the
+    residual's two vectors move with the nodes; the centralized curve and rates,
+    the decay verdict, the rate verdict and the residual's supremum stay, all
+    within ``REL`` (and ``RESIDUAL_FLOOR`` for the residual)."""
     model, schedule, config = scenario(name)
     visits = [*config.thresholds.visits(config.checkpoints), 10**6]
+    residual_ks = [k for k in config.checkpoints if 2 <= k <= RESIDUAL_HORIZON]
     moved_model, moved_schedule, perm = RELATIONS[relation](model, schedule)
     reports = []
     for m, s in ((model, schedule), (moved_model, moved_schedule)):
@@ -178,11 +199,21 @@ def test_relation_keeps_every_exact_figure(name, relation, scenario):
         report = compare_detectors(m, s, config.thresholds, trajectory)
         figures["rates"] = np.array([[node[key] for node in report["nodes"]] for key in ("rate_early", "rate_late")])
         figures["centralized"] = centralized_error_curve(m, visits).log_pe
-        reports.append((figures, report, check_geometric_decay(s).passed))
-    (want, want_report, want_decay), (got, got_report, got_decay) = reports
+        residual = mixing_residual_curves(m, s, trajectory, residual_ks)
+        reports.append((figures, report, check_geometric_decay(s).passed, residual))
+    (want, want_report, want_decay, want_residual), (got, got_report, got_decay, got_residual) = reports
     for key, value in got.items():
         expected = want[key] if key == "centralized" else want[key][:, perm]
         np.testing.assert_allclose(value, expected, rtol=REL, atol=0.0, err_msg=f"{name} {relation} {key}")
+    for vector in ("a", "b"):
+        expected = getattr(want_residual, vector)[:, perm]
+        np.testing.assert_allclose(getattr(got_residual, vector), expected, rtol=REL, atol=RESIDUAL_FLOOR, err_msg=f"{name} {relation} {vector}")
+    for term in ("c1", "c2"):
+        np.testing.assert_allclose(getattr(got_residual, term), getattr(want_residual, term), rtol=REL, atol=0.0, err_msg=f"{name} {relation} {term}")
+    c1, c2 = want_residual.c1, want_residual.c2
+    floor = RESIDUAL_FLOOR * max(1.0 / c1.min(), 2.0 / (c1 + c2).min())  # a ratio's error for a and b off by the floor
+    got_sup, want_sup = (r.supremum()["sup_abs_over_bound"] for r in (got_residual, want_residual))
+    assert got_sup == pytest.approx(want_sup, rel=REL, abs=floor)
     for key in ("rate_early", "rate_late"):
         assert got_report["centralized"][key] == pytest.approx(want_report["centralized"][key], rel=REL, abs=0.0)
     assert got_report["verdict"] == want_report["verdict"]

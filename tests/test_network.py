@@ -570,7 +570,8 @@ class TestEnvelope:
         decay = check_geometric_decay(s)
         assert decay.passed is False and decay.note.startswith("no contraction")
         trajectory = propagate_moments(model, s, range(1, 9))
-        assert mixing_residual_curves(model, s, trajectory, range(2, 9), (0.5,)).bounds is None
+        residual = mixing_residual_curves(model, s, trajectory, range(2, 9))
+        assert residual.c1 is None and residual.c2 is None and residual.supremum() is None
         names = ["symmetric-stochastic", "weight-floor", "window-connectivity"]
         assert header["assumption_check"] == {
             "passed": False,

@@ -10,11 +10,10 @@ from pathlib import Path
 import pytest
 
 from cdlab.analysis import mixing_residual_curves, propagate_moments
-from cdlab.cli import RESIDUAL_MUS
 from cdlab.config import scenario_from_file
 from corpus import CORPUS, build_scenario
 from test_golden import REL, RESIDUAL_FLOOR
-from oracles import fold_mismatches, per_cell_residual_csv, residual_cube
+from oracles import fold_mismatches, per_cell_residual_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,7 +43,8 @@ def test_script_exits_zero(argv, tmp_path):
     [
         (["residual_sweep.py", "--k-max", "1"], "k-max >= 2"),
         (["residual_sweep.py", "--k-max", "0"], "k-max >= 2"),
-        (["residual_sweep.py", "--mus=0,nan"], "tilts must be finite, got nan"),
+        # the tilt grid is gone: the residual's two vectors hold every tilt
+        (["residual_sweep.py", "--mus=0,nan"], "unrecognized arguments: --mus=0,nan"),
         # the error names the flag that failed, and only that flag
         (["run_reference.py", "--trials", "0"], "error: --trials 0: n_trials must be an integer >= 1"),
         (["run_reference.py", "--seed", "-1"], "error: --seed -1: master_seed must be an integer >= 0"),
@@ -71,24 +71,6 @@ def test_script_rejects_bad_flag(argv, message, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, capsys):
-    """The tilts are checked as the flags are parsed, so no propagation runs for a bad one."""
-    sweep = load_sweep()
-
-    def propagate_moments(*args, **kwargs):
-        raise AssertionError("propagate_moments ran")
-
-    monkeypatch.setattr(sweep, "propagate_moments", propagate_moments)
-    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--k-max", "2", "--mus=0,1"])
-    with pytest.raises(AssertionError, match="propagate_moments ran"):
-        sweep.main()  # good tilts reach the patched propagation
-    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--k-max", "2", "--mus=0,nan"])
-    with pytest.raises(SystemExit) as exit_info:
-        sweep.main()
-    assert exit_info.value.code == 2
-    assert "tilts must be finite, got nan" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "name, flags",
     [("ref3", []), *((name, ["--scenario", name, "--k-max", "512"]) for name in CORPUS)],
@@ -96,7 +78,7 @@ def test_residual_sweep_refuses_a_bad_tilt_before_it_propagates(monkeypatch, cap
 )
 def test_residual_sweep_csv_folds_to_the_analyze_csv(name, flags, tmp_path, corpus_run):
     """One default: the script's --out file is the per-cell formatter's rows at every k, and
-    folded by max |value| per (tilt, k), it is analyze's residual diagnostic at analyze's
+    folded by max |a| and max |b| per k, it is analyze's residual diagnostic at analyze's
     checkpoints, within the golden tolerances: analyze may jump to a checkpoint that the
     sweep steps to."""
     sweep = tmp_path / "sweep.csv"
@@ -104,19 +86,19 @@ def test_residual_sweep_csv_folds_to_the_analyze_csv(name, flags, tmp_path, corp
     assert proc.returncode == 0, proc.stderr
     model, schedule, config = build_scenario(name)
     trajectory = propagate_moments(model, schedule, range(1, 513))
-    per_node = per_cell_residual_csv(RESIDUAL_MUS, *residual_cube(model, schedule, trajectory, range(2, 513), RESIDUAL_MUS))
+    per_node = per_cell_residual_csv(mixing_residual_curves(model, schedule, trajectory, range(2, 513)))
     assert sweep.read_bytes() == per_node.encode()
     summary = (corpus_run(name) / f"{name}_residual_diagnostic.csv").read_text()
     assert fold_mismatches(per_node, summary, REL, RESIDUAL_FLOOR) == []
     rows = summary.splitlines()[1:]
-    assert [row.split(",")[1] for row in rows] == [str(k) for _ in RESIDUAL_MUS for k in config.checkpoints if k >= 2]
+    assert [row.split(",")[0] for row in rows] == [str(k) for k in config.checkpoints if k >= 2]
 
 
 def test_sweep_peak_memory_below_residual_csv_size(tmp_path, monkeypatch, capsys):
     """The sweep's per-node CSV is streamed: no copy of it, as rows or as one text, is held."""
     sweep = load_sweep()
     csv = tmp_path / "n8.csv"
-    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--scenario", "n8", "--k-max", "4096", "--out", str(csv)])
+    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--scenario", "n8", "--k-max", "8192", "--out", str(csv)])
     tracemalloc.start()
     try:
         code = sweep.main()
@@ -129,28 +111,27 @@ def test_sweep_peak_memory_below_residual_csv_size(tmp_path, monkeypatch, capsys
     assert peak < csv_size, (peak, csv_size)
 
 
-def test_residual_memory_does_not_grow_with_tilts(ring_config):
-    """Building and streaming the per-node residual holds O(K N), not O(len(mus) K N).
+def test_residual_memory_stays_within_a_few_vectors(ring_config):
+    """Building the residual and streaming its per-node CSV holds a few K x N arrays: the two
+    vectors, the temporaries that form them and one k's rows at a time.
 
-    Going from 4 tilts to 32 on a 64-node ring to k = 512 may add less
-    than one K x N array (0.25 MiB) to the traced peak; a (len(mus), K, N)
-    cube would add 28 of them (7.1 MiB).
+    On a 64-node ring to k = 512 the traced peak stays under 6 K x N arrays
+    (1.5 MiB); it reads 4.4.  Turning all of a and b into lists of Python
+    floats at once would hold 10.5 of them.
     """
     sweep = load_sweep()
     config = scenario_from_file(ring_config(64, 512))
     model, schedule = config.build_model(), config.build_schedule()
     traj = propagate_moments(model, schedule, range(1, 513))
-    peaks = []
-    for mus in (RESIDUAL_MUS, [i / 16 for i in range(-16, 16)]):
-        tracemalloc.start()
-        try:
-            residual = mixing_residual_curves(model, schedule, traj, range(2, 513), mus)
-            for _ in sweep.residual_csv(residual.rows(), 64):
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 511 * 64 * 8, peaks
+    tracemalloc.start()
+    try:
+        residual = mixing_residual_curves(model, schedule, traj, range(2, 513))
+        for _ in sweep.residual_csv(residual):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 511 * 64 * 8, peak
 
 
 def run_script(argv, cwd):
