@@ -146,10 +146,11 @@ def propagate_moments(
     jump and, once planned, to every gap.  W(k) comes from ``s.operators()``,
     so a step costs O(d N^2) on a padded factor with at most d nonzeros a
     row, which updates P in place by its fused ``sandwich``, and O(N^3) on
-    a dense one.  Between visits only the current N x N state, the spine's
-    two N x N matrices and at most two pending states are held, and no
-    pending state across a jump.  ``keep``, a subset of ``ks``, lists the k
-    at which the full covariance is stored.
+    a dense one.  Between visits only the current N x N state, at most two
+    pending states and, while a later visit is planned onto it, the spine's
+    two N x N matrices are held; no pending state is held across a jump.
+    ``keep``, a subset of ``ks``, lists the k at which the full covariance
+    is stored.
     """
     ks = _check_ks(ks, "visited k")
     keep = tuple(sorted({_check_integer(k, "a kept k", 1) for k in keep}))
@@ -214,6 +215,7 @@ def propagate_moments(
         k = target
 
     k = 1
+    last_on_spine = max((row for row, (top, _, _) in plan.items() if top is not None), default=-1)
     spine, level, pending = None, -1, {}  # the phase-0 period map squared level times: U(0) -> U(2^level P)
     for row, target in enumerate(ks):
         top, digits, periods = plan.get(row, (None, 0, 0))
@@ -226,11 +228,14 @@ def propagate_moments(
             state = _compose(pending.pop(row), spine) if digits else (None, *spine[1:])
             k = target - target % s.period
         elif periods:
+            if row > last_on_spine:
+                spine = None  # no later visit reads it: the jump's squares take its place
             state = _jump(innovation, s, k, (None, (k / n) * mu, (k / n) ** 2 * p), periods)
             k += periods * s.period
         if top is not None or periods:
             mu = (n / k) * state[1]
             np.multiply(state[2], (n / k) ** 2, out=p)
+            del state
         for k in range(k, target):
             mu = step(k, mu, p)
         k = target

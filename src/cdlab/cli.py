@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -31,6 +30,16 @@ from .config import ScenarioConfig, scenario_from_file
 from .errors import ConfigError, ParameterError
 from .experiment import check_simulation, compare_detectors, report_header
 from .network import check_geometric_decay
+
+# The interpreter's builtin SHA-256 gives hashlib's digests without loading OpenSSL's libcrypto (about
+# 3.7 MB resident); hashlib serves an interpreter built without one (--with-builtin-hashlib-hashes=blake2)
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 CURVE_HEADER = "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
 RESIDUAL_HEADER = "k,max_abs_a,node_a,c1,max_abs_b,node_b,c2"
@@ -100,7 +109,7 @@ class _Workspace:
         target = self.out_dir / f"{self.config.name}_{suffix}"
         target.parent.mkdir(parents=True, exist_ok=True)
         partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        digest = hashlib.sha256()
+        digest = sha256()
         try:
             with open(partial, "wb") as handle:
                 for chunk in (chunks,) if isinstance(chunks, str) else chunks:
@@ -118,7 +127,7 @@ class _Workspace:
         manifest = {
             "command": command,
             "config_path": str(self.config_path),
-            "config_sha256": hashlib.sha256(self.config_path.read_bytes()).hexdigest(),
+            "config_sha256": sha256(self.config_path.read_bytes()).hexdigest(),
             "scenario": self.config.name,
             "version": __version__,
             "files": {path.name: digest for path, digest in self.written},

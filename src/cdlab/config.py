@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, ShapeError
 from .experiment import ExperimentPlan, Thresholds
-from .model import GaussianHypothesisPair, build_model
+from .model import GaussianHypothesisPair, _frozen, build_model
 from .network import TOPOLOGIES, TOPOLOGY_FIELDS, ScheduleSpec, WeightSchedule, _check_integer, build_schedule
 
 # default checkpoint grid: the powers of two up to 512, log-spaced curve rows
@@ -130,19 +130,20 @@ def _construct(path: str, make, *args, **kwargs):
 
 
 def covariance_matrix(spec, n: int) -> np.ndarray:
-    """Materialize a covariance spec as an (n, n) array.
+    """Materialize a covariance spec as a read-only (n, n) array.
 
     ``spec`` is "identity", "exponential(rho)" with rho finite and >= 0
     (entry (i, j) is rho**|i - j|) or an n x n matrix; any other string
-    raises ParameterError and a matrix of another size ShapeError.
+    raises ParameterError and a matrix of another size ShapeError.  Being
+    read-only, the array is the one ``build_model`` holds, not copied.
     """
     if not isinstance(spec, str):
         cov = np.array(spec, dtype=float)
         if cov.shape != (n, n):
             raise ShapeError(f"matrix must be {n}x{n}, got shape {cov.shape}")
-        return cov
+        return _frozen(cov)
     if spec == "identity":
-        return np.eye(n)
+        return _frozen(np.eye(n))
     m = _EXPONENTIAL_PATTERN.match(spec)
     if m is None:
         raise ParameterError(f"expected 'identity', 'exponential(rho)' or a matrix, got {spec!r}")
@@ -153,7 +154,7 @@ def covariance_matrix(spec, n: int) -> np.ndarray:
     if not math.isfinite(rho) or rho < 0.0:
         raise ParameterError(f"correlation must be finite and >= 0, got {rho}")
     idx = np.arange(n)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+    return _frozen(rho ** np.abs(idx[:, None] - idx[None, :]))
 
 
 def _parse_thresholds(d, path: str) -> Thresholds:

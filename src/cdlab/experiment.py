@@ -11,7 +11,6 @@ running sums in place of running means: decisions read only their signs.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +205,9 @@ def run_monte_carlo(plan: ExperimentPlan, threads=None) -> MonteCarloResult:
     counts because every chunk owns its generators.  ``threads`` defaults to
     CDL_THREADS, else the cpu count; CDL_THREADS also caps an explicit count.
     """
+    # imported here, where the pool starts, so that analyze and validate never load it
+    from concurrent.futures import ThreadPoolExecutor
+
     sizes = _chunk_sizes(plan.n_trials)
     jobs = [
         (hyp, c, size)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -45,27 +46,32 @@ class Hypothesis(IntEnum):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+    """``a``, an array no caller holds, made read-only in place."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class GaussianHypothesisPair:
     """Two Gaussian measures on R^n differing only in their mean vector.
 
-    All derived quantities are fixed at build time; arrays are read-only.
-    ``noise_chol`` is the lower-triangular factor of ``cov`` used for
-    sampling, ``innovation_weights`` solves cov @ w = m1 - m0.
+    All derived quantities are fixed at build time, bar ``noise_chol``;
+    arrays are read-only.  ``innovation_weights`` solves cov @ w = m1 - m0.
     """
 
     n_sensors: int
     m0: np.ndarray
     m1: np.ndarray
     cov: np.ndarray
-    noise_chol: np.ndarray
     innovation_weights: np.ndarray
     llr_variance: float  # the llr mean is +llr_variance/2 under H1, -llr_variance/2 under H0
+
+    @cached_property
+    def noise_chol(self) -> np.ndarray:
+        """The lower-triangular factor of ``cov`` that sampling reads, made on first read:
+        the exact path never reads it, so only simulate holds its N x N.  Chunk
+        threads that race to the first read each factor the same array, to the same bits."""
+        return _frozen(np.linalg.cholesky(self.cov))
 
 
 def build_model(m0, m1, cov) -> GaussianHypothesisPair:
@@ -76,9 +82,13 @@ def build_model(m0, m1, cov) -> GaussianHypothesisPair:
     or not positive definite (Cholesky failure, or any pivot below
     1e-12 times the largest diagonal entry).
     """
-    m0 = np.atleast_1d(np.asarray(m0, dtype=float))
-    m1 = np.atleast_1d(np.asarray(m1, dtype=float))
+    m0 = np.array(m0, dtype=float, ndmin=1)
+    m1 = np.array(m1, dtype=float, ndmin=1)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    # a covariance nothing can write to, read-only and owning its memory as the config's is, is held
+    # as given; any other is copied, so that changing the caller's array cannot change the model
+    if cov.flags.writeable or not cov.flags.owndata:
+        cov = cov.copy()
     if m0.ndim != 1 or m1.ndim != 1 or cov.ndim != 2:
         raise ShapeError("m0, m1 must be vectors and cov a matrix")
     n = m0.shape[0]
@@ -110,7 +120,6 @@ def build_model(m0, m1, cov) -> GaussianHypothesisPair:
         m0=_frozen(m0),
         m1=_frozen(m1),
         cov=_frozen(cov),
-        noise_chol=_frozen(chol),
         innovation_weights=_frozen(weights),
         llr_variance=sigma2,
     )
@@ -123,4 +132,6 @@ def innovation_stats(model: GaussianHypothesisPair) -> tuple[np.ndarray, np.ndar
     to llr_variance / 2 and the covariance's grand sum is llr_variance.
     """
     w = model.innovation_weights
-    return _frozen(w * (model.m1 - model.m0) / 2.0), _frozen(np.outer(w, w) * model.cov)
+    s_eta = np.outer(w, w)
+    s_eta *= model.cov  # in place: one N x N buffer
+    return _frozen(w * (model.m1 - model.m0) / 2.0), _frozen(s_eta)

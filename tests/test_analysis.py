@@ -511,15 +511,19 @@ class TestJumpPastTheHorizon:
         assert np.array_equal(deep.moments_at([10**6])[1], alone.variances)
 
     def test_memory_past_the_horizon_does_not_grow_with_checkpoints(self, two_matching_ring):
-        """Between visits only the current N x N state, the squaring chain and
-        at most two pending states are held: 1524 stepped checkpoints past the
-        horizon, 200 jumped ones (100, 200, ..., 20000) and the doubling
-        checkpoints with 100 and 500, folded from the chain, on the 64-node
-        ring each peak within 32 N x N matrices (32 kB each) of what the
-        returned moments hold.  A covariance per checkpoint would take 50 MB
-        for the first, and a state per pending visit about 7 MB for the
-        second.  The padded factors and their gather targets are built inside
-        the traced call, so they count too."""
+        """Between visits only the current N x N state, the squaring chain while
+        a later visit is planned onto it and at most two pending states are
+        held: 1524 stepped checkpoints past the horizon, 200 jumped ones (100,
+        200, ..., 20000) and the doubling checkpoints with 100 and 500, folded
+        from the chain, on the 64-node ring each peak within 20 N x N matrices
+        (32 kB each) of what the returned moments hold.  Seen: 14.5, 17.3 and
+        15.5; the margin is numpy's ufunc buffers, 2 N x N at N = 64, which
+        another numpy version may add.  Holding the chain across the jumps
+        after its last visit and each visit's state past its read took 18.7
+        on the second.  A covariance per checkpoint would take 50 MB for the
+        first, and a state per pending visit about 7 MB for the second.  The
+        padded factors and their gather targets are built inside the traced
+        call, so they count too."""
         model, schedule = ring64(two_matching_ring)
         visit_sets = (past_horizon(*range(513, 1537), *range(1600, 4096, 5)), list(range(100, 20001, 100)), self.GEOMETRIC)
         for visits in visit_sets:
@@ -531,7 +535,7 @@ class TestJumpPastTheHorizon:
                 tracemalloc.stop()
             held = traj.ks.nbytes + traj.means.nbytes + traj.variances.nbytes
             assert traj.ks.tolist() == visits
-            assert peak < held + 32 * 64 * 64 * 8, f"{len(visits)} visits up to {visits[-1]}"
+            assert peak < held + 20 * 64 * 64 * 8, f"{len(visits)} visits up to {visits[-1]}"
 
     GEOMETRIC = sorted({*[2**i for i in range(11)], 100, 500})
 

@@ -158,7 +158,7 @@ class TestAnalyze:
         header = (out / "identity2_curves_exact.csv").read_text().splitlines()[0]
         assert header == "node,k,source,alpha,beta,pe,log10_pe,se_alpha,se_beta,se_pe"
         manifest = json.loads((out / "identity2_analyze_manifest.json").read_text())
-        assert len(manifest["config_sha256"]) == 64
+        assert manifest["config_sha256"] == hashlib.sha256((SCENARIO_DIR / "identity2.json").read_bytes()).hexdigest()
         assert manifest["version"]
         assert "identity2_curves_exact.csv" in manifest["files"]
 

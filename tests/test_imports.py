@@ -2,6 +2,12 @@
 no function takes a parameter it ignores.
 
 No cdlab command loads any scipy module, and none loads the test helpers.
+``validate`` and ``analyze`` load neither OpenSSL (``_hashlib``: the
+manifest digests come from the interpreter's builtin SHA-256, where it has
+one) nor the thread pool (``concurrent.futures``, which ``simulate`` alone
+starts).  ``simulate`` and random-subgraph schedules still load OpenSSL, as
+numpy.random imports ``secrets``, which imports ``hmac``; the exact check
+runs on ref3, whose alternating links never load numpy.random.
 Each such case runs in a fresh interpreter, because the test process itself
 has scipy and the helpers loaded.  The parameter rule is read off the source
 tree: every parameter of every function and lambda under ``src/cdlab`` and
@@ -9,6 +15,7 @@ tree: every parameter of every function and lambda under ``src/cdlab`` and
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -24,7 +31,7 @@ REF3 = str(ROOT / "scenarios" / "ref3.json")
 # loads from elsewhere or `import cdlab.cli` loads any scipy module; scipy
 # cannot be imported afterwards.  Once every command has exited 0, fails when
 # a test helper (tests, oracles, corpus, conftest) was loaded, and prints the
-# scipy modules loaded.
+# modules loaded.
 PROBE = """
 import json, sys
 from pathlib import Path
@@ -48,8 +55,12 @@ helpers = sorted(m for m, mod in list(sys.modules.items())
                  if mod is not None and m.split(".")[0] in ("tests", "oracles", "corpus", "conftest"))
 if helpers:
     sys.exit(f"the commands loaded {helpers}")
-print(json.dumps(scipy_loaded()))
+print(json.dumps(sorted(m for m, mod in list(sys.modules.items()) if mod is not None)))
 """
+
+
+def scipy_modules(loaded):
+    return [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def run_probe(argvs, cwd):
@@ -76,7 +87,20 @@ def test_corpus_commands_run_without_scipy(tmp_path):
         ["analyze", "--quiet", "--config", REF3, "--out", out],
         ["simulate", "--quiet", "--config", REF3, "--out", out, "--trials", "2000"],
     ]
-    assert run_probe(argvs, tmp_path) == []
+    assert scipy_modules(run_probe(argvs, tmp_path)) == []
+
+
+def test_exact_commands_load_no_openssl_and_no_thread_pool(tmp_path):
+    """OpenSSL's libcrypto and the thread pool with its logging are about 4 MB of
+    exact-ring256's 45 MB peak; _hashlib is checked wherever a builtin SHA-256 is."""
+    argvs = [
+        ["validate", "--quiet", "--config", REF3],
+        ["analyze", "--quiet", "--config", REF3, "--out", str(tmp_path / "out")],
+    ]
+    loaded = run_probe(argvs, tmp_path)
+    builtin_sha256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+    unwanted = ("_hashlib", "concurrent.futures") if builtin_sha256 else ("concurrent.futures",)
+    assert [m for m in unwanted if m in loaded] == []
 
 
 def test_large_sparse_schedule_runs_without_scipy(tmp_path, ring_config):
@@ -86,7 +110,7 @@ def test_large_sparse_schedule_runs_without_scipy(tmp_path, ring_config):
         ["validate", "--quiet", "--config", config],
         ["analyze", "--quiet", "--config", config, "--out", str(tmp_path / "out")],
     ]
-    assert run_probe(argvs, tmp_path) == []
+    assert scipy_modules(run_probe(argvs, tmp_path)) == []
 
 
 def unread_parameters(tree):

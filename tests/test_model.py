@@ -5,13 +5,15 @@ inverses, hand linear algebra for identity covariance, and large-sample
 moment estimates for the sampler.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from cdlab.config import covariance_matrix
+from cdlab.config import covariance_matrix, scenario_from_file
 from cdlab.errors import (
     DegenerateCovariance,
     IndistinguishableHypotheses,
@@ -174,6 +176,33 @@ class TestInnovationStats:
         assert m.llr_variance > 0
         assert float(mean.sum()) == pytest.approx(m.llr_variance / 2.0, rel=1e-10, abs=1e-12)
         assert float(cov.sum()) == pytest.approx(m.llr_variance, rel=1e-10)
+
+    def test_each_n_by_n_input_is_held_once(self, ring_config):
+        """On the 256-node ring the model holds the config's read-only covariance
+        itself and no Cholesky factor until sampling reads one, so building it
+        keeps under 0.5 N x N (512 kB each; seen: 0.01); innovation_stats forms
+        its covariance in one buffer and peaks under 1.5 N x N (seen: 1.25, of
+        which 0.25 is numpy's ufunc buffers for the broadcast outer product,
+        2 N x N at N = 64).  A copied covariance, a held factor or a second
+        buffer each add a whole N x N: a model holding a copy and the factor
+        keeps 2.02, and a product formed apart from the outer product and then
+        copied read-only peaks at 2.01."""
+        config = scenario_from_file(ring_config(256, 1024))
+        nn = 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            model = config.build_model()
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            innovation_stats(model)
+            peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert model.cov is config.covariance
+        assert kept < 0.5 * nn
+        assert peak < 1.5 * nn
+        writable = np.array(config.covariance)
+        assert not np.shares_memory(build_model(config.m0, config.m1, writable).cov, writable)
 
 
 # ── sampling ──────────────────────────────────────────────────────────────
